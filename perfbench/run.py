@@ -1,7 +1,7 @@
 """Benchmark of the iwasawa-kernel CLI, end to end and per layer.
 
-    python3 perfbench/run.py --workload control-729 --seed 1 --seconds 50 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 50      # one row per workload
+    python3 perfbench/run.py --workload control-729 --seed 1 --seconds 60 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 60      # one row per workload
     python3 perfbench/run.py --record-digests                          # digests of new candidates
     python3 -m pytest perfbench                                        # self-tests
 
@@ -17,8 +17,12 @@ and has a wall-clock timeout; an operation fails if it exits nonzero,
 prints a traceback, times out, or its report is wrong (oracle.py).
 
 The workload's operations run in rounds: each once, then again in turn
-while the next one is predicted to end within ``--seconds``.  An
-operation's time is its fastest execution in the run.
+while the next one is predicted to end within ``--seconds``.  Times are
+calibrated to a nominal machine speed (perfbench/speed.py, which the
+parent never imports: it would pull numpy into the parent): the machine the
+benchmark was defined on swings by up to 1.8x for longer than a run, and
+the child measures that swing while its operation runs.  An operation's
+time is the median of its calibrated executions in the run.
 With ``--trace 0`` the end-to-end metrics of BENCHMARK.json are printed;
 with ``--trace 1`` each operation runs untraced and then traced (spans.py),
 and the per-layer metrics come from the traced calls of complete rounds.
@@ -47,16 +51,20 @@ import spans  # noqa: E402
 import workloads  # noqa: E402
 
 MEMORY_CAP_MB = 2048  # per child; the largest operation peaks near 130 MB
-SETUP_SAMPLES = 9  # import-only children per run, on top of every operation
 HARD_LIMIT_S = 165.0  # no child may run past this point of a run
 
 
 @dataclass
 class Child:
-    """What one child process reported, or why it failed."""
+    """What one child process reported, or why it failed.
+
+    ``setup_s`` and ``call_s`` are calibrated to the nominal speed;
+    ``raw_s`` is the call as the clock read it, minus the probes' time.
+    """
 
     setup_s: Optional[float] = None
     call_s: Optional[float] = None
+    raw_s: Optional[float] = None
     cpu_s: float = 0.0
     peak_kb: int = 0
     rss_import_kb: int = 0
@@ -79,14 +87,19 @@ def run_child(root: Path, argv: List[str], trace: bool, timeout: float) -> Child
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
         return Child(failure=f"child exit {proc.returncode}: {tail[0]}")
     out = json.loads(lines[-1])
-    child = Child(setup_s=out["imported"] - started, rss_import_kb=out["rss_import_kb"])
-    if argv:
-        child.call_s, child.cpu_s = out["call_s"], out["cpu_s"]
-        child.peak_kb, child.report = out["peak_kb"], out["report"]
-        child.spans = out.get("spans", [])
-        child.counts = {int(k): v for k, v in out.get("counts", {}).items()}
-        if out["rc"] != 0:
-            child.failure = f"exit code {out['rc']}"
+    # The machine's speed during the call stands for its speed during the
+    # import just before.  Traced calls carry no probes: their times are
+    # only compared with the untraced calls of the same run.
+    factor = out.get("call_speed", 1.0)
+    child = Child(setup_s=(out["imported"] - started) / factor,
+                  rss_import_kb=out["rss_import_kb"], cpu_s=out["cpu_s"],
+                  peak_kb=out["peak_kb"], report=out["report"])
+    child.raw_s = out["call_s"] - out.get("probe_s", 0.0)
+    child.call_s = child.raw_s / factor
+    child.spans = out.get("spans", [])
+    child.counts = {int(k): v for k, v in out.get("counts", {}).items()}
+    if out["rc"] != 0:
+        child.failure = f"exit code {out['rc']}"
     return child
 
 
@@ -103,7 +116,6 @@ class Run:
             self.digests = json.load(fh)
         self.attempted = 0
         self.failures: List[str] = []
-        self.setup: List[float] = []
         self.untraced: Dict[str, List[Child]] = {op.key: [] for op in self.ops}
         self.traced_rounds: List[List[Child]] = []
         self.untraced_rounds: List[List[Child]] = []
@@ -127,26 +139,14 @@ class Run:
             self.failures.append(f"{op.key}{' (traced)' if trace else ''}: {child.failure}")
         return child
 
-    def setup_sample(self) -> None:
-        child = run_child(self.root, [], False, max(self._timeout(), 1.0))
-        if child.failure is not None:
-            raise SystemExit(f"cannot import the package: {child.failure}")
-        self.setup.append(child.setup_s)
-
     def go(self) -> None:
-        # Import-only children are spread over the first round, so that the
-        # set-up median does not hang on one moment of a noisy machine.
-        per_op = -(-SETUP_SAMPLES // len(self.ops))
         deadline = self.start + self.seconds
         cost: Dict[str, List[float]] = {op.key: [] for op in self.ops}
         first = True
         while True:
             plain, traced = [], []
             for op in self.ops:
-                if first:
-                    for _ in range(per_op):
-                        self.setup_sample()
-                else:
+                if not first:
                     # every operation runs once; after that, each runs again
                     # only while it is predicted to end inside the window
                     nxt = statistics.median(cost[op.key])
@@ -171,12 +171,10 @@ class Run:
         good = [c for cs in ok.values() for c in cs]
         if not good:
             return {}
-        # Another tenant of the machine can only slow an operation down, so
-        # its fastest execution in the run is the steadiest estimate of its
-        # cost.  Footprints take the median: now and then the allocator
-        # rounds a peak up by a block.
+        # Footprints take the median too: now and then the allocator rounds
+        # a peak up by a block.
         ran = [cs for cs in ok.values() if cs]
-        per_op = [min(c.call_s for c in cs) for cs in ran]
+        per_op = [statistics.median(c.call_s for c in cs) for cs in ran]
 
         def footprint(kb) -> float:
             return max(statistics.median(kb(c) for c in cs) for cs in ran) / 1024
@@ -185,7 +183,7 @@ class Run:
             "wall_s": sum(per_op),
             "op_p50_s": statistics.median(per_op),
             "op_max_s": max(per_op),
-            "setup_s": statistics.median(self.setup + [c.setup_s for c in good]),
+            "setup_s": statistics.median(c.setup_s for c in good),
             "peak_rss_mb": footprint(lambda c: c.peak_kb),
             "work_rss_mb": footprint(lambda c: c.peak_kb - c.rss_import_kb),
         }
@@ -203,8 +201,8 @@ class Run:
                 counts.update({i + off: v for i, v in child.counts.items()})
             row = spans.layer_metrics(merged, counts)
             row["cli.cpu_s"] = sum(c.cpu_s for c in traced)
-            row["trace.overhead"] = (sum(c.call_s for c in traced)
-                                     / sum(c.call_s for c in plain))
+            row["trace.overhead"] = (sum(c.raw_s for c in traced)
+                                     / sum(c.raw_s for c in plain))
             rows.append(row)
         if not rows:
             return {}
@@ -220,13 +218,13 @@ def load_definition(root: Path) -> Dict:
 
 
 def result_line(values: Dict[str, float], defs: List[Dict], prefix: str = "") -> Dict:
-    """``{name: {"value", "unit"}}`` for every metric in ``defs``."""
-    metrics = {}
-    for d in defs:
-        if d["name"] not in values:
-            raise SystemExit(f"metric {prefix}{d['name']} was not measured")
-        metrics[prefix + d["name"]] = {"value": values[d["name"]], "unit": d["unit"]}
-    return metrics
+    """``{name: {"value", "unit"}}`` for every metric in ``defs`` that was measured.
+
+    A metric is missing only when failures left nothing to measure it on;
+    the run is then reported incorrect anyway.
+    """
+    return {prefix + d["name"]: {"value": values[d["name"]], "unit": d["unit"]}
+            for d in defs if d["name"] in values}
 
 
 def describe(run: Run, values: Dict[str, float], defs: List[Dict]) -> str:
@@ -315,22 +313,27 @@ def main(argv=None) -> int:
         for line in run.failures:
             print(f"FAILED {line}")
         for key, children in run.untraced.items():
-            times = [c.call_s for c in children if c.failure is None]
-            if times:
-                print(f"  {min(times):8.3f} s  (fastest of {len(times)})  {key}")
+            good = [c for c in children if c.failure is None]
+            if good:
+                cal = statistics.median(c.call_s for c in good)
+                raw = statistics.median(c.raw_s for c in good)
+                print(f"  {cal:8.3f} s calibrated  {raw:8.3f} s raw  "
+                      f"(median of {len(good)})  {key}")
         print(describe(run, vals, defs), flush=True)
         values.update({(f"{name}." if len(names) > 1 else "") + k: v for k, v in vals.items()})
 
-    # Metrics cover the operations that succeeded; any failure makes the
-    # run incorrect.
+    # Metrics cover the operations that succeeded; any failure, or a metric
+    # left unmeasured, makes the run incorrect.
     failed = sum(len(r.failures) for r in runs)
     attempted = sum(r.attempted for r in runs)
-    out = {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": {}}
+    metrics: Dict[str, Dict] = {}
     for name in names:
         prefix = f"{name}." if len(names) > 1 else ""
         sub = {k[len(prefix):]: v for k, v in values.items() if k.startswith(prefix)}
-        out["metrics"].update(result_line(sub, defs, prefix))
-    print(json.dumps(out))
+        metrics.update(result_line(sub, defs, prefix))
+    correct = failed == 0 and len(metrics) == len(defs) * len(names)
+    print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
+                      "metrics": metrics}))
     return 0
 
 

@@ -156,3 +156,38 @@ def test_traced_run_restores_every_name_and_misses_no_call(tmp_path):
 def test_self_time_excludes_children():
     recorded = [["a", 0.0, 10.0, -1], ["b", 1.0, 4.0, 0], ["c", 2.0, 3.0, 1], ["b", 5.0, 6.0, 0]]
     assert spans.self_times(recorded) == [6.0, 2.0, 1.0, 1.0]
+
+
+def test_speed_index_is_one_at_nominal_and_scales():
+    import speed
+
+    nominal = {k: [v, v * 0.5, v * 3] for k, v in speed.NOMINAL.items()}
+    assert abs(speed.index(nominal) - 1.0) < 1e-12
+    slow = {k: [2 * t for t in ts] for k, ts in nominal.items()}
+    assert abs(speed.index(slow) - 2.0) < 1e-12
+
+
+def test_sampler_probes_while_running_and_restores_the_signal():
+    import signal
+    import time
+
+    import speed
+
+    sampler = speed.Sampler()
+    sampler.start()
+    end = time.perf_counter() + 0.5
+    while time.perf_counter() < end:
+        pass
+    sampler.stop()
+    assert signal.getsignal(signal.SIGALRM) == signal.SIG_DFL
+    assert all(len(ts) >= 1 for ts in sampler.samples.values())
+    assert 0 < sampler.spent < 0.5
+    assert speed.index(sampler.samples) > 0
+
+
+def test_result_line_leaves_out_unmeasured_metrics():
+    import run
+
+    defs = [{"name": "a", "unit": "s"}, {"name": "b", "unit": "count"}]
+    assert run.result_line({"a": 1.5}, defs) == {"a": {"value": 1.5, "unit": "s"}}
+    assert run.result_line({}, defs, "w.") == {}

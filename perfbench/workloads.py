@@ -108,7 +108,8 @@ def _inner(n, degree):
     r = P**n
     return [
         _mahler(f"heis-inner-{a}-{b}", _inner_text(a, b), n, degree, True)
-        for a in range(r) for b in range(r) if (a, b) != (0, 0)
+        # (0, 0) is heis_id and (1, 0) is heis_conj, both fixed members
+        for a in range(r) for b in range(r) if (a, b) not in ((0, 0), (1, 0))
     ]
 
 
