@@ -26,7 +26,7 @@ def main():
     phi = AutomorphismSpec.conjugation(chart, chart.generators[0], name="conj-g1")
     print("homomorphism check:", phi.verify_homomorphism(Q))
 
-    by_formula, by_commutation = is_mahler_aut(phi, Q, 3)
+    by_formula, by_commutation, _ = is_mahler_aut(phi, Q, 3)
     print(f"Mahler factorization: by_formula={by_formula} "
           f"by_commutation={by_commutation}")
 

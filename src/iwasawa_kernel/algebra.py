@@ -2,10 +2,16 @@
 
 A quotient stage enumerates Q = G/G^{p^n} through ordered-product
 coordinates beta in [0, p^n)^d from a matrix chart; algebra elements are
-sparse coefficient dictionaries over Z/p^N.  The filtration weight of an
-element is the infimum of v_p(coefficient) + weighted degree over its
-expansion in the ordered monomials b^alpha, b_i = g_i - 1, computed from
-the closed form g^beta = sum_alpha binom(beta, alpha) b^alpha.
+sparse coefficient dictionaries over Z/p^N.  Within the dense budget the
+group law is a set of index arrays: the d generator columns h -> h g_i
+come from one batched chart solve each, and products, inverses, the
+multiplication table and translation permutations are lookups in their
+powers.  Larger stages solve each product through the chart matrices.
+
+The filtration weight of an element is the infimum of v_p(coefficient) +
+weighted degree over its expansion in the ordered monomials b^alpha,
+b_i = g_i - 1, computed from the closed form
+g^beta = sum_alpha binom(beta, alpha) b^alpha.
 
 Weights at or above the stage's precision floor are reported as ">= floor",
 never as exact numbers: the finite stage cannot distinguish them.
@@ -20,10 +26,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .charts import GroupChart, Matrix, _identity, _mul
+from .charts import GroupChart, Matrix, _mul
 from .errors import BudgetError, PrecisionError, ValidationError
 
 DEFAULT_SIZE_BUDGET = 50_000
+# elements per batched chart solve, which bounds its temporary arrays
+_SOLVE_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +82,23 @@ def filt_min(a: FiltValue, b: FiltValue) -> FiltValue:
 
 @dataclass
 class QuotientGroup:
-    """The group Q = G/G^{p^n} with coefficient ring Z/p^N."""
+    """The group Q = G/G^{p^n} with coefficient ring Z/p^N.
+
+    Within the dense budget the group law is index arithmetic: the d
+    generator columns h -> h g_i are solved once, in one batched chart solve
+    each, and their powers give the columns h -> h g_i^k; a product a*b is
+    d lookups in them, following the coordinates of b.  Above the budget
+    every product and inverse is solved through the chart matrices, and no
+    |Q|-length array is built.
+    """
 
     chart: GroupChart
     n: int
     N: int
 
-    _word_cache: Dict[int, Matrix] = field(default_factory=dict, repr=False)
-    _mult_cache: Dict[Tuple[int, int], int] = field(default_factory=dict, repr=False)
-    _inv_cache: Dict[int, int] = field(default_factory=dict, repr=False)
-    _perm_cache: Dict[Tuple[str, int], "np.ndarray"] = field(
-        default_factory=dict, repr=False
-    )
+    # columns[i, k, h] = index of h * g_i^k (dense stages only)
+    _columns: Optional["np.ndarray"] = field(default=None, repr=False)
+    _inverse: Optional["np.ndarray"] = field(default=None, repr=False)
     _mult_table: Optional["np.ndarray"] = field(default=None, repr=False)
 
     @property
@@ -103,6 +116,10 @@ class QuotientGroup:
     @property
     def size(self) -> int:
         return self.radix**self.dim
+
+    @property
+    def dense(self) -> bool:
+        return self.size <= DEFAULT_SIZE_BUDGET
 
     @property
     def coeff_mod(self) -> int:
@@ -136,40 +153,84 @@ class QuotientGroup:
             out.append(b)
         return tuple(out)
 
+    def index_array(self, betas: np.ndarray) -> np.ndarray:
+        """Indices of the rows of a (B, d) coordinate array."""
+        r = self.radix
+        return (np.asarray(betas) % r).astype(np.int64) @ (r ** np.arange(self.dim))
+
+    def coords_array(self) -> np.ndarray:
+        """The (|Q|, d) coordinates of every index."""
+        r = self.radix
+        return np.arange(self.size)[:, None] // (r ** np.arange(self.dim)) % r
+
     def matrix(self, idx: int) -> Matrix:
-        mat = self._word_cache.get(idx)
-        if mat is None:
-            mat = self.chart.word(self.coords(idx))
-            self._word_cache[idx] = mat
-        return mat
+        return self.chart.word(self.coords(idx))
 
     def index_of_matrix(self, g: Matrix) -> int:
         return self.index(self.chart.coordinates(g, prec=self.n))
 
     # -- group law ------------------------------------------------------
 
+    def columns(self) -> np.ndarray:
+        """columns[i, k, h] = index of h * g_i^k (dense; budgeted).
+
+        Only the d generator columns go through the chart, each as one
+        batched solve over all of Q (in chunks); the powers are
+        compositions of those permutations.
+        """
+        if self._columns is None:
+            self._require_dense()
+            chart, size = self.chart, self.size
+            gens = chart.words(np.eye(self.dim, dtype=np.int64))
+            coords = self.coords_array()
+            right = np.empty((self.dim, size), dtype=np.int64)
+            for lo in range(0, size, _SOLVE_CHUNK):
+                hs = chart.words(coords[lo:lo + _SOLVE_CHUNK])
+                for i, g in enumerate(gens):
+                    prods = np.matmul(hs, g) % chart.modulus
+                    right[i, lo:lo + _SOLVE_CHUNK] = self.index_array(
+                        chart.coordinates(prods, prec=self.n)
+                    )
+            cols = np.empty((self.dim, self.radix, size), dtype=np.int64)
+            cols[:, 0] = np.arange(size)
+            for k in range(1, self.radix):
+                cols[:, k] = np.take_along_axis(right, cols[:, k - 1], axis=1)
+            self._columns = cols
+        return self._columns
+
+    def mult_array(self, a, b) -> np.ndarray:
+        """Elementwise products a*b of two broadcastable index arrays."""
+        cols = self.columns()
+        a, b = np.asarray(a), np.asarray(b)
+        for i in range(self.dim):
+            b, k = np.divmod(b, self.radix)
+            a = cols[i, k, a]
+        return a
+
     def mult(self, a: int, b: int) -> int:
         if self._mult_table is not None:
             return int(self._mult_table[a, b])
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        key = (a, b)
-        out = self._mult_cache.get(key)
-        if out is None:
-            out = self.index_of_matrix(
+        if not self.dense:
+            return self.index_of_matrix(
                 _mul(self.matrix(a), self.matrix(b), self.chart.modulus)
             )
-            self._mult_cache[key] = out
-        return out
+        cols = self.columns()
+        for i in range(self.dim):
+            b, k = divmod(b, self.radix)
+            a = cols[i, k, a]
+        return int(a)
 
     def inv(self, a: int) -> int:
-        out = self._inv_cache.get(a)
-        if out is None:
-            out = self.index_of_matrix(self.chart.inverse(self.matrix(a)))
-            self._inv_cache[a] = out
-        return out
+        if not self.dense:
+            return self.index_of_matrix(self.chart.inverse(self.matrix(a)))
+        if self._inverse is None:
+            # (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1}
+            cols, coords = self.columns(), self.coords_array()
+            out = np.zeros(self.size, dtype=np.int64)
+            for i in reversed(range(self.dim)):
+                out = cols[i, -coords[:, i] % self.radix, out]
+            self._inverse = out
+        return int(self._inverse[a])
 
     def generator(self, i: int, power: int = 1) -> int:
         beta = [0] * self.dim
@@ -177,70 +238,27 @@ class QuotientGroup:
         return self.index(beta)
 
     def mult_table(self) -> np.ndarray:
-        """Dense table t[a, b] = a*b (budgeted).
-
-        Only the generator columns are solved through the chart; all other
-        columns are compositions of those translation permutations.
-        """
-        tab = self._mult_table
-        if tab is None:
+        """Dense table t[a, b] = a*b (budgeted), composed from the columns."""
+        if self._mult_table is None:
             self._require_dense()
-            size = self.size
-            base = []
-            for i in range(self.dim):
-                g = self.generator(i)
-                base.append(
-                    np.array([self.mult(h, g) for h in range(size)], dtype=np.int64)
-                )
-            cols = {0: np.arange(size, dtype=np.int64)}
-            frontier = [cols[0]]
-            while frontier:
-                nxt = []
-                for perm in frontier:
-                    for bp in base:
-                        new = bp[perm]
-                        key = int(new[0])
-                        if key not in cols:
-                            cols[key] = new
-                            nxt.append(new)
-                frontier = nxt
-            tab = np.empty((size, size), dtype=np.int64)
-            for g, perm in cols.items():
-                tab[:, g] = perm
-            self._mult_table = tab
-        return tab
+            h = np.arange(self.size)
+            self._mult_table = self.mult_array(h[:, None], h[None, :])
+        return self._mult_table
 
     def right_mult_perm(self, g: int) -> np.ndarray:
         """Permutation h -> h*g over all of Q (dense; budgeted)."""
-        key = ("r", g)
-        out = self._perm_cache.get(key)
-        if out is None:
-            if self._mult_table is not None:
-                out = self._mult_table[:, g]
-            else:
-                self._require_dense()
-                out = np.array(
-                    [self.mult(h, g) for h in range(self.size)], dtype=np.int64
-                )
-            self._perm_cache[key] = out
-        return out
+        if self._mult_table is not None:
+            return self._mult_table[:, g]
+        return self.mult_array(np.arange(self.size), g)
 
     def left_mult_perm(self, g: int) -> np.ndarray:
-        key = ("l", g)
-        out = self._perm_cache.get(key)
-        if out is None:
-            if self._mult_table is not None:
-                out = self._mult_table[g]
-            else:
-                self._require_dense()
-                out = np.array(
-                    [self.mult(g, h) for h in range(self.size)], dtype=np.int64
-                )
-            self._perm_cache[key] = out
-        return out
+        """Permutation h -> g*h over all of Q (dense; budgeted)."""
+        if self._mult_table is not None:
+            return self._mult_table[g]
+        return self.mult_array(g, np.arange(self.size))
 
     def _require_dense(self):
-        if self.size > DEFAULT_SIZE_BUDGET:
+        if not self.dense:
             raise BudgetError(
                 f"|Q| = {self.size} exceeds the dense-vector budget {DEFAULT_SIZE_BUDGET}"
             )
@@ -556,31 +574,6 @@ def _apply_perm(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return out
 
 
-def _all_side_perms(Q: QuotientGroup, side: str) -> List[np.ndarray]:
-    """Translation permutations for every group element on one side,
-    generated by composing the generator permutations (index 0 is the
-    identity, so perm[0] identifies the translating element)."""
-    Q.mult_table()
-    base = []
-    for i in range(Q.dim):
-        g = Q.generator(i)
-        base.append(Q.right_mult_perm(g) if side == "right" else Q.left_mult_perm(g))
-    ident = np.arange(Q.size, dtype=np.int64)
-    perms = {0: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for bp in base:
-                new = bp[perm] if side == "right" else perm[bp]
-                key = int(new[0])
-                if key not in perms:
-                    perms[key] = new
-                    nxt.append(new)
-        frontier = nxt
-    return list(perms.values())
-
-
 def ideal_closure(
     gens: Iterable[AlgebraElement], side: str = "right", quotient: Optional[QuotientGroup] = None
 ) -> SubmoduleBasis:
@@ -605,8 +598,10 @@ def ideal_closure(
     if not vecs:
         return SubmoduleBasis(Q, np.zeros((0, Q.size), dtype=np.int64), side)
     mat = np.array(vecs, dtype=np.int64)
-    first = "right" if side in ("right", "two-sided") else "left"
-    translates = np.vstack([_apply_perm(mat, perm) for perm in _all_side_perms(Q, first)])
+    tab = Q.mult_table()
+    # column g of the table is h -> h*g, row g is h -> g*h
+    perms = tab.T if side in ("right", "two-sided") else tab
+    translates = np.vstack([_apply_perm(mat, perm) for perm in perms])
     rows = linalg.howell(translates, p, N)
     if side == "two-sided":
         lperms = [Q.left_mult_perm(Q.generator(i)) for i in range(Q.dim)]

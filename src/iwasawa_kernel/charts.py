@@ -2,20 +2,31 @@
 
 A chart fixes d nilpotent integer matrices x_1..x_d with entries in p·Z
 (p odd) and realizes the group on generators g_i = exp(x_i).  All matrix
-arithmetic is exact big-integer arithmetic modulo p^work_prec; exp and log
-divide by factorials via exact p-power division plus a unit inverse, so no
-floating point and no hidden rounding appear anywhere.
+arithmetic is exact modulo p^work_prec: exp and log divide by factorials
+via exact p-power division plus a unit inverse (powers carry enough extra
+p-adic digits for the division to be exact), so no floating point and no
+hidden rounding appear anywhere.  A power g_i^b = exp(b x_i) is the sum of
+b^k (x_i^k / k!) over k < mat_size, from the exact divided powers
+x_i^k / k! computed once when the chart is built.
 
 Coordinates of a group element in the ordered-product normal form
 g = g_1^{b_1} ... g_d^{b_d} are recovered by successive elimination on the
-logarithm, using a precomputed echelon solver for the chart lattice.
+logarithm, using a precomputed echelon solver for the chart lattice.  The
+elimination runs on a whole batch of elements at once and applies every
+check to every element of the batch; `coordinates` takes one matrix as a
+batch of one.  Batches are numpy arrays of int64 when
+(mat_size + 1) * (modulus * headroom)^2 < 2^63, which bounds every
+intermediate sum of products of residues, and of Python ints otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import PrecisionError, ValidationError
 from .linalg import vp_int
@@ -31,10 +42,6 @@ def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _zero(n: int) -> Matrix:
-    return tuple((0,) * n for _ in range(n))
-
-
 def _add(a: Matrix, b: Matrix, q: int) -> Matrix:
     return tuple(tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -44,7 +51,6 @@ def _scale(a: Matrix, c: int, q: int) -> Matrix:
 
 
 def _mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(ra, cb)) % q for cb in bt) for ra in a
@@ -64,20 +70,44 @@ def _unit_part_inverse(k: int, p: int, q: int) -> Tuple[int, int]:
     return p**v, pow(k, -1, q)
 
 
-def _div_exact(a: Matrix, k: int, p: int, q: int) -> Matrix:
-    """Divide a matrix by an integer k, exactly in Z_p: strip v_p(k), then
-    multiply by the inverse of the remaining unit."""
-    pv, uinv = _unit_part_inverse(k, p, q)
-    out = []
-    for r in a:
-        row = []
-        for x in r:
-            x %= q
-            if x % pv:
-                raise PrecisionError("inexact division by a power of p")
-            row.append((x // pv) * uinv % q)
-        out.append(tuple(row))
-    return tuple(out)
+def _divided_powers(x: Sequence[Sequence[int]], p: int, q: int) -> np.ndarray:
+    """x^k / k! modulo q for 0 <= k < size, as a (size, size, size) array of
+    Python ints.  The integer power x^k is divided exactly by the p-part of
+    k! and then multiplied by the inverse of the unit part."""
+    x = np.array(x, dtype=object)
+    term = np.eye(len(x), dtype=np.int64).astype(object)
+    out = [term]
+    for k in range(1, len(x)):
+        term = np.matmul(term, x)
+        pv, uinv = _unit_part_inverse(math.factorial(k), p, q)
+        if np.any(term % pv):
+            raise PrecisionError("inexact division by a power of p")
+        out.append(term // pv * uinv % q)
+    return np.array(out)
+
+
+def _powers(terms: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """exp(b x) = sum_k b^k x^k/k! for each residue in the batch b, given the
+    divided powers of x."""
+    n = len(terms)
+    bk = np.empty((len(b), n), dtype=terms.dtype)
+    bk[:, 0] = 1
+    for k in range(1, n):
+        bk[:, k] = bk[:, k - 1] * b % q
+    return (bk @ terms.reshape(n, n * n) % q).reshape(len(b), n, n)
+
+
+def _ordered_product(terms: np.ndarray, betas: np.ndarray, q: int) -> np.ndarray:
+    """exp(b_1 y_1) ... exp(b_d y_d) for each row b of betas, where terms[i]
+    holds the divided powers of y_i."""
+    out = _powers(terms[0], betas[:, 0] % q, q)
+    for i in range(1, len(terms)):
+        out = np.matmul(out, _powers(terms[i], betas[:, i] % q, q)) % q
+    return out
+
+
+def _as_matrix(a: np.ndarray) -> Matrix:
+    return tuple(tuple(int(v) for v in row) for row in a)
 
 
 @dataclass(frozen=True)
@@ -88,6 +118,8 @@ class GroupChart:
     work_prec: int
     basis: Tuple[Matrix, ...]
     name: str = "custom"
+    # divided powers x_i^k / k! of the basis, shape (d, size, size, size)
+    _terms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p == 2 or self.p < 2 or any(self.p % k == 0 for k in range(2, int(self.p**0.5) + 1)):
@@ -102,6 +134,11 @@ class GroupChart:
                 raise ValidationError("basis matrices must be strictly upper triangular")
             if any(v % self.p for r in x for v in r):
                 raise ValidationError("basis matrix entries must lie in p*Z")
+        q = self.modulus
+        wide = q * self._headroom
+        dtype = np.int64 if (u + 1) * wide * wide < 2**63 else object
+        terms = np.array([_divided_powers(x, self.p, q) for x in self.basis])
+        object.__setattr__(self, "_terms", terms.astype(dtype))
 
     @property
     def dim(self) -> int:
@@ -115,31 +152,85 @@ class GroupChart:
     def modulus(self) -> int:
         return self.p**self.work_prec
 
+    @property
+    def _headroom(self) -> int:
+        """p^v_p((mat_size - 1)!): the extra p-power that keeps the factorial
+        divisions in exp/log exact."""
+        return _unit_part_inverse(math.factorial(self.mat_size - 1), self.p, self.modulus)[0]
+
+    # -- batches --------------------------------------------------------
+
+    def batch(self, mats) -> np.ndarray:
+        """Matrices as one (B, size, size) array of residues mod p^work."""
+        a = np.array(mats, dtype=object)
+        if a.ndim != 3 or a.shape[1:] != (self.mat_size, self.mat_size):
+            raise ValidationError(
+                f"expected {self.mat_size}x{self.mat_size} matrices for this chart"
+            )
+        return (a % self.modulus).astype(self._terms.dtype)
+
+    def words(self, betas: np.ndarray) -> np.ndarray:
+        """g_1^{b_1} ... g_d^{b_d} for each row b of the (B, d) array betas."""
+        return _ordered_product(self._terms, np.asarray(betas), self.modulus)
+
+    def _inverse_words(self, betas: np.ndarray) -> np.ndarray:
+        """(g^b)^{-1} = g_d^{-b_d} ... g_1^{-b_1} for each row b."""
+        return _ordered_product(self._terms[::-1], -betas[:, ::-1], self.modulus)
+
+    def _log_batch(self, g: np.ndarray) -> np.ndarray:
+        """log g = sum_k (-1)^(k+1) m^k / k with m = g - 1, exact mod p^work:
+        the powers m^k are kept modulo p^work times the largest p-part of a
+        k < mat_size, so that every division by k is exact."""
+        q, n = self.modulus, self.mat_size
+        wide = q * self._headroom
+        m = (g - np.eye(n, dtype=g.dtype)) % q
+        if np.tril(m).any():
+            raise ValidationError("log expects a unipotent upper-triangular matrix")
+        out = np.zeros_like(m)
+        term = m
+        for k in range(1, n):
+            if k > 1:
+                term = np.matmul(term, m) % wide
+            pv, uinv = _unit_part_inverse(k, self.p, q)
+            t = term % (q * pv)
+            if (t % pv).any():
+                raise PrecisionError("inexact division by a power of p")
+            t = t // pv * uinv % q
+            out = (out + t if k % 2 == 1 else out - t) % q
+        return out
+
+    def _weights(self, x: np.ndarray) -> np.ndarray:
+        """Per matrix: the least valuation of a nonzero entry (work_prec when
+        the matrix vanishes), read off gcd(entries, p^work) = p^weight."""
+        p, work = self.p, self.work_prec
+        g = np.gcd(np.gcd.reduce(x.reshape(len(x), self.mat_size**2), axis=1), p**work)
+        return np.searchsorted(np.array([p**e for e in range(work + 1)], dtype=g.dtype), g)
+
+    def _solve_batch(self, x: np.ndarray, tol: int) -> np.ndarray:
+        """Rows lam with sum_i lam_i x_i = target for each target in the batch;
+        every remainder must vanish modulo p^(work_prec - tol)."""
+        p, q = self.p, self.modulus
+        echelon, _, _ = self._solver
+        t = x.reshape(len(x), self.mat_size**2) % q
+        lam = np.zeros((len(x), self.dim), dtype=t.dtype)
+        for (col, e), row, tr in echelon:
+            c = t[:, col]
+            if (c % p**e).any():
+                raise PrecisionError("target outside chart lattice")
+            f = (c // p**e)[:, None]
+            t = (t - f * row) % q
+            lam = (lam + f * tr) % q
+        if (t % p ** max(self.work_prec - tol, 1)).any():
+            raise PrecisionError("target outside chart lattice")
+        return lam
+
     # -- exp / log -----------------------------------------------------
 
     def exp(self, x: Matrix) -> Matrix:
-        q = self.modulus
-        n = len(x)
-        out = _identity(n)
-        term = _identity(n)
-        for k in range(1, n):
-            term = _mul(term, x, q * self.p**self.work_prec)
-            out = _add(out, _div_exact(term, _factorial(k), self.p, q), q)
-        return out
+        return _as_matrix(_divided_powers(x, self.p, self.modulus).sum(axis=0) % self.modulus)
 
     def log(self, g: Matrix) -> Matrix:
-        q = self.modulus
-        n = len(g)
-        m = _add(g, _scale(_identity(n), -1, q), q)
-        if not _is_strictly_upper(m):
-            raise ValidationError("log expects a unipotent upper-triangular matrix")
-        out = _zero(n)
-        term = _identity(n)
-        for k in range(1, n):
-            term = _mul(term, m, q)
-            signed = term if k % 2 == 1 else _scale(term, -1, q)
-            out = _add(out, _div_exact(signed, k, self.p, q), q)
-        return out
+        return _as_matrix(self._log_batch(self.batch([g]))[0])
 
     def omega(self, g: Matrix) -> Optional[int]:
         """Filtration weight: min valuation over the entries of log g.
@@ -156,7 +247,7 @@ class GroupChart:
 
     @property
     def generators(self) -> Tuple[Matrix, ...]:
-        return tuple(self.exp(x) for x in self.basis)
+        return tuple(self.generator_power(i, 1) for i in range(self.dim))
 
     @property
     def omega_weights(self) -> Tuple[int, ...]:
@@ -168,24 +259,27 @@ class GroupChart:
 
     def generator_power(self, i: int, k: int) -> Matrix:
         """g_i^k for any integer k, via exp(k * x_i)."""
-        q = self.modulus
-        k %= q
-        cache = self.__dict__.setdefault("_power_cache", {})
-        out = cache.get((i, k))
-        if out is None:
-            out = self.exp(_scale(self.basis[i], k, q))
-            if len(cache) < 200_000:
-                cache[(i, k)] = out
-        return out
+        b = np.array([k % self.modulus], dtype=self._terms.dtype)
+        return _as_matrix(_powers(self._terms[i], b, self.modulus)[0])
 
     def word(self, beta: Sequence[int]) -> Matrix:
         if len(beta) != self.dim:
             raise ValidationError("exponent vector length mismatch")
-        g = _identity(self.mat_size)
-        for i, b in enumerate(beta):
-            if b % self.modulus:
-                g = _mul(g, self.generator_power(i, b), self.modulus)
-        return g
+        q = self.modulus
+        row = np.array([[b % q for b in beta]], dtype=self._terms.dtype)
+        return _as_matrix(self.words(row)[0])
+
+    def log_powers(self, elements: Sequence[Matrix]) -> np.ndarray:
+        """The divided powers (log h)^k / k! of each element h, from which
+        `power_words` evaluates powers of the h."""
+        logs = self._log_batch(self.batch(elements))
+        return np.array([_divided_powers(x, self.p, self.modulus) for x in logs])
+
+    def power_words(self, terms: np.ndarray, betas) -> np.ndarray:
+        """h_1^{b_1} ... h_d^{b_d} for each row b of betas, each power
+        evaluated as exp(b_i log h_i), where terms = log_powers([h_1..h_d])."""
+        q = self.modulus
+        return _ordered_product(terms, np.array(betas, dtype=object) % q, q)
 
     def inverse(self, g: Matrix) -> Matrix:
         q = self.modulus
@@ -212,9 +306,6 @@ class GroupChart:
 
     # -- coordinate recovery -------------------------------------------
 
-    def _flatten(self, x: Matrix) -> List[int]:
-        return [v for r in x for v in r]
-
     @property
     def _solver(self):
         return _chart_solver(self)
@@ -224,30 +315,28 @@ class GroupChart:
 
         The remainder must vanish modulo p^(work_prec - tol).
         """
-        echelon, transform, _ = self._solver
-        p, q = self.p, self.modulus
-        t = [v % q for v in self._flatten(target)]
-        lam = [0] * self.dim
-        for (col, e), row, tr in echelon:
-            c = t[col]
-            if c == 0:
-                continue
-            if vp_int(c, p, self.work_prec) < e:
-                raise PrecisionError("target outside chart lattice")
-            f = c // p**e
-            for j in range(len(t)):
-                t[j] = (t[j] - f * row[j]) % q
-            for j in range(self.dim):
-                lam[j] = (lam[j] + f * tr[j]) % q
-        cutoff = p ** max(self.work_prec - tol, 1)
-        if any(v % cutoff for v in t):
-            raise PrecisionError("target outside chart lattice")
-        return lam
+        return [int(v) for v in self._solve_batch(self.batch([target]), tol)[0]]
 
-    def coordinates(self, g: Matrix, prec: Optional[int] = None) -> Tuple[int, ...]:
-        """Exponents (b_1..b_d) with g = g_1^{b_1} ... g_d^{b_d} mod p^prec."""
-        p = self.p
-        echelon, _, max_e = self._solver
+    def coordinates(self, g, prec: Optional[int] = None):
+        """Exponents (b_1..b_d) with g = g_1^{b_1} ... g_d^{b_d} mod p^prec.
+
+        g is one matrix (the result is a tuple) or a (B, size, size) array of
+        them (the result is a (B, d) array of residues mod p^prec); one
+        matrix is solved as a batch of one.
+
+        Each element iterates until the logarithm of the remainder
+        (g_1^{b_1}...g_d^{b_d})^{-1} g has weight >= prec + max pivot
+        valuation + 1; the weight must strictly increase at every step, each
+        logarithm must lie in the chart lattice, and the final word must
+        agree with g mod p^prec.  PrecisionError if any element fails.
+        """
+        if isinstance(g, np.ndarray) and g.ndim == 3:
+            return self._coordinates(g, prec)
+        return tuple(int(b) for b in self._coordinates([g], prec)[0])
+
+    def _coordinates(self, gs, prec: Optional[int]) -> np.ndarray:
+        p, q = self.p, self.modulus
+        _, _, max_e = self._solver
         noise = 3  # headroom for the factorial divisions inside exp/log
         if prec is None:
             prec = self.work_prec - max_e - noise - 2
@@ -256,32 +345,29 @@ class GroupChart:
         stop_val = prec + max_e + 1
         if stop_val + noise > self.work_prec:
             raise PrecisionError("working precision too small for coordinates")
-        beta = [0] * self.dim
-        last_wt = -1
-        for _ in range(stop_val + self.mat_size + 2):
-            r = _mul(self.inverse(self.word(beta)), g, self.modulus)
-            x = self.log(r)
-            vals = [
-                vp_int(v, p, self.work_prec)
-                for row in x
-                for v in row
-                if v % self.modulus
-            ]
-            wt = min(vals) if vals else self.work_prec
-            if wt >= stop_val:
+        gs = self.batch(gs)
+        beta = np.zeros((len(gs), self.dim), dtype=gs.dtype)
+        last_wt = np.full(len(gs), -1)
+        live = np.arange(len(gs))  # elements still iterating
+        for step in range(stop_val + self.mat_size + 2):
+            if not live.size:
                 break
-            if wt <= last_wt:
+            if step == 0:
+                r = gs  # the remainder for beta = 0
+            else:
+                r = np.matmul(self._inverse_words(beta[live]), gs[live]) % q
+            x = self._log_batch(r)
+            wt = self._weights(x)
+            going = wt < stop_val
+            live, x, wt = live[going], x[going], wt[going]
+            if (wt <= last_wt[live]).any():
                 raise PrecisionError("coordinate iteration failed to converge")
-            last_wt = wt
-            lam = self.solve_lattice(x, tol=noise)
-            for i in range(self.dim):
-                beta[i] += lam[i]
-        else:
+            last_wt[live] = wt
+            beta[live] += self._solve_batch(x, tol=noise)
+        if live.size:
             raise PrecisionError("coordinate iteration failed to converge")
-        out = tuple(b % p**prec for b in beta)
-        check = self.word(out)
-        target_mod = p**prec
-        if any((a - b) % target_mod for ra, rb in zip(check, g) for a, b in zip(ra, rb)):
+        out = beta % p**prec
+        if ((self.words(out) - gs) % p**prec).any():
             raise PrecisionError("coordinate verification failed at precision")
         return out
 
@@ -308,19 +394,14 @@ class GroupChart:
         return LiePresentation.from_triples(self.p, self.dim, prec, triples)
 
 
-@lru_cache(maxsize=None)
-def _factorial(k: int) -> int:
-    import math
-
-    return math.factorial(k)
-
-
 @lru_cache(maxsize=64)
 def _chart_solver(chart: GroupChart):
     """Echelon rows of the flattened basis with a transform back to
-    basis coefficients: row = sum_j tr[j] * basis[j] (flattened)."""
+    basis coefficients: row = sum_j tr[j] * basis[j] (flattened).  Rows and
+    transforms are arrays of the chart's batch dtype."""
     p, q, work = chart.p, chart.modulus, chart.work_prec
-    rows = [[v % q for v in chart._flatten(x)] for x in chart.basis]
+    dtype = chart._terms.dtype
+    rows = [[v % q for r in x for v in r] for x in chart.basis]
     trans = [[1 if j == i else 0 for j in range(chart.dim)] for i in range(chart.dim)]
     ncols = chart.mat_size**2
     echelon = []
@@ -344,7 +425,7 @@ def _chart_solver(chart: GroupChart):
                 f = c // p**e
                 rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[best])]
                 trans[i] = [(a - f * b) % q for a, b in zip(trans[i], trans[best])]
-        echelon.append(((col, e), tuple(rows[best]), tuple(trans[best])))
+        echelon.append(((col, e), np.array(rows[best], dtype=dtype), np.array(trans[best], dtype=dtype)))
     if live and any(any(rows[i]) for i in live):
         raise ValidationError("chart basis matrices are linearly dependent")
     max_e = max(e for (_, e), _, _ in echelon)

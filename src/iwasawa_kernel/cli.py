@@ -109,7 +109,7 @@ def cmd_mahler(config) -> int:
         return 1
     degree = config.degree
     table = mahler_mod.aut_mahler_coeffs(phi, Q, degree)
-    by_formula, by_commutation = mahler_mod.is_mahler_aut(phi, Q, degree)
+    by_formula, by_commutation, witness = mahler_mod.is_mahler_aut(phi, Q, degree, table)
     if by_formula != by_commutation:
         raise InvariantViolation(
             "factorization criteria disagree: "
@@ -122,7 +122,7 @@ def cmd_mahler(config) -> int:
         worst: Optional[FiltValue] = None
         for g in sample:
             x = AlgebraElement.group_element(Q, g)
-            _, res = mahler_mod.expand_aut(phi, x, d)
+            _, res = mahler_mod.expand_aut(phi, x, d, table)
             if worst is None or (
                 res.value is not None
                 and (worst.value is None or res.value < worst.value)
@@ -132,10 +132,8 @@ def cmd_mahler(config) -> int:
 
     lines = [f"automorphism: {phi.name} on {chart.name}, |Q| = {Q.size}"]
     lines.append(f"mahler factorization: by_formula={by_formula} by_commutation={by_commutation}")
-    if not by_formula:
-        witness = _mahler_witness(phi, Q, degree)
-        if witness is not None:
-            lines.append(f"mismatch witness: alpha = {witness}")
+    if witness is not None:
+        lines.append(f"mismatch witness: alpha = {list(witness)}")
     lines.append("decay log (shell: min valuation):")
     for s, v in enumerate(table.decay_log):
         lines.append(f"  |alpha| = {s}: {'-' if v is None else v}")
@@ -162,26 +160,6 @@ def cmd_mahler(config) -> int:
     }
     _emit(out, lines, config)
     return 0
-
-
-def _mahler_witness(phi, Q, degree):
-    """First multi-index where the table and the product formula differ."""
-    def all_alphas(i, rem, prefix):
-        if i == Q.dim:
-            yield prefix
-            return
-        for a in range(rem + 1):
-            yield from all_alphas(i + 1, rem - a, prefix + (a,))
-
-    table = mahler_mod.aut_mahler_coeffs(phi, Q, degree)
-    for alpha in all_alphas(0, degree, ()):
-        want = mahler_mod.mahler_product_coeff(phi, Q, alpha)
-        got = table.entries.get(alpha, AlgebraElement.zero(Q))
-        if not isinstance(got, AlgebraElement):
-            got = AlgebraElement(Q, {0: got})
-        if got != want:
-            return list(alpha)
-    return None
 
 
 def cmd_control(config) -> int:

@@ -18,13 +18,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .algebra import (
     AlgebraElement,
     FiltValue,
     QuotientGroup,
     lazard_value,
 )
-from .charts import GroupChart, Matrix, _identity, _mul
+from .charts import GroupChart, Matrix, _as_matrix, _mul
 from .errors import BudgetError, PrecisionError, ValidationError
 from .linalg import vp_int
 from .padic import legendre_factorial_val
@@ -224,11 +226,19 @@ def divided_power(alpha: Sequence[int], x: AlgebraElement) -> AlgebraElement:
 
 @dataclass
 class AutomorphismSpec:
-    """An automorphism of the chart group, given by generator images."""
+    """An automorphism of the chart group, given by generator images.
+
+    On a dense stage Q the automorphism is the index array `perm(Q)`; above
+    the dense budget each image is solved through the chart matrices.
+    """
 
     chart: GroupChart
     images: Tuple[Matrix, ...]
     name: str = "aut"
+    # (Q, perm) for the last dense stage perm() was asked about
+    _perm: Optional[Tuple[QuotientGroup, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.images) != self.chart.dim:
@@ -256,26 +266,39 @@ class AutomorphismSpec:
 
     # -- action ---------------------------------------------------------
 
-    def _image_logs(self) -> Tuple[Matrix, ...]:
-        logs = self.__dict__.get("_img_logs")
-        if logs is None:
-            logs = tuple(self.chart.log(img) for img in self.images)
-            self.__dict__["_img_logs"] = logs
-        return logs
+    def image_words(self, betas) -> np.ndarray:
+        """phi(g^b) = phi(g_1)^{b_1} ... phi(g_d)^{b_d} for each row b of
+        betas, each power evaluated as exp(b_i log phi(g_i))."""
+        return self.chart.power_words(self.chart.log_powers(self.images), betas)
 
-    def apply_matrix(self, beta: Sequence[int]) -> Matrix:
-        """phi(g^beta) as a matrix, via the generator images."""
-        q = self.chart.modulus
-        out = _identity(self.chart.mat_size)
-        for x, b in zip(self._image_logs(), beta):
-            if b % q:
-                out = _mul(out, self.chart.exp(
-                    tuple(tuple(v * (b % q) % q for v in row) for row in x)
-                ), q)
-        return out
+    def image_word(self, beta: Sequence[int]) -> Matrix:
+        return _as_matrix(self.image_words([beta])[0])
+
+    def perm(self, Q: QuotientGroup) -> np.ndarray:
+        """phi on a dense stage as an index array: perm[idx(g^beta)] is the
+        index of phi(g_1)^{b_1} ... phi(g_d)^{b_d}.
+
+        The d images take one batched chart solve; the rest is index
+        arithmetic.  The array is kept for the last stage asked about.
+        """
+        if self._perm is None or self._perm[0] is not Q:
+            Q._require_dense()
+            solved = self.chart.coordinates(self.chart.batch(self.images), prec=Q.n)
+            imgs = Q.index_array(solved)
+            coords = Q.coords_array()
+            perm = np.zeros(Q.size, dtype=np.int64)
+            for i, c in enumerate(imgs):
+                powers = [0]  # c^k for 0 <= k < p^n
+                for _ in range(1, Q.radix):
+                    powers.append(Q.mult(powers[-1], int(c)))
+                perm = Q.mult_array(perm, np.array(powers)[coords[:, i]])
+            self._perm = (Q, perm)
+        return self._perm[1]
 
     def apply_index(self, Q: QuotientGroup, idx: int) -> int:
-        return Q.index_of_matrix(self.apply_matrix(Q.coords(idx)))
+        if Q.dense:
+            return int(self.perm(Q)[idx])
+        return Q.index_of_matrix(self.image_word(Q.coords(idx)))
 
     def apply_element(self, x: AlgebraElement) -> AlgebraElement:
         Q = x.quotient
@@ -285,13 +308,16 @@ class AutomorphismSpec:
             out[j] = out.get(j, 0) + s
         return AlgebraElement(Q, out)
 
+    def psi_index(self, Q: QuotientGroup, i: int) -> int:
+        """psi(g_i) = phi(g_i) g_i^{-1} as an index of Q."""
+        g = Q.generator(i)
+        return Q.mult(self.apply_index(Q, g), Q.inv(g))
+
     def compose(self, other: "AutomorphismSpec") -> "AutomorphismSpec":
         """self after other."""
-        imgs = []
-        for img in other.images:
-            beta = self.chart.coordinates(img)
-            imgs.append(self.apply_matrix(beta))
-        return AutomorphismSpec(self.chart, tuple(imgs), name=f"{self.name}*{other.name}")
+        betas = self.chart.coordinates(self.chart.batch(other.images))
+        imgs = tuple(_as_matrix(m) for m in self.image_words(betas))
+        return AutomorphismSpec(self.chart, imgs, name=f"{self.name}*{other.name}")
 
     def power(self, k: int) -> "AutomorphismSpec":
         out = AutomorphismSpec.identity(self.chart)
@@ -304,14 +330,25 @@ class AutomorphismSpec:
                 base = base.compose(base)
         return out
 
-    # -- verification and flags -----------------------------------------
-
-    def psi_matrix(self, i: int) -> Matrix:
-        """psi(g_i) = phi(g_i) g_i^{-1}."""
-        q = self.chart.modulus
-        return _mul(self.images[i], self.chart.inverse(self.chart.generators[i]), q)
+    # -- verification ---------------------------------------------------
 
     def verify_homomorphism(self, Q: QuotientGroup, samples: int = 20) -> bool:
+        """Whether phi acts on Q as an automorphism.
+
+        Dense stages are checked exactly: perm(Q) must be a permutation with
+        phi(h g_i) = phi(h) phi(g_i) for every h and every generator g_i.
+        Above the dense budget, ``samples`` random products are checked.
+        """
+        if Q.dense:
+            perm = self.perm(Q)
+            if not np.array_equal(np.sort(perm), np.arange(Q.size)):
+                return False
+            for i in range(Q.dim):
+                g = Q.generator(i)
+                img = Q.right_mult_perm(int(perm[g]))
+                if not np.array_equal(perm[Q.right_mult_perm(g)], img[perm]):
+                    return False
+            return True
         import random
 
         rng = random.Random(23)
@@ -324,43 +361,21 @@ class AutomorphismSpec:
                 return False
         return True
 
-    def is_trivial_mod_centre(self, Q: QuotientGroup) -> bool:
-        for i in range(self.chart.dim):
-            psi = Q.index_of_matrix(self.psi_matrix(i))
-            for j in range(self.chart.dim):
-                g = Q.generator(j)
-                if Q.mult(psi, g) != Q.mult(g, psi):
-                    return False
-        return True
-
-    def is_omega_compatible(self) -> bool:
-        """omega(phi(g_i) g_i^{-1}) - omega(g_i) > 1/(p-1) on generators."""
-        for i in range(self.chart.dim):
-            w = self.chart.omega(self.psi_matrix(i))
-            if w is not None and w - self.chart.omega_weights[i] < 1:
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # automorphism Mahler machinery
 
 
 def aut_periodic_f(phi: AutomorphismSpec, Q: QuotientGroup) -> Callable:
-    """Memoized beta -> phi(g^beta) g^{-beta}, p^n-periodic per coordinate."""
-    r = Q.radix
-    memo: Dict[Tuple[int, ...], int] = {}
+    """beta -> phi(g^beta) g^{-beta}, p^n-periodic per coordinate."""
 
     def f(beta):
         if isinstance(beta, int):
             beta = (beta,)
-        key = tuple(b % r for b in beta)
-        idx = memo.get(key)
-        if idx is None:
-            gidx = Q.index(key)
-            idx = Q.mult(Q.index_of_matrix(phi.apply_matrix(key)), Q.inv(gidx))
-            memo[key] = idx
-        return AlgebraElement.group_element(Q, idx)
+        idx = Q.index(beta)
+        return AlgebraElement.group_element(
+            Q, Q.mult(phi.apply_index(Q, idx), Q.inv(idx))
+        )
 
     return f
 
@@ -375,61 +390,63 @@ def aut_mahler_coeffs(
 
 
 def mahler_product_coeff(
-    phi: AutomorphismSpec, Q: QuotientGroup, alpha: Sequence[int]
+    psi: Sequence[int], Q: QuotientGroup, alpha: Sequence[int]
 ) -> AlgebraElement:
-    """The ordered product (psi(g_1)-1)^{alpha_1} ... (psi(g_d)-1)^{alpha_d}."""
+    """The ordered product (psi_1-1)^{alpha_1} ... (psi_d-1)^{alpha_d} for
+    the indices psi_i = psi(g_i) of Q."""
     out = AlgebraElement.one(Q)
     one = AlgebraElement.one(Q)
-    for i, a in enumerate(alpha):
-        if a == 0:
-            continue
-        psi = AlgebraElement.group_element(Q, Q.index_of_matrix(phi.psi_matrix(i)))
-        out = out * (psi - one) ** a
+    for c, a in zip(psi, alpha):
+        if a:
+            out = out * (AlgebraElement.group_element(Q, c) - one) ** a
     return out
 
 
+def _multi_indices(dim: int, degree: int):
+    """All alpha in N^dim with |alpha| <= degree, lexicographically."""
+    if dim == 0:
+        yield ()
+        return
+    for a in range(degree + 1):
+        for rest in _multi_indices(dim - 1, degree - a):
+            yield (a,) + rest
+
+
 def is_mahler_aut(
-    phi: AutomorphismSpec, Q: QuotientGroup, degree: int
-) -> Tuple[bool, bool]:
-    """(by_formula, by_commutation) for the factorization criterion.
+    phi: AutomorphismSpec,
+    Q: QuotientGroup,
+    degree: int,
+    table: Optional[MahlerTable] = None,
+) -> Tuple[bool, bool, Optional[Tuple[int, ...]]]:
+    """(by_formula, by_commutation, witness) for the factorization criterion.
 
-    by_formula compares the Mahler table with the ordered-product formula
-    up to the cap; by_commutation checks that psi(g_i) commutes with g_j
-    for all j <= i.  The two are equivalent; callers treat disagreement as
-    an internal invariant violation.
+    by_formula compares the Mahler table (computed here unless given) with
+    the ordered-product formula for every |alpha| <= degree; witness is the
+    first multi-index where they differ, None when by_formula holds.
+    by_commutation checks that psi(g_i) commutes with g_j for all j <= i.
+    The two are equivalent; callers treat disagreement as an internal
+    invariant violation.
     """
-    table = aut_mahler_coeffs(phi, Q, degree)
-    by_formula = True
-    checked = set(table.entries)
-    # also check multi-indices that vanish in the table but not necessarily
-    # in the product formula, up to the cap
-    def all_alphas(i, rem, prefix):
-        if i == Q.dim:
-            yield prefix
-            return
-        for a in range(rem + 1):
-            yield from all_alphas(i + 1, rem - a, prefix + (a,))
-
-    for alpha in all_alphas(0, degree, ()):
-        want = mahler_product_coeff(phi, Q, alpha)
+    if table is None:
+        table = aut_mahler_coeffs(phi, Q, degree)
+    psi = [phi.psi_index(Q, i) for i in range(Q.dim)]
+    witness = None
+    # multi-indices that vanish in the table are checked too
+    for alpha in _multi_indices(Q.dim, degree):
+        want = mahler_product_coeff(psi, Q, alpha)
         got = table.entries.get(alpha, AlgebraElement.zero(Q))
         if not isinstance(got, AlgebraElement):
             got = AlgebraElement(Q, {0: got})
         if got != want:
-            by_formula = False
+            witness = alpha
             break
 
-    by_commutation = True
-    for i in range(Q.dim):
-        psi = Q.index_of_matrix(phi.psi_matrix(i))
-        for j in range(i + 1):
-            g = Q.generator(j)
-            if Q.mult(psi, g) != Q.mult(g, psi):
-                by_commutation = False
-                break
-        if not by_commutation:
-            break
-    return by_formula, by_commutation
+    by_commutation = all(
+        Q.mult(psi[i], Q.generator(j)) == Q.mult(Q.generator(j), psi[i])
+        for i in range(Q.dim)
+        for j in range(i + 1)
+    )
+    return witness is None, by_commutation, witness
 
 
 def expand_aut(
@@ -473,7 +490,7 @@ def z_approximants(
     for m in m_range:
         pm = chart.p**m
         phim = phi.power(pm)
-        h = _mul(phim.apply_matrix(beta), chart.inverse(g), q)
+        h = _mul(phim.image_word(beta), chart.inverse(g), q)
         out.append(chart.root(h, m))
     return out
 

@@ -86,6 +86,11 @@ class PresentationFile:
     def automorphism(self, chart: GroupChart) -> AutomorphismSpec:
         if not self.aut_words and not self.aut_matrices:
             raise ValidationError("no automorphism section in input")
+        for i in sorted({*self.aut_words, *self.aut_matrices}):
+            if not 0 <= i < chart.dim:
+                raise ValidationError(
+                    f"aut index {i + 1} outside 1..{chart.dim} for chart {chart.name}"
+                )
         images = []
         for i in range(chart.dim):
             if i in self.aut_matrices:

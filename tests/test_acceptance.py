@@ -246,8 +246,9 @@ def test_criterion_5_factorization_equivalence(capsys):
     ]
     for Q, phi, degree, expected in cases:
         assert phi.verify_homomorphism(Q), phi.name
-        by_formula, by_commutation = is_mahler_aut(phi, Q, degree)
+        by_formula, by_commutation, witness = is_mahler_aut(phi, Q, degree)
         assert by_formula == by_commutation, phi.name
+        assert (witness is None) == by_formula, phi.name
         assert by_formula == expected, phi.name
     elapsed = time.monotonic() - t0
     with capsys.disabled():

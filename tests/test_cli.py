@@ -1,6 +1,7 @@
 """The batch driver: output contents, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,26 @@ class TestMahler:
         broken = HEIS_ID.replace("aut 3 0 0 1", "aut 3 1 0 1")
         assert main(["mahler", write(tmp_path, "b.txt", broken),
                      "--level", "2"]) == 1
+
+    def test_non_bijective_spec_exits_1(self, tmp_path, capsys):
+        # every generator sent to 1: a homomorphism, but not onto
+        trivial = "p 3\nchart heisenberg\naut 1 0 0 0\naut 2 0 0 0\naut 3 0 0 0\n"
+        assert main(["mahler", write(tmp_path, "t.txt", trivial), "--level", "2"]) == 1
+        assert "not a homomorphism" in capsys.readouterr().err
+
+    def test_aut_index_outside_chart_exits_1(self, tmp_path, capsys):
+        text = HEIS_ID + "aut 7 1 0 0\n"
+        assert main(["mahler", write(tmp_path, "i.txt", text), "--level", "1"]) == 1
+        assert "aut index 7 outside 1..3" in capsys.readouterr().err
+
+    def test_level2_degree6_runtime(self, tmp_path, capsys):
+        # one Mahler table per command and batched chart solves; with a
+        # table per factorization check and one chart solve per element
+        # this took 2 to 4.6 s on a shared 2-vCPU machine
+        path = write(tmp_path, "swap.txt", HEIS_SWAP)
+        t0 = time.monotonic()
+        assert main(["mahler", path, "--level", "2", "--degree", "6"]) == 0
+        assert time.monotonic() - t0 < 1.5
 
 
 class TestControl:

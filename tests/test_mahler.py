@@ -137,13 +137,15 @@ class TestMahlerFactorization:
     def test_inner_automorphism_is_mahler(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 2)
-        assert is_mahler_aut(conj_by_g1(chart), Q, 3) == (True, True)
+        assert is_mahler_aut(conj_by_g1(chart), Q, 3) == (True, True, None)
 
     def test_swap_is_not_mahler(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 2)
         phi = AutomorphismSpec.from_words(chart, SWAP_WORDS, name="swap")
-        assert is_mahler_aut(phi, Q, 3) == (False, False)
+        by_formula, by_commutation, witness = is_mahler_aut(phi, Q, 3)
+        assert (by_formula, by_commutation) == (False, False)
+        assert witness is not None and sum(witness) <= 3
 
     def test_expansion_residual(self):
         chart = heisenberg_chart(P)
