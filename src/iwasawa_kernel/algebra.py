@@ -556,16 +556,9 @@ class SubmoduleBasis:
             self.rows, x.to_vector(), self.quotient.p, self.quotient.N
         )
 
-    def contains_rows(self, other: np.ndarray) -> bool:
-        p, N = self.quotient.p, self.quotient.N
-        return all(linalg.member(self.rows, r, p, N) for r in other)
-
     @property
     def rank_log(self) -> int:
         return linalg.rank_log(self.rows, self.quotient.p, self.quotient.N)
-
-    def elements(self) -> List[AlgebraElement]:
-        return [AlgebraElement.from_vector(self.quotient, r) for r in self.rows]
 
 
 def _apply_perm(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:

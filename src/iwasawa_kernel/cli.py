@@ -203,6 +203,8 @@ def cmd_control(config) -> int:
 
 
 def cmd_growth(config) -> int:
+    if config.m_max < 0:
+        raise ValidationError(f"--m-max must be >= 0, got {config.m_max}")
     doc = _load(config)
     chart = doc.chart()
     phi = doc.automorphism(chart)

@@ -60,13 +60,6 @@ class OpenSubgroupSpec:
         if self._elements is not None:
             return self._elements
         Q = self.quotient
-        cache = Q.__dict__.setdefault("_subgroup_cache", {})
-        cached = cache.get(("elts", self.exponents))
-        if cached is not None:
-            if isinstance(cached, ValidationError):
-                raise cached
-            self._elements = cached
-            return cached
         gens = [
             Q.generator(i, Q.p**e)
             for i, e in enumerate(self.exponents)
@@ -82,13 +75,10 @@ class OpenSubgroupSpec:
                         seen.add(x)
                         frontier.append(x)
         if len(seen) != self.expected_order:
-            err = ValidationError(
+            raise ValidationError(
                 f"subgroup image has order {len(seen)}, expected {self.expected_order}"
             )
-            cache[("elts", self.exponents)] = err
-            raise err
         self._elements = frozenset(seen)
-        cache[("elts", self.exponents)] = self._elements
         return self._elements
 
     def contains(self, idx: int) -> bool:
@@ -112,10 +102,6 @@ class OpenSubgroupSpec:
     def coset_partition(self) -> Dict[int, List[int]]:
         """Map from representative index to the members of the coset U·rep."""
         Q = self.quotient
-        cache = Q.__dict__.setdefault("_subgroup_cache", {})
-        cached = cache.get(("cosets", self.exponents))
-        if cached is not None:
-            return cached
         out = {}
         covered = set()
         for b in self.coset_representatives():
@@ -125,7 +111,6 @@ class OpenSubgroupSpec:
             covered.update(members)
         if len(covered) != Q.size:
             raise ValidationError("coset representatives do not partition Q")
-        cache[("cosets", self.exponents)] = out
         return out
 
 
@@ -162,7 +147,9 @@ def _local_closure_rank(U: OpenSubgroupSpec, inner: np.ndarray) -> int:
     p, N = Q.p, Q.N
     members = sorted(U.elements())
     pos = {m: i for i, m in enumerate(members)}
-    local = inner[:, members]
+    # inner is a Howell form supported on the sorted member columns, so
+    # its restriction to them is already the local Howell form
+    rows = inner[:, members]
     perms = []
     for i, e in enumerate(U.exponents):
         if e < Q.n:
@@ -170,7 +157,6 @@ def _local_closure_rank(U: OpenSubgroupSpec, inner: np.ndarray) -> int:
             perms.append(
                 np.array([pos[Q.mult(h, g)] for h in members], dtype=np.int64)
             )
-    rows = linalg.howell(local, p, N)
     while True:
         stacked = [rows]
         for perm in perms:
@@ -428,11 +414,11 @@ def annihilation_check(betas: Sequence[int], I: SubmoduleBasis) -> bool:
 def is_faithful(I: SubmoduleBasis) -> bool:
     """No nontrivial g in Q has g - 1 in I (stage shadow of faithfulness)."""
     Q = I.quotient
-    one = AlgebraElement.one(Q)
-    for g in range(1, Q.size):
-        if I.member(AlgebraElement.group_element(Q, g) - one):
-            return False
-    return True
+    # row g - 1 holds the vector of g - 1: 1 at g, -1 at the identity
+    vecs = np.eye(Q.size, dtype=np.int64)[1:]
+    vecs[:, 0] = -1
+    rems = linalg.reduce_rows(I.rows, vecs, Q.p, Q.N)
+    return bool(np.all(np.any(rems, axis=1)))
 
 
 def centre_indices(Q: QuotientGroup) -> List[int]:
@@ -451,16 +437,10 @@ def j_ideal_rank(I: SubmoduleBasis, centre: Optional[Sequence[int]] = None) -> i
     p, N = Q.p, Q.N
     if centre is None:
         centre = centre_indices(Q)
-    vecs = []
-    for h in centre:
-        v = np.zeros(Q.size, dtype=np.int64)
-        v[h] = 1
-        vecs.append(linalg.reduce_vector(I.rows, v, p, N) if I.rows.shape[0] else v)
-    mat = np.array(vecs, dtype=np.int64)
-    stacked = np.vstack([mat, I.rows]) if I.rows.shape[0] else mat
-    total = linalg.rank_log(linalg.howell(stacked, p, N), p, N)
-    base = linalg.rank_log(I.rows, p, N) if I.rows.shape[0] else 0
-    return total - base
+    units = np.zeros((len(centre), Q.size), dtype=np.int64)
+    units[np.arange(len(centre)), list(centre)] = 1
+    total = linalg.rank_log(linalg.howell(np.vstack([units, I.rows]), p, N), p, N)
+    return total - linalg.rank_log(I.rows, p, N)
 
 
 def is_j_ideal(I: SubmoduleBasis, rank_bound: int) -> bool:

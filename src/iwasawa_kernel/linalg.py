@@ -6,15 +6,31 @@ above a pivot reduced modulo the pivot, plus the closure rows that make
 membership decidable by reduction.  The Howell form of a span is unique,
 so equality of submodules is array equality.
 
-Kernels and saturations go through a local Smith normal form with tracked
-row transform and inverse column transform.
+`howell` eliminates column by column and touches only live entries: after
+taking a pivot it updates the remaining rows whose entry in the pivot
+column is non-zero, and only the columns from the pivot on, since
+everything to the left is already zero.  The back-reduction above each
+pivot is restricted the same way.  `reduce_rows` reduces a whole batch of
+vectors against a Howell basis with one vectorised step per pivot;
+`member` is a batch of one.
+
+All arithmetic is int64 and forms one product of two residues before each
+reduction, so the modulus must satisfy p^N <= isqrt(2^63 - 1).
+`_check_modulus` enforces that bound for every entry point and raises
+`BudgetError` above it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from math import isqrt
+from typing import List, Tuple
 
 import numpy as np
+
+from .errors import BudgetError
+
+# Products of two residues modulo any q <= MAX_MODULUS fit in int64.
+MAX_MODULUS = isqrt(2**63 - 1)
 
 
 def vp_int(a: int, p: int, N: int) -> int:
@@ -38,11 +54,6 @@ def _unit_inv(a: int, p: int, N: int) -> Tuple[int, int]:
     return e, pow(u, -1, q)
 
 
-def as_matrix(rows: Iterable[Sequence[int]], width: int, q: int) -> np.ndarray:
-    mat = np.array([list(r) for r in rows], dtype=np.int64).reshape(-1, width)
-    return np.mod(mat, q)
-
-
 def _col_vals(col: np.ndarray, p: int, N: int) -> np.ndarray:
     """Vectorized valuations of a residue column (N for zeros)."""
     v = np.full(col.shape, N, dtype=np.int64)
@@ -58,42 +69,78 @@ def _col_vals(col: np.ndarray, p: int, N: int) -> np.ndarray:
     return v
 
 
+def _check_modulus(p: int, N: int) -> int:
+    """p^N, or BudgetError when int64 products of two residues could wrap."""
+    q = p**N
+    if q > MAX_MODULUS:
+        raise BudgetError(
+            f"coefficient modulus {p}^{N} exceeds {MAX_MODULUS}, "
+            "the largest whose residue products fit in int64"
+        )
+    return q
+
+
 def howell(mat: np.ndarray, p: int, N: int) -> np.ndarray:
     """Howell canonical form of the row span of ``mat`` over Z/p^N."""
-    q = p**N
+    q = _check_modulus(p, N)
     m = mat.shape[1]
     A = np.mod(np.asarray(mat, dtype=np.int64), q)
     A = A[np.any(A, axis=1)]
+    # A[:n] holds the live rows.  A pivot step retires one row and adds at
+    # most one closure row, so the buffer never grows.
+    n = A.shape[0]
     result: List[Tuple[int, int, np.ndarray]] = []  # (pivot col, pivot val, row)
 
+    # Invariant: columns left of ``col`` are zero in A[:n].  Rows become
+    # zero only through an update, so ``exhausted`` says whether a drop of
+    # zero rows would find any.
+    exhausted = False
     for col in range(m):
-        if A.shape[0] == 0:
+        if n == 0:
             break
-        colv = A[:, col] % q
-        nz = np.nonzero(colv)[0]
+        nz = A[:n, col].nonzero()[0]
         if nz.size == 0:
             continue
-        vals = _col_vals(colv[nz], p, N)
-        best = int(nz[int(np.argmin(vals))])
-        e = int(vals[int(np.argmin(vals))])
+        colv = A[nz, col]
+        units = colv % p != 0
+        if units.any():
+            k, e = int(np.argmax(units)), 0
+        else:
+            vals = _col_vals(colv, p, N)
+            k = int(np.argmin(vals))
+            e = int(vals[k])
+        best = int(nz[k])
         pivot = A[best].copy()
-        A[best] = A[-1]
-        A = A[:-1]
+        # the last live row moves into the pivot's slot; nz follows it
+        n -= 1
+        A[best] = A[n]
+        if nz[-1] == n:
+            nz = nz[:-1]
+        else:
+            nz = np.concatenate((nz[:k], nz[k + 1 :]))
         _, uinv = _unit_inv(int(pivot[col]), p, N)
-        pivot = (pivot * uinv) % q
+        pivot[col:] = (pivot[col:] * uinv) % q
         pe = p**e
-        if A.shape[0]:
-            factors = (A[:, col] % q) // pe
-            if factors.any():
-                A = (A - factors[:, None] * pivot[None, :]) % q
-            # Dropping exhausted rows is O(rows * m); do it sparingly.
-            if col % 8 == 7:
-                A = A[np.any(A, axis=1)]
+        if nz.size:
+            factors = A[nz, col] // pe
+            block = A[nz, col:]
+            block -= factors[:, None] * pivot[None, col:]
+            np.mod(block, q, out=block)
+            A[nz, col:] = block
+            exhausted = exhausted or not block.any(axis=1).all()
+        # Dropping exhausted rows is O(rows * m); do it sparingly.
+        if exhausted and n and col % 8 == 7:
+            keep = np.any(A[:n, col + 1 :], axis=1)
+            kept = int(np.count_nonzero(keep))
+            A[:kept] = A[:n][keep]
+            n = kept
+            exhausted = False
         result.append((col, e, pivot))
         if e > 0:
             extra = (pivot * (q // pe)) % q
             if extra.any():
-                A = np.vstack([A, extra[None, :]]) if A.shape[0] else extra[None, :]
+                A[n] = extra
+                n += 1
 
     if not result:
         return np.zeros((0, m), dtype=np.int64)
@@ -101,36 +148,43 @@ def howell(mat: np.ndarray, p: int, N: int) -> np.ndarray:
     # Reduce entries above each pivot modulo the pivot value.
     for j in range(1, len(result)):
         col, e, _ = result[j]
-        pe = p**e
-        factors = rows[:j, col] // pe
-        if factors.any():
-            rows[:j] = (rows[:j] - factors[:, None] * rows[j][None, :]) % q
+        factors = rows[:j, col] // p**e
+        nz = factors.nonzero()[0]
+        if nz.size:
+            block = rows[nz, col:]
+            block -= factors[nz, None] * rows[j, None, col:]
+            np.mod(block, q, out=block)
+            rows[nz, col:] = block
     return rows
 
 
 def pivots(rows: np.ndarray, p: int, N: int) -> List[Tuple[int, int]]:
     """(column, valuation) of each Howell row's pivot."""
-    out = []
-    for r in rows:
-        nz = np.nonzero(r)[0]
-        col = int(nz[0])
-        out.append((col, vp_int(int(r[col]), p, N)))
-    return out
+    if rows.shape[0] == 0:
+        return []
+    cols = np.argmax(rows != 0, axis=1)
+    vals = _col_vals(rows[np.arange(rows.shape[0]), cols], p, N)
+    return list(zip(cols.tolist(), vals.tolist()))
 
 
-def reduce_vector(rows: np.ndarray, vec: np.ndarray, p: int, N: int) -> np.ndarray:
-    """Remainder of ``vec`` after reduction against Howell ``rows``."""
-    q = p**N
-    v = np.mod(np.asarray(vec, dtype=np.int64), q)
+def reduce_rows(rows: np.ndarray, vecs: np.ndarray, p: int, N: int) -> np.ndarray:
+    """Remainders of the (k, m) batch ``vecs`` after reduction against
+    Howell ``rows``; one vectorised step per pivot, over the live rows."""
+    q = _check_modulus(p, N)
+    V = np.mod(np.asarray(vecs, dtype=np.int64), q)
     for (col, e), row in zip(pivots(rows, p, N), rows):
-        c = int(v[col])
-        if c:
-            v = (v - (c // p**e) * row) % q
-    return v
+        nz = V[:, col].nonzero()[0]
+        if nz.size:
+            factors = V[nz, col] // p**e
+            block = V[nz, col:]
+            block -= factors[:, None] * row[None, col:]
+            np.mod(block, q, out=block)
+            V[nz, col:] = block
+    return V
 
 
 def member(rows: np.ndarray, vec: np.ndarray, p: int, N: int) -> bool:
-    return not reduce_vector(rows, vec, p, N).any()
+    return not reduce_rows(rows, np.asarray(vec)[None, :], p, N).any()
 
 
 def span_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -140,106 +194,3 @@ def span_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def rank_log(rows: np.ndarray, p: int, N: int) -> int:
     """log_p of the cardinality of the spanned module."""
     return sum(N - e for _, e in pivots(rows, p, N))
-
-
-def smith_diagonalize(
-    mat: np.ndarray, p: int, N: int
-) -> Tuple[List[int], np.ndarray, np.ndarray]:
-    """Local Smith form D = R * mat * F over Z/p^N.
-
-    Returns (diag, R, Finv) where diag lists the pivot valuations, R is the
-    accumulated row transform and Finv the inverse of the column transform,
-    both invertible mod p^N.
-    """
-    q = p**N
-    A = np.mod(np.asarray(mat, dtype=np.int64), q).copy()
-    k, m = A.shape
-    R = np.eye(k, dtype=np.int64)
-    Finv = np.eye(m, dtype=np.int64)
-    diag: List[int] = []
-
-    t = 0
-    while t < min(k, m):
-        sub = A[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
-            break
-        best = None
-        for i, j in zip(nz[0], nz[1]):
-            v = vp_int(int(sub[i, j]), p, N)
-            if best is None or v < best[0]:
-                best = (v, int(i) + t, int(j) + t)
-        e, bi, bj = best
-        A[[t, bi]] = A[[bi, t]]
-        R[[t, bi]] = R[[bi, t]]
-        A[:, [t, bj]] = A[:, [bj, t]]
-        Finv[[t, bj]] = Finv[[bj, t]]
-
-        _, uinv = _unit_inv(int(A[t, t]), p, N)
-        A[t] = (A[t] * uinv) % q
-        R[t] = (R[t] * uinv) % q
-        pe = p**e
-        for i in range(t + 1, k):
-            c = int(A[i, t])
-            if c:
-                f = c // pe
-                A[i] = (A[i] - f * A[t]) % q
-                R[i] = (R[i] - f * R[t]) % q
-        for j in range(t + 1, m):
-            c = int(A[t, j])
-            if c:
-                f = c // pe
-                A[:, j] = (A[:, j] - f * A[:, t]) % q
-                Finv[t] = (Finv[t] + f * Finv[j]) % q
-        diag.append(e)
-        t += 1
-    return diag, R, Finv
-
-
-def kernel(mat: np.ndarray, p: int, N: int) -> np.ndarray:
-    """Howell basis of the left kernel {x : x @ mat == 0 mod p^N}."""
-    q = p**N
-    k = mat.shape[0]
-    if k == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    diag, R, _ = smith_diagonalize(mat, p, N)
-    gens = []
-    for t, e in enumerate(diag):
-        if e > 0:
-            gens.append((R[t] * p ** (N - e)) % q)
-    for t in range(len(diag), k):
-        gens.append(R[t])
-    if not gens:
-        return np.zeros((0, k), dtype=np.int64)
-    return howell(np.array(gens, dtype=np.int64), p, N)
-
-
-def saturate(rows: np.ndarray, p: int, N: int) -> np.ndarray:
-    """Isolator of the row span: adjoin x whenever p*x lies in the span.
-
-    Trustworthy only when the pivot valuations are well below N; callers
-    enforce their own precision margins.
-    """
-    m = rows.shape[1]
-    if rows.shape[0] == 0:
-        return np.zeros((0, m), dtype=np.int64)
-    diag, _, Finv = smith_diagonalize(rows, p, N)
-    gens = [Finv[t] for t, e in enumerate(diag) if e < N]
-    if not gens:
-        return np.zeros((0, m), dtype=np.int64)
-    return howell(np.array(gens, dtype=np.int64), p, N)
-
-
-def intersect(a: np.ndarray, b: np.ndarray, p: int, N: int) -> np.ndarray:
-    """Howell basis of (row span of a) intersect (row span of b)."""
-    m = a.shape[1]
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, m), dtype=np.int64)
-    stacked = np.vstack([a, b])
-    K = kernel(stacked, p, N)
-    q = p**N
-    gens = [(c[: a.shape[0]] @ a) % q for c in K]
-    gens = [g for g in gens if g.any()]
-    if not gens:
-        return np.zeros((0, m), dtype=np.int64)
-    return howell(np.array(gens, dtype=np.int64), p, N)

@@ -1,0 +1,118 @@
+"""The full-matrix route to Howell forms and membership, kept as the
+tests' reference.
+
+These are the implementations the package used before its elimination
+started touching only live entries: `howell` rewrites the whole remaining
+matrix at every pivot column, `reduce_vector` reduces one vector with a
+Python loop over the pivots, `is_faithful` tests each g - 1 on its own,
+and `j_ideal_rank` reduces each centre vector before stacking it on I.
+Passing ``dtype=object`` runs `howell` on Python ints, which is the
+oracle above the package's int64 modulus bound.
+"""
+
+import numpy as np
+
+from iwasawa_kernel.algebra import AlgebraElement
+from iwasawa_kernel.control import centre_indices
+from iwasawa_kernel.linalg import rank_log, vp_int
+
+
+def _unit_inv(a, p, N):
+    q = p**N
+    a %= q
+    e = vp_int(a, p, N)
+    return e, pow(a // p**e, -1, q)
+
+
+def _col_vals(col, p, N):
+    return np.array([vp_int(int(a), p, N) for a in col], dtype=np.int64)
+
+
+def howell(mat, p, N, dtype=np.int64):
+    q = p**N
+    m = mat.shape[1]
+    A = np.mod(np.asarray(mat, dtype=dtype), q)
+    A = A[np.any(A != 0, axis=1)]
+    result = []  # (pivot col, pivot val, row)
+
+    for col in range(m):
+        if A.shape[0] == 0:
+            break
+        colv = A[:, col] % q
+        nz = np.nonzero(colv)[0]
+        if nz.size == 0:
+            continue
+        vals = _col_vals(colv[nz], p, N)
+        best = int(nz[int(np.argmin(vals))])
+        e = int(vals[int(np.argmin(vals))])
+        pivot = A[best].copy()
+        A[best] = A[-1]
+        A = A[:-1]
+        _, uinv = _unit_inv(int(pivot[col]), p, N)
+        pivot = (pivot * uinv) % q
+        pe = p**e
+        if A.shape[0]:
+            factors = (A[:, col] % q) // pe
+            if factors.any():
+                A = (A - factors[:, None] * pivot[None, :]) % q
+            if col % 8 == 7:
+                A = A[np.any(A != 0, axis=1)]
+        result.append((col, e, pivot))
+        if e > 0:
+            extra = (pivot * (q // pe)) % q
+            if extra.any():
+                A = np.vstack([A, extra[None, :]]) if A.shape[0] else extra[None, :]
+
+    if not result:
+        return np.zeros((0, m), dtype=dtype)
+    rows = np.array([row for _, _, row in result], dtype=dtype)
+    for j in range(1, len(result)):
+        col, e, _ = result[j]
+        pe = p**e
+        factors = rows[:j, col] // pe
+        if factors.any():
+            rows[:j] = (rows[:j] - factors[:, None] * rows[j][None, :]) % q
+    return rows
+
+
+def _pivots(rows, p, N):
+    out = []
+    for r in rows:
+        col = int(np.nonzero(r)[0][0])
+        out.append((col, vp_int(int(r[col]), p, N)))
+    return out
+
+
+def reduce_vector(rows, vec, p, N):
+    q = p**N
+    v = np.mod(np.asarray(vec, dtype=np.int64), q)
+    for (col, e), row in zip(_pivots(rows, p, N), rows):
+        c = int(v[col])
+        if c:
+            v = (v - (c // p**e) * row) % q
+    return v
+
+
+def is_faithful(I):
+    Q = I.quotient
+    one = AlgebraElement.one(Q)
+    for g in range(1, Q.size):
+        vec = (AlgebraElement.group_element(Q, g) - one).to_vector()
+        if not reduce_vector(I.rows, vec, Q.p, Q.N).any():
+            return False
+    return True
+
+
+def j_ideal_rank(I):
+    Q = I.quotient
+    p, N = Q.p, Q.N
+    vecs = []
+    for h in centre_indices(Q):
+        v = np.zeros(Q.size, dtype=np.int64)
+        v[h] = 1
+        vecs.append(reduce_vector(I.rows, v, p, N) if I.rows.shape[0] else v)
+    mat = np.array(vecs, dtype=np.int64)
+    stacked = np.vstack([mat, I.rows]) if I.rows.shape[0] else mat
+    total = rank_log(howell(stacked, p, N), p, N)
+    base = rank_log(I.rows, p, N) if I.rows.shape[0] else 0
+    return total - base

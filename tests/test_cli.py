@@ -139,6 +139,23 @@ class TestControl:
         path = write(tmp_path, "c.txt", CENTRAL_IDEAL)
         assert main(["control", path, "--level", "4"]) == 2
 
+    def test_modulus_beyond_int64_exits_2(self, tmp_path, capsys):
+        # 3^21 > isqrt(2^63 - 1): residue products would wrap around in
+        # int64 and give a wrong rank_log, so the Howell layer refuses
+        path = write(tmp_path, "c.txt", CENTRAL_IDEAL)
+        assert main(["control", path, "--coeff-prec", "21"]) == 2
+        err = capsys.readouterr().err
+        assert "budget/precision failure" in err
+        assert "Traceback" not in err
+
+    def test_level2_runtime(self, tmp_path, capsys):
+        # live-entry Howell elimination; rewriting the whole remaining
+        # matrix at every pivot took 8 to 13 s on a shared 2-vCPU machine
+        path = write(tmp_path, "c.txt", CENTRAL_IDEAL)
+        t0 = time.monotonic()
+        assert main(["control", path, "--level", "2"]) == 0
+        assert time.monotonic() - t0 < 6.0
+
 
 class TestGrowth:
     def test_char0_affine_fit(self, tmp_path, capsys):
@@ -172,6 +189,13 @@ class TestGrowth:
             assert axis["law"] == "indeterminate"
         for cells in doc["table"].values():
             assert all(c["status"] == ">= floor" for c in cells)
+
+
+    def test_negative_m_max_exits_1(self, tmp_path, capsys):
+        path = write(tmp_path, "g.txt", HEIS_CONJ)
+        assert main(["growth", path, "--m-max", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "validation failure: --m-max must be >= 0" in err
 
 
 class TestDeterminism:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import howell_route
 from iwasawa_kernel import linalg
+from iwasawa_kernel.errors import BudgetError
 
 
 def enumerate_span(mat, q):
@@ -77,53 +79,31 @@ class TestHowell:
         assert linalg.rank_log(H, 3, 2) == 0
 
 
-class TestSmithAndKernel:
-    @given(small_case)
-    @settings(max_examples=40, deadline=None)
-    def test_smith_transforms(self, case):
-        (p, N), m, k, data = case
-        q = p**N
-        mat = np.array(
-            [[data.draw(st.integers(0, q - 1)) for _ in range(m)] for _ in range(k)]
-        )
-        diag, R, Finv = linalg.smith_diagonalize(mat, p, N)
-        # R * mat must equal the diagonal matrix times Finv (D = R A F)
-        D = np.zeros((k, m), dtype=np.int64)
-        for t, e in enumerate(diag):
-            D[t, t] = p**e % q
-        assert np.array_equal((R @ mat) % q, (D @ Finv) % q)
+class TestModulusGuard:
+    """int64 arithmetic is exact up to p^N <= isqrt(2^63 - 1); above that
+    every entry point refuses instead of wrapping around."""
 
-    @given(small_case)
-    @settings(max_examples=40, deadline=None)
-    def test_kernel_is_left_annihilator(self, case):
-        (p, N), m, k, data = case
-        q = p**N
-        mat = np.array(
-            [[data.draw(st.integers(0, q - 1)) for _ in range(m)] for _ in range(k)]
-        )
-        K = linalg.kernel(mat, p, N)
-        assert not ((K @ mat) % q).any()
-        # completeness on brute-forceable sizes
-        expected = sum(
-            1
-            for x in itertools.product(range(q), repeat=k)
-            if not ((np.array(x) @ mat) % q).any()
-        )
-        assert p ** linalg.rank_log(K, p, N) == expected
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_python_int_oracle_at_n19(self, k, m, seed):
+        p, N = 3, 19
+        assert p**N <= linalg.MAX_MODULUS
+        rng = np.random.default_rng(seed)
+        mat = rng.integers(0, p**N, size=(k, m), dtype=np.int64)
+        mat[:, : m // 2] *= p ** rng.integers(0, 3, size=(k, 1))
+        got = linalg.howell(mat, p, N)
+        want = howell_route.howell(mat.astype(object), p, N, dtype=object)
+        assert got.shape == want.shape
+        assert [list(map(int, r)) for r in got] == [list(map(int, r)) for r in want]
 
-    def test_intersect_oracle(self):
-        p, N = 3, 2
-        a = np.array([[1, 0, 3]])
-        b = np.array([[3, 0, 0], [0, 0, 3]])
-        got = linalg.intersect(a, b, p, N)
-        sa = enumerate_span(a, 9)
-        sb = enumerate_span(b, 9)
-        assert enumerate_span(got.reshape(-1, 3), 9) == sa & sb
-
-    def test_saturate_adjoins_p_divisions(self):
-        p, N = 3, 4
-        rows = np.array([[3, 3, 0], [0, 9, 0]])
-        sat = linalg.saturate(rows, p, N)
-        assert linalg.member(sat, np.array([1, 1, 0]), p, N)
-        assert linalg.member(sat, np.array([0, 3, 0]), p, N)
-        assert not linalg.member(sat, np.array([0, 0, 1]), p, N)
+    @pytest.mark.parametrize("N", [20, 25])
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_refuses_above_the_bound(self, N, m, seed):
+        p = 3
+        assert p**N > linalg.MAX_MODULUS
+        mat = np.random.default_rng(seed).integers(0, p**N, size=(3, m))
+        with pytest.raises(BudgetError):
+            linalg.howell(mat, p, N)
+        with pytest.raises(BudgetError):
+            linalg.reduce_rows(np.zeros((0, m), dtype=np.int64), mat, p, N)
