@@ -30,6 +30,9 @@ from .charts import GroupChart, Matrix, _mul
 from .errors import BudgetError, PrecisionError, ValidationError
 
 DEFAULT_SIZE_BUDGET = 50_000
+# largest dense array (the multiplication table, the stack of translates
+# in an ideal closure) a stage may allocate, in bytes
+DENSE_BYTE_BUDGET = 1 << 30
 # elements per batched chart solve, which bounds its temporary arrays
 _SOLVE_CHUNK = 1024
 
@@ -241,6 +244,7 @@ class QuotientGroup:
         """Dense table t[a, b] = a*b (budgeted), composed from the columns."""
         if self._mult_table is None:
             self._require_dense()
+            self._require_bytes(8 * self.size**2, "the multiplication table")
             h = np.arange(self.size)
             self._mult_table = self.mult_array(h[:, None], h[None, :])
         return self._mult_table
@@ -261,6 +265,14 @@ class QuotientGroup:
         if not self.dense:
             raise BudgetError(
                 f"|Q| = {self.size} exceeds the dense-vector budget {DEFAULT_SIZE_BUDGET}"
+            )
+
+    def _require_bytes(self, nbytes: int, what: str):
+        """BudgetError before allocating more than DENSE_BYTE_BUDGET bytes."""
+        if nbytes > DENSE_BYTE_BUDGET:
+            raise BudgetError(
+                f"{what} at |Q| = {self.size} needs {nbytes / 2**30:.2f} GiB, "
+                f"above the dense byte budget of {DENSE_BYTE_BUDGET / 2**30:.2f} GiB"
             )
 
 
@@ -591,6 +603,7 @@ def ideal_closure(
     if not vecs:
         return SubmoduleBasis(Q, np.zeros((0, Q.size), dtype=np.int64), side)
     mat = np.array(vecs, dtype=np.int64)
+    Q._require_bytes(8 * Q.size * mat.size, "the stack of translates")
     tab = Q.mult_table()
     # column g of the table is h -> h*g, row g is h -> g*h
     perms = tab.T if side in ("right", "two-sided") else tab

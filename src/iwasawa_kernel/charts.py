@@ -483,10 +483,12 @@ def builtin_chart(name: str, p: int, work_prec: Optional[int] = None) -> GroupCh
         return cyclic_chart(p, **kw)
     if name == "heisenberg":
         return heisenberg_chart(p, **kw)
-    if name.startswith("abelian"):
-        return abelian_chart(p, int(name[len("abelian"):] or 1), **kw)
-    if name.startswith("unipotent"):
-        return unipotent_chart(p, int(name[len("unipotent"):] or 4), **kw)
+    # abelian<d> and unipotent<size>, with d = 1 and size = 4 when omitted
+    families = (("abelian", abelian_chart, 1), ("unipotent", unipotent_chart, 4))
+    for family, make, default in families:
+        suffix = name[len(family):]
+        if name.startswith(family) and (suffix == "" or suffix.isdigit()):
+            return make(p, int(suffix) if suffix else default, **kw)
     raise ValidationError(f"unknown builtin chart {name!r}")
 
 

@@ -26,8 +26,11 @@ from .algebra import (
     lazard_value,
     rho,
 )
-from .errors import PrecisionError, ValidationError
+from .errors import InvariantViolation, PrecisionError, ValidationError
 from .mahler import AutomorphismSpec, divided_power, z_stable
+
+# bytes of one batch of g - 1 vectors in `is_faithful`
+_FAITHFUL_CHUNK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -118,104 +121,65 @@ class OpenSubgroupSpec:
 # control predicate
 
 
-def _subalgebra_restriction(I: SubmoduleBasis, members: frozenset) -> np.ndarray:
-    """Howell rows of I ∩ KU, via the echelon form with the non-U columns
-    ordered first: the rows vanishing on that block span the intersection."""
-    Q = I.quotient
-    p, N = Q.p, Q.N
-    rows = I.rows
-    if rows.shape[0] == 0:
-        return rows
-    outside = [j for j in range(Q.size) if j not in members]
-    if not outside:
-        return rows
-    inside = sorted(members)
-    order = outside + inside
-    H = linalg.howell(rows[:, order], p, N)
-    keep = H[~np.any(H[:, : len(outside)], axis=1)]
-    out = np.zeros((keep.shape[0], Q.size), dtype=np.int64)
-    out[:, order] = keep
-    if out.shape[0] == 0:
-        return out
-    return linalg.howell(out, p, N)
+def _restrict(
+    rows: np.ndarray, cols: np.ndarray, members: np.ndarray, p: int, N: int
+) -> np.ndarray:
+    """Howell rows of span(rows) ∩ KU on the sorted columns ``members``.
 
-
-def _local_closure_rank(U: OpenSubgroupSpec, inner: np.ndarray) -> int:
-    """rank_log of the right ideal generated by ``inner`` inside KU,
-    computed on the |U|-dimensional local coordinates."""
-    Q = U.quotient
-    p, N = Q.p, Q.N
-    members = sorted(U.elements())
-    pos = {m: i for i, m in enumerate(members)}
-    # inner is a Howell form supported on the sorted member columns, so
-    # its restriction to them is already the local Howell form
-    rows = inner[:, members]
-    perms = []
-    for i, e in enumerate(U.exponents):
-        if e < Q.n:
-            g = Q.generator(i, Q.p**e)
-            perms.append(
-                np.array([pos[Q.mult(h, g)] for h in members], dtype=np.int64)
-            )
-    while True:
-        stacked = [rows]
-        for perm in perms:
-            moved = np.zeros_like(rows)
-            moved[:, perm] = rows
-            stacked.append(moved)
-        nxt = linalg.howell(np.vstack(stacked), p, N)
-        if linalg.span_equal(nxt, rows):
-            return linalg.rank_log(rows, p, N)
-        rows = nxt
+    ``rows`` spans a submodule on the sorted columns ``cols``, a superset
+    of ``members``.  One echelon pass with the columns outside U ordered
+    first suffices: the rows vanishing on that block span the intersection,
+    and since the inside columns keep their order they already form its
+    Howell form.
+    """
+    inside = np.searchsorted(cols, members)
+    if rows.shape[0] == 0 or inside.size == cols.size:
+        return rows[:, inside]
+    outside = np.setdiff1d(np.arange(cols.size), inside, assume_unique=True)
+    H = linalg.howell(rows[:, np.concatenate((outside, inside))], p, N)
+    return H[~np.any(H[:, : outside.size], axis=1), outside.size :]
 
 
 def is_controlled(
-    I: SubmoduleBasis, U: OpenSubgroupSpec
+    I: SubmoduleBasis, U: OpenSubgroupSpec, _inner: Optional[np.ndarray] = None
 ) -> Tuple[bool, bool]:
     """(definitional, by_action) verdicts for control of the right ideal I
     by U.
 
-    definitional: I equals the right-ideal generated by I ∩ KU.  Since the
-    generated ideal decomposes over the U-cosets into translated copies of
-    the closure inside KU, equality holds iff rank_log(I) equals
-    [Q:U] * rank_log of that local closure.
-    by_action: rho(f)(I) ⊆ I for every U-coset indicator function f.
+    definitional: I equals the right ideal generated by I ∩ KU.  I ∩ KU is
+    already closed under right multiplication by U, and the generated ideal
+    is the direct sum of its translates over the [Q:U] cosets, so equality
+    holds iff rank_log(I) = [Q:U] * rank_log(I ∩ KU).
+    by_action: rho(f)(I) ⊆ I for every U-coset indicator function f, i.e.
+    I is the direct sum of its coset projections.  The projection onto the
+    coset U·g is the projection onto U translated by g, so this holds iff
+    rank_log(I) = [Q:U] * rank_log of the projection onto KU.
+
+    ``_inner`` is the Howell form of I ∩ KU on the sorted members of U, when
+    the caller already has it (`control_lattice` restricts it from a larger
+    subgroup); otherwise it is computed from I.
     """
     Q = I.quotient
     if U.quotient is not Q:
         raise ValidationError("ideal and subgroup live in different quotients")
+    if I.side == "left":
+        raise ValidationError("control is decided for right (or two-sided) ideals")
     p, N = Q.p, Q.N
     Q.mult_table()
 
     # The full algebra and the zero ideal are controlled by every subgroup,
     # under either reading.
-    total_rank = linalg.rank_log(I.rows, p, N)
-    if total_rank in (0, N * Q.size):
+    total = linalg.rank_log(I.rows, p, N)
+    if total in (0, N * Q.size):
         return True, True
 
-    inner = _subalgebra_restriction(I, U.elements())
-    if inner.shape[0] == 0:
-        definitional = I.rows.shape[0] == 0
-    else:
-        index = Q.size // len(U.elements())
-        definitional = (
-            linalg.rank_log(I.rows, p, N) == index * _local_closure_rank(U, inner)
-        )
-
-    # rho-stability under every coset indicator is equivalent to I being
-    # the direct sum of its coset-supported parts, i.e. to rank_log(I)
-    # equalling the sum of the projected rank_logs over the cosets.
-    if I.rows.shape[0] == 0:
-        by_action = True
-    else:
-        total = 0
-        for members in U.coset_partition().values():
-            cols = np.array(sorted(members), dtype=np.int64)
-            sub = I.rows[:, cols]
-            sub = sub[np.any(sub, axis=1)]
-            if sub.shape[0]:
-                total += linalg.rank_log(linalg.howell(sub, p, N), p, N)
-        by_action = total == linalg.rank_log(I.rows, p, N)
+    members = np.array(sorted(U.elements()), dtype=np.int64)
+    if _inner is None:
+        _inner = _restrict(I.rows, np.arange(Q.size), members, p, N)
+    index = Q.size // members.size
+    definitional = total == index * linalg.rank_log(_inner, p, N)
+    projection = linalg.howell(I.rows[:, members], p, N)
+    by_action = total == index * linalg.rank_log(projection, p, N)
     return definitional, by_action
 
 
@@ -223,14 +187,39 @@ def control_lattice(
     I: SubmoduleBasis,
 ) -> Dict[Tuple[int, ...], Tuple[bool, bool]]:
     """Both control verdicts on every compatible diagonal lattice point
-    e in {0..n}^d; incompatible exponent vectors are skipped."""
+    e in {0..n}^d; incompatible exponent vectors are skipped.
+
+    e' <= e coordinatewise gives U_e ⊆ U_e', so I ∩ KU_e is restricted from
+    the smallest already computed I ∩ KU_e' rather than from all of I; the
+    sweep order visits every e' <= e before e.  U = Q controls every ideal,
+    so a failure at e = 0 raises `InvariantViolation`.
+    """
     Q = I.quotient
+    p, N = Q.p, Q.N
+    # the zero ideal and the full algebra return before using I ∩ KU
+    nested = I.rank_log not in (0, N * Q.size)
+    known: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
     out = {}
     for e in product(range(Q.n + 1), repeat=Q.dim):
         U = OpenSubgroupSpec(Q, e)
         if not U.is_compatible():
             continue
-        out[e] = is_controlled(I, U)
+        inner = None
+        if nested:
+            members = np.array(sorted(U.elements()), dtype=np.int64)
+            below = [f for f in known if all(a <= b for a, b in zip(f, e))]
+            if below:
+                cols, rows = known[min(below, key=lambda f: known[f][0].size)]
+            else:
+                cols, rows = np.arange(Q.size), I.rows
+            inner = _restrict(rows, cols, members, p, N)
+            known[e] = (members, inner)
+        out[e] = is_controlled(I, U, _inner=inner)
+    origin = (0,) * Q.dim
+    if out[origin] != (True, True):
+        raise InvariantViolation(
+            f"U = Q does not control the ideal: verdicts {out[origin]} at {origin}"
+        )
     return out
 
 
@@ -414,11 +403,18 @@ def annihilation_check(betas: Sequence[int], I: SubmoduleBasis) -> bool:
 def is_faithful(I: SubmoduleBasis) -> bool:
     """No nontrivial g in Q has g - 1 in I (stage shadow of faithfulness)."""
     Q = I.quotient
-    # row g - 1 holds the vector of g - 1: 1 at g, -1 at the identity
-    vecs = np.eye(Q.size, dtype=np.int64)[1:]
-    vecs[:, 0] = -1
-    rems = linalg.reduce_rows(I.rows, vecs, Q.p, Q.N)
-    return bool(np.all(np.any(rems, axis=1)))
+    # the g - 1 for g = 1..|Q|-1 in chunks of at most _FAITHFUL_CHUNK_BYTES;
+    # row g - 1 holds 1 at g and -1 at the identity
+    step = max(1, _FAITHFUL_CHUNK_BYTES // (8 * Q.size))
+    for lo in range(1, Q.size, step):
+        g = np.arange(lo, min(lo + step, Q.size))
+        vecs = np.zeros((g.size, Q.size), dtype=np.int64)
+        vecs[np.arange(g.size), g] = 1
+        vecs[:, 0] = -1
+        rems = linalg.reduce_rows(I.rows, vecs, Q.p, Q.N)
+        if not np.all(np.any(rems, axis=1)):
+            return False
+    return True
 
 
 def centre_indices(Q: QuotientGroup) -> List[int]:

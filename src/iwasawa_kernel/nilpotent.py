@@ -101,16 +101,6 @@ class Submodule:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains_vector(self, vec: Sequence) -> bool:
-        stacked = [[Fraction(x) for x in r] for r in self.rows]
-        before, _ = _rref(stacked)
-        stacked.append([Fraction(x) for x in vec])
-        after, _ = _rref(stacked)
-        return len(after) == len(before)
-
-    def contains(self, other: "Submodule") -> bool:
-        return all(self.contains_vector(r) for r in other.rows)
-
     def __eq__(self, other):
         return isinstance(other, Submodule) and self.rows == other.rows
 

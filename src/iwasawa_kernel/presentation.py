@@ -65,6 +65,12 @@ class PresentationFile:
     def lie_presentation(self) -> LiePresentation:
         if self.p is None or self.dim is None or self.prec is None:
             raise ValidationError("presentation needs p, dim and prec fields")
+        if self.p < 2 or any(self.p % k == 0 for k in range(2, isqrt(self.p) + 1)):
+            raise ValidationError(f"p must be a prime, got {self.p}")
+        if self.dim < 1:
+            raise ValidationError("dim must be >= 1")
+        if self.prec < 1:
+            raise ValidationError("prec must be >= 1")
         return LiePresentation.from_triples(
             self.p,
             self.dim,
@@ -167,4 +173,8 @@ def parse_presentation(text: str) -> PresentationFile:
 
 def load_presentation(path: str) -> PresentationFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc}")
+    return parse_presentation(text)

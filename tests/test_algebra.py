@@ -75,6 +75,21 @@ class TestQuotientGroup:
         Q = build_quotient(heisenberg_chart(P), 4, 2, size_budget=10**7, verify=False)
         assert Q.size == 3**12
 
+    def test_dense_byte_budget(self, monkeypatch):
+        # the table and the translate stack are refused before allocation
+        from iwasawa_kernel import algebra
+
+        Q = heis_quotient()
+        gen = b_element(Q, 0)
+        monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 8 * Q.size**2 - 1)
+        with pytest.raises(BudgetError, match="multiplication table"):
+            Q.mult_table()
+        assert Q._mult_table is None
+        with pytest.raises(BudgetError, match="translates"):
+            ideal_closure([gen, gen], side="right", quotient=Q)
+        monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 8 * Q.size**2)
+        assert ideal_closure([gen], side="right", quotient=Q).rank_log > 0
+
     def test_cyclic_quotient_is_cyclic(self):
         Q = build_quotient(cyclic_chart(P), 1, 1)
         assert Q.size == P

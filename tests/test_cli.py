@@ -208,3 +208,48 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         json.loads(first)  # well-formed single document
+
+
+# (name, input text, or None for a missing file; arguments; exit code; a
+# line of stderr)
+FUZZ = [
+    ("valid", CENTRAL_IDEAL, ["control"], 0, ""),
+    ("negative-dim", "p 3\ndim -2\nprec 4\n", ["ucs"], 1, "dim must be >= 1"),
+    ("zero-dim", "p 3\ndim 0\nprec 4\n", ["ucs"], 1, "dim must be >= 1"),
+    ("zero-prec", "p 3\ndim 2\nprec 0\n", ["ucs"], 1, "prec must be >= 1"),
+    ("non-prime-p", "p 0\ndim 2\nprec 3\n", ["ucs"], 1, "p must be a prime"),
+    ("unknown-chart", "p 3\nchart foo\nideal bmono 0 1\n", ["control"], 1,
+     "unknown builtin chart 'foo'"),
+    ("chart-size-not-a-number", "p 3\nchart abelianx\nideal bmono 0 1\n", ["control"], 1,
+     "unknown builtin chart 'abelianx'"),
+    ("missing-file", None, ["control"], 1, "No such file"),
+    ("not-utf8", b"\xff\xfe p 3", ["ucs"], 1, "is not UTF-8 text"),
+    ("aut-index-7", HEIS_ID + "aut 7 1 0 0\n", ["mahler"], 1, "aut index 7 outside 1..3"),
+    ("non-bijective-aut", "p 3\nchart heisenberg\naut 1 0 0 0\naut 2 0 0 0\naut 3 0 0 0\n",
+     ["mahler", "--level", "2"], 1, "not a homomorphism"),
+    ("level-0", CENTRAL_IDEAL, ["control", "--level", "0"], 1, "must be >= 1"),
+    ("negative-m-max", HEIS_CONJ, ["growth", "--m-max", "-1"], 1, "--m-max must be >= 0"),
+    ("negative-degree", HEIS_ID, ["mahler", "--degree", "-1"], 1, "degree must be >= 0"),
+    ("coeff-prec-21", CENTRAL_IDEAL, ["control", "--coeff-prec", "21"], 2,
+     "coefficient modulus 3^21"),
+    # |Q| = 19683: the translate stack and the multiplication table would
+    # take 2.9 GiB each, and the stage refuses before allocating either
+    ("control-level-3", CENTRAL_IDEAL, ["control", "--level", "3"], 2, "dense byte budget"),
+    ("control-level-4", CENTRAL_IDEAL, ["control", "--level", "4"], 2, "exceeds budget"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, args, code, message", [c[1:] for c in FUZZ], ids=[c[0] for c in FUZZ]
+)
+def test_malformed_and_oversized_inputs(tmp_path, capsys, text, args, code, message):
+    """Every input ends in its exit code, never in a raised exception."""
+    path = tmp_path / "input.txt"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    assert main([args[0], str(path), *args[1:]]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -1,0 +1,142 @@
+"""Control lattices from the identity coset and nested intersections
+against the per-coset route.
+
+``control_route`` holds the implementations the package used before: the
+intersection I ∩ KU re-derived from all of I with a second echelon pass,
+the spin of I ∩ KU to a fixed point under the generators of U, and one
+Howell rank per U-coset.  The new lattice must agree verdict for verdict,
+and every nested intersection it builds must be array-equal to the Howell
+form of I ∩ KU computed directly from I, which is unique.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+import control_route as ref
+from stages import small_stage_ideals
+from iwasawa_kernel import control
+from iwasawa_kernel.algebra import (
+    AlgebraElement,
+    b_element,
+    build_quotient,
+    ideal_closure,
+)
+from iwasawa_kernel.charts import abelian_chart, cyclic_chart, heisenberg_chart
+from iwasawa_kernel.control import OpenSubgroupSpec, control_lattice, is_controlled
+from iwasawa_kernel.errors import InvariantViolation, ValidationError
+
+P = 3
+
+
+def random_gen(rng, Q, scale=1):
+    """Three random group elements with random coefficients, drawn as
+    acceptance criterion 8 draws them."""
+    return AlgebraElement(
+        Q,
+        {rng.randrange(Q.size): scale * rng.randrange(1, P**Q.N) for _ in range(3)},
+    )
+
+
+def cases():
+    small = small_stage_ideals()
+    out = [(name, Q, gens, "right") for name, Q, gens in small]
+    # one random ideal per stage, inside the augmentation ideal: a random
+    # generator is almost always a unit and generates the whole algebra
+    rng = random.Random(5)
+    stages = {id(Q): (name.rsplit("-", 1)[0], Q) for name, Q, _ in small}
+    for name, Q in stages.values():
+        x = random_gen(rng, Q)
+        x = x - AlgebraElement.one(Q).scale(sum(x.coeffs.values()))
+        out.append((f"{name}-random", Q, [x], "right"))
+    # the two-sided ideal of test_algebra
+    Q = build_quotient(heisenberg_chart(P), 1, 2)
+    out.append(("heisenberg-n1-N2-two-sided", Q, [b_element(Q, 0)], "two-sided"))
+    return out
+
+
+def criterion_8_large_ideals():
+    """The two random |Q| = 729 ideals of acceptance criterion 8, replaying
+    its draws on the smaller stages first."""
+    rng = random.Random(17)
+    charts = {
+        "cyclic": cyclic_chart(P),
+        "abelian2": abelian_chart(P, 2),
+        "heisenberg": heisenberg_chart(P),
+    }
+    for name, chart in charts.items():
+        for n in (1, 2):
+            if name == "heisenberg" and n == 2:
+                continue
+            Q = build_quotient(chart, n, 2)
+            for _ in range(9):
+                random_gen(rng, Q)
+    heis2 = build_quotient(charts["heisenberg"], 2, 2)
+    return [
+        ("heisenberg-n2-N2-random", heis2, [random_gen(rng, heis2)], "right"),
+        ("heisenberg-n2-N2-random-p", heis2, [random_gen(rng, heis2, P)], "right"),
+    ]
+
+
+CASES = cases()
+LARGE = criterion_8_large_ideals()
+
+
+def recorded_lattice(I, monkeypatch):
+    """control_lattice(I), plus the I ∩ KU it hands to each is_controlled."""
+    seen = {}
+
+    def record(I, U, _inner=None):
+        seen[U.exponents] = _inner
+        return is_controlled(I, U, _inner=_inner)
+
+    monkeypatch.setattr(control, "is_controlled", record)
+    return control_lattice(I), seen
+
+
+@pytest.mark.parametrize(
+    "Q, gens, side", [c[1:] for c in CASES + LARGE], ids=[c[0] for c in CASES + LARGE]
+)
+def test_lattice_matches_per_coset_route(Q, gens, side, monkeypatch):
+    I = ideal_closure(gens, side=side, quotient=Q)
+    got, seen = recorded_lattice(I, monkeypatch)
+    assert got == ref.control_lattice(I)
+    assert set(seen) == set(got)
+    for e, inner in seen.items():
+        if inner is None:
+            # only the zero ideal and the full algebra skip the intersection
+            assert I.rank_log in (0, Q.N * Q.size)
+            continue
+        U = OpenSubgroupSpec(Q, e)
+        members = sorted(U.elements())
+        direct = ref._subalgebra_restriction(I, U.elements())[:, members]
+        assert inner.shape == direct.shape
+        assert np.array_equal(inner, direct), e
+
+
+def test_single_point_matches_lattice():
+    # the public entry computes I ∩ KU from I itself
+    Q = build_quotient(heisenberg_chart(P), 1, 2)
+    I = ideal_closure([random_gen(random.Random(3), Q)], side="right", quotient=Q)
+    lattice = control_lattice(I)
+    for e, verdicts in lattice.items():
+        assert is_controlled(I, OpenSubgroupSpec(Q, e)) == verdicts
+
+
+def test_left_ideal_rejected():
+    Q = build_quotient(heisenberg_chart(P), 1, 2)
+    I = ideal_closure([b_element(Q, 0)], side="left", quotient=Q)
+    with pytest.raises(ValidationError):
+        is_controlled(I, OpenSubgroupSpec(Q, (1, 0, 0)))
+    with pytest.raises(ValidationError):
+        control_lattice(I)
+
+
+def test_origin_must_control(monkeypatch):
+    # U = Q controls every ideal; a lattice saying otherwise is a fault
+    Q = build_quotient(heisenberg_chart(P), 1, 2)
+    I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
+    monkeypatch.setattr(control, "is_controlled", lambda I, U, _inner=None: (False, False))
+    with pytest.raises(InvariantViolation):
+        control_lattice(I)

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import howell_route as ref
-from iwasawa_kernel import linalg
-from iwasawa_kernel.algebra import b_monomial, build_quotient, ideal_closure
-from iwasawa_kernel.charts import builtin_chart
+from stages import small_stage_ideals
+from iwasawa_kernel import control, linalg
+from iwasawa_kernel.algebra import ideal_closure
 from iwasawa_kernel.control import is_faithful, j_ideal_rank
 
 
@@ -70,24 +70,6 @@ def test_reduce_rows_matches_per_vector_reduction(case, seed):
         assert linalg.member(H, v, p, N) == (not r.any())
 
 
-def small_stage_ideals():
-    """Right ideals on every test-chart stage with |Q| <= 243 at p = 3."""
-    stages = [("cyclic", n) for n in range(1, 6)]
-    stages += [("abelian2", 1), ("abelian2", 2), ("abelian3", 1), ("abelian5", 1)]
-    stages += [("heisenberg", 1)]
-    out = []
-    for name, n in stages:
-        for N in (2, 3) if n == 1 else (2,):
-            Q = build_quotient(builtin_chart(name, 3), n, N)
-            assert Q.size <= 243
-            alphas = [tuple(k if j == i else 0 for j in range(Q.dim))
-                      for i in range(min(Q.dim, 3)) for k in (1, 2)]
-            alphas.append(tuple([1] * Q.dim))
-            gens = [[]] + [[b_monomial(Q, a)] for a in alphas]
-            out += [(f"{name}-n{n}-N{N}-{i}", Q, g) for i, g in enumerate(gens)]
-    return out
-
-
 CASES = small_stage_ideals()
 
 
@@ -96,3 +78,12 @@ def test_control_predicates_match_old_routes(Q, gens):
     I = ideal_closure(gens, side="right", quotient=Q)
     assert is_faithful(I) == ref.is_faithful(I)
     assert j_ideal_rank(I) == ref.j_ideal_rank(I)
+
+
+@pytest.mark.parametrize("Q, gens", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_is_faithful_in_small_chunks(Q, gens, monkeypatch):
+    # five g - 1 vectors per batch, so the early exit and the batch
+    # boundaries are exercised on every stage
+    I = ideal_closure(gens, side="right", quotient=Q)
+    monkeypatch.setattr(control, "_FAITHFUL_CHUNK_BYTES", 5 * 8 * Q.size)
+    assert is_faithful(I) == ref.is_faithful(I)
