@@ -299,6 +299,8 @@ def main(argv=None) -> int:
         print("p must be a prime", file=sys.stderr)
         return 1
     try:
+        if config.size_budget < 1:
+            raise ValidationError(f"--size-budget must be >= 1, got {config.size_budget}")
         return _COMMANDS[config.command](config)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

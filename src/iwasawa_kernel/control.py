@@ -43,6 +43,7 @@ class OpenSubgroupSpec:
 
     quotient: QuotientGroup
     exponents: Tuple[int, ...]
+    _members: Optional[np.ndarray] = field(default=None, repr=False)
     _elements: Optional[frozenset] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -58,30 +59,39 @@ class OpenSubgroupSpec:
         Q = self.quotient
         return Q.p ** sum(Q.n - e for e in self.exponents)
 
+    def members(self) -> np.ndarray:
+        """Sorted indices of the image of U in Q (dense stages).
+
+        S <- S·<g_i^{p^{e_i}}> for each generator, one lookup in the power
+        columns of Q per generator, until S stops growing; a finite set
+        closed under right multiplication by the generators is the
+        subgroup they generate.
+        """
+        if self._members is None:
+            Q = self.quotient
+            cols = Q.columns()
+            inside = np.zeros(Q.size, dtype=bool)
+            inside[0] = True
+            size = 1
+            while True:
+                for i, e in enumerate(self.exponents):
+                    if e < Q.n:
+                        inside[cols[i, :: Q.p**e][:, inside]] = True
+                grown = int(np.count_nonzero(inside))
+                if grown == size:
+                    break
+                size = grown
+            if size != self.expected_order:
+                raise ValidationError(
+                    f"subgroup image has order {size}, expected {self.expected_order}"
+                )
+            self._members = np.flatnonzero(inside)
+        return self._members
+
     def elements(self) -> frozenset:
-        """Image of U in Q, enumerated and verified to close under product."""
-        if self._elements is not None:
-            return self._elements
-        Q = self.quotient
-        gens = [
-            Q.generator(i, Q.p**e)
-            for i, e in enumerate(self.exponents)
-            if e < Q.n
-        ]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            h = frontier.pop()
-            for g in gens:
-                for x in (Q.mult(h, g), Q.mult(g, h)):
-                    if x not in seen:
-                        seen.add(x)
-                        frontier.append(x)
-        if len(seen) != self.expected_order:
-            raise ValidationError(
-                f"subgroup image has order {len(seen)}, expected {self.expected_order}"
-            )
-        self._elements = frozenset(seen)
+        """Image of U in Q, as a set of indices."""
+        if self._elements is None:
+            self._elements = frozenset(self.members().tolist())
         return self._elements
 
     def contains(self, idx: int) -> bool:
@@ -91,7 +101,7 @@ class OpenSubgroupSpec:
         """True when the generated image has the expected order, i.e. the
         exponent vector is compatible with the ordered basis."""
         try:
-            self.elements()
+            self.members()
             return True
         except ValidationError:
             return False
@@ -141,7 +151,10 @@ def _restrict(
 
 
 def is_controlled(
-    I: SubmoduleBasis, U: OpenSubgroupSpec, _inner: Optional[np.ndarray] = None
+    I: SubmoduleBasis,
+    U: OpenSubgroupSpec,
+    _inner: Optional[np.ndarray] = None,
+    _total: Optional[int] = None,
 ) -> Tuple[bool, bool]:
     """(definitional, by_action) verdicts for control of the right ideal I
     by U.
@@ -155,9 +168,10 @@ def is_controlled(
     coset U·g is the projection onto U translated by g, so this holds iff
     rank_log(I) = [Q:U] * rank_log of the projection onto KU.
 
-    ``_inner`` is the Howell form of I ∩ KU on the sorted members of U, when
-    the caller already has it (`control_lattice` restricts it from a larger
-    subgroup); otherwise it is computed from I.
+    ``_inner`` is the Howell form of I ∩ KU on the sorted members of U, and
+    ``_total`` is rank_log(I), when the caller already has them
+    (`control_lattice` restricts ``_inner`` from a larger subgroup);
+    otherwise they are computed from I.
     """
     Q = I.quotient
     if U.quotient is not Q:
@@ -169,11 +183,11 @@ def is_controlled(
 
     # The full algebra and the zero ideal are controlled by every subgroup,
     # under either reading.
-    total = linalg.rank_log(I.rows, p, N)
+    total = linalg.rank_log(I.rows, p, N) if _total is None else _total
     if total in (0, N * Q.size):
         return True, True
 
-    members = np.array(sorted(U.elements()), dtype=np.int64)
+    members = U.members()
     if _inner is None:
         _inner = _restrict(I.rows, np.arange(Q.size), members, p, N)
     index = Q.size // members.size
@@ -196,8 +210,9 @@ def control_lattice(
     """
     Q = I.quotient
     p, N = Q.p, Q.N
+    total = I.rank_log
     # the zero ideal and the full algebra return before using I ∩ KU
-    nested = I.rank_log not in (0, N * Q.size)
+    nested = total not in (0, N * Q.size)
     known: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
     out = {}
     for e in product(range(Q.n + 1), repeat=Q.dim):
@@ -206,7 +221,7 @@ def control_lattice(
             continue
         inner = None
         if nested:
-            members = np.array(sorted(U.elements()), dtype=np.int64)
+            members = U.members()
             below = [f for f in known if all(a <= b for a, b in zip(f, e))]
             if below:
                 cols, rows = known[min(below, key=lambda f: known[f][0].size)]
@@ -214,7 +229,7 @@ def control_lattice(
                 cols, rows = np.arange(Q.size), I.rows
             inner = _restrict(rows, cols, members, p, N)
             known[e] = (members, inner)
-        out[e] = is_controlled(I, U, _inner=inner)
+        out[e] = is_controlled(I, U, _inner=inner, _total=total)
     origin = (0,) * Q.dim
     if out[origin] != (True, True):
         raise InvariantViolation(
@@ -418,13 +433,14 @@ def is_faithful(I: SubmoduleBasis) -> bool:
 
 
 def centre_indices(Q: QuotientGroup) -> List[int]:
-    """Elements of Q commuting with all generators."""
-    gens = [Q.generator(i) for i in range(Q.dim)]
-    out = []
-    for h in range(Q.size):
-        if all(Q.mult(h, g) == Q.mult(g, h) for g in gens):
-            out.append(h)
-    return out
+    """Elements of Q commuting with all generators: h·g_i = g_i·h for every
+    i, compared over all of Q at once (dense stages)."""
+    h = np.arange(Q.size)
+    central = np.ones(Q.size, dtype=bool)
+    for i in range(Q.dim):
+        g = Q.generator(i)
+        central &= Q.mult_array(h, g) == Q.mult_array(g, h)
+    return np.flatnonzero(central).tolist()
 
 
 def j_ideal_rank(I: SubmoduleBasis, centre: Optional[Sequence[int]] = None) -> int:

@@ -6,7 +6,10 @@ decided each lattice point from the identity coset and nested
 intersections: `_subalgebra_restriction` re-echelons all of I with the
 non-U columns first and then echelons the result again,
 `_local_closure_rank` spins I ∩ KU under the generators of U to a fixed
-point, and `is_controlled` sums a Howell rank over every U-coset.
+point, and `is_controlled` sums a Howell rank over every U-coset.  The
+subgroup image and the centre are found with scalar products, as
+`OpenSubgroupSpec` and `centre_indices` found them before they read the
+power columns of Q.
 """
 
 from itertools import product
@@ -15,6 +18,7 @@ import numpy as np
 
 from iwasawa_kernel import linalg
 from iwasawa_kernel.control import OpenSubgroupSpec
+from iwasawa_kernel.errors import ValidationError
 
 
 def _subalgebra_restriction(I, members):
@@ -101,3 +105,32 @@ def control_lattice(I):
             continue
         out[e] = is_controlled(I, U)
     return out
+
+
+def subgroup_elements(U):
+    """The image of U in Q by search: close {1} under left and right
+    multiplication by the generators g_i^{p^{e_i}}, two scalar products per
+    member and generator; ValidationError unless it has the expected order."""
+    Q = U.quotient
+    gens = [Q.generator(i, Q.p**e) for i, e in enumerate(U.exponents) if e < Q.n]
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            for x in (Q.mult(h, g), Q.mult(g, h)):
+                if x not in seen:
+                    seen.add(x)
+                    frontier.append(x)
+    if len(seen) != U.expected_order:
+        raise ValidationError(
+            f"subgroup image has order {len(seen)}, expected {U.expected_order}"
+        )
+    return frozenset(seen)
+
+
+def centre_indices(Q):
+    """Elements of Q commuting with every generator, one scalar product pair
+    per element and generator."""
+    gens = [Q.generator(i) for i in range(Q.dim)]
+    return [h for h in range(Q.size) if all(Q.mult(h, g) == Q.mult(g, h) for g in gens)]

@@ -20,3 +20,16 @@ def small_stage_ideals():
             gens = [[]] + [[b_monomial(Q, a)] for a in alphas]
             out += [(f"{name}-n{n}-N{N}-{i}", Q, g) for i, g in enumerate(gens)]
     return out
+
+
+def stages_up_to_729(N=2):
+    """(name, Q) for the test-chart stages with |Q| <= 729 at p = 3."""
+    levels = [("cyclic", n) for n in range(1, 7)]
+    levels += [("abelian2", n) for n in (1, 2, 3)] + [("abelian3", 1), ("abelian3", 2)]
+    levels += [("abelian5", 1), ("heisenberg", 1), ("heisenberg", 2), ("unipotent4", 1)]
+    out = []
+    for name, n in levels:
+        Q = build_quotient(builtin_chart(name, 3), n, N)
+        assert Q.size <= 729
+        out.append((f"{name}-n{n}", Q))
+    return out

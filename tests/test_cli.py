@@ -229,6 +229,10 @@ FUZZ = [
      ["mahler", "--level", "2"], 1, "not a homomorphism"),
     ("level-0", CENTRAL_IDEAL, ["control", "--level", "0"], 1, "must be >= 1"),
     ("negative-m-max", HEIS_CONJ, ["growth", "--m-max", "-1"], 1, "--m-max must be >= 0"),
+    ("negative-size-budget", HEIS_CONJ, ["growth", "--size-budget", "-1"], 1,
+     "--size-budget must be >= 1"),
+    ("zero-size-budget", HEIS_CONJ, ["growth", "--size-budget", "0"], 1,
+     "--size-budget must be >= 1"),
     ("negative-degree", HEIS_ID, ["mahler", "--degree", "-1"], 1, "degree must be >= 0"),
     ("coeff-prec-21", CENTRAL_IDEAL, ["control", "--coeff-prec", "21"], 2,
      "coefficient modulus 3^21"),

@@ -6,16 +6,19 @@ intersection I ∩ KU re-derived from all of I with a second echelon pass,
 the spin of I ∩ KU to a fixed point under the generators of U, and one
 Howell rank per U-coset.  The new lattice must agree verdict for verdict,
 and every nested intersection it builds must be array-equal to the Howell
-form of I ∩ KU computed directly from I, which is unique.
+form of I ∩ KU computed directly from I, which is unique.  The subgroup
+images read from the power columns and the array-compared centre must
+equal the scalar-product search on every stage with |Q| <= 729.
 """
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
 import control_route as ref
-from stages import small_stage_ideals
+from stages import small_stage_ideals, stages_up_to_729
 from iwasawa_kernel import control
 from iwasawa_kernel.algebra import (
     AlgebraElement,
@@ -24,7 +27,12 @@ from iwasawa_kernel.algebra import (
     ideal_closure,
 )
 from iwasawa_kernel.charts import abelian_chart, cyclic_chart, heisenberg_chart
-from iwasawa_kernel.control import OpenSubgroupSpec, control_lattice, is_controlled
+from iwasawa_kernel.control import (
+    OpenSubgroupSpec,
+    centre_indices,
+    control_lattice,
+    is_controlled,
+)
 from iwasawa_kernel.errors import InvariantViolation, ValidationError
 
 P = 3
@@ -87,9 +95,10 @@ def recorded_lattice(I, monkeypatch):
     """control_lattice(I), plus the I ∩ KU it hands to each is_controlled."""
     seen = {}
 
-    def record(I, U, _inner=None):
+    def record(I, U, _inner=None, _total=None):
         seen[U.exponents] = _inner
-        return is_controlled(I, U, _inner=_inner)
+        assert _total == I.rank_log
+        return is_controlled(I, U, _inner=_inner, _total=_total)
 
     monkeypatch.setattr(control, "is_controlled", record)
     return control_lattice(I), seen
@@ -137,6 +146,36 @@ def test_origin_must_control(monkeypatch):
     # U = Q controls every ideal; a lattice saying otherwise is a fault
     Q = build_quotient(heisenberg_chart(P), 1, 2)
     I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
-    monkeypatch.setattr(control, "is_controlled", lambda I, U, _inner=None: (False, False))
+    monkeypatch.setattr(control, "is_controlled", lambda I, U, **handed: (False, False))
     with pytest.raises(InvariantViolation):
         control_lattice(I)
+
+
+STAGES = stages_up_to_729()
+
+
+@pytest.mark.parametrize("Q", [s[1] for s in STAGES], ids=[s[0] for s in STAGES])
+def test_subgroup_members_match_search(Q):
+    # every exponent vector, the incompatible ones included
+    incompatible = 0
+    for e in product(range(Q.n + 1), repeat=Q.dim):
+        U = OpenSubgroupSpec(Q, e)
+        try:
+            want = ref.subgroup_elements(U)
+        except ValidationError as exc:
+            incompatible += 1
+            with pytest.raises(ValidationError, match=str(exc)):
+                U.members()
+            assert not U.is_compatible()
+            continue
+        members = U.members()
+        assert members.dtype == np.int64
+        assert members.tolist() == sorted(want)
+        assert U.elements() == want and U.is_compatible()
+    if Q.chart.name == "heisenberg" and Q.n == 2:
+        assert incompatible > 0
+
+
+@pytest.mark.parametrize("Q", [s[1] for s in STAGES], ids=[s[0] for s in STAGES])
+def test_centre_matches_scalar_loop(Q):
+    assert centre_indices(Q) == ref.centre_indices(Q)

@@ -1,12 +1,16 @@
-"""Live-entry Howell elimination and batched membership against the
-full-matrix route.
+"""Sparse and live-entry Howell elimination and batched membership
+against the full-matrix route.
 
 ``howell_route`` holds the implementations the package used before: the
 Howell form that rewrites the whole remaining matrix at every pivot, the
 one-vector reduction, the per-element faithfulness loop and the
 reduce-then-stack centre rank.  The new routes must agree array for array
-on random matrices and verdict for verdict on every small stage.
+on random matrices and verdict for verdict on every small stage, and the
+Howell tests also check which of `linalg.howell`'s kernels ran.
 """
+
+import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,8 +20,70 @@ from hypothesis import strategies as st
 import howell_route as ref
 from stages import small_stage_ideals
 from iwasawa_kernel import control, linalg
-from iwasawa_kernel.algebra import ideal_closure
+from iwasawa_kernel.algebra import AlgebraElement, build_quotient, ideal_closure
+from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
 from iwasawa_kernel.control import is_faithful, j_ideal_rank
+
+# The kernels `howell` can run, recorded at each kernel's call: a forward
+# elimination, and a back-substitution chosen by the fill of its result.
+DENSE = ["_dense_forward", "_dense_back"]
+SPARSE = ["_sparse_forward", "_sparse_back"]
+# the sparse forward elimination fills in and hands its live rows to the
+# dense loop; the result is sparse again
+HANDOFF = ["_sparse_forward", "_dense_forward", "_sparse_back"]
+# the sparse back-substitution fills in and the dense one finishes it
+BACK_FILL = ["_sparse_forward", "_sparse_back", "_dense_back"]
+FORWARDS = (["_dense_forward"], ["_sparse_forward"], ["_sparse_forward", "_dense_forward"])
+BACKS = (["_dense_back"], ["_sparse_back"], ["_sparse_back", "_dense_back"])
+
+
+@contextmanager
+def kernels():
+    """The names of the Howell kernels called inside the block, in order."""
+    ran = []
+    saved = {name: getattr(linalg, name) for name in DENSE + SPARSE}
+
+    def spy(name, fn):
+        def run(*args):
+            ran.append(name)
+            return fn(*args)
+
+        return run
+
+    for name, fn in saved.items():
+        setattr(linalg, name, spy(name, fn))
+    try:
+        yield ran
+    finally:
+        for name, fn in saved.items():
+            setattr(linalg, name, fn)
+
+
+def selected(A, p, N):
+    """The kernel the input gate picks: ``None`` for no non-zero residue."""
+    R = np.mod(A, p**N)
+    rows = int(np.count_nonzero(np.any(R, axis=1)))
+    if rows == 0:
+        return None
+    nnz = int(np.count_nonzero(R))
+    return "dense" if nnz > linalg.DENSE_FILL * rows * A.shape[1] else "sparse"
+
+
+def howell_checked(A, p, N):
+    """`linalg.howell(A)` after checking it against the full-matrix route
+    and the recorded kernels against the input gate; returns the kernels."""
+    with kernels() as ran:
+        got = linalg.howell(A, p, N)
+    want = ref.howell(A, p, N)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    kind = selected(A, p, N)
+    if kind is None:
+        assert ran == []
+        return ran
+    assert ran[0] == f"_{kind}_forward"
+    assert any(ran == f + b for f in FORWARDS for b in BACKS)
+    return ran
 
 
 def random_matrix(rng, p, N, k, m, kind):
@@ -47,11 +113,95 @@ matrices = st.builds(
 @given(matrices)
 @settings(max_examples=150, deadline=None)
 def test_howell_matches_full_matrix_route(case):
+    howell_checked(*case[2:], *case[:2])
+
+
+def sparse_matrix(rng, p, N, k, m, per_row, scaled):
+    """``per_row`` (at most three) non-zeros in each row: residues mod p^N,
+    or residues times p-powers (which may vanish)."""
+    q = p**N
+    A = np.zeros((k, m), dtype=np.int64)
+    for row in A:
+        cols = rng.choice(m, size=min(per_row, m), replace=False)
+        vals = rng.integers(1, q, size=cols.size)
+        if scaled:
+            vals = vals * p ** rng.integers(0, N, size=cols.size) % q
+        row[cols] = vals
+    return A
+
+
+sparse_matrices = st.builds(
+    lambda p, N, k, m, per_row, scaled, seed: (
+        p, N, sparse_matrix(np.random.default_rng(seed), p, N, k, m, per_row, scaled)
+    ),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 4),
+    st.integers(0, 200),
+    st.integers(1, 200),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@given(sparse_matrices)
+@settings(max_examples=60, deadline=None)
+def test_sparse_howell_matches_full_matrix_route(case):
     p, N, A = case
-    got = linalg.howell(A, p, N)
-    want = ref.howell(A, p, N)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
+    howell_checked(A, p, N)
+
+
+def translates(Q, x):
+    """The right translates x·g, g in Q: the matrix `ideal_closure` echelons."""
+    T = np.zeros((Q.size, Q.size), dtype=np.int64)
+    T[np.arange(Q.size)[:, None], Q.mult_table().T] = x.to_vector()
+    return T
+
+
+@pytest.fixture(scope="module")
+def heis2():
+    return build_quotient(heisenberg_chart(3), 2, 2)
+
+
+def test_dense_generator_takes_dense_kernel(heis2):
+    # a generator on all 729 elements: every translate is a full row
+    rng = random.Random(5)
+    x = AlgebraElement(heis2, {h: rng.randrange(1, 9) for h in range(heis2.size)})
+    assert howell_checked(translates(heis2, x), 3, 2) == DENSE
+
+
+def test_p_scaled_ideal_hands_off_to_dense_loop(heis2):
+    # three terms with coefficients in pZ/9: the closure rows fill the live
+    # rows in, and the dense loop finishes the forward elimination
+    x = AlgebraElement(heis2, {5: 3, 301: 6, 712: 3})
+    T = translates(heis2, x)
+    assert howell_checked(T, 3, 2) == HANDOFF
+    assert np.array_equal(ideal_closure([x], quotient=heis2).rows, linalg.howell(T, 3, 2))
+
+
+def test_sparse_ideal_takes_sparse_kernel():
+    # the translates of b5 = g5 - 1 at |Q| = 243 stay at two non-zeros per row
+    Q = build_quotient(builtin_chart("abelian5", 3), 1, 2)
+    x = AlgebraElement(Q, {Q.generator(4): 1, 0: -1})
+    assert howell_checked(translates(Q, x), 3, 2) == SPARSE
+
+
+def test_forward_fill_hands_off_to_dense_loop():
+    # three random non-zeros per row fill the live rows in within a few
+    # pivots, and the result stays filled in
+    A = sparse_matrix(np.random.default_rng(0), 3, 2, 60, 60, 3, False)
+    assert howell_checked(A, 3, 2) == ["_sparse_forward", "_dense_forward", "_dense_back"]
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+def test_back_substitution_fill_goes_dense(scale):
+    # rows e_2i + e_2i+1 + e_2i+2 are already echelon, but reducing column
+    # 2i+2 by row i+1 spreads row i over every later odd column
+    r = 40
+    A = np.zeros((r, 2 * r + 1), dtype=np.int64)
+    for i in range(r):
+        A[i, 2 * i : 2 * i + 3] = (1, scale, 1)
+    assert howell_checked(A, 3, 2) == BACK_FILL
 
 
 @given(matrices, st.integers(0, 2**32 - 1))
