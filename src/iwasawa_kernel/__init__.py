@@ -19,8 +19,6 @@ from .algebra import (
     build_quotient,
     ideal_closure,
     lazard_value,
-    lemma_value_check,
-    rho,
 )
 from .charts import (
     GroupChart,
@@ -32,16 +30,12 @@ from .charts import (
     unipotent_chart,
 )
 from .control import (
-    ApproxSeries,
     OpenSubgroupSpec,
-    build_series,
     control_lattice,
     controller_estimate,
     is_controlled,
     is_faithful,
-    is_j_ideal,
     j_ideal_rank,
-    u_lambda,
 )
 from .errors import (
     BudgetError,
@@ -56,12 +50,10 @@ from .mahler import (
     aut_mahler_coeffs,
     divided_power,
     expand_aut,
-    find_m1,
     is_mahler_aut,
     mahler_coeffs,
     q_growth,
     reconstruct,
-    tail_bound,
 )
 from .nilpotent import (
     LiePresentation,
@@ -75,7 +67,6 @@ from .nilpotent import (
 )
 from .padic import (
     PadicScalar,
-    binom_padic,
     digit_sum,
     idempotent_power,
     legendre_factorial_val,

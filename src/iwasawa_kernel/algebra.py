@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .charts import GroupChart, Matrix, _mul
-from .errors import BudgetError, PrecisionError, ValidationError
+from .errors import BudgetError, ValidationError
 
 DEFAULT_SIZE_BUDGET = 50_000
 # largest dense array (the multiplication table, the stack of translates
@@ -60,23 +60,8 @@ class FiltValue:
     def status(self) -> str:
         return "exact" if self.exact else ">= floor"
 
-    def shift(self, m: int) -> "FiltValue":
-        if self.value is None:
-            return self
-        v = self.value + m
-        return FiltValue(v if v < self.floor else None, self.floor)
-
     def __str__(self):
         return str(self.value) if self.exact else f">= {self.floor}"
-
-
-def filt_min(a: FiltValue, b: FiltValue) -> FiltValue:
-    floor = min(a.floor, b.floor)
-    vals = [v.value for v in (a, b) if v.value is not None]
-    v = min(vals) if vals else None
-    if v is not None and v >= floor:
-        v = None
-    return FiltValue(v, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +521,8 @@ def lazard_value(x: AlgebraElement, degree_cap: int = 4096) -> FiltValue:
     return FiltValue(best, floor)
 
 
-def lemma_value_check(
-    x: AlgebraElement, m: int
-) -> Tuple[FiltValue, FiltValue, bool]:
-    """Compare w(x^{p^m} - 1) with m + w(x - 1) (requires w(x-1) > 1)."""
-    Q = x.quotient
-    one = AlgebraElement.one(Q)
-    base = lazard_value(x - one)
-    if base.exact and base.value <= 1:
-        raise ValidationError("hypothesis w(x-1) > w(p) = 1 is violated")
-    lhs = lazard_value(x ** (Q.p**m) - one)
-    rhs = base.shift(m)
-    ok = (lhs.value == rhs.value) and (lhs.floor == rhs.floor)
-    return lhs, rhs, ok
-
-
 # ---------------------------------------------------------------------------
-# ideals and the canonical action
+# ideals
 
 
 @dataclass
@@ -573,10 +543,13 @@ class SubmoduleBasis:
         return linalg.rank_log(self.rows, self.quotient.p, self.quotient.N)
 
 
-def _apply_perm(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rows)
-    out[:, perm] = rows
-    return out
+def _translates(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Every row moved by every permutation, permutation-major: row t·k + r
+    is rows[r] with its entry at h moved to perms[t, h]."""
+    t, (k, size) = len(perms), rows.shape
+    out = np.zeros((t, k, size), dtype=np.int64)
+    out[np.arange(t)[:, None, None], np.arange(k)[:, None], perms[:, None, :]] = rows
+    return out.reshape(t * k, size)
 
 
 def ideal_closure(
@@ -607,24 +580,17 @@ def ideal_closure(
     tab = Q.mult_table()
     # column g of the table is h -> h*g, row g is h -> g*h
     perms = tab.T if side in ("right", "two-sided") else tab
-    translates = np.vstack([_apply_perm(mat, perm) for perm in perms])
-    rows = linalg.howell(translates, p, N)
+    rows = linalg.howell(_translates(mat, perms), p, N)
     if side == "two-sided":
-        lperms = [Q.left_mult_perm(Q.generator(i)) for i in range(Q.dim)]
+        # the identity first, so that each step keeps the rows it had
+        lperms = np.array(
+            [np.arange(Q.size)]
+            + [Q.left_mult_perm(Q.generator(i)) for i in range(Q.dim)]
+        )
         while True:
-            new = [rows] + [_apply_perm(rows, perm) for perm in lperms]
-            nxt = linalg.howell(np.vstack(new), p, N)
+            nxt = linalg.howell(_translates(rows, lperms), p, N)
             if linalg.span_equal(nxt, rows):
                 break
             rows = nxt
     return SubmoduleBasis(Q, rows, side)
 
-
-def rho(f, x: AlgebraElement) -> AlgebraElement:
-    """The canonical action of a function on Q: coefficientwise scaling."""
-    Q = x.quotient
-    if callable(f):
-        scaled = {k: v * int(f(k)) for k, v in x.coeffs.items()}
-    else:
-        scaled = {k: v * int(f.get(k, 0)) for k, v in x.coeffs.items()}
-    return AlgebraElement(Q, scaled)

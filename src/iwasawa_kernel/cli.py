@@ -24,22 +24,17 @@ from .algebra import AlgebraElement, FiltValue, build_quotient, ideal_closure
 from .errors import (
     BudgetError,
     InvariantViolation,
-    KernelError,
     PrecisionError,
     ValidationError,
 )
 from .presentation import load_presentation
 
 
-def _status(v: FiltValue) -> str:
-    return "exact" if v.exact else ">= floor"
-
-
 def _cell(v: FiltValue) -> Dict:
     return {
         "value": v.value,
         "floor": v.floor,
-        "status": _status(v),
+        "status": v.status,
     }
 
 

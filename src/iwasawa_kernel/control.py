@@ -1,4 +1,4 @@
-"""Subgroup control of ideals at a finite stage, and the derivation data.
+"""Subgroup control of ideals at a finite stage.
 
 An open subgroup is specified by exponents e with U = <g_i^{p^{e_i}}>.
 Control of an ideal I by U is decided two independent ways — the
@@ -17,17 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .algebra import (
-    AlgebraElement,
-    FiltValue,
-    QuotientGroup,
-    SubmoduleBasis,
-    ideal_closure,
-    lazard_value,
-    rho,
-)
-from .errors import InvariantViolation, PrecisionError, ValidationError
-from .mahler import AutomorphismSpec, divided_power, z_stable
+from .algebra import QuotientGroup, SubmoduleBasis
+from .errors import InvariantViolation, ValidationError
 
 # bytes of one batch of g - 1 vectors in `is_faithful`
 _FAITHFUL_CHUNK_BYTES = 8 << 20
@@ -44,7 +35,6 @@ class OpenSubgroupSpec:
     quotient: QuotientGroup
     exponents: Tuple[int, ...]
     _members: Optional[np.ndarray] = field(default=None, repr=False)
-    _elements: Optional[frozenset] = field(default=None, repr=False)
 
     def __post_init__(self):
         Q = self.quotient
@@ -88,15 +78,6 @@ class OpenSubgroupSpec:
             self._members = np.flatnonzero(inside)
         return self._members
 
-    def elements(self) -> frozenset:
-        """Image of U in Q, as a set of indices."""
-        if self._elements is None:
-            self._elements = frozenset(self.members().tolist())
-        return self._elements
-
-    def contains(self, idx: int) -> bool:
-        return idx in self.elements()
-
     def is_compatible(self) -> bool:
         """True when the generated image has the expected order, i.e. the
         exponent vector is compatible with the ordered basis."""
@@ -105,26 +86,6 @@ class OpenSubgroupSpec:
             return True
         except ValidationError:
             return False
-
-    def coset_representatives(self) -> List[Tuple[int, ...]]:
-        """The words g_1^{b_1}...g_d^{b_d}, 0 <= b_i < p^{e_i}."""
-        Q = self.quotient
-        ranges = [range(Q.p**e) for e in self.exponents]
-        return [tuple(b) for b in product(*ranges)]
-
-    def coset_partition(self) -> Dict[int, List[int]]:
-        """Map from representative index to the members of the coset U·rep."""
-        Q = self.quotient
-        out = {}
-        covered = set()
-        for b in self.coset_representatives():
-            rep = Q.index(b)
-            members = [Q.mult(u, rep) for u in self.elements()]
-            out[rep] = members
-            covered.update(members)
-        if len(covered) != Q.size:
-            raise ValidationError("coset representatives do not partition Q")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +124,11 @@ def is_controlled(
     already closed under right multiplication by U, and the generated ideal
     is the direct sum of its translates over the [Q:U] cosets, so equality
     holds iff rank_log(I) = [Q:U] * rank_log(I ∩ KU).
-    by_action: rho(f)(I) ⊆ I for every U-coset indicator function f, i.e.
-    I is the direct sum of its coset projections.  The projection onto the
-    coset U·g is the projection onto U translated by g, so this holds iff
-    rank_log(I) = [Q:U] * rank_log of the projection onto KU.
+    by_action: the canonical action of every U-coset indicator function maps
+    I into I, i.e. I is the direct sum of its coset projections.  The
+    projection onto the coset U·g is the projection onto U translated by g,
+    so this holds iff rank_log(I) = [Q:U] * rank_log of the projection onto
+    KU.
 
     ``_inner`` is the Howell form of I ∩ KU on the sorted members of U, and
     ``_total`` is rank_log(I), when the caller already has them
@@ -179,7 +141,6 @@ def is_controlled(
     if I.side == "left":
         raise ValidationError("control is decided for right (or two-sided) ideals")
     p, N = Q.p, Q.N
-    Q.mult_table()
 
     # The full algebra and the zero ideal are controlled by every subgroup,
     # under either reading.
@@ -255,163 +216,6 @@ def controller_estimate(
 
 
 # ---------------------------------------------------------------------------
-# the subgroup U_lambda of an automorphism
-
-
-@dataclass
-class ApproxSeries:
-    """Growth data v(q_{i,m}) of an automorphism, per basis index."""
-
-    quotient: QuotientGroup
-    phi: AutomorphismSpec
-    values: Dict[int, List[FiltValue]]  # index i -> series over m
-    m_range: Tuple[int, ...]
-
-    @property
-    def lam(self) -> Optional[int]:
-        vals = [
-            s[0].value for s in self.values.values() if s and s[0].exact
-        ]
-        return min(vals) if vals else None
-
-    def realizing_indices(self) -> List[int]:
-        lam = self.lam
-        return [
-            i
-            for i, s in self.values.items()
-            if s and s[0].exact and s[0].value == lam
-        ]
-
-    def ratio_stabilization(self, max_prec: int) -> Dict[int, List[int]]:
-        """Leading-coefficient ratios q_{1,m}^{-1} q_{i,m} mod p^j monitored
-        for eventual constancy; returns, per realizing index, the residues
-        observed per m (constant tails witness stabilization)."""
-        Q = self.quotient
-        out = {}
-        reals = self.realizing_indices()
-        if not reals:
-            return out
-        base = reals[0]
-        for i in reals:
-            res = []
-            for m_pos in range(len(self.m_range)):
-                a = self.values[base][m_pos]
-                b = self.values[i][m_pos]
-                if a.exact and b.exact:
-                    res.append(b.value - a.value)
-            out[i] = res
-        return out
-
-
-def build_series(
-    phi: AutomorphismSpec,
-    Q: QuotientGroup,
-    m_range: Sequence[int],
-    regime: str = "char0",
-) -> ApproxSeries:
-    from .mahler import q_growth
-
-    values = {
-        i: q_growth(phi, i, m_range, regime, Q) for i in range(Q.dim)
-    }
-    return ApproxSeries(Q, phi, values, tuple(m_range))
-
-
-def u_lambda(series: ApproxSeries, g_idx: int) -> Optional[bool]:
-    """Membership of g in U = {g : v(z(g) - 1) > lambda}.
-
-    Returns None (indeterminate) when the weight sits at the precision
-    floor but lambda + 1 does not: the stage cannot decide.
-    """
-    lam = series.lam
-    if lam is None:
-        raise PrecisionError("lambda is not determined at this precision")
-    Q = series.quotient
-    z, stable = z_stable(series.phi, Q.matrix(g_idx), max(series.m_range), Q)
-    if not stable:
-        raise PrecisionError("z-map did not stabilize")
-    zel = AlgebraElement.group_element(Q, Q.index_of_matrix(z))
-    v = lazard_value(zel - AlgebraElement.one(Q))
-    if v.exact:
-        return v.value > lam
-    # at the floor: decided only if the floor itself exceeds lambda
-    if v.floor > lam:
-        return True
-    return None
-
-
-# ---------------------------------------------------------------------------
-# coset splitting and the derivation h
-
-
-def coset_split(
-    r: AlgebraElement, U: OpenSubgroupSpec
-) -> Dict[Tuple[int, ...], AlgebraElement]:
-    """Split r = sum_b r_b * g_b over representatives g_b = g^b of U,
-    with each component r_b supported in the U-subalgebra.
-
-    A support point k lies in exactly one coset U·g_b; its contribution to
-    r_b is s_k * (k * g_b^{-1}), which lies in KU."""
-    Q = r.quotient
-    rep_of: Dict[int, Tuple[int, ...]] = {}
-    for b, members in zip(U.coset_representatives(), U.coset_partition().values()):
-        for k in members:
-            rep_of[k] = b
-    comps: Dict[Tuple[int, ...], Dict[int, int]] = {}
-    for k, s in r.coeffs.items():
-        b = rep_of[k]
-        comps.setdefault(b, {})[k] = s
-    result = {}
-    for b in U.coset_representatives():
-        rep_inv = Q.inv(Q.index(b))
-        shifted = {
-            Q.mult(k, rep_inv): s for k, s in comps.get(b, {}).items()
-        }
-        result[b] = AlgebraElement(Q, shifted)
-    return result
-
-
-def reassemble(split: Dict[Tuple[int, ...], AlgebraElement], Q: QuotientGroup) -> AlgebraElement:
-    total = AlgebraElement.zero(Q)
-    for b, comp in split.items():
-        rep = AlgebraElement.group_element(Q, Q.index(b))
-        total = total + comp * rep
-    return total
-
-
-def identity_coset_component(r: AlgebraElement, U: OpenSubgroupSpec) -> AlgebraElement:
-    """r - rho(f)(r) for f = 1 - indicator(U): the U-supported part of r."""
-    Q = r.quotient
-    members = U.elements()
-    f = {k: (0 if k in members else 1) for k in r.coeffs}
-    return r - rho(f, r)
-
-
-def h_derivation(betas: Sequence[int], x: AlgebraElement) -> AlgebraElement:
-    """h(x) = sum_i beta_i * ∂^{(e_i)}(x): the stage derivation."""
-    Q = x.quotient
-    if len(betas) != Q.dim:
-        raise ValidationError("betas length mismatch")
-    out = AlgebraElement.zero(Q)
-    for i, c in enumerate(betas):
-        if c % Q.coeff_mod == 0:
-            continue
-        e = tuple(1 if j == i else 0 for j in range(Q.dim))
-        out = out + divided_power(e, x).scale(c)
-    return out
-
-
-def annihilation_check(betas: Sequence[int], I: SubmoduleBasis) -> bool:
-    """Does h map every basis element of I back into I?"""
-    Q = I.quotient
-    for r in I.rows:
-        x = AlgebraElement.from_vector(Q, r)
-        if not I.member(h_derivation(betas, x)):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # stage-level ideal predicates
 
 
@@ -454,7 +258,3 @@ def j_ideal_rank(I: SubmoduleBasis, centre: Optional[Sequence[int]] = None) -> i
     total = linalg.rank_log(linalg.howell(np.vstack([units, I.rows]), p, N), p, N)
     return total - linalg.rank_log(I.rows, p, N)
 
-
-def is_j_ideal(I: SubmoduleBasis, rank_bound: int) -> bool:
-    """Stage shadow: centre image modulo I has rank_log at most the bound."""
-    return j_ideal_rank(I) <= rank_bound

@@ -27,9 +27,8 @@ from .algebra import (
     lazard_value,
 )
 from .charts import GroupChart, Matrix, _as_matrix, _mul
-from .errors import BudgetError, PrecisionError, ValidationError
+from .errors import PrecisionError, ValidationError
 from .linalg import vp_int
-from .padic import legendre_factorial_val
 
 
 # ---------------------------------------------------------------------------
@@ -135,43 +134,6 @@ def mahler_coeffs(
         vals = [v for v in vals if v is not None]
         decay.append(min(vals) if vals else None)
     return MahlerTable(dim, degree, entries, decay)
-
-
-def mahler_coeff_direct(f: Callable, alpha: Tuple[int, ...], zero=0):
-    """One coefficient by the alternating-sum formula (cross-check route)."""
-    dim = len(alpha)
-    acc = zero
-
-    def rec(i: int, beta: Tuple[int, ...], sign: int, binom: int):
-        nonlocal acc
-        if i == dim:
-            val = f(beta if dim > 1 else beta[0])
-            if isinstance(val, AlgebraElement):
-                acc = acc + val.scale(sign * binom)
-            else:
-                acc = acc + sign * binom * val
-            return
-        for b in range(alpha[i] + 1):
-            rec(
-                i + 1,
-                beta + (b,),
-                sign * (-1) ** (alpha[i] - b),
-                binom * math.comb(alpha[i], b),
-            )
-
-    rec(0, (), 1, 1)
-    return acc
-
-
-def tail_bound(T: MahlerTable) -> Optional[int]:
-    """Observed lower valuation bound for shells beyond the cap.
-
-    This is the decay-log value at the last populated shells; it is a
-    witnessed bound, exact whenever the function is a finite binomial
-    polynomial whose support lies within the cap.
-    """
-    vals = [v for v in T.decay_log[max(0, T.degree - 1):] if v is not None]
-    return min(vals) if vals else None
 
 
 def reconstruct(T: MahlerTable, gamma: Sequence[int], zero=0):
@@ -503,25 +465,6 @@ def z_stable(
     idxs = [Q.index_of_matrix(a) for a in approx]
     stable = len(idxs) < 2 or idxs[-1] == idxs[-2]
     return approx[-1], stable
-
-
-def find_m1(phi: AutomorphismSpec, Q: QuotientGroup, m_max: int = 6) -> Optional[int]:
-    """Least m with w(z(g_i)^{p^m} - 1) > 1 for every basis index i."""
-    zs = []
-    for i in range(Q.dim):
-        z, _ = z_stable(phi, phi.chart.generators[i], min(2, m_max), Q)
-        zs.append(AlgebraElement.group_element(Q, Q.index_of_matrix(z)))
-    one = AlgebraElement.one(Q)
-    for m in range(m_max + 1):
-        ok = True
-        for z in zs:
-            v = lazard_value(z ** (Q.p**m) - one)
-            if v.exact and v.value <= 1:
-                ok = False
-                break
-        if ok:
-            return m
-    return None
 
 
 def q_growth(

@@ -11,7 +11,6 @@ no precision cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,39 +114,8 @@ class PadicScalar:
 
     __rmul__ = __mul__
 
-    def unit_inverse(self) -> "PadicScalar":
-        if not self.is_unit():
-            raise PrecisionError("cannot invert a non-unit")
-        q = self.p**self.prec
-        return PadicScalar(self.p, self.prec, pow(self.residue, -1, q))
-
-    def reduce(self, prec: int) -> "PadicScalar":
-        if prec > self.prec:
-            raise PrecisionError("cannot raise precision")
-        return PadicScalar(self.p, prec, self.residue)
-
     def __str__(self):
         return f"{self.residue} mod {self.p}^{self.prec}"
-
-
-def binom_padic(beta: PadicScalar, alpha: int) -> PadicScalar:
-    """Generalized binomial binom(beta, alpha), evaluated p-adically.
-
-    The lift of beta to [0, p^prec) is fed to an exact integer binomial;
-    continuity of the binomial polynomial makes the result well defined at
-    precision prec - v_p(alpha!), which is the output precision.
-    """
-    if alpha < 0:
-        raise ValidationError("alpha must be >= 0")
-    if alpha == 0:
-        return PadicScalar(beta.p, beta.prec, 1)
-    loss = legendre_factorial_val(alpha, beta.p)
-    if beta.prec <= loss:
-        raise PrecisionError(
-            f"dividing by {alpha}! loses {loss} digits; only {beta.prec} available"
-        )
-    value = math.comb(beta.residue, alpha)
-    return PadicScalar(beta.p, beta.prec - loss, value)
 
 
 def idempotent_power(beta: PadicScalar, n: int, f: int = 1) -> PadicScalar:

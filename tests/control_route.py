@@ -6,10 +6,11 @@ decided each lattice point from the identity coset and nested
 intersections: `_subalgebra_restriction` re-echelons all of I with the
 non-U columns first and then echelons the result again,
 `_local_closure_rank` spins I ∩ KU under the generators of U to a fixed
-point, and `is_controlled` sums a Howell rank over every U-coset.  The
-subgroup image and the centre are found with scalar products, as
+point, and `is_controlled` sums a Howell rank over every U-coset, which
+`coset_partition` lists with one scalar product per member and coset.
+The subgroup image and the centre are found with scalar products, as
 `OpenSubgroupSpec` and `centre_indices` found them before they read the
-power columns of Q.
+power columns of Q.  `rho` is the canonical action of a function on Q.
 """
 
 from itertools import product
@@ -17,8 +18,34 @@ from itertools import product
 import numpy as np
 
 from iwasawa_kernel import linalg
+from iwasawa_kernel.algebra import AlgebraElement
 from iwasawa_kernel.control import OpenSubgroupSpec
 from iwasawa_kernel.errors import ValidationError
+
+
+def coset_partition(U):
+    """Map from the index of each representative g_1^{b_1}...g_d^{b_d},
+    0 <= b_i < p^{e_i}, to the members of its coset U·rep."""
+    Q = U.quotient
+    members = U.members().tolist()
+    out = {}
+    covered = set()
+    for b in product(*[range(Q.p**e) for e in U.exponents]):
+        rep = Q.index(b)
+        out[rep] = [Q.mult(u, rep) for u in members]
+        covered.update(out[rep])
+    if len(covered) != Q.size:
+        raise ValidationError("coset representatives do not partition Q")
+    return out
+
+
+def rho(f, x):
+    """The canonical action of a function on Q: coefficientwise scaling."""
+    if callable(f):
+        scaled = {k: v * int(f(k)) for k, v in x.coeffs.items()}
+    else:
+        scaled = {k: v * int(f.get(k, 0)) for k, v in x.coeffs.items()}
+    return AlgebraElement(x.quotient, scaled)
 
 
 def _subalgebra_restriction(I, members):
@@ -44,7 +71,7 @@ def _subalgebra_restriction(I, members):
 def _local_closure_rank(U, inner):
     Q = U.quotient
     p, N = Q.p, Q.N
-    members = sorted(U.elements())
+    members = U.members().tolist()
     pos = {m: i for i, m in enumerate(members)}
     rows = inner[:, members]
     perms = []
@@ -73,11 +100,11 @@ def is_controlled(I, U):
     if total_rank in (0, N * Q.size):
         return True, True
 
-    inner = _subalgebra_restriction(I, U.elements())
+    inner = _subalgebra_restriction(I, set(U.members().tolist()))
     if inner.shape[0] == 0:
         definitional = I.rows.shape[0] == 0
     else:
-        index = Q.size // len(U.elements())
+        index = Q.size // U.members().size
         definitional = (
             linalg.rank_log(I.rows, p, N) == index * _local_closure_rank(U, inner)
         )
@@ -86,7 +113,7 @@ def is_controlled(I, U):
         by_action = True
     else:
         total = 0
-        for members in U.coset_partition().values():
+        for members in coset_partition(U).values():
             cols = np.array(sorted(members), dtype=np.int64)
             sub = I.rows[:, cols]
             sub = sub[np.any(sub, axis=1)]

@@ -7,12 +7,15 @@ matrix at every pivot column, `reduce_vector` reduces one vector with a
 Python loop over the pivots, `is_faithful` tests each g - 1 on its own,
 and `j_ideal_rank` reduces each centre vector before stacking it on I.
 Passing ``dtype=object`` runs `howell` on Python ints, which is the
-oracle above the package's int64 modulus bound.
+oracle above the package's int64 modulus bound.  `ideal_closure` builds
+its stacks of translates with one `_apply_perm` call per permutation and
+`np.vstack`, as the package did before it indexed them in one step.
 """
 
 import numpy as np
 
-from iwasawa_kernel.algebra import AlgebraElement
+from iwasawa_kernel import linalg
+from iwasawa_kernel.algebra import AlgebraElement, SubmoduleBasis
 from iwasawa_kernel.control import centre_indices
 from iwasawa_kernel.linalg import rank_log, vp_int
 
@@ -116,3 +119,26 @@ def j_ideal_rank(I):
     total = rank_log(howell(stacked, p, N), p, N)
     base = rank_log(I.rows, p, N) if I.rows.shape[0] else 0
     return total - base
+
+
+def _apply_perm(rows, perm):
+    out = np.zeros_like(rows)
+    out[:, perm] = rows
+    return out
+
+
+def ideal_closure(gens, side, Q):
+    p, N = Q.p, Q.N
+    mat = np.array([g.to_vector() for g in gens if not g.is_zero()], dtype=np.int64)
+    tab = Q.mult_table()
+    perms = tab.T if side in ("right", "two-sided") else tab
+    rows = linalg.howell(np.vstack([_apply_perm(mat, perm) for perm in perms]), p, N)
+    if side == "two-sided":
+        lperms = [Q.left_mult_perm(Q.generator(i)) for i in range(Q.dim)]
+        while True:
+            new = [rows] + [_apply_perm(rows, perm) for perm in lperms]
+            nxt = linalg.howell(np.vstack(new), p, N)
+            if linalg.span_equal(nxt, rows):
+                break
+            rows = nxt
+    return SubmoduleBasis(Q, rows, side)

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from control_route import rho
 from iwasawa_kernel.algebra import (
     AlgebraElement,
     FiltValue,
     b_element,
     b_monomial,
     build_quotient,
-    filt_min,
     ideal_closure,
     lazard_value,
-    lemma_value_check,
-    rho,
 )
 from iwasawa_kernel.charts import (
     _mul,
@@ -26,7 +24,7 @@ from iwasawa_kernel.charts import (
     cyclic_chart,
     heisenberg_chart,
 )
-from iwasawa_kernel.errors import BudgetError, ValidationError
+from iwasawa_kernel.errors import BudgetError
 from iwasawa_kernel import linalg
 
 P = 3
@@ -176,18 +174,14 @@ class TestLazardValue:
         assert Q.floor == 9
 
     def test_value_lemma_at_stage(self):
+        # w(g3^(p^m) - 1) = m + w(g3 - 1) = m + 2 below the floor
         Q = build_quotient(heisenberg_chart(P), 3, 6)  # floor = 4
         g3 = AlgebraElement.group_element(Q, Q.generator(2))
-        for m in (0, 1):
-            lhs, rhs, ok = lemma_value_check(g3, m)
-            assert ok
-            assert lhs.value == (2 + m if 2 + m < Q.floor else None)
-
-    def test_value_lemma_rejects_weight_one(self):
-        Q = heis_quotient(2, 4)
-        g1 = AlgebraElement.group_element(Q, Q.generator(0))
-        with pytest.raises(ValidationError):
-            lemma_value_check(g1, 1)
+        one = AlgebraElement.one(Q)
+        for m in (0, 1, 2):
+            v = lazard_value(g3 ** (P**m) - one)
+            assert v.floor == Q.floor
+            assert v.value == (2 + m if 2 + m < Q.floor else None)
 
 
 class TestFiltValue:
@@ -195,15 +189,6 @@ class TestFiltValue:
         assert FiltValue(2, 5).status == "exact"
         assert FiltValue(None, 5).status == ">= floor"
         assert str(FiltValue(None, 5)) == ">= 5"
-
-    def test_shift_saturates_at_floor(self):
-        assert FiltValue(2, 4).shift(1).value == 3
-        assert FiltValue(2, 4).shift(2).value is None
-
-    def test_filt_min(self):
-        assert filt_min(FiltValue(2, 4), FiltValue(3, 4)).value == 2
-        assert filt_min(FiltValue(None, 4), FiltValue(3, 4)).value == 3
-        assert filt_min(FiltValue(None, 4), FiltValue(None, 4)).value is None
 
 
 class TestIdealsAndAction:

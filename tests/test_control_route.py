@@ -118,8 +118,8 @@ def test_lattice_matches_per_coset_route(Q, gens, side, monkeypatch):
             assert I.rank_log in (0, Q.N * Q.size)
             continue
         U = OpenSubgroupSpec(Q, e)
-        members = sorted(U.elements())
-        direct = ref._subalgebra_restriction(I, U.elements())[:, members]
+        members = U.members()
+        direct = ref._subalgebra_restriction(I, set(members.tolist()))[:, members]
         assert inner.shape == direct.shape
         assert np.array_equal(inner, direct), e
 
@@ -171,7 +171,7 @@ def test_subgroup_members_match_search(Q):
         members = U.members()
         assert members.dtype == np.int64
         assert members.tolist() == sorted(want)
-        assert U.elements() == want and U.is_compatible()
+        assert U.is_compatible()
     if Q.chart.name == "heisenberg" and Q.n == 2:
         assert incompatible > 0
 

@@ -3,10 +3,12 @@ against the full-matrix route.
 
 ``howell_route`` holds the implementations the package used before: the
 Howell form that rewrites the whole remaining matrix at every pivot, the
-one-vector reduction, the per-element faithfulness loop and the
-reduce-then-stack centre rank.  The new routes must agree array for array
-on random matrices and verdict for verdict on every small stage, and the
-Howell tests also check which of `linalg.howell`'s kernels ran.
+one-vector reduction, the per-element faithfulness loop, the
+reduce-then-stack centre rank and the closure that stacks translates one
+permutation at a time.  The new routes must agree array for array on
+random matrices and verdict for verdict on every small stage, the closures
+must hand `howell` the same matrices, and the Howell tests also check which
+of `linalg.howell`'s kernels ran.
 """
 
 import random
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import howell_route as ref
 from stages import small_stage_ideals
 from iwasawa_kernel import control, linalg
-from iwasawa_kernel.algebra import AlgebraElement, build_quotient, ideal_closure
+from iwasawa_kernel.algebra import AlgebraElement, b_monomial, build_quotient, ideal_closure
 from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
 from iwasawa_kernel.control import is_faithful, j_ideal_rank
 
@@ -237,3 +239,50 @@ def test_is_faithful_in_small_chunks(Q, gens, monkeypatch):
     I = ideal_closure(gens, side="right", quotient=Q)
     monkeypatch.setattr(control, "_FAITHFUL_CHUNK_BYTES", 5 * 8 * Q.size)
     assert is_faithful(I) == ref.is_faithful(I)
+
+
+@contextmanager
+def howell_inputs():
+    """Copies of the matrices handed to `linalg.howell` inside the block."""
+    seen = []
+    real = linalg.howell
+
+    def spy(mat, p, N):
+        seen.append(np.array(mat, copy=True))
+        return real(mat, p, N)
+
+    linalg.howell = spy
+    try:
+        yield seen
+    finally:
+        linalg.howell = real
+
+
+CLOSURE_STAGES = [("cyclic", 2, 2), ("abelian2", 1, 3), ("abelian3", 1, 2),
+                  ("heisenberg", 1, 2), ("heisenberg", 1, 3), ("abelian2", 2, 2)]
+
+
+@pytest.mark.parametrize("side", ["right", "left", "two-sided"])
+@pytest.mark.parametrize("name, n, N", CLOSURE_STAGES,
+                         ids=[f"{c[0]}-n{c[1]}-N{c[2]}" for c in CLOSURE_STAGES])
+def test_closure_stacks_translates_as_before(name, n, N, side):
+    Q = build_quotient(builtin_chart(name, 3), n, N)
+    rng = random.Random(f"{name}{n}{N}{side}")
+    steps = []
+    for k in (2, 3):
+        # k b-monomials of degree <= 2 per axis, scaled by random residues
+        gens = [b_monomial(Q, [rng.randrange(3) for _ in range(Q.dim)])
+                .scale(rng.randrange(1, Q.coeff_mod)) for _ in range(k)]
+        with howell_inputs() as want:
+            old = ref.ideal_closure(gens, side, Q)
+        with howell_inputs() as got:
+            new = ideal_closure(gens, side=side, quotient=Q)
+        assert len(got) == len(want)
+        assert got[0].shape == (Q.size * k, Q.size)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(new.rows, old.rows)
+        steps.append(len(got))
+    if side == "two-sided" and name == "heisenberg":
+        # the left translates add rows: the fixed-point loop runs twice
+        assert max(steps) >= 3

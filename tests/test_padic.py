@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from iwasawa_kernel.errors import PrecisionError, ValidationError
 from iwasawa_kernel.padic import (
     PadicScalar,
-    binom_padic,
     digit_sum,
     idempotent_power,
     legendre_factorial_val,
@@ -110,47 +109,11 @@ class TestPadicScalar:
         with pytest.raises(ValidationError):
             PadicScalar(3, 2, 1) + PadicScalar(5, 2, 1)
 
-    def test_unit_inverse(self):
-        a = PadicScalar(5, 3, 7)
-        assert (a * a.unit_inverse()).residue == 1
-        with pytest.raises(PrecisionError):
-            PadicScalar(5, 3, 10).unit_inverse()
-
     @given(st.sampled_from([3, 5]), st.integers(1, 5), st.integers(), st.integers())
     def test_add_commutes(self, p, prec, x, y):
         a, b = PadicScalar(p, prec, x), PadicScalar(p, prec, y)
         assert (a + b).residue == (b + a).residue
         assert (a * b).residue == (b * a).residue
-
-
-class TestBinomPadic:
-    def test_integer_agreement(self):
-        # on honest integer lifts the generalized binomial is math.comb
-        b = PadicScalar(3, 6, 10)
-        assert binom_padic(b, 3).residue == math.comb(10, 3) % 3**5
-        assert binom_padic(b, 0).residue == 1
-
-    def test_precision_loss_is_factorial_valuation(self):
-        b = PadicScalar(3, 6, 10)
-        assert binom_padic(b, 9).prec == 6 - legendre_factorial_val(9, 3)
-
-    def test_exhausted_precision_raises(self):
-        with pytest.raises(PrecisionError):
-            binom_padic(PadicScalar(3, 1, 2), 3)
-
-    @given(st.sampled_from([3, 5]), st.integers(0, 12), st.integers(0, 200))
-    @settings(max_examples=60)
-    def test_well_defined_on_congruent_lifts(self, p, alpha, base):
-        # binom(., alpha) is continuous: congruent lifts agree at the
-        # output precision.
-        prec = 6
-        loss = legendre_factorial_val(alpha, p)
-        if prec <= loss:
-            return
-        out = prec - loss
-        a = binom_padic(PadicScalar(p, prec, base), alpha)
-        b = binom_padic(PadicScalar(p, prec, base + p**prec), alpha)
-        assert a.residue % p**out == b.residue % p**out
 
 
 class TestIdempotentDichotomy:
