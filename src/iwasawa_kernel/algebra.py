@@ -30,8 +30,8 @@ from .charts import GroupChart, Matrix, _mul
 from .errors import BudgetError, ValidationError
 
 DEFAULT_SIZE_BUDGET = 50_000
-# largest dense array (the multiplication table, the stack of translates
-# in an ideal closure) a stage may allocate, in bytes
+# largest array (the multiplication table, the translates in an ideal
+# closure) a stage may allocate, in bytes
 DENSE_BYTE_BUDGET = 1 << 30
 # elements per batched chart solve, which bounds its temporary arrays
 _SOLVE_CHUNK = 1024
@@ -530,7 +530,7 @@ class SubmoduleBasis:
     """Howell-echelon generating rows of a coefficient submodule."""
 
     quotient: QuotientGroup
-    rows: np.ndarray
+    rows: linalg.Rows
     side: str = "right"
 
     def member(self, x: AlgebraElement) -> bool:
@@ -543,13 +543,13 @@ class SubmoduleBasis:
         return linalg.rank_log(self.rows, self.quotient.p, self.quotient.N)
 
 
-def _translates(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+def _translates(rows: linalg.Rows, perms: np.ndarray) -> linalg.Rows:
     """Every row moved by every permutation, permutation-major: row t·k + r
     is rows[r] with its entry at h moved to perms[t, h]."""
     t, (k, size) = len(perms), rows.shape
-    out = np.zeros((t, k, size), dtype=np.int64)
-    out[np.arange(t)[:, None, None], np.arange(k)[:, None], perms[:, None, :]] = rows
-    return out.reshape(t * k, size)
+    at = (np.arange(t)[:, None] * k + rows.row_ids()).ravel()
+    cols = perms[:, rows.indices].ravel()
+    return linalg.Rows.from_entries(at, cols, np.tile(rows.data, t), (t * k, size))
 
 
 def ideal_closure(
@@ -560,7 +560,8 @@ def ideal_closure(
 
     One-sided closures are spans of the full translate family, so a single
     echelon pass suffices; the two-sided case finishes with a fixed-point
-    iteration on the remaining side.
+    iteration on the remaining side.  Translates are built as sparse rows
+    from the generators' supports, never as a dense |Q|·k x |Q| stack.
     """
     gens = list(gens)
     if quotient is None:
@@ -572,11 +573,13 @@ def ideal_closure(
         raise ValidationError(f"unknown side {side!r}")
     Q._require_dense()
     p, N = Q.p, Q.N
-    vecs = [g.to_vector() for g in gens if not g.is_zero()]
-    if not vecs:
-        return SubmoduleBasis(Q, np.zeros((0, Q.size), dtype=np.int64), side)
-    mat = np.array(vecs, dtype=np.int64)
-    Q._require_bytes(8 * Q.size * mat.size, "the stack of translates")
+    # coefficients are held as int64 residues from here on
+    linalg._check_modulus(p, N)
+    mat = linalg.Rows.from_dicts([g.coeffs for g in gens if not g.is_zero()], Q.size)
+    if not mat.shape[0]:
+        return SubmoduleBasis(Q, mat, side)
+    # row, column, residue and sort order of each translated entry
+    Q._require_bytes(32 * Q.size * mat.nnz, "the translates")
     tab = Q.mult_table()
     # column g of the table is h -> h*g, row g is h -> g*h
     perms = tab.T if side in ("right", "two-sided") else tab
@@ -593,4 +596,3 @@ def ideal_closure(
                 break
             rows = nxt
     return SubmoduleBasis(Q, rows, side)
-

@@ -19,9 +19,7 @@ import numpy as np
 from . import linalg
 from .algebra import QuotientGroup, SubmoduleBasis
 from .errors import InvariantViolation, ValidationError
-
-# bytes of one batch of g - 1 vectors in `is_faithful`
-_FAITHFUL_CHUNK_BYTES = 8 << 20
+from .linalg import Rows
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +90,15 @@ class OpenSubgroupSpec:
 # control predicate
 
 
-def _restrict(
-    rows: np.ndarray, cols: np.ndarray, members: np.ndarray, p: int, N: int
-) -> np.ndarray:
+def _columns(rows: Rows, cols: np.ndarray, members: np.ndarray) -> Rows:
+    """The entries of ``rows``, a matrix on the sorted columns ``cols``, in
+    the columns ``members`` (a sorted subset), numbered as in ``members``."""
+    new = np.full(cols.size, -1, dtype=np.int64)
+    new[np.searchsorted(cols, members)] = np.arange(members.size)
+    return rows.relabel(new, members.size)
+
+
+def _restrict(rows: Rows, cols: np.ndarray, members: np.ndarray, p: int, N: int) -> Rows:
     """Howell rows of span(rows) ∩ KU on the sorted columns ``members``.
 
     ``rows`` spans a submodule on the sorted columns ``cols``, a superset
@@ -105,16 +109,22 @@ def _restrict(
     """
     inside = np.searchsorted(cols, members)
     if rows.shape[0] == 0 or inside.size == cols.size:
-        return rows[:, inside]
+        return _columns(rows, cols, members)
     outside = np.setdiff1d(np.arange(cols.size), inside, assume_unique=True)
-    H = linalg.howell(rows[:, np.concatenate((outside, inside))], p, N)
-    return H[~np.any(H[:, : outside.size], axis=1), outside.size :]
+    new = np.empty(cols.size, dtype=np.int64)
+    new[outside] = np.arange(outside.size)
+    new[inside] = outside.size + np.arange(inside.size)
+    H = linalg.howell(rows.relabel(new, cols.size), p, N)
+    # a Howell row vanishes on the outside block iff its pivot lies past it
+    H = H.take(H.indices[H.indptr[:-1]] >= outside.size)
+    return H.relabel(np.arange(cols.size) - outside.size, inside.size)
 
 
 def is_controlled(
     I: SubmoduleBasis,
     U: OpenSubgroupSpec,
-    _inner: Optional[np.ndarray] = None,
+    _inner: Optional[Rows] = None,
+    _projection: Optional[Rows] = None,
     _total: Optional[int] = None,
 ) -> Tuple[bool, bool]:
     """(definitional, by_action) verdicts for control of the right ideal I
@@ -130,10 +140,11 @@ def is_controlled(
     so this holds iff rank_log(I) = [Q:U] * rank_log of the projection onto
     KU.
 
-    ``_inner`` is the Howell form of I ∩ KU on the sorted members of U, and
-    ``_total`` is rank_log(I), when the caller already has them
-    (`control_lattice` restricts ``_inner`` from a larger subgroup);
-    otherwise they are computed from I.
+    ``_inner`` and ``_projection`` are the Howell forms of I ∩ KU and of the
+    projection of I onto KU on the sorted members of U, and ``_total`` is
+    rank_log(I), when the caller already has them (`control_lattice` takes
+    the first two from a larger subgroup); otherwise they are computed from
+    I.
     """
     Q = I.quotient
     if U.quotient is not Q:
@@ -149,12 +160,14 @@ def is_controlled(
         return True, True
 
     members = U.members()
+    whole = np.arange(Q.size)
     if _inner is None:
-        _inner = _restrict(I.rows, np.arange(Q.size), members, p, N)
+        _inner = _restrict(I.rows, whole, members, p, N)
+    if _projection is None:
+        _projection = linalg.howell(_columns(I.rows, whole, members), p, N)
     index = Q.size // members.size
     definitional = total == index * linalg.rank_log(_inner, p, N)
-    projection = linalg.howell(I.rows[:, members], p, N)
-    by_action = total == index * linalg.rank_log(projection, p, N)
+    by_action = total == index * linalg.rank_log(_projection, p, N)
     return definitional, by_action
 
 
@@ -164,33 +177,36 @@ def control_lattice(
     """Both control verdicts on every compatible diagonal lattice point
     e in {0..n}^d; incompatible exponent vectors are skipped.
 
-    e' <= e coordinatewise gives U_e ⊆ U_e', so I ∩ KU_e is restricted from
-    the smallest already computed I ∩ KU_e' rather than from all of I; the
-    sweep order visits every e' <= e before e.  U = Q controls every ideal,
-    so a failure at e = 0 raises `InvariantViolation`.
+    e' <= e coordinatewise gives U_e ⊆ U_e', so I ∩ KU_e and the projection
+    of I onto KU_e are taken from the smallest already computed I ∩ KU_e'
+    and projection onto KU_e' rather than from all of I; the sweep order
+    visits every e' <= e before e.  U = Q controls every ideal, so a
+    failure at e = 0 raises `InvariantViolation`.
     """
     Q = I.quotient
     p, N = Q.p, Q.N
     total = I.rank_log
     # the zero ideal and the full algebra return before using I ∩ KU
     nested = total not in (0, N * Q.size)
-    known: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
+    # e -> (members of U_e, I ∩ KU_e, projection of I onto KU_e)
+    known: Dict[Tuple[int, ...], Tuple[np.ndarray, Rows, Rows]] = {}
     out = {}
     for e in product(range(Q.n + 1), repeat=Q.dim):
         U = OpenSubgroupSpec(Q, e)
         if not U.is_compatible():
             continue
-        inner = None
+        inner = projection = None
         if nested:
             members = U.members()
             below = [f for f in known if all(a <= b for a, b in zip(f, e))]
             if below:
-                cols, rows = known[min(below, key=lambda f: known[f][0].size)]
+                cols, rows, outer = known[min(below, key=lambda f: known[f][0].size)]
             else:
-                cols, rows = np.arange(Q.size), I.rows
+                cols, rows, outer = np.arange(Q.size), I.rows, I.rows
             inner = _restrict(rows, cols, members, p, N)
-            known[e] = (members, inner)
-        out[e] = is_controlled(I, U, _inner=inner, _total=total)
+            projection = linalg.howell(_columns(outer, cols, members), p, N)
+            known[e] = (members, inner, projection)
+        out[e] = is_controlled(I, U, _inner=inner, _projection=projection, _total=total)
     origin = (0,) * Q.dim
     if out[origin] != (True, True):
         raise InvariantViolation(
@@ -222,18 +238,16 @@ def controller_estimate(
 def is_faithful(I: SubmoduleBasis) -> bool:
     """No nontrivial g in Q has g - 1 in I (stage shadow of faithfulness)."""
     Q = I.quotient
-    # the g - 1 for g = 1..|Q|-1 in chunks of at most _FAITHFUL_CHUNK_BYTES;
-    # row g - 1 holds 1 at g and -1 at the identity
-    step = max(1, _FAITHFUL_CHUNK_BYTES // (8 * Q.size))
-    for lo in range(1, Q.size, step):
-        g = np.arange(lo, min(lo + step, Q.size))
-        vecs = np.zeros((g.size, Q.size), dtype=np.int64)
-        vecs[np.arange(g.size), g] = 1
-        vecs[:, 0] = -1
-        rems = linalg.reduce_rows(I.rows, vecs, Q.p, Q.N)
-        if not np.all(np.any(rems, axis=1)):
-            return False
-    return True
+    # row g - 1 of the batch, g = 1..|Q|-1, holds -1 at the identity and 1 at g
+    g = np.arange(1, Q.size)
+    batch = Rows(
+        np.arange(0, 2 * Q.size - 1, 2),
+        np.column_stack((np.zeros_like(g), g)).ravel(),
+        np.tile([Q.coeff_mod - 1, 1], g.size),
+        Q.size,
+    )
+    rems = linalg.reduce_rows(I.rows, batch, Q.p, Q.N)
+    return bool(np.all(np.diff(rems.indptr)))
 
 
 def centre_indices(Q: QuotientGroup) -> List[int]:
@@ -248,13 +262,14 @@ def centre_indices(Q: QuotientGroup) -> List[int]:
 
 
 def j_ideal_rank(I: SubmoduleBasis, centre: Optional[Sequence[int]] = None) -> int:
-    """log_p of the size of the centre-subalgebra image modulo I."""
+    """log_p of the size of the centre-subalgebra image modulo I.
+
+    By the second isomorphism theorem (KZ + I)/I ≅ KZ/(I ∩ KZ), so the rank
+    is N·|Z| - rank_log(I ∩ KZ), and `_restrict` gives I ∩ KZ from one
+    Howell form of I, or from none when Z = Q (abelian charts).
+    """
     Q = I.quotient
     p, N = Q.p, Q.N
-    if centre is None:
-        centre = centre_indices(Q)
-    units = np.zeros((len(centre), Q.size), dtype=np.int64)
-    units[np.arange(len(centre)), list(centre)] = 1
-    total = linalg.rank_log(linalg.howell(np.vstack([units, I.rows]), p, N), p, N)
-    return total - linalg.rank_log(I.rows, p, N)
-
+    centre = np.array(sorted(set(centre_indices(Q) if centre is None else centre)), dtype=np.int64)
+    inner = _restrict(I.rows, np.arange(Q.size), centre, p, N)
+    return N * centre.size - linalg.rank_log(inner, p, N)

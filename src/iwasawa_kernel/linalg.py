@@ -4,10 +4,13 @@ Submodules of (Z/p^N)^m are represented by Howell canonical forms:
 valuation-pivoted echelon rows, pivots normalized to powers of p, entries
 above a pivot reduced modulo the pivot, plus the closure rows that make
 membership decidable by reduction.  The Howell form of a span is unique,
-so equality of submodules is array equality, whichever kernel built it.
+so equality of submodules is equality of its rows, whichever kernel built
+it.
 
-`howell` has two kernels, each with a forward elimination and a
-back-substitution above the pivots:
+Bases travel between layers as `Rows`: compressed sparse rows (CSR), the
+residues of each row with their sorted columns and no stored zero.
+`howell` takes an array or `Rows` and returns `Rows`.  It has two kernels,
+each with a forward elimination and a back-substitution above the pivots:
 
 - the sparse kernel holds each live row as a column->residue dict and
   takes the next pivot column from a heap of the rows' leading columns, so
@@ -21,12 +24,14 @@ goes to the dense loop when its non-zeros exceed `DENSE_FILL` (1/16) of
 its rows' cells.  The input picks the forward kernel; a sparse forward
 elimination hands its live rows to the dense loop once they fill in; the
 forward result picks the back-substitution, and a sparse one that fills
-in hands its rows over as well.  `reduce_rows` reduces a whole batch of
-vectors against a Howell basis with one vectorised step per pivot;
+in hands its rows over as well.  `reduce_rows` reduces a batch of vectors
+against a Howell basis under the same rule: each vector by following its
+non-zeros through the loop the sparse back-substitution uses, or, against
+a filled basis, the whole batch with one vectorised step per pivot.
 `member` is a batch of one.
 
 The dense loop and `reduce_rows` form one int64 product of two residues
-before each reduction, and every kernel returns int64 arrays, so the
+before each reduction, and every kernel holds int64 residues, so the
 modulus must satisfy p^N <= isqrt(2^63 - 1).  `_check_modulus` enforces
 that bound for every entry point and raises `BudgetError` above it.
 """
@@ -34,9 +39,10 @@ that bound for every entry point and raises `BudgetError` above it.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +55,89 @@ MAX_MODULUS = isqrt(2**63 - 1)
 # for the dense loop; measured on the control inputs and on random sparse
 # and filling matrices (see `howell`).
 DENSE_FILL = 1 / 16
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """An (r, m) matrix over Z/p^N as compressed sparse rows.
+
+    Row i holds the residues ``data[indptr[i]:indptr[i + 1]]`` at the
+    columns ``indices[indptr[i]:indptr[i + 1]]``, sorted within the row;
+    no stored entry is zero, so a zero row is an empty one.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    m: int
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.indptr.size - 1, self.m
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @staticmethod
+    def from_array(A) -> "Rows":
+        A = np.asarray(A, dtype=np.int64)
+        r, c = np.nonzero(A)
+        indptr = np.zeros(A.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(A, axis=1), out=indptr[1:])
+        return Rows(indptr, c, A[r, c], A.shape[1])
+
+    @staticmethod
+    def from_entries(row: np.ndarray, col: np.ndarray, val: np.ndarray, shape) -> "Rows":
+        """The (r, m) matrix with non-zero entries val[k] at (row[k], col[k]),
+        in any order."""
+        order = np.lexsort((col, row))
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
+        return Rows(indptr, col[order], val[order], shape[1])
+
+    @staticmethod
+    def from_dicts(rows: List[dict], m: int) -> "Rows":
+        """Column->residue dict rows (without zeros) as `Rows`."""
+        at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        cols = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=at.size)
+        vals = chain.from_iterable(row.values() for row in rows)
+        vals = np.fromiter(vals, dtype=np.int64, count=at.size)
+        return Rows.from_entries(at, cols, vals, (len(rows), m))
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.row_ids(), self.indices] = self.data
+        return out
+
+    def dicts(self) -> List[dict]:
+        """Each row as a column->residue dict."""
+        ptr, cols, vals = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
+        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr, ptr[1:])]
+
+    def take(self, keep: np.ndarray) -> "Rows":
+        """The rows where the boolean ``keep`` holds."""
+        counts = np.diff(self.indptr)
+        sel = np.repeat(keep, counts)
+        indptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int64)
+        np.cumsum(counts[keep], out=indptr[1:])
+        return Rows(indptr, self.indices[sel], self.data[sel], self.m)
+
+    def relabel(self, new: np.ndarray, m: int) -> "Rows":
+        """The entries of column c moved to column new[c] of an m-column
+        matrix; those with new[c] < 0 are dropped."""
+        cols = new[self.indices]
+        keep = cols >= 0
+        return Rows.from_entries(self.row_ids()[keep], cols[keep], self.data[keep],
+                                 (self.shape[0], m))
+
+
+def _as_rows(mat: Union[np.ndarray, Rows]) -> Rows:
+    return mat if isinstance(mat, Rows) else Rows.from_array(mat)
 
 
 def vp_int(a: int, p: int, N: int) -> int:
@@ -98,32 +187,35 @@ def _check_modulus(p: int, N: int) -> int:
     return q
 
 
-def howell(mat: np.ndarray, p: int, N: int) -> np.ndarray:
+def howell(mat: Union[np.ndarray, Rows], p: int, N: int) -> Rows:
     """Howell canonical form of the row span of ``mat`` over Z/p^N."""
     q = _check_modulus(p, N)
-    A = np.asarray(mat, dtype=np.int64)
-    m = A.shape[1]
+    mat = _as_rows(mat)
+    m = mat.m
     # row, column and residue of each non-zero entry, in row-major order
-    r, c = np.divmod(np.flatnonzero(A != 0), m)
-    vals = A[r, c] % q
+    r, c, vals = mat.row_ids(), mat.indices, mat.data % q
     keep = vals != 0
     r, c, vals = r[keep], c[keep], vals[keep]
     if not vals.size:
-        return np.zeros((0, m), dtype=np.int64)
-    if _filled(vals.size, (np.count_nonzero(np.diff(r)) + 1) * m):
-        A = np.mod(A, q)
-        result = _dense_forward(A[np.any(A, axis=1)], 0, p, N)
+        return Rows.from_array(np.zeros((0, m), dtype=np.int64))
+    # the position of each entry's row among the non-zero rows
+    at = np.concatenate(([0], np.cumsum(np.diff(r) != 0)))
+    if _filled(vals.size, (int(at[-1]) + 1) * m):
+        A = np.zeros((int(at[-1]) + 1, m), dtype=np.int64)
+        A[at, c] = vals
+        result, k = _dense_forward(A, 0, p, N), 0
     else:
         result, rest, col = _sparse_forward(r, c, vals, m, p, N)
+        k = len(result)
         if rest is not None:
             result += _dense_forward(rest, col, p, N)
-    # dict rows, then array rows from the dense loop
+    # k dict rows, then array rows from the dense loop
     piv = [(col, e) for col, e, _ in result]
     rows = [row for _, _, row in result]
-    k = sum(isinstance(row, dict) for row in rows)
     nnz = sum(map(len, rows[:k])) + sum(map(np.count_nonzero, rows[k:]))
     if _filled(nnz, len(rows) * m):
-        return _dense_back(np.vstack([_stack(rows[:k], m), *rows[k:]]), piv, p, N)
+        dense = np.vstack([_stack(rows[:k], m), *rows[k:]])
+        return Rows.from_array(_dense_back(dense, piv, p, N))
     for i in range(k, len(rows)):
         cols = rows[i].nonzero()[0]
         rows[i] = dict(zip(cols.tolist(), rows[i][cols].tolist()))
@@ -138,12 +230,7 @@ def _filled(nnz: int, cells: int) -> bool:
 
 def _stack(rows: List[dict], m: int) -> np.ndarray:
     """Column->residue dict rows as one (r, m) array."""
-    out = np.zeros((len(rows), m), dtype=np.int64)
-    at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    cols = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=at.size)
-    vals = chain.from_iterable(row.values() for row in rows)
-    out[at, cols] = np.fromiter(vals, dtype=np.int64, count=at.size)
-    return out
+    return Rows.from_dicts(rows, m).toarray()
 
 
 def _sparse_forward(
@@ -320,15 +407,14 @@ def _dense_back(rows: np.ndarray, piv: List[Tuple[int, int]], p: int, N: int) ->
 
 def _sparse_back(
     rows: List[dict], piv: List[Tuple[int, int]], m: int, p: int, N: int
-) -> np.ndarray:
+) -> Rows:
     """Reduce the entries above each pivot of the dict ``rows``, whose
     (pivot col, valuation) pairs are ``piv``.
 
     Rows are finished from the bottom up, each against the finished rows
-    below it, visiting only its own entries in pivot columns (a heap, since
-    a reduction can add entries to the right).  Once the rows' non-zeros
-    pass `DENSE_FILL` of the (r, m) result the rest goes to `_dense_back`,
-    which leaves the finished rows as they are.
+    below it, visiting only its own entries in pivot columns (`_reduce`).
+    Once the rows' non-zeros pass `DENSE_FILL` of the (r, m) result the
+    rest goes to `_dense_back`, which leaves the finished rows as they are.
     """
     q = p**N
     at = {col: (j, p**e) for j, (col, e) in enumerate(piv)}
@@ -339,42 +425,68 @@ def _sparse_back(
         if not todo:
             continue
         before = len(row)
-        heapq.heapify(todo)
-        while todo:
-            c = heapq.heappop(todo)
-            j, pe = at[c]
-            f = row.get(c, 0) // pe
-            if not f:
-                continue
-            for cc, v in rows[j].items():
-                x = (row.get(cc, 0) - f * v) % q
-                if x:
-                    if cc not in row and cc in at:
-                        heapq.heappush(todo, cc)
-                    row[cc] = x
-                elif cc in row:
-                    del row[cc]
+        _reduce(row, todo, at, rows, q)
         nnz += len(row) - before
         if i and _filled(nnz, len(rows) * m):
-            return _dense_back(_stack(rows, m), piv, p, N)
-    return _stack(rows, m)
+            return Rows.from_array(_dense_back(_stack(rows, m), piv, p, N))
+    return Rows.from_dicts(rows, m)
 
 
-def pivots(rows: np.ndarray, p: int, N: int) -> List[Tuple[int, int]]:
-    """(column, valuation) of each Howell row's pivot."""
-    if rows.shape[0] == 0:
-        return []
-    cols = np.argmax(rows != 0, axis=1)
-    vals = _col_vals(rows[np.arange(rows.shape[0]), cols], p, N)
-    return list(zip(cols.tolist(), vals.tolist()))
+def _reduce(row: dict, todo: List[int], at: Dict[int, Tuple[int, int]], rows: List[dict],
+            q: int) -> None:
+    """Reduce the dict ``row`` in place at the pivot columns ``todo``.
+
+    ``at`` maps each pivot column to the index of its row in ``rows`` and
+    to p^e for its pivot p^e.  Columns are visited smallest first (a heap,
+    since a reduction can add entries to the right), and only those where
+    the row has an entry.
+    """
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        j, pe = at[c]
+        f = row.get(c, 0) // pe
+        if not f:
+            continue
+        for cc, v in rows[j].items():
+            x = (row.get(cc, 0) - f * v) % q
+            if x:
+                if cc not in row and cc in at:
+                    heapq.heappush(todo, cc)
+                row[cc] = x
+            elif cc in row:
+                del row[cc]
 
 
-def reduce_rows(rows: np.ndarray, vecs: np.ndarray, p: int, N: int) -> np.ndarray:
+def pivots(rows: Union[np.ndarray, Rows], p: int, N: int) -> List[Tuple[int, int]]:
+    """(column, valuation) of each Howell row's pivot, its first entry."""
+    rows = _as_rows(rows)
+    first = rows.indptr[:-1]
+    vals = _col_vals(rows.data[first], p, N)
+    return list(zip(rows.indices[first].tolist(), vals.tolist()))
+
+
+def reduce_rows(rows: Union[np.ndarray, Rows], vecs: Union[np.ndarray, Rows], p: int,
+                N: int) -> Rows:
     """Remainders of the (k, m) batch ``vecs`` after reduction against
-    Howell ``rows``; one vectorised step per pivot, over the live rows."""
+    Howell ``rows``.
+
+    Against a sparse basis each vector follows its own non-zeros through
+    `_reduce`; against one the fill rule calls filled, the batch is
+    reduced with one vectorised step per pivot, over the live vectors.
+    """
     q = _check_modulus(p, N)
-    V = np.mod(np.asarray(vecs, dtype=np.int64), q)
-    for (col, e), row in zip(pivots(rows, p, N), rows):
+    rows, vecs = _as_rows(rows), _as_rows(vecs)
+    piv = pivots(rows, p, N)
+    if not _filled(rows.nnz, rows.shape[0] * rows.m):
+        basis = rows.dicts()
+        at = {col: (j, p**e) for j, (col, e) in enumerate(piv)}
+        V = [{c: x % q for c, x in vec.items() if x % q} for vec in vecs.dicts()]
+        for vec in V:
+            _reduce(vec, [c for c in vec if c in at], at, basis, q)
+        return Rows.from_dicts(V, vecs.m)
+    V = np.mod(vecs.toarray(), q)
+    for (col, e), row in zip(piv, rows.toarray()):
         nz = V[:, col].nonzero()[0]
         if nz.size:
             factors = V[nz, col] // p**e
@@ -382,17 +494,22 @@ def reduce_rows(rows: np.ndarray, vecs: np.ndarray, p: int, N: int) -> np.ndarra
             block -= factors[:, None] * row[None, col:]
             np.mod(block, q, out=block)
             V[nz, col:] = block
-    return V
+    return Rows.from_array(V)
 
 
-def member(rows: np.ndarray, vec: np.ndarray, p: int, N: int) -> bool:
-    return not reduce_rows(rows, np.asarray(vec)[None, :], p, N).any()
+def member(rows: Union[np.ndarray, Rows], vec: np.ndarray, p: int, N: int) -> bool:
+    return reduce_rows(rows, np.asarray(vec)[None, :], p, N).nnz == 0
 
 
-def span_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.array_equal(a, b))
+def span_equal(a: Union[np.ndarray, Rows], b: Union[np.ndarray, Rows]) -> bool:
+    """Whether two Howell forms are equal, and so span the same module."""
+    a, b = _as_rows(a), _as_rows(b)
+    return a.shape == b.shape and all(
+        np.array_equal(x, y)
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+    )
 
 
-def rank_log(rows: np.ndarray, p: int, N: int) -> int:
+def rank_log(rows: Union[np.ndarray, Rows], p: int, N: int) -> int:
     """log_p of the cardinality of the spanned module."""
     return sum(N - e for _, e in pivots(rows, p, N))

@@ -277,20 +277,27 @@ class AutomorphismSpec:
 
     def compose(self, other: "AutomorphismSpec") -> "AutomorphismSpec":
         """self after other."""
-        betas = self.chart.coordinates(self.chart.batch(other.images))
-        imgs = tuple(_as_matrix(m) for m in self.image_words(betas))
-        return AutomorphismSpec(self.chart, imgs, name=f"{self.name}*{other.name}")
+        return AutomorphismSpec(
+            self.chart, self._after(other.images), name=f"{self.name}*{other.name}"
+        )
+
+    def _after(self, images: Tuple[Matrix, ...]) -> Tuple[Matrix, ...]:
+        """The generator images of self after the map with generator images
+        ``images``."""
+        betas = self.chart.coordinates(self.chart.batch(images))
+        return tuple(_as_matrix(m) for m in self.image_words(betas))
 
     def power(self, k: int) -> "AutomorphismSpec":
-        out = AutomorphismSpec.identity(self.chart)
-        base = self
-        while k:
-            if k & 1:
-                out = base.compose(out)
-            k >>= 1
-            if k:
-                base = base.compose(base)
-        return out
+        """self^k by repeated squaring, named ``name^k``."""
+        images, base = self.chart.generators, self
+        e = k
+        while e:
+            if e & 1:
+                images = base._after(images)
+            e >>= 1
+            if e:
+                base = AutomorphismSpec(self.chart, base._after(base.images), name=self.name)
+        return AutomorphismSpec(self.chart, images, name=f"{self.name}^{k}")
 
     # -- verification ---------------------------------------------------
 
@@ -444,17 +451,23 @@ def expand_aut(
 def z_approximants(
     phi: AutomorphismSpec, g: Matrix, m_range: Sequence[int]
 ) -> List[Matrix]:
-    """(phi^{p^m}(g) g^{-1})^{p^{-m}} for m in m_range."""
+    """(phi^{p^m}(g) g^{-1})^{p^{-m}} for m in m_range.
+
+    phi^{p^m} is the p-th power of phi^{p^(m-1)}, so the largest m costs
+    about m·log2(p) squarings in all.
+    """
     chart = phi.chart
     q = chart.modulus
-    out = []
     beta = chart.coordinates(g)
-    for m in m_range:
-        pm = chart.p**m
-        phim = phi.power(pm)
-        h = _mul(phim.image_word(beta), chart.inverse(g), q)
-        out.append(chart.root(h, m))
-    return out
+    ginv = chart.inverse(g)
+    approx = {}
+    phim = phi.power(1)
+    for m in range(max(m_range, default=-1) + 1):
+        if m:
+            phim = phim.power(chart.p)
+        if m in m_range:
+            approx[m] = chart.root(_mul(phim.image_word(beta), ginv, q), m)
+    return [approx[m] for m in m_range]
 
 
 def z_stable(

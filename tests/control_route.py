@@ -11,6 +11,9 @@ point, and `is_controlled` sums a Howell rank over every U-coset, which
 The subgroup image and the centre are found with scalar products, as
 `OpenSubgroupSpec` and `centre_indices` found them before they read the
 power columns of Q.  `rho` is the canonical action of a function on Q.
+`restrict_dense` and `project_dense` are `control._restrict` and the
+projection onto KU as they were on dense arrays, before bases became
+sparse rows.
 """
 
 from itertools import product
@@ -51,7 +54,7 @@ def rho(f, x):
 def _subalgebra_restriction(I, members):
     Q = I.quotient
     p, N = Q.p, Q.N
-    rows = I.rows
+    rows = I.rows.toarray()
     if rows.shape[0] == 0:
         return rows
     outside = [j for j in range(Q.size) if j not in members]
@@ -59,13 +62,13 @@ def _subalgebra_restriction(I, members):
         return rows
     inside = sorted(members)
     order = outside + inside
-    H = linalg.howell(rows[:, order], p, N)
+    H = linalg.howell(rows[:, order], p, N).toarray()
     keep = H[~np.any(H[:, : len(outside)], axis=1)]
     out = np.zeros((keep.shape[0], Q.size), dtype=np.int64)
     out[:, order] = keep
     if out.shape[0] == 0:
         return out
-    return linalg.howell(out, p, N)
+    return linalg.howell(out, p, N).toarray()
 
 
 def _local_closure_rank(U, inner):
@@ -87,7 +90,7 @@ def _local_closure_rank(U, inner):
             moved = np.zeros_like(rows)
             moved[:, perm] = rows
             stacked.append(moved)
-        nxt = linalg.howell(np.vstack(stacked), p, N)
+        nxt = linalg.howell(np.vstack(stacked), p, N).toarray()
         if linalg.span_equal(nxt, rows):
             return linalg.rank_log(rows, p, N)
         rows = nxt
@@ -96,30 +99,31 @@ def _local_closure_rank(U, inner):
 def is_controlled(I, U):
     Q = I.quotient
     p, N = Q.p, Q.N
-    total_rank = linalg.rank_log(I.rows, p, N)
+    rows = I.rows.toarray()
+    total_rank = linalg.rank_log(rows, p, N)
     if total_rank in (0, N * Q.size):
         return True, True
 
     inner = _subalgebra_restriction(I, set(U.members().tolist()))
     if inner.shape[0] == 0:
-        definitional = I.rows.shape[0] == 0
+        definitional = rows.shape[0] == 0
     else:
         index = Q.size // U.members().size
         definitional = (
-            linalg.rank_log(I.rows, p, N) == index * _local_closure_rank(U, inner)
+            linalg.rank_log(rows, p, N) == index * _local_closure_rank(U, inner)
         )
 
-    if I.rows.shape[0] == 0:
+    if rows.shape[0] == 0:
         by_action = True
     else:
         total = 0
         for members in coset_partition(U).values():
             cols = np.array(sorted(members), dtype=np.int64)
-            sub = I.rows[:, cols]
+            sub = rows[:, cols]
             sub = sub[np.any(sub, axis=1)]
             if sub.shape[0]:
                 total += linalg.rank_log(linalg.howell(sub, p, N), p, N)
-        by_action = total == linalg.rank_log(I.rows, p, N)
+        by_action = total == linalg.rank_log(rows, p, N)
     return definitional, by_action
 
 
@@ -132,6 +136,23 @@ def control_lattice(I):
             continue
         out[e] = is_controlled(I, U)
     return out
+
+
+def restrict_dense(rows, cols, members, p, N):
+    """Howell rows of span(rows) ∩ KU on the sorted columns ``members``,
+    from the dense array ``rows`` on the sorted columns ``cols``."""
+    inside = np.searchsorted(cols, members)
+    if rows.shape[0] == 0 or inside.size == cols.size:
+        return rows[:, inside]
+    outside = np.setdiff1d(np.arange(cols.size), inside, assume_unique=True)
+    H = linalg.howell(rows[:, np.concatenate((outside, inside))], p, N).toarray()
+    return H[~np.any(H[:, : outside.size], axis=1), outside.size :]
+
+
+def project_dense(rows, members, p, N):
+    """Howell rows of the projection of span(rows) onto KU, from all of
+    the dense array ``rows``."""
+    return linalg.howell(rows[:, members], p, N).toarray()
 
 
 def subgroup_elements(U):

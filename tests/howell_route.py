@@ -10,6 +10,13 @@ Passing ``dtype=object`` runs `howell` on Python ints, which is the
 oracle above the package's int64 modulus bound.  `ideal_closure` builds
 its stacks of translates with one `_apply_perm` call per permutation and
 `np.vstack`, as the package did before it indexed them in one step.
+
+The dense array routes the package used before its bases became sparse
+rows are kept too: `reduce_rows_dense` reduces a whole (k, m) batch with
+one vectorised step per pivot, `is_faithful_chunked` reduces the g - 1 in
+dense batches of ``step`` vectors and stops at the first zero remainder,
+and `j_ideal_rank_stacked` stacks the centre's unit vectors on I and
+echelons the stack.
 """
 
 import numpy as np
@@ -99,9 +106,10 @@ def reduce_vector(rows, vec, p, N):
 def is_faithful(I):
     Q = I.quotient
     one = AlgebraElement.one(Q)
+    rows = I.rows.toarray()
     for g in range(1, Q.size):
         vec = (AlgebraElement.group_element(Q, g) - one).to_vector()
-        if not reduce_vector(I.rows, vec, Q.p, Q.N).any():
+        if not reduce_vector(rows, vec, Q.p, Q.N).any():
             return False
     return True
 
@@ -109,16 +117,56 @@ def is_faithful(I):
 def j_ideal_rank(I):
     Q = I.quotient
     p, N = Q.p, Q.N
+    rows = I.rows.toarray()
     vecs = []
     for h in centre_indices(Q):
         v = np.zeros(Q.size, dtype=np.int64)
         v[h] = 1
-        vecs.append(reduce_vector(I.rows, v, p, N) if I.rows.shape[0] else v)
+        vecs.append(reduce_vector(rows, v, p, N) if rows.shape[0] else v)
     mat = np.array(vecs, dtype=np.int64)
-    stacked = np.vstack([mat, I.rows]) if I.rows.shape[0] else mat
+    stacked = np.vstack([mat, rows]) if rows.shape[0] else mat
     total = rank_log(howell(stacked, p, N), p, N)
-    base = rank_log(I.rows, p, N) if I.rows.shape[0] else 0
+    base = rank_log(rows, p, N) if rows.shape[0] else 0
     return total - base
+
+
+def reduce_rows_dense(rows, vecs, p, N):
+    q = p**N
+    rows = np.asarray(rows, dtype=np.int64)
+    V = np.mod(np.asarray(vecs, dtype=np.int64), q)
+    for (col, e), row in zip(_pivots(rows, p, N), rows):
+        nz = V[:, col].nonzero()[0]
+        if nz.size:
+            factors = V[nz, col] // p**e
+            block = V[nz, col:]
+            block -= factors[:, None] * row[None, col:]
+            np.mod(block, q, out=block)
+            V[nz, col:] = block
+    return V
+
+
+def is_faithful_chunked(I, step):
+    Q = I.quotient
+    rows = I.rows.toarray()
+    for lo in range(1, Q.size, step):
+        g = np.arange(lo, min(lo + step, Q.size))
+        vecs = np.zeros((g.size, Q.size), dtype=np.int64)
+        vecs[np.arange(g.size), g] = 1
+        vecs[:, 0] = -1
+        rems = reduce_rows_dense(rows, vecs, Q.p, Q.N)
+        if not np.all(np.any(rems, axis=1)):
+            return False
+    return True
+
+
+def j_ideal_rank_stacked(I):
+    Q = I.quotient
+    p, N = Q.p, Q.N
+    centre = centre_indices(Q)
+    units = np.zeros((len(centre), Q.size), dtype=np.int64)
+    units[np.arange(len(centre)), centre] = 1
+    total = rank_log(linalg.howell(np.vstack([units, I.rows.toarray()]), p, N), p, N)
+    return total - rank_log(I.rows, p, N)
 
 
 def _apply_perm(rows, perm):
@@ -136,7 +184,8 @@ def ideal_closure(gens, side, Q):
     if side == "two-sided":
         lperms = [Q.left_mult_perm(Q.generator(i)) for i in range(Q.dim)]
         while True:
-            new = [rows] + [_apply_perm(rows, perm) for perm in lperms]
+            dense = rows.toarray()
+            new = [dense] + [_apply_perm(dense, perm) for perm in lperms]
             nxt = linalg.howell(np.vstack(new), p, N)
             if linalg.span_equal(nxt, rows):
                 break

@@ -74,17 +74,20 @@ class TestQuotientGroup:
         assert Q.size == 3**12
 
     def test_dense_byte_budget(self, monkeypatch):
-        # the table and the translate stack are refused before allocation
+        # the table and the translates are refused before allocation; the
+        # translates cost 32 bytes per entry, |Q| entries per non-zero of
+        # the generators, so a generator on all of Q overflows the budget
         from iwasawa_kernel import algebra
 
         Q = heis_quotient()
         gen = b_element(Q, 0)
+        full = AlgebraElement(Q, {h: 1 for h in range(Q.size)})
         monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 8 * Q.size**2 - 1)
         with pytest.raises(BudgetError, match="multiplication table"):
             Q.mult_table()
         assert Q._mult_table is None
         with pytest.raises(BudgetError, match="translates"):
-            ideal_closure([gen, gen], side="right", quotient=Q)
+            ideal_closure([full], side="right", quotient=Q)
         monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 8 * Q.size**2)
         assert ideal_closure([gen], side="right", quotient=Q).rank_log > 0
 
@@ -197,8 +200,9 @@ class TestIdealsAndAction:
         I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
         for i in range(Q.dim):
             perm = Q.right_mult_perm(Q.generator(i))
-            moved = np.zeros_like(I.rows)
-            moved[:, perm] = I.rows
+            rows = I.rows.toarray()
+            moved = np.zeros_like(rows)
+            moved[:, perm] = rows
             for row in moved:
                 assert I.member(AlgebraElement.from_vector(Q, row))
 
@@ -208,7 +212,7 @@ class TestIdealsAndAction:
         right = ideal_closure([gen], side="right", quotient=Q)
         two = ideal_closure([gen], side="two-sided", quotient=Q)
         assert two.rank_log >= right.rank_log
-        for row in right.rows:
+        for row in right.rows.toarray():
             assert two.member(AlgebraElement.from_vector(Q, row))
 
     def test_rho_scales_coefficients(self):

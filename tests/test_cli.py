@@ -229,6 +229,10 @@ FUZZ = [
      ["mahler", "--level", "2"], 1, "not a homomorphism"),
     ("level-0", CENTRAL_IDEAL, ["control", "--level", "0"], 1, "must be >= 1"),
     ("negative-m-max", HEIS_CONJ, ["growth", "--m-max", "-1"], 1, "--m-max must be >= 0"),
+    # phi^(3^40) takes ~64 squarings; the z-map approximant then leaves the
+    # chart's precision
+    ("growth-m-max-40", HEIS_CONJ, ["growth", "--m-max", "40"], 2,
+     "target outside chart lattice"),
     ("negative-size-budget", HEIS_CONJ, ["growth", "--size-budget", "-1"], 1,
      "--size-budget must be >= 1"),
     ("zero-size-budget", HEIS_CONJ, ["growth", "--size-budget", "0"], 1,
@@ -236,8 +240,12 @@ FUZZ = [
     ("negative-degree", HEIS_ID, ["mahler", "--degree", "-1"], 1, "degree must be >= 0"),
     ("coeff-prec-21", CENTRAL_IDEAL, ["control", "--coeff-prec", "21"], 2,
      "coefficient modulus 3^21"),
-    # |Q| = 19683: the translate stack and the multiplication table would
-    # take 2.9 GiB each, and the stage refuses before allocating either
+    # 3^40 > 2^63: the generators' coefficients would not fit in int64
+    ("coeff-prec-40", CENTRAL_IDEAL, ["control", "--coeff-prec", "40"], 2,
+     "coefficient modulus 3^40"),
+    # |Q| = 19683: the translates are sparse rows of a few MB, but the
+    # multiplication table would take 2.9 GiB, and the stage refuses
+    # before allocating it
     ("control-level-3", CENTRAL_IDEAL, ["control", "--level", "3"], 2, "dense byte budget"),
     ("control-level-4", CENTRAL_IDEAL, ["control", "--level", "4"], 2, "exceeds budget"),
 ]

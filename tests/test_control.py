@@ -73,7 +73,7 @@ def brute_force_by_action(I, U):
     Q = I.quotient
     for members in coset_partition(U).values():
         member_set = set(members)
-        for row in I.rows:
+        for row in I.rows.toarray():
             x = AlgebraElement.from_vector(Q, row)
             proj = rho(lambda k, s=member_set: 1 if k in s else 0, x)
             if not I.member(proj):

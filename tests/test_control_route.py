@@ -92,13 +92,14 @@ LARGE = criterion_8_large_ideals()
 
 
 def recorded_lattice(I, monkeypatch):
-    """control_lattice(I), plus the I ∩ KU it hands to each is_controlled."""
+    """control_lattice(I), plus the I ∩ KU and the projection onto KU it
+    hands to each is_controlled."""
     seen = {}
 
-    def record(I, U, _inner=None, _total=None):
-        seen[U.exponents] = _inner
+    def record(I, U, _inner=None, _projection=None, _total=None):
+        seen[U.exponents] = _inner, _projection
         assert _total == I.rank_log
-        return is_controlled(I, U, _inner=_inner, _total=_total)
+        return is_controlled(I, U, _inner=_inner, _projection=_projection, _total=_total)
 
     monkeypatch.setattr(control, "is_controlled", record)
     return control_lattice(I), seen
@@ -112,16 +113,20 @@ def test_lattice_matches_per_coset_route(Q, gens, side, monkeypatch):
     got, seen = recorded_lattice(I, monkeypatch)
     assert got == ref.control_lattice(I)
     assert set(seen) == set(got)
-    for e, inner in seen.items():
+    for e, (inner, projection) in seen.items():
         if inner is None:
             # only the zero ideal and the full algebra skip the intersection
+            assert projection is None
             assert I.rank_log in (0, Q.N * Q.size)
             continue
         U = OpenSubgroupSpec(Q, e)
         members = U.members()
         direct = ref._subalgebra_restriction(I, set(members.tolist()))[:, members]
         assert inner.shape == direct.shape
-        assert np.array_equal(inner, direct), e
+        assert np.array_equal(inner.toarray(), direct), e
+        # the projection taken from a larger subgroup's equals the one from I
+        direct = ref.project_dense(I.rows.toarray(), members, Q.p, Q.N)
+        assert np.array_equal(projection.toarray(), direct), e
 
 
 def test_single_point_matches_lattice():

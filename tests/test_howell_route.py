@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import howell_route as ref
 from stages import small_stage_ideals
-from iwasawa_kernel import control, linalg
+from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import AlgebraElement, b_monomial, build_quotient, ideal_closure
 from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
 from iwasawa_kernel.control import is_faithful, j_ideal_rank
@@ -76,6 +76,8 @@ def howell_checked(A, p, N):
     and the recorded kernels against the input gate; returns the kernels."""
     with kernels() as ran:
         got = linalg.howell(A, p, N)
+    assert isinstance(got, linalg.Rows)
+    got = got.toarray()
     want = ref.howell(A, p, N)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -178,7 +180,7 @@ def test_p_scaled_ideal_hands_off_to_dense_loop(heis2):
     x = AlgebraElement(heis2, {5: 3, 301: 6, 712: 3})
     T = translates(heis2, x)
     assert howell_checked(T, 3, 2) == HANDOFF
-    assert np.array_equal(ideal_closure([x], quotient=heis2).rows, linalg.howell(T, 3, 2))
+    assert linalg.span_equal(ideal_closure([x], quotient=heis2).rows, linalg.howell(T, 3, 2))
 
 
 def test_sparse_ideal_takes_sparse_kernel():
@@ -216,7 +218,7 @@ def test_reduce_rows_matches_per_vector_reduction(case, seed):
     # members of the span reduce to zero: include two combinations of A
     if A.shape[0]:
         vecs[:2] = (rng.integers(0, p**N, size=(2, A.shape[0])) @ A) % p**N
-    got = linalg.reduce_rows(H, vecs, p, N)
+    got = linalg.reduce_rows(H, vecs, p, N).toarray()
     for v, r in zip(vecs, got):
         assert np.array_equal(r, ref.reduce_vector(H, v, p, N))
         assert linalg.member(H, v, p, N) == (not r.any())
@@ -233,12 +235,11 @@ def test_control_predicates_match_old_routes(Q, gens):
 
 
 @pytest.mark.parametrize("Q, gens", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_is_faithful_in_small_chunks(Q, gens, monkeypatch):
-    # five g - 1 vectors per batch, so the early exit and the batch
-    # boundaries are exercised on every stage
+def test_is_faithful_in_small_chunks(Q, gens):
+    # the dense route in five-vector batches, which stops at the first
+    # batch with a zero remainder, against the one sparse batch
     I = ideal_closure(gens, side="right", quotient=Q)
-    monkeypatch.setattr(control, "_FAITHFUL_CHUNK_BYTES", 5 * 8 * Q.size)
-    assert is_faithful(I) == ref.is_faithful(I)
+    assert is_faithful(I) == ref.is_faithful_chunked(I, 5) == ref.is_faithful(I)
 
 
 @contextmanager
@@ -248,7 +249,7 @@ def howell_inputs():
     real = linalg.howell
 
     def spy(mat, p, N):
-        seen.append(np.array(mat, copy=True))
+        seen.append(mat.toarray() if isinstance(mat, linalg.Rows) else np.array(mat, copy=True))
         return real(mat, p, N)
 
     linalg.howell = spy
@@ -281,7 +282,7 @@ def test_closure_stacks_translates_as_before(name, n, N, side):
         assert got[0].shape == (Q.size * k, Q.size)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert np.array_equal(new.rows, old.rows)
+        assert np.array_equal(new.rows.toarray(), old.rows.toarray())
         steps.append(len(got))
     if side == "two-sided" and name == "heisenberg":
         # the left translates add rows: the fixed-point loop runs twice

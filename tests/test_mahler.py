@@ -8,7 +8,7 @@ import random
 import pytest
 
 from iwasawa_kernel.algebra import AlgebraElement, b_element, build_quotient
-from iwasawa_kernel.charts import heisenberg_chart, unipotent_chart
+from iwasawa_kernel.charts import _mul, heisenberg_chart, unipotent_chart
 from iwasawa_kernel.errors import ValidationError
 from iwasawa_kernel.mahler import (
     AutomorphismSpec,
@@ -19,6 +19,7 @@ from iwasawa_kernel.mahler import (
     mahler_coeffs,
     q_growth,
     reconstruct,
+    z_approximants,
     z_stable,
 )
 
@@ -131,6 +132,22 @@ class TestAutomorphismSpec:
             assert sq.apply_index(Q, a) == phi.apply_index(Q, phi.apply_index(Q, a))
             assert pw.apply_index(Q, a) == sq.apply_index(Q, a)
 
+    def test_power_keeps_a_short_name(self, monkeypatch):
+        # the squarings once concatenated their names, doubling the name's
+        # length at each one: 3 188 654 characters for heis_conj^(3^12)
+        chart = heisenberg_chart(P)
+        phi = conj_by_g1(chart)
+        names = []
+        real = AutomorphismSpec.__post_init__
+        monkeypatch.setattr(AutomorphismSpec, "__post_init__",
+                            lambda spec: names.append(spec.name) or real(spec))
+        assert phi.power(3**12).name == "conj-g1^531441"
+        assert max(map(len, names)) == len("conj-g1^531441")
+        step = AutomorphismSpec.identity(chart)
+        for k in range(6):
+            assert phi.power(k).images == step.images
+            step = phi.compose(step)
+
 
 class TestMahlerFactorization:
     def test_identity_table_is_trivial(self):
@@ -165,6 +182,18 @@ class TestMahlerFactorization:
 
 
 class TestZMapGrowth:
+    def test_approximants_from_pth_powers(self):
+        # phi^(p^m) as the p-th power of phi^(p^(m-1)) against phi.power(p^m)
+        chart = heisenberg_chart(P)
+        phi, g = conj_by_g1(chart), chart.generators[1]
+        beta, ginv = chart.coordinates(g), chart.inverse(g)
+        want = [
+            chart.root(_mul(phi.power(P**m).image_word(beta), ginv, chart.modulus), m)
+            for m in range(4)
+        ]
+        assert z_approximants(phi, g, range(4)) == want
+        assert z_approximants(phi, g, [3, 1]) == [want[3], want[1]]
+
     def test_z_of_conjugation_is_commutator(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 2)
