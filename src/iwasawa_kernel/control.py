@@ -246,8 +246,7 @@ def is_faithful(I: SubmoduleBasis) -> bool:
         np.tile([Q.coeff_mod - 1, 1], g.size),
         Q.size,
     )
-    rems = linalg.reduce_rows(I.rows, batch, Q.p, Q.N)
-    return bool(np.all(np.diff(rems.indptr)))
+    return not linalg.in_span(I.rows, batch, Q.p, Q.N).any()
 
 
 def centre_indices(Q: QuotientGroup) -> List[int]:

@@ -27,8 +27,9 @@ forward result picks the back-substitution, and a sparse one that fills
 in hands its rows over as well.  `reduce_rows` reduces a batch of vectors
 against a Howell basis under the same rule: each vector by following its
 non-zeros through the loop the sparse back-substitution uses, or, against
-a filled basis, the whole batch with one vectorised step per pivot.
-`member` is a batch of one.
+a filled basis, with one vectorised step per pivot.  A batch is reduced in
+blocks of at most `_BLOCK_BYTES` as an array, and `in_span` keeps only one
+block of remainders at a time; `member` is a batch of one.
 
 The dense loop and `reduce_rows` form one int64 product of two residues
 before each reduction, and every kernel holds int64 residues, so the
@@ -42,7 +43,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +56,11 @@ MAX_MODULUS = isqrt(2**63 - 1)
 # for the dense loop; measured on the control inputs and on random sparse
 # and filling matrices (see `howell`).
 DENSE_FILL = 1 / 16
+
+# Batches are reduced in blocks of vectors taking at most this many bytes as
+# an int64 array, so a long batch (the |Q| - 1 vectors g - 1) holds a bounded
+# working set whatever |Q| is.
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +125,24 @@ class Rows:
         ptr, cols, vals = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
         return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr, ptr[1:])]
 
+    def block(self, lo: int, hi: int) -> "Rows":
+        """Rows lo to hi - 1."""
+        hi = min(hi, self.shape[0])
+        a, b = int(self.indptr[lo]), int(self.indptr[hi])
+        return Rows(self.indptr[lo : hi + 1] - a, self.indices[a:b], self.data[a:b], self.m)
+
+    @staticmethod
+    def vstack(parts: List["Rows"], m: int) -> "Rows":
+        """The rows of ``parts`` one after another, as one m-column matrix."""
+        ends = np.cumsum([0] + [part.nnz for part in parts])
+        indptr = [part.indptr[1:] + end for part, end in zip(parts, ends)]
+        return Rows(
+            np.concatenate([np.zeros(1, dtype=np.int64), *indptr]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [part.indices for part in parts]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [part.data for part in parts]),
+            m,
+        )
+
     def take(self, keep: np.ndarray) -> "Rows":
         """The rows where the boolean ``keep`` holds."""
         counts = np.diff(self.indptr)
@@ -134,10 +158,6 @@ class Rows:
         keep = cols >= 0
         return Rows.from_entries(self.row_ids()[keep], cols[keep], self.data[keep],
                                  (self.shape[0], m))
-
-
-def _as_rows(mat: Union[np.ndarray, Rows]) -> Rows:
-    return mat if isinstance(mat, Rows) else Rows.from_array(mat)
 
 
 def vp_int(a: int, p: int, N: int) -> int:
@@ -190,7 +210,8 @@ def _check_modulus(p: int, N: int) -> int:
 def howell(mat: Union[np.ndarray, Rows], p: int, N: int) -> Rows:
     """Howell canonical form of the row span of ``mat`` over Z/p^N."""
     q = _check_modulus(p, N)
-    mat = _as_rows(mat)
+    if not isinstance(mat, Rows):
+        mat = Rows.from_array(mat)
     m = mat.m
     # row, column and residue of each non-zero entry, in row-major order
     r, c, vals = mat.row_ids(), mat.indices, mat.data % q
@@ -458,58 +479,76 @@ def _reduce(row: dict, todo: List[int], at: Dict[int, Tuple[int, int]], rows: Li
                 del row[cc]
 
 
-def pivots(rows: Union[np.ndarray, Rows], p: int, N: int) -> List[Tuple[int, int]]:
+def pivots(rows: Rows, p: int, N: int) -> List[Tuple[int, int]]:
     """(column, valuation) of each Howell row's pivot, its first entry."""
-    rows = _as_rows(rows)
     first = rows.indptr[:-1]
     vals = _col_vals(rows.data[first], p, N)
     return list(zip(rows.indices[first].tolist(), vals.tolist()))
 
 
-def reduce_rows(rows: Union[np.ndarray, Rows], vecs: Union[np.ndarray, Rows], p: int,
-                N: int) -> Rows:
-    """Remainders of the (k, m) batch ``vecs`` after reduction against
-    Howell ``rows``.
+def _reduced(rows: Rows, vecs: Rows, p: int, N: int) -> Iterator[Rows]:
+    """Remainders of the batch ``vecs`` after reduction against Howell
+    ``rows``, one block of at most `_BLOCK_BYTES` in dense form at a time.
 
     Against a sparse basis each vector follows its own non-zeros through
-    `_reduce`; against one the fill rule calls filled, the batch is
-    reduced with one vectorised step per pivot, over the live vectors.
+    `_reduce`; against one the fill rule calls filled, each block is
+    reduced as an array with one vectorised step per pivot, over the live
+    vectors.
     """
     q = _check_modulus(p, N)
-    rows, vecs = _as_rows(rows), _as_rows(vecs)
     piv = pivots(rows, p, N)
-    if not _filled(rows.nnz, rows.shape[0] * rows.m):
+    step = max(1, _BLOCK_BYTES // (8 * vecs.m))
+    filled = _filled(rows.nnz, rows.shape[0] * rows.m)
+    if filled:
+        dense = rows.toarray()
+    else:
         basis = rows.dicts()
         at = {col: (j, p**e) for j, (col, e) in enumerate(piv)}
-        V = [{c: x % q for c, x in vec.items() if x % q} for vec in vecs.dicts()]
-        for vec in V:
-            _reduce(vec, [c for c in vec if c in at], at, basis, q)
-        return Rows.from_dicts(V, vecs.m)
-    V = np.mod(vecs.toarray(), q)
-    for (col, e), row in zip(piv, rows.toarray()):
-        nz = V[:, col].nonzero()[0]
-        if nz.size:
-            factors = V[nz, col] // p**e
-            block = V[nz, col:]
-            block -= factors[:, None] * row[None, col:]
-            np.mod(block, q, out=block)
-            V[nz, col:] = block
-    return Rows.from_array(V)
+    for lo in range(0, vecs.shape[0], step):
+        block = vecs.block(lo, lo + step)
+        if not filled:
+            V = [{c: x % q for c, x in vec.items() if x % q} for vec in block.dicts()]
+            for vec in V:
+                _reduce(vec, [c for c in vec if c in at], at, basis, q)
+            yield Rows.from_dicts(V, vecs.m)
+            continue
+        V = np.mod(block.toarray(), q)
+        for (col, e), row in zip(piv, dense):
+            nz = V[:, col].nonzero()[0]
+            if nz.size:
+                factors = V[nz, col] // p**e
+                part = V[nz, col:]
+                part -= factors[:, None] * row[None, col:]
+                np.mod(part, q, out=part)
+                V[nz, col:] = part
+        yield Rows.from_array(V)
 
 
-def member(rows: Union[np.ndarray, Rows], vec: np.ndarray, p: int, N: int) -> bool:
-    return reduce_rows(rows, np.asarray(vec)[None, :], p, N).nnz == 0
+def reduce_rows(rows: Rows, vecs: Rows, p: int, N: int) -> Rows:
+    """Remainders of the (k, m) batch ``vecs`` after reduction against
+    Howell ``rows``."""
+    return Rows.vstack(list(_reduced(rows, vecs, p, N)), vecs.m)
 
 
-def span_equal(a: Union[np.ndarray, Rows], b: Union[np.ndarray, Rows]) -> bool:
+def in_span(rows: Rows, vecs: Rows, p: int, N: int) -> np.ndarray:
+    """Whether each vector of the batch ``vecs`` lies in the span of Howell
+    ``rows``; only one block of remainders is held at a time."""
+    rems = _reduced(rows, vecs, p, N)
+    return np.concatenate([np.zeros(0, dtype=bool), *(np.diff(rem.indptr) == 0 for rem in rems)])
+
+
+def member(rows: Rows, vec: np.ndarray, p: int, N: int) -> bool:
+    return bool(in_span(rows, Rows.from_array(np.asarray(vec)[None, :]), p, N)[0])
+
+
+def span_equal(a: Rows, b: Rows) -> bool:
     """Whether two Howell forms are equal, and so span the same module."""
-    a, b = _as_rows(a), _as_rows(b)
     return a.shape == b.shape and all(
         np.array_equal(x, y)
         for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
     )
 
 
-def rank_log(rows: Union[np.ndarray, Rows], p: int, N: int) -> int:
+def rank_log(rows: Rows, p: int, N: int) -> int:
     """log_p of the cardinality of the spanned module."""
     return sum(N - e for _, e in pivots(rows, p, N))

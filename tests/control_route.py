@@ -71,6 +71,10 @@ def _subalgebra_restriction(I, members):
     return linalg.howell(out, p, N).toarray()
 
 
+def _rank_log(rows, p, N):
+    return linalg.rank_log(linalg.Rows.from_array(rows), p, N)
+
+
 def _local_closure_rank(U, inner):
     Q = U.quotient
     p, N = Q.p, Q.N
@@ -91,8 +95,8 @@ def _local_closure_rank(U, inner):
             moved[:, perm] = rows
             stacked.append(moved)
         nxt = linalg.howell(np.vstack(stacked), p, N).toarray()
-        if linalg.span_equal(nxt, rows):
-            return linalg.rank_log(rows, p, N)
+        if np.array_equal(nxt, rows):
+            return _rank_log(rows, p, N)
         rows = nxt
 
 
@@ -100,7 +104,7 @@ def is_controlled(I, U):
     Q = I.quotient
     p, N = Q.p, Q.N
     rows = I.rows.toarray()
-    total_rank = linalg.rank_log(rows, p, N)
+    total_rank = _rank_log(rows, p, N)
     if total_rank in (0, N * Q.size):
         return True, True
 
@@ -110,7 +114,7 @@ def is_controlled(I, U):
     else:
         index = Q.size // U.members().size
         definitional = (
-            linalg.rank_log(rows, p, N) == index * _local_closure_rank(U, inner)
+            total_rank == index * _local_closure_rank(U, inner)
         )
 
     if rows.shape[0] == 0:
@@ -123,7 +127,7 @@ def is_controlled(I, U):
             sub = sub[np.any(sub, axis=1)]
             if sub.shape[0]:
                 total += linalg.rank_log(linalg.howell(sub, p, N), p, N)
-        by_action = total == linalg.rank_log(rows, p, N)
+        by_action = total == total_rank
     return definitional, by_action
 
 

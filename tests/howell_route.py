@@ -24,7 +24,7 @@ import numpy as np
 from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import AlgebraElement, SubmoduleBasis
 from iwasawa_kernel.control import centre_indices
-from iwasawa_kernel.linalg import rank_log, vp_int
+from iwasawa_kernel.linalg import Rows, rank_log, vp_int
 
 
 def _unit_inv(a, p, N):
@@ -125,9 +125,8 @@ def j_ideal_rank(I):
         vecs.append(reduce_vector(rows, v, p, N) if rows.shape[0] else v)
     mat = np.array(vecs, dtype=np.int64)
     stacked = np.vstack([mat, rows]) if rows.shape[0] else mat
-    total = rank_log(howell(stacked, p, N), p, N)
-    base = rank_log(rows, p, N) if rows.shape[0] else 0
-    return total - base
+    total = rank_log(Rows.from_array(howell(stacked, p, N)), p, N)
+    return total - rank_log(I.rows, p, N)
 
 
 def reduce_rows_dense(rows, vecs, p, N):

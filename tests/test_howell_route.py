@@ -212,15 +212,15 @@ def test_back_substitution_fill_goes_dense(scale):
 @settings(max_examples=100, deadline=None)
 def test_reduce_rows_matches_per_vector_reduction(case, seed):
     p, N, A = case
-    H = ref.howell(A, p, N)
+    H = linalg.Rows.from_array(ref.howell(A, p, N))
     rng = np.random.default_rng(seed)
     vecs = random_matrix(rng, p, N, 6, A.shape[1], "dense")
     # members of the span reduce to zero: include two combinations of A
     if A.shape[0]:
         vecs[:2] = (rng.integers(0, p**N, size=(2, A.shape[0])) @ A) % p**N
-    got = linalg.reduce_rows(H, vecs, p, N).toarray()
+    got = linalg.reduce_rows(H, linalg.Rows.from_array(vecs), p, N).toarray()
     for v, r in zip(vecs, got):
-        assert np.array_equal(r, ref.reduce_vector(H, v, p, N))
+        assert np.array_equal(r, ref.reduce_vector(H.toarray(), v, p, N))
         assert linalg.member(H, v, p, N) == (not r.any())
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import howell_route
 from iwasawa_kernel import linalg
 from iwasawa_kernel.errors import BudgetError
+from iwasawa_kernel.linalg import Rows
 
 
 def enumerate_span(mat, q):
@@ -40,14 +41,15 @@ class TestHowell:
         mat = np.array(
             [[data.draw(st.integers(0, q - 1)) for _ in range(m)] for _ in range(k)]
         )
-        H = linalg.howell(mat, p, N).toarray()
+        R = linalg.howell(mat, p, N)
+        H = R.toarray()
         span = enumerate_span(mat, q)
         assert enumerate_span(H, q) == span
         # canonical: any generating set of the same span gives identical rows
         doubled = np.vstack([mat, mat[::-1]])
-        assert linalg.span_equal(linalg.howell(doubled, p, N), H)
+        assert linalg.span_equal(linalg.howell(doubled, p, N), R)
         # cardinality
-        assert p ** linalg.rank_log(H, p, N) == len(span)
+        assert p ** linalg.rank_log(R, p, N) == len(span)
 
     @given(small_case)
     @settings(max_examples=40, deadline=None)
@@ -106,4 +108,4 @@ class TestModulusGuard:
         with pytest.raises(BudgetError):
             linalg.howell(mat, p, N)
         with pytest.raises(BudgetError):
-            linalg.reduce_rows(np.zeros((0, m), dtype=np.int64), mat, p, N)
+            linalg.reduce_rows(Rows.from_array(np.zeros((0, m))), Rows.from_array(mat), p, N)

@@ -58,10 +58,7 @@ def test_sparse_routes_match_dense_routes(Q, gens):
 
     vecs = g_minus_one(Q)
     want = ref.reduce_rows_dense(dense, vecs, p, N)
-    assert np.array_equal(linalg.reduce_rows(I.rows, vecs, p, N).toarray(), want)
-    assert np.array_equal(
-        linalg.reduce_rows(I.rows, Rows.from_array(vecs), p, N).toarray(), want
-    )
+    assert np.array_equal(linalg.reduce_rows(I.rows, Rows.from_array(vecs), p, N).toarray(), want)
     assert is_faithful(I) == ref.is_faithful_chunked(I, 64)
     assert j_ideal_rank(I) == ref.j_ideal_rank_stacked(I)
 
@@ -99,14 +96,14 @@ def test_rows_input_and_sparse_reduction_match_dense_routes(case):
         # members of the span reduce to zero
         vecs[1:3] = (rng.integers(0, q, size=(2, k)) @ A) % q
     for basis in (H, F):
-        got = linalg.reduce_rows(basis, vecs, p, N).toarray()
+        got = linalg.reduce_rows(basis, Rows.from_array(vecs), p, N).toarray()
         assert np.array_equal(got, ref.reduce_rows_dense(basis.toarray(), vecs, p, N))
-    assert not linalg.reduce_rows(H, vecs[1:3] if k else vecs[:0], p, N).nnz
+    assert linalg.in_span(H, Rows.from_array(vecs[1:3] if k else vecs[:0]), p, N).all()
 
 
-def test_both_reduction_paths_run(monkeypatch):
+def test_reduction_in_blocks_on_both_paths(monkeypatch):
     # a sparse basis follows each vector's non-zeros, a filled one runs the
-    # array loop
+    # array loop; with blocks of 3 vectors both give the one-batch remainders
     rng = np.random.default_rng(3)
     p, N = 3, 2
     H = linalg.howell(np.eye(40, dtype=np.int64)[:30] * 3, p, N)
@@ -114,14 +111,32 @@ def test_both_reduction_paths_run(monkeypatch):
     assert not linalg._filled(H.nnz, H.shape[0] * H.m)
     assert linalg._filled(F.nnz, F.shape[0] * F.m)
     vecs = random_matrix(rng, p, N, 10, 40, "dense")
+    vecs[[2, 7]] = (rng.integers(0, p**N, size=(2, F.shape[0])) @ F.toarray()) % p**N
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 3 * 8 * 40)
     followed = []
     real = linalg._reduce
     monkeypatch.setattr(linalg, "_reduce", lambda row, *rest: followed.append(row) or real(row, *rest))
     for basis, calls in ((H, len(vecs)), (F, 0)):
         followed.clear()
-        got = linalg.reduce_rows(basis, vecs, p, N).toarray()
-        assert np.array_equal(got, ref.reduce_rows_dense(basis.toarray(), vecs, p, N))
+        want = ref.reduce_rows_dense(basis.toarray(), vecs, p, N)
+        got = linalg.reduce_rows(basis, Rows.from_array(vecs), p, N)
         assert len(followed) == calls
+        assert np.array_equal(got.toarray(), want)
+        assert np.array_equal(linalg.in_span(basis, Rows.from_array(vecs), p, N), ~want.any(axis=1))
+    assert linalg.in_span(F, Rows.from_array(vecs), p, N).tolist().count(True) == 2
+
+
+@pytest.mark.parametrize("name, Q", stages_up_to_729(), ids=[s[0] for s in stages_up_to_729()])
+def test_is_faithful_on_full_support_ideal(name, Q, monkeypatch):
+    # (g_1 - 1)^(p^n - 1) ... (g_d - 1)^(p^n - 1) has (nearly) full support,
+    # and its right ideal has a Howell form of a few filled rows
+    top = min(Q.p**Q.n - 1, 512 // Q.dim)
+    I = ideal_closure([b_monomial(Q, [top] * Q.dim)], side="right", quotient=Q)
+    want = ref.is_faithful_chunked(I, 64)
+    assert is_faithful(I) == want
+    # several blocks of g - 1 give the same verdict
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * Q.size * 100)
+    assert is_faithful(I) == want
 
 
 def test_rows_round_trip_and_selection():
