@@ -196,8 +196,6 @@ class QuotientGroup:
         return a
 
     def mult(self, a: int, b: int) -> int:
-        if self._mult_table is not None:
-            return int(self._mult_table[a, b])
         if not self.dense:
             return self.index_of_matrix(
                 _mul(self.matrix(a), self.matrix(b), self.chart.modulus)
@@ -236,14 +234,10 @@ class QuotientGroup:
 
     def right_mult_perm(self, g: int) -> np.ndarray:
         """Permutation h -> h*g over all of Q (dense; budgeted)."""
-        if self._mult_table is not None:
-            return self._mult_table[:, g]
         return self.mult_array(np.arange(self.size), g)
 
     def left_mult_perm(self, g: int) -> np.ndarray:
         """Permutation h -> g*h over all of Q (dense; budgeted)."""
-        if self._mult_table is not None:
-            return self._mult_table[g]
         return self.mult_array(g, np.arange(self.size))
 
     def _require_dense(self):
@@ -588,7 +582,7 @@ def ideal_closure(
         # the identity first, so that each step keeps the rows it had
         lperms = np.array(
             [np.arange(Q.size)]
-            + [Q.left_mult_perm(Q.generator(i)) for i in range(Q.dim)]
+            + [tab[Q.generator(i)] for i in range(Q.dim)]
         )
         while True:
             nxt = linalg.howell(_translates(rows, lperms), p, N)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 from . import control as control_mod
 from . import mahler as mahler_mod
 from . import nilpotent
-from .algebra import AlgebraElement, FiltValue, build_quotient, ideal_closure
+from .algebra import DEFAULT_SIZE_BUDGET, AlgebraElement, FiltValue, build_quotient, ideal_closure
 from .errors import (
     BudgetError,
     InvariantViolation,
@@ -98,7 +98,7 @@ def cmd_mahler(config) -> int:
     doc = _load(config)
     chart = doc.chart()
     phi = doc.automorphism(chart)
-    Q = build_quotient(chart, config.level, config.coeff_prec)
+    Q = build_quotient(chart, config.level, config.coeff_prec, size_budget=config.size_budget)
     if not phi.verify_homomorphism(Q):
         print("automorphism spec is not a homomorphism on the stage", file=sys.stderr)
         return 1
@@ -160,7 +160,7 @@ def cmd_mahler(config) -> int:
 def cmd_control(config) -> int:
     doc = _load(config)
     chart = doc.chart()
-    Q = build_quotient(chart, config.level, config.coeff_prec)
+    Q = build_quotient(chart, config.level, config.coeff_prec, size_budget=config.size_budget)
     gens = doc.ideal_generators(Q)
     I = ideal_closure(gens, side="right", quotient=Q)
     lattice = control_mod.control_lattice(I)
@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["text", "structured"], default="text")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--size-budget", dest="size_budget", type=int,
-                        default=50_000, help="dense |Q| budget")
+                        default=DEFAULT_SIZE_BUDGET,
+                        help="largest |Q| that mahler, control and growth accept")
     return parser
 
 

@@ -21,20 +21,21 @@ each with a forward elimination and a back-substitution above the pivots:
 
 The fill rule picks between them from what it sees: a part of the work
 goes to the dense loop when its non-zeros exceed `DENSE_FILL` (1/16) of
-its rows' cells.  The input picks the forward kernel; a sparse forward
+its rows' cells.  The input picks the forward kernel, and a sparse forward
 elimination hands its live rows to the dense loop once they fill in; the
-forward result picks the back-substitution, and a sparse one that fills
-in hands its rows over as well.  `reduce_rows` reduces a batch of vectors
-against a Howell basis under the same rule: each vector by following its
-non-zeros through the loop the sparse back-substitution uses, or, against
-a filled basis, with one vectorised step per pivot.  A batch is reduced in
-blocks of at most `_BLOCK_BYTES` as an array, and `in_span` keeps only one
-block of remainders at a time; `member` is a batch of one.
+forward result picks the back-substitution, which runs in that kernel to
+the end.  `in_span` tests a batch of vectors for membership in the span of
+a Howell basis under the same rule: each vector is reduced by following
+its non-zeros through the loop the sparse back-substitution uses, or,
+against a filled basis, with one vectorised step per pivot.  The batch is
+reduced in blocks of at most `_BLOCK_BYTES` as an array, and only one
+block of remainders is held at a time; `member` is a batch of one.
 
-The dense loop and `reduce_rows` form one int64 product of two residues
-before each reduction, and every kernel holds int64 residues, so the
-modulus must satisfy p^N <= isqrt(2^63 - 1).  `_check_modulus` enforces
-that bound for every entry point and raises `BudgetError` above it.
+The dense steps share one row update, `_eliminate`, which forms an int64
+product of two residues before each reduction, and every kernel holds
+int64 residues, so the modulus must satisfy p^N <= isqrt(2^63 - 1).
+`_check_modulus` enforces that bound for every entry point and raises
+`BudgetError` above it.
 """
 
 from __future__ import annotations
@@ -130,18 +131,6 @@ class Rows:
         hi = min(hi, self.shape[0])
         a, b = int(self.indptr[lo]), int(self.indptr[hi])
         return Rows(self.indptr[lo : hi + 1] - a, self.indices[a:b], self.data[a:b], self.m)
-
-    @staticmethod
-    def vstack(parts: List["Rows"], m: int) -> "Rows":
-        """The rows of ``parts`` one after another, as one m-column matrix."""
-        ends = np.cumsum([0] + [part.nnz for part in parts])
-        indptr = [part.indptr[1:] + end for part, end in zip(parts, ends)]
-        return Rows(
-            np.concatenate([np.zeros(1, dtype=np.int64), *indptr]),
-            np.concatenate([np.zeros(0, dtype=np.int64)] + [part.indices for part in parts]),
-            np.concatenate([np.zeros(0, dtype=np.int64)] + [part.data for part in parts]),
-            m,
-        )
 
     def take(self, keep: np.ndarray) -> "Rows":
         """The rows where the boolean ``keep`` holds."""
@@ -387,11 +376,7 @@ def _dense_forward(A: np.ndarray, start: int, p: int, N: int) -> list:
         pivot[col:] = (pivot[col:] * uinv) % q
         pe = p**e
         if nz.size:
-            factors = A[nz, col] // pe
-            block = A[nz, col:]
-            block -= factors[:, None] * pivot[None, col:]
-            np.mod(block, q, out=block)
-            A[nz, col:] = block
+            block = _eliminate(A, nz, A[nz, col] // pe, pivot, col, q)
             exhausted = exhausted or not block.any(axis=1).all()
         # Dropping exhausted rows is O(rows * m); do it sparingly.
         if exhausted and n and col % 8 == 7:
@@ -409,6 +394,21 @@ def _dense_forward(A: np.ndarray, start: int, p: int, N: int) -> list:
     return result
 
 
+def _eliminate(X: np.ndarray, nz: np.ndarray, factors: np.ndarray, row: np.ndarray,
+               col: int, q: int) -> np.ndarray:
+    """Subtract ``factors[k] * row`` from row ``nz[k]`` of ``X`` modulo q,
+    from column ``col`` on, and return the updated block ``X[nz, col:]``.
+
+    Factors and entries are residues below q <= `MAX_MODULUS`, so each
+    product, and the difference it is subtracted into, fits in int64.
+    """
+    block = X[nz, col:]
+    block -= factors[:, None] * row[None, col:]
+    np.mod(block, q, out=block)
+    X[nz, col:] = block
+    return block
+
+
 def _dense_back(rows: np.ndarray, piv: List[Tuple[int, int]], p: int, N: int) -> np.ndarray:
     """Reduce the entries above each pivot of ``rows`` modulo the pivot,
     touching only rows with a non-zero factor and the trailing columns;
@@ -419,10 +419,7 @@ def _dense_back(rows: np.ndarray, piv: List[Tuple[int, int]], p: int, N: int) ->
         factors = rows[:j, col] // p**e
         nz = factors.nonzero()[0]
         if nz.size:
-            block = rows[nz, col:]
-            block -= factors[nz, None] * rows[j, None, col:]
-            np.mod(block, q, out=block)
-            rows[nz, col:] = block
+            _eliminate(rows, nz, factors[nz], rows[j], col, q)
     return rows
 
 
@@ -433,23 +430,16 @@ def _sparse_back(
     (pivot col, valuation) pairs are ``piv``.
 
     Rows are finished from the bottom up, each against the finished rows
-    below it, visiting only its own entries in pivot columns (`_reduce`).
-    Once the rows' non-zeros pass `DENSE_FILL` of the (r, m) result the
-    rest goes to `_dense_back`, which leaves the finished rows as they are.
+    below it, visiting only its own entries in pivot columns (`_reduce`),
+    so the cost follows the entries the rows gain even when they fill in.
     """
     q = p**N
     at = {col: (j, p**e) for j, (col, e) in enumerate(piv)}
-    nnz = sum(map(len, rows))
     for i in range(len(rows) - 1, -1, -1):
         row, lead = rows[i], piv[i][0]
         todo = [c for c in row if c in at and c != lead]
-        if not todo:
-            continue
-        before = len(row)
-        _reduce(row, todo, at, rows, q)
-        nnz += len(row) - before
-        if i and _filled(nnz, len(rows) * m):
-            return Rows.from_array(_dense_back(_stack(rows, m), piv, p, N))
+        if todo:
+            _reduce(row, todo, at, rows, q)
     return Rows.from_dicts(rows, m)
 
 
@@ -516,18 +506,8 @@ def _reduced(rows: Rows, vecs: Rows, p: int, N: int) -> Iterator[Rows]:
         for (col, e), row in zip(piv, dense):
             nz = V[:, col].nonzero()[0]
             if nz.size:
-                factors = V[nz, col] // p**e
-                part = V[nz, col:]
-                part -= factors[:, None] * row[None, col:]
-                np.mod(part, q, out=part)
-                V[nz, col:] = part
+                _eliminate(V, nz, V[nz, col] // p**e, row, col, q)
         yield Rows.from_array(V)
-
-
-def reduce_rows(rows: Rows, vecs: Rows, p: int, N: int) -> Rows:
-    """Remainders of the (k, m) batch ``vecs`` after reduction against
-    Howell ``rows``."""
-    return Rows.vstack(list(_reduced(rows, vecs, p, N)), vecs.m)
 
 
 def in_span(rows: Rows, vecs: Rows, p: int, N: int) -> np.ndarray:

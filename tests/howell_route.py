@@ -13,7 +13,8 @@ its stacks of translates with one `_apply_perm` call per permutation and
 
 The dense array routes the package used before its bases became sparse
 rows are kept too: `reduce_rows_dense` reduces a whole (k, m) batch with
-one vectorised step per pivot, `is_faithful_chunked` reduces the g - 1 in
+one vectorised step per pivot (`remainders` reads the package's blocks of
+remainders for comparison), `is_faithful_chunked` reduces the g - 1 in
 dense batches of ``step`` vectors and stops at the first zero remainder,
 and `j_ideal_rank_stacked` stacks the centre's unit vectors on I and
 echelons the stack.
@@ -142,6 +143,13 @@ def reduce_rows_dense(rows, vecs, p, N):
             np.mod(block, q, out=block)
             V[nz, col:] = block
     return V
+
+
+def remainders(rows, vecs, p, N):
+    """The remainders of the batch ``vecs`` (a `Rows`) against Howell
+    ``rows``, as one array stacked from the blocks of `linalg._reduced`."""
+    blocks = [rem.toarray() for rem in linalg._reduced(rows, vecs, p, N)]
+    return np.vstack([np.zeros((0, vecs.m), dtype=np.int64), *blocks])
 
 
 def is_faithful_chunked(I, step):

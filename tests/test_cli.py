@@ -112,6 +112,16 @@ class TestMahler:
         assert main(["mahler", write(tmp_path, "i.txt", text), "--level", "1"]) == 1
         assert "aut index 7 outside 1..3" in capsys.readouterr().err
 
+    def test_size_budget_admits_level4(self, tmp_path, capsys):
+        # |Q| = 3^12 is above the default budget of 50 000; the flag lifts
+        # it, and the stage runs without the dense index arrays
+        path = write(tmp_path, "conj.txt", HEIS_CONJ)
+        code = main(["mahler", path, "--level", "4", "--degree", "1",
+                     "--size-budget", "10000000", "--format", "structured"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["by_formula"] is True and doc["by_commutation"] is True
+
     def test_level2_degree6_runtime(self, tmp_path, capsys):
         # one Mahler table per command and batched chart solves; with a
         # table per factorization check and one chart solve per element
@@ -248,6 +258,9 @@ FUZZ = [
     # before allocating it
     ("control-level-3", CENTRAL_IDEAL, ["control", "--level", "3"], 2, "dense byte budget"),
     ("control-level-4", CENTRAL_IDEAL, ["control", "--level", "4"], 2, "exceeds budget"),
+    # |Q| = 729 is one above the budget the flag sets
+    ("control-size-budget-728", CENTRAL_IDEAL, ["control", "--level", "2", "--size-budget", "728"],
+     2, "exceeds budget 728"),
 ]
 
 

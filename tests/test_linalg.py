@@ -108,4 +108,4 @@ class TestModulusGuard:
         with pytest.raises(BudgetError):
             linalg.howell(mat, p, N)
         with pytest.raises(BudgetError):
-            linalg.reduce_rows(Rows.from_array(np.zeros((0, m))), Rows.from_array(mat), p, N)
+            howell_route.remainders(Rows.from_array(np.zeros((0, m))), Rows.from_array(mat), p, N)
