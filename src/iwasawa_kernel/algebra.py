@@ -6,7 +6,8 @@ sparse coefficient dictionaries over Z/p^N.  Within the dense budget the
 group law is a set of index arrays: the d generator columns h -> h g_i
 come from one batched chart solve each, and products, inverses, the
 multiplication table and translation permutations are lookups in their
-powers.  Larger stages solve each product through the chart matrices.
+powers.  Larger stages solve products through the chart matrices, a batch
+of matrices at a time in `index_of_matrices`.
 
 The filtration weight of an element is the infimum of v_p(coefficient) +
 weighted degree over its expansion in the ordered monomials b^alpha,
@@ -146,16 +147,28 @@ class QuotientGroup:
         r = self.radix
         return (np.asarray(betas) % r).astype(np.int64) @ (r ** np.arange(self.dim))
 
-    def coords_array(self) -> np.ndarray:
-        """The (|Q|, d) coordinates of every index."""
+    def coords_array(self, idx=None) -> np.ndarray:
+        """The (B, d) coordinates of the indices in idx (of every index of Q
+        when idx is None)."""
         r = self.radix
-        return np.arange(self.size)[:, None] // (r ** np.arange(self.dim)) % r
+        if idx is None:
+            idx = np.arange(self.size)
+        return np.asarray(idx, dtype=np.int64)[:, None] // (r ** np.arange(self.dim)) % r
 
     def matrix(self, idx: int) -> Matrix:
         return self.chart.word(self.coords(idx))
 
     def index_of_matrix(self, g: Matrix) -> int:
         return self.index(self.chart.coordinates(g, prec=self.n))
+
+    def index_of_matrices(self, mats: np.ndarray) -> np.ndarray:
+        """Indices of a (B, size, size) array of chart matrices, solved in
+        batches of at most _SOLVE_CHUNK."""
+        out = np.empty(len(mats), dtype=np.int64)
+        for lo in range(0, len(mats), _SOLVE_CHUNK):
+            solved = self.chart.coordinates(mats[lo:lo + _SOLVE_CHUNK], prec=self.n)
+            out[lo:lo + _SOLVE_CHUNK] = self.index_array(solved)
+        return out
 
     # -- group law ------------------------------------------------------
 
@@ -176,9 +189,7 @@ class QuotientGroup:
                 hs = chart.words(coords[lo:lo + _SOLVE_CHUNK])
                 for i, g in enumerate(gens):
                     prods = np.matmul(hs, g) % chart.modulus
-                    right[i, lo:lo + _SOLVE_CHUNK] = self.index_array(
-                        chart.coordinates(prods, prec=self.n)
-                    )
+                    right[i, lo:lo + _SOLVE_CHUNK] = self.index_of_matrices(prods)
             cols = np.empty((self.dim, self.radix, size), dtype=np.int64)
             cols[:, 0] = np.arange(size)
             for k in range(1, self.radix):
@@ -209,6 +220,11 @@ class QuotientGroup:
     def inv(self, a: int) -> int:
         if not self.dense:
             return self.index_of_matrix(self.chart.inverse(self.matrix(a)))
+        return int(self.inverse_array()[a])
+
+    def inverse_array(self) -> np.ndarray:
+        """inverse[h] = index of h^{-1} (dense; budgeted), composed from the
+        columns."""
         if self._inverse is None:
             # (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1}
             cols, coords = self.columns(), self.coords_array()
@@ -216,7 +232,7 @@ class QuotientGroup:
             for i in reversed(range(self.dim)):
                 out = cols[i, -coords[:, i] % self.radix, out]
             self._inverse = out
-        return int(self._inverse[a])
+        return self._inverse
 
     def generator(self, i: int, power: int = 1) -> int:
         beta = [0] * self.dim
@@ -243,7 +259,8 @@ class QuotientGroup:
     def _require_dense(self):
         if not self.dense:
             raise BudgetError(
-                f"|Q| = {self.size} exceeds the dense-vector budget {DEFAULT_SIZE_BUDGET}"
+                f"|Q| = {self.size} exceeds the fixed dense-stage limit of "
+                f"{DEFAULT_SIZE_BUDGET} elements, which is separate from --size-budget"
             )
 
     def _require_bytes(self, nbytes: int, what: str):

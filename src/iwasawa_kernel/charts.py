@@ -173,7 +173,7 @@ class GroupChart:
         """g_1^{b_1} ... g_d^{b_d} for each row b of the (B, d) array betas."""
         return _ordered_product(self._terms, np.asarray(betas), self.modulus)
 
-    def _inverse_words(self, betas: np.ndarray) -> np.ndarray:
+    def inverse_words(self, betas: np.ndarray) -> np.ndarray:
         """(g^b)^{-1} = g_d^{-b_d} ... g_1^{-b_1} for each row b."""
         return _ordered_product(self._terms[::-1], -betas[:, ::-1], self.modulus)
 
@@ -355,7 +355,7 @@ class GroupChart:
             if step == 0:
                 r = gs  # the remainder for beta = 0
             else:
-                r = np.matmul(self._inverse_words(beta[live]), gs[live]) % q
+                r = np.matmul(self.inverse_words(beta[live]), gs[live]) % q
             x = self._log_batch(r)
             wt = self._weights(x)
             going = wt < stop_val

@@ -75,7 +75,7 @@ def cmd_ucs(config) -> int:
         print(str(report), file=sys.stderr)
         return 1
     chain = nilpotent.upper_central_series(L)
-    c_z2 = nilpotent.second_centre_centralizer(L)
+    c_z2 = nilpotent.second_centre_centralizer(L, chain)
     cls = len(chain) - 1
     lines = [f"presentation: p={L.p} dim={L.dim} prec={L.prec}", "valid"]
     for k, sub in enumerate(chain):
@@ -213,8 +213,10 @@ def cmd_growth(config) -> int:
     fits: Dict[int, Dict] = {}
     lines = [f"growth regime {config.regime}: chart {chart.name}, n={Q.n}, N={Q.N}"]
     p = Q.p
+    # phi^(p^m) up to the depth the z-map reads, shared by every axis
+    chain = mahler_mod.p_power_chain(phi, max(2, config.m_max))
     for i in range(Q.dim):
-        vals = mahler_mod.q_growth(phi, i, m_range, config.regime, Q)
+        vals = mahler_mod.q_growth(phi, i, m_range, config.regime, Q, chain)
         table[i] = vals
         exact = [(m, v.value) for m, v in zip(m_range, vals) if v.exact]
         fit: Dict = {"law": None, "lambda": None, "fit_exact": None}

@@ -7,9 +7,16 @@ and partial-sum reconstruction.
 Automorphism side: an automorphism given by generator images acts on a
 quotient stage; the function beta -> phi(g^beta) g^{-beta} has algebra-
 valued Mahler coefficients.  For Mahler automorphisms these factor as
-ordered products of (psi(g_i))^{alpha_i} terms with psi(g) = phi(g)g^{-1};
+ordered products of (psi(g_i) - 1)^{alpha_i} terms with psi(g) = phi(g)g^{-1};
 both the factorization and the commutation criterion are checked
 independently and must agree.
+
+The automorphism layer sees the stage only through index arrays: on a
+dense stage, the automorphism permutation `perm`, the inverse array and
+`QuotientGroup.mult_array`; above the dense limit, batches of products and
+images go through one batched chart solve each.  A group-valued function
+is an index array over the multi-indices |beta| <= D, and its Mahler table
+is differenced from (point, label, weight) triples.
 """
 
 from __future__ import annotations
@@ -126,6 +133,12 @@ def mahler_coeffs(
                 entries[alpha] = v
         elif int(v) % p**N:
             entries[alpha] = int(v) % p**N
+    return MahlerTable(dim, degree, entries, _decay_log(entries, degree, p, N))
+
+
+def _decay_log(entries: Dict, degree: int, p: int, N: int) -> List[Optional[int]]:
+    """Per shell |alpha| = s <= degree, the least valuation of a coefficient
+    of the entries (None when the shell vanishes)."""
     decay = []
     for s in range(degree + 1):
         vals = [
@@ -133,7 +146,7 @@ def mahler_coeffs(
         ]
         vals = [v for v in vals if v is not None]
         decay.append(min(vals) if vals else None)
-    return MahlerTable(dim, degree, entries, decay)
+    return decay
 
 
 def reconstruct(T: MahlerTable, gamma: Sequence[int], zero=0):
@@ -190,13 +203,20 @@ def divided_power(alpha: Sequence[int], x: AlgebraElement) -> AlgebraElement:
 class AutomorphismSpec:
     """An automorphism of the chart group, given by generator images.
 
-    On a dense stage Q the automorphism is the index array `perm(Q)`; above
-    the dense budget each image is solved through the chart matrices.
+    phi(g^beta) is the ordered product of the powers exp(b_i log phi(g_i));
+    the divided powers of the logarithms are computed on first use and kept,
+    since the images never change.  On a dense stage Q the automorphism is
+    the index array `perm(Q)`; above the dense limit the images of a batch
+    of indices take one batched chart solve.
     """
 
     chart: GroupChart
     images: Tuple[Matrix, ...]
     name: str = "aut"
+    # chart.log_powers(images), set by the first image_words call
+    _log_terms: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     # (Q, perm) for the last dense stage perm() was asked about
     _perm: Optional[Tuple[QuotientGroup, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
@@ -231,7 +251,9 @@ class AutomorphismSpec:
     def image_words(self, betas) -> np.ndarray:
         """phi(g^b) = phi(g_1)^{b_1} ... phi(g_d)^{b_d} for each row b of
         betas, each power evaluated as exp(b_i log phi(g_i))."""
-        return self.chart.power_words(self.chart.log_powers(self.images), betas)
+        if self._log_terms is None:
+            self._log_terms = self.chart.log_powers(self.images)
+        return self.chart.power_words(self._log_terms, betas)
 
     def image_word(self, beta: Sequence[int]) -> Matrix:
         return _as_matrix(self.image_words([beta])[0])
@@ -240,40 +262,34 @@ class AutomorphismSpec:
         """phi on a dense stage as an index array: perm[idx(g^beta)] is the
         index of phi(g_1)^{b_1} ... phi(g_d)^{b_d}.
 
-        The d images take one batched chart solve; the rest is index
-        arithmetic.  The array is kept for the last stage asked about.
+        The d images take one batched chart solve; their powers and the
+        ordered products are index arithmetic.  The array is kept for the
+        last stage asked about.
         """
         if self._perm is None or self._perm[0] is not Q:
             Q._require_dense()
-            solved = self.chart.coordinates(self.chart.batch(self.images), prec=Q.n)
-            imgs = Q.index_array(solved)
-            coords = Q.coords_array()
-            perm = np.zeros(Q.size, dtype=np.int64)
-            for i, c in enumerate(imgs):
-                powers = [0]  # c^k for 0 <= k < p^n
-                for _ in range(1, Q.radix):
-                    powers.append(Q.mult(powers[-1], int(c)))
-                perm = Q.mult_array(perm, np.array(powers)[coords[:, i]])
-            self._perm = (Q, perm)
+            imgs = Q.index_of_matrices(self.chart.batch(self.images))
+            pw = _power_table(Q, imgs, Q.radix - 1)
+            self._perm = (Q, _ordered(Q, pw, Q.coords_array()))
         return self._perm[1]
 
-    def apply_index(self, Q: QuotientGroup, idx: int) -> int:
+    def apply_array(self, Q: QuotientGroup, idx) -> np.ndarray:
+        """phi on an array of indices of Q: lookups in perm(Q) on a dense
+        stage, one batched chart solve of the images above it."""
+        idx = np.asarray(idx, dtype=np.int64)
         if Q.dense:
-            return int(self.perm(Q)[idx])
-        return Q.index_of_matrix(self.image_word(Q.coords(idx)))
+            return self.perm(Q)[idx]
+        return Q.index_of_matrices(self.image_words(Q.coords_array(idx)))
+
+    def apply_index(self, Q: QuotientGroup, idx: int) -> int:
+        return int(self.apply_array(Q, [idx])[0])
 
     def apply_element(self, x: AlgebraElement) -> AlgebraElement:
         Q = x.quotient
         out: Dict[int, int] = {}
-        for k, s in x.coeffs.items():
-            j = self.apply_index(Q, k)
+        for j, s in zip(self.apply_array(Q, list(x.coeffs)).tolist(), x.coeffs.values()):
             out[j] = out.get(j, 0) + s
         return AlgebraElement(Q, out)
-
-    def psi_index(self, Q: QuotientGroup, i: int) -> int:
-        """psi(g_i) = phi(g_i) g_i^{-1} as an index of Q."""
-        g = Q.generator(i)
-        return Q.mult(self.apply_index(Q, g), Q.inv(g))
 
     def compose(self, other: "AutomorphismSpec") -> "AutomorphismSpec":
         """self after other."""
@@ -306,7 +322,9 @@ class AutomorphismSpec:
 
         Dense stages are checked exactly: perm(Q) must be a permutation with
         phi(h g_i) = phi(h) phi(g_i) for every h and every generator g_i.
-        Above the dense budget, ``samples`` random products are checked.
+        Above the dense limit, phi(ab) = phi(a) phi(b) is checked on
+        ``samples`` random pairs (a, b), drawn from a fixed seed; the pairs
+        go through five batched chart solves.
         """
         if Q.dense:
             perm = self.perm(Q)
@@ -321,54 +339,58 @@ class AutomorphismSpec:
         import random
 
         rng = random.Random(23)
-        for _ in range(samples):
-            a = rng.randrange(Q.size)
-            b = rng.randrange(Q.size)
-            lhs = self.apply_index(Q, Q.mult(a, b))
-            rhs = Q.mult(self.apply_index(Q, a), self.apply_index(Q, b))
-            if lhs != rhs:
-                return False
-        return True
+        pairs = [(rng.randrange(Q.size), rng.randrange(Q.size)) for _ in range(samples)]
+        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        lhs = self.apply_array(Q, _mult(Q, a, b))
+        rhs = _mult(Q, self.apply_array(Q, a), self.apply_array(Q, b))
+        return bool(np.array_equal(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
-# automorphism Mahler machinery
+# group-valued functions as index arrays
 
 
-def aut_periodic_f(phi: AutomorphismSpec, Q: QuotientGroup) -> Callable:
-    """beta -> phi(g^beta) g^{-beta}, p^n-periodic per coordinate."""
-
-    def f(beta):
-        if isinstance(beta, int):
-            beta = (beta,)
-        idx = Q.index(beta)
-        return AlgebraElement.group_element(
-            Q, Q.mult(phi.apply_index(Q, idx), Q.inv(idx))
-        )
-
-    return f
-
-
-def aut_mahler_coeffs(
-    phi: AutomorphismSpec, Q: QuotientGroup, degree: int
-) -> MahlerTable:
-    """Mahler table of beta -> phi(g^beta) g^{-beta}, with values in the
-    stage algebra."""
-    f = aut_periodic_f(phi, Q)
-    return mahler_coeffs(f, Q.dim, degree, Q.p, Q.N, zero=AlgebraElement.zero(Q))
+def _mult(Q: QuotientGroup, a, b) -> np.ndarray:
+    """Elementwise products a*b of two broadcastable index arrays: lookups in
+    the generator columns on a dense stage, one batched chart solve above
+    it."""
+    if Q.dense:
+        return Q.mult_array(a, b)
+    chart = Q.chart
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    left = chart.words(Q.coords_array(a.ravel()))
+    right = chart.words(Q.coords_array(b.ravel()))
+    return Q.index_of_matrices(np.matmul(left, right) % chart.modulus).reshape(a.shape)
 
 
-def mahler_product_coeff(
-    psi: Sequence[int], Q: QuotientGroup, alpha: Sequence[int]
-) -> AlgebraElement:
-    """The ordered product (psi_1-1)^{alpha_1} ... (psi_d-1)^{alpha_d} for
-    the indices psi_i = psi(g_i) of Q."""
-    out = AlgebraElement.one(Q)
-    one = AlgebraElement.one(Q)
-    for c, a in zip(psi, alpha):
-        if a:
-            out = out * (AlgebraElement.group_element(Q, c) - one) ** a
+def _power_table(Q: QuotientGroup, bases: np.ndarray, top: int) -> np.ndarray:
+    """pw[k, i] = bases[i]^k in Q for 0 <= k <= top."""
+    pw = np.zeros((top + 1, len(bases)), dtype=np.int64)
+    for k in range(1, top + 1):
+        pw[k] = _mult(Q, pw[k - 1], bases)
+    return pw
+
+
+def _ordered(Q: QuotientGroup, pw: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """b_1^{beta_1} ... b_d^{beta_d} for each row of betas, from the power
+    table pw of the b_i."""
+    out = pw[betas[:, 0], 0]
+    for i in range(1, betas.shape[1]):
+        out = _mult(Q, out, pw[betas[:, i], i])
     return out
+
+
+def _aut_values(phi: AutomorphismSpec, Q: QuotientGroup, betas: np.ndarray) -> np.ndarray:
+    """Indices of phi(g^beta) g^{-beta} for each row of betas, which is
+    p^n-periodic in each coordinate: lookups in perm(Q) and the inverse
+    array on a dense stage, one batched chart solve above it."""
+    betas = betas % Q.radix
+    if Q.dense:
+        idx = Q.index_array(betas)
+        return Q.mult_array(phi.perm(Q)[idx], Q.inverse_array()[idx])
+    chart = Q.chart
+    mats = np.matmul(phi.image_words(betas), chart.inverse_words(betas)) % chart.modulus
+    return Q.index_of_matrices(mats)
 
 
 def _multi_indices(dim: int, degree: int):
@@ -381,6 +403,89 @@ def _multi_indices(dim: int, degree: int):
             yield (a,) + rest
 
 
+def _multi_index_array(dim: int, degree: int) -> np.ndarray:
+    """_multi_indices as a (count, dim) array."""
+    return np.array(list(_multi_indices(dim, degree)), dtype=np.int64).reshape(-1, dim)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of a sorted key array begins."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return np.flatnonzero(first)
+
+
+def _merge(keys: np.ndarray, w: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of keys in lexicographic order, each with the sum of
+    its weights; rows whose sum vanishes mod q are dropped."""
+    order = np.lexsort(keys.T[::-1])
+    keys, w = keys[order], w[order]
+    starts = _run_starts(keys)
+    keys, w = keys[starts], np.add.reduceat(w, starts)
+    keep = w % q != 0
+    return keys[keep], w[keep]
+
+
+def _group_table(
+    Q: QuotientGroup, values: np.ndarray, alphas: np.ndarray, degree: int
+) -> MahlerTable:
+    """Mahler table of a function with values in Q given on the points
+    alphas = _multi_index_array(d, degree): values[j] is the index of its
+    value at alphas[j].
+
+    The function is held as (point, label, weight) triples, one per point.
+    Differencing along an axis sends a triple at coordinate j to every
+    k >= j that stays within shell ``degree``, with weight
+    (-1)^(k-j) binom(k, j), and merges the triples with equal point and
+    label.  A weight at a point alpha is at most 2^|alpha| in absolute
+    value, so int64 holds it exactly up to degree 61, and Python ints do
+    beyond.
+    """
+    q = Q.coeff_mod
+    dim = alphas.shape[1]
+    dtype = np.int64 if degree < 62 else object
+    signed = np.array(
+        [[(-1) ** (k - j) * math.comb(k, j) for j in range(degree + 1)]
+         for k in range(degree + 1)],
+        dtype=dtype,
+    )
+    # the point's coordinates, then the label
+    keys = np.column_stack([alphas, values])
+    w = np.ones(len(keys), dtype=dtype)
+    for axis in range(dim):
+        # k - j runs over 0 .. degree - |point| for each triple
+        reach = degree + 1 - keys[:, :dim].sum(axis=1)
+        src = np.repeat(np.arange(len(keys)), reach)
+        step = np.arange(len(src)) - np.repeat(np.cumsum(reach) - reach, reach)
+        j = keys[src, axis]
+        keys, w = keys[src], w[src] * signed[j + step, j]
+        keys[:, axis] = j + step
+        keys, w = _merge(keys, w, q)
+    points, labels, coeffs = keys[:, :dim], keys[:, dim].tolist(), (w % q).tolist()
+    bounds = np.append(_run_starts(points), len(w)).tolist()
+    entries = {
+        tuple(points[lo].tolist()): AlgebraElement(Q, dict(zip(labels[lo:hi], coeffs[lo:hi])))
+        for lo, hi in zip(bounds, bounds[1:])
+    }
+    return MahlerTable(dim, degree, entries, _decay_log(entries, degree, Q.p, Q.N))
+
+
+# ---------------------------------------------------------------------------
+# automorphism Mahler machinery
+
+
+def aut_mahler_coeffs(
+    phi: AutomorphismSpec, Q: QuotientGroup, degree: int
+) -> MahlerTable:
+    """Mahler table of beta -> phi(g^beta) g^{-beta}, with values in the
+    stage algebra: the function on every |beta| <= degree is one index
+    array, differenced by `_group_table`."""
+    if degree < 0:
+        raise ValidationError("degree must be >= 0")
+    alphas = _multi_index_array(Q.dim, degree)
+    return _group_table(Q, _aut_values(phi, Q, alphas), alphas, degree)
+
+
 def is_mahler_aut(
     phi: AutomorphismSpec,
     Q: QuotientGroup,
@@ -389,31 +494,39 @@ def is_mahler_aut(
 ) -> Tuple[bool, bool, Optional[Tuple[int, ...]]]:
     """(by_formula, by_commutation, witness) for the factorization criterion.
 
-    by_formula compares the Mahler table (computed here unless given) with
-    the ordered-product formula for every |alpha| <= degree; witness is the
-    first multi-index where they differ, None when by_formula holds.
-    by_commutation checks that psi(g_i) commutes with g_j for all j <= i.
-    The two are equivalent; callers treat disagreement as an internal
-    invariant violation.
+    by_formula compares the Mahler table with the ordered-product formula
+    (psi_1 - 1)^{alpha_1} ... (psi_d - 1)^{alpha_d}, psi_i = phi(g_i) g_i^{-1},
+    for every |alpha| <= max(degree, 2).  Shells 0 and 1 match the formula
+    for every automorphism, and shell 2 matches exactly when psi(g_j)
+    commutes with g_i for all i <= j, so fewer shells could not see a
+    non-Mahler automorphism.  The table is computed here unless one of at
+    least that degree is given.  Expanding each factor binomially makes the
+    formula the Mahler table of k -> psi_1^{k_1} ... psi_d^{k_d}.  witness
+    is the first multi-index, lexicographically, where the two differ, None
+    when by_formula holds.  by_commutation checks that psi(g_i) commutes
+    with g_j for all j <= i.  The two are equivalent; callers treat
+    disagreement as an internal invariant violation.
     """
-    if table is None:
-        table = aut_mahler_coeffs(phi, Q, degree)
-    psi = [phi.psi_index(Q, i) for i in range(Q.dim)]
-    witness = None
+    if degree < 0:
+        raise ValidationError("degree must be >= 0")
+    shells = max(degree, 2)
+    if table is None or table.degree < shells:
+        table = aut_mahler_coeffs(phi, Q, shells)
+    d = Q.dim
+    alphas = _multi_index_array(d, shells)
+    psi = _aut_values(phi, Q, np.eye(d, dtype=np.int64))
+    products = _ordered(Q, _power_table(Q, psi, shells), alphas)
+    formula = _group_table(Q, products, alphas, shells)
     # multi-indices that vanish in the table are checked too
-    for alpha in _multi_indices(Q.dim, degree):
-        want = mahler_product_coeff(psi, Q, alpha)
-        got = table.entries.get(alpha, AlgebraElement.zero(Q))
-        if not isinstance(got, AlgebraElement):
-            got = AlgebraElement(Q, {0: got})
-        if got != want:
-            witness = alpha
-            break
-
-    by_commutation = all(
-        Q.mult(psi[i], Q.generator(j)) == Q.mult(Q.generator(j), psi[i])
-        for i in range(Q.dim)
-        for j in range(i + 1)
+    witness = next(
+        (a for a in map(tuple, alphas.tolist())
+         if table.entries.get(a) != formula.entries.get(a)),
+        None,
+    )
+    i, j = np.tril_indices(d)
+    gens = Q.index_array(np.eye(d, dtype=np.int64))
+    by_commutation = bool(
+        np.array_equal(_mult(Q, psi[i], gens[j]), _mult(Q, gens[j], psi[i]))
     )
     return witness is None, by_commutation, witness
 
@@ -425,21 +538,42 @@ def expand_aut(
     table: Optional[MahlerTable] = None,
 ) -> Tuple[AlgebraElement, FiltValue]:
     """Truncated expansion phi(x) ~= sum_{|alpha|<=D} m_alpha ∂^{(alpha)} x
-    and the filtration weight of the residual."""
+    and the filtration weight of the residual.
+
+    The table is flattened into (alpha, label h, coefficient c) triples.
+    For each term s_k g_k of x the triple contributes
+    c s_k binom(beta_k, alpha) to h g_k, so every product is in one
+    `Q.mult_array` call (one batched chart solve above the dense limit).
+    """
     Q = x.quotient
     if table is None:
         table = aut_mahler_coeffs(phi, Q, degree)
-    approx = AlgebraElement.zero(Q)
-    for alpha, m in table.entries.items():
-        if sum(alpha) > degree:
-            continue
-        term = divided_power(alpha, x)
-        if term.is_zero():
-            continue
-        if isinstance(m, AlgebraElement):
-            approx = approx + m * term
-        else:
-            approx = approx + term.scale(int(m))
+    q = Q.coeff_mod
+    # int64 when a product of two residues fits in it, else Python ints
+    dtype = np.int64 if (q - 1) ** 2 < 2**63 else object
+    flat = [
+        (alpha, h, c)
+        for alpha, m in table.entries.items() if sum(alpha) <= degree
+        for h, c in m.coeffs.items()
+    ]
+    alphas = np.array([t[0] for t in flat], dtype=np.int64).reshape(-1, Q.dim)
+    labels = np.array([t[1] for t in flat], dtype=np.int64)
+    support = np.array(list(x.coeffs), dtype=np.int64)
+    # binom[k, i, a] = binom(beta_k[i], a) mod q for the support's exponents beta_k
+    top = int(alphas.max(initial=0))
+    binom = np.array(
+        [[[math.comb(b, a) % q for a in range(top + 1)] for b in beta]
+         for beta in Q.coords_array(support).tolist()],
+        dtype=dtype,
+    ).reshape(len(support), Q.dim, top + 1)
+    w = np.array([t[2] for t in flat], dtype=dtype)[:, None] * np.array(
+        list(x.coeffs.values()), dtype=dtype
+    ) % q
+    for i in range(Q.dim):
+        w = w * binom[:, i, alphas[:, i]].T % q
+    prods = _mult(Q, labels[:, None], support[None, :])
+    keys, sums = _merge(prods.reshape(-1, 1), w.ravel(), q)
+    approx = AlgebraElement(Q, dict(zip(keys[:, 0].tolist(), sums.tolist())))
     residual = phi.apply_element(x) - approx
     return approx, lazard_value(residual)
 
@@ -448,36 +582,52 @@ def expand_aut(
 # the z-map and growth data
 
 
+def p_power_chain(phi: AutomorphismSpec, m_max: int) -> List[AutomorphismSpec]:
+    """phi^(p^m) for 0 <= m <= m_max, each the p-th power of the one
+    before, so the last costs about m_max·log2(p) squarings in all."""
+    chain = [phi.power(1)]
+    for _ in range(m_max):
+        chain.append(chain[-1].power(phi.chart.p))
+    return chain
+
+
 def z_approximants(
-    phi: AutomorphismSpec, g: Matrix, m_range: Sequence[int]
+    phi: AutomorphismSpec,
+    g: Matrix,
+    m_range: Sequence[int],
+    chain: Optional[List[AutomorphismSpec]] = None,
 ) -> List[Matrix]:
     """(phi^{p^m}(g) g^{-1})^{p^{-m}} for m in m_range.
 
-    phi^{p^m} is the p-th power of phi^{p^(m-1)}, so the largest m costs
-    about m·log2(p) squarings in all.
+    ``chain`` is p_power_chain(phi, m) for an m >= max(m_range); it is
+    computed here when not given.
     """
+    m_range = list(m_range)
+    if chain is None:
+        chain = p_power_chain(phi, max(m_range, default=-1))
     chart = phi.chart
     q = chart.modulus
     beta = chart.coordinates(g)
     ginv = chart.inverse(g)
-    approx = {}
-    phim = phi.power(1)
-    for m in range(max(m_range, default=-1) + 1):
-        if m:
-            phim = phim.power(chart.p)
-        if m in m_range:
-            approx[m] = chart.root(_mul(phim.image_word(beta), ginv, q), m)
+    approx = {
+        m: chart.root(_mul(chain[m].image_word(beta), ginv, q), m)
+        for m in sorted(set(m_range))
+    }
     return [approx[m] for m in m_range]
 
 
 def z_stable(
-    phi: AutomorphismSpec, g: Matrix, m_max: int, Q: QuotientGroup
+    phi: AutomorphismSpec,
+    g: Matrix,
+    m_max: int,
+    Q: QuotientGroup,
+    chain: Optional[List[AutomorphismSpec]] = None,
 ) -> Tuple[Matrix, bool]:
     """Last approximant, plus whether consecutive approximants agreed in Q."""
-    approx = z_approximants(phi, g, range(m_max + 1))
-    idxs = [Q.index_of_matrix(a) for a in approx]
+    approx = z_approximants(phi, g, range(m_max + 1), chain)
+    idxs = Q.index_of_matrices(phi.chart.batch(approx))
     stable = len(idxs) < 2 or idxs[-1] == idxs[-2]
-    return approx[-1], stable
+    return approx[-1], bool(stable)
 
 
 def q_growth(
@@ -486,11 +636,16 @@ def q_growth(
     m_range: Sequence[int],
     regime: str,
     Q: QuotientGroup,
+    chain: Optional[List[AutomorphismSpec]] = None,
 ) -> List[FiltValue]:
     """Weights of q_{i,m} = z(g_i)^{p^m} - 1 over the m-range.
 
     regime 'char0' keeps the stage's N > 1; 'charp' reduces coefficients
-    to Z/p.  The caller fits the affine / p-power growth law.
+    to Z/p.  The caller fits the affine / p-power growth law.  The z-map
+    reads phi^(p^m) up to m = max(2, m_range); a caller that runs every axis
+    passes that ``chain`` (see `p_power_chain`) to build it once.  Each
+    z(g_i)^{p^m} is exp(p^m log z(g_i)), and all of them are indexed in one
+    batched chart solve.
     """
     from .algebra import build_quotient
 
@@ -500,9 +655,12 @@ def q_growth(
         Q = build_quotient(Q.chart, Q.n, 1, verify=False)
     if regime == "char0" and Q.N == 1:
         raise ValidationError("char0 regime needs coefficient precision N > 1")
-    z, stable = z_stable(phi, phi.chart.generators[i], max(2, *m_range) if m_range else 2, Q)
+    m_range = list(m_range)
+    z, stable = z_stable(phi, phi.chart.generators[i], max([2, *m_range]), Q, chain)
     if not stable:
         raise PrecisionError("z-map approximants did not stabilize")
-    zel = AlgebraElement.group_element(Q, Q.index_of_matrix(z))
+    chart = phi.chart
+    exps = np.array([[Q.p**m] for m in m_range], dtype=object).reshape(-1, 1)
+    powers = Q.index_of_matrices(chart.power_words(chart.log_powers([z]), exps))
     one = AlgebraElement.one(Q)
-    return [lazard_value(zel ** (Q.p**m) - one) for m in m_range]
+    return [lazard_value(AlgebraElement.group_element(Q, k) - one) for k in powers.tolist()]

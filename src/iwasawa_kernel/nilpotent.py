@@ -327,8 +327,13 @@ def centralizer(L: LiePresentation, S: Submodule) -> Submodule:
     return Submodule(L.dim, _canonical_rows(basis))
 
 
-def second_centre_centralizer(L: LiePresentation) -> Submodule:
-    chain = upper_central_series(L)
+def second_centre_centralizer(
+    L: LiePresentation, chain: Optional[List[Submodule]] = None
+) -> Submodule:
+    """C(Z_2(L)); ``chain`` is L's upper central series when the caller
+    already holds it."""
+    if chain is None:
+        chain = upper_central_series(L)
     z2 = chain[min(2, len(chain) - 1)]
     return centralizer(L, z2)
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from iwasawa_kernel import nilpotent
 from iwasawa_kernel.cli import main
 
 EXAMPLE2 = """\
@@ -76,6 +77,16 @@ class TestUcs:
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         assert main(["ucs", write(tmp_path, "k.txt", "p 3\nfrobnicate 1\n")]) == 1
 
+    def test_series_computed_once(self, tmp_path, capsys, monkeypatch):
+        # C(Z_2) reads the chain the command already holds
+        calls = []
+        real = nilpotent.upper_central_series
+        monkeypatch.setattr(nilpotent, "upper_central_series",
+                            lambda L: calls.append(L) or real(L))
+        assert main(["ucs", write(tmp_path, "e2.txt", EXAMPLE2)]) == 0
+        assert len(calls) == 1
+        assert "C(Z_2) = span{x2, x3, x4, x5}" in capsys.readouterr().out
+
 
 class TestMahler:
     def test_identity_single_coefficient(self, tmp_path, capsys):
@@ -94,6 +105,22 @@ class TestMahler:
         assert code == 0
         assert "by_formula=False by_commutation=False" in out
         assert "witness" in out
+
+    @pytest.mark.parametrize("level, degree", [(2, 1), (1, 0)])
+    def test_non_mahler_below_degree_2(self, tmp_path, capsys, level, degree):
+        # shells 0 and 1 match the product formula for every automorphism;
+        # the criterion reads shell 2 while the table stops at --degree
+        path = write(tmp_path, "swap.txt", HEIS_SWAP)
+        code = main(["mahler", path, "--level", str(level), "--degree", str(degree),
+                     "--format", "structured"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (doc["by_formula"], doc["by_commutation"]) == (False, False)
+        assert len(doc["decay_log"]) == degree + 1
+        assert all(sum(map(int, a.split(","))) <= degree for a in doc["coefficients"])
+        path = write(tmp_path, "swap.txt", HEIS_SWAP)
+        assert main(["mahler", path, "--level", str(level), "--degree", str(degree)]) == 0
+        assert "mismatch witness: alpha = [0, 2, 0]" in capsys.readouterr().out
 
     def test_non_homomorphism_exits_1(self, tmp_path, capsys):
         # fixing g1, g2 but moving the commutator g3 is inconsistent
@@ -258,6 +285,11 @@ FUZZ = [
     # before allocating it
     ("control-level-3", CENTRAL_IDEAL, ["control", "--level", "3"], 2, "dense byte budget"),
     ("control-level-4", CENTRAL_IDEAL, ["control", "--level", "4"], 2, "exceeds budget"),
+    # the flag admits |Q| = 3^12, but control needs a dense stage, whose
+    # limit the flag does not move
+    ("control-level-4-size-budget", CENTRAL_IDEAL,
+     ["control", "--level", "4", "--size-budget", "10000000"], 2,
+     "exceeds the fixed dense-stage limit of 50000 elements, which is separate from --size-budget"),
     # |Q| = 729 is one above the budget the flag sets
     ("control-size-budget-728", CENTRAL_IDEAL, ["control", "--level", "2", "--size-budget", "728"],
      2, "exceeds budget 728"),

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matrix_route as ref
+from mahler_route import mahler_product_coeff
 from iwasawa_kernel.algebra import AlgebraElement, build_quotient
 from iwasawa_kernel.charts import _mul, builtin_chart, heisenberg_chart
 from iwasawa_kernel.mahler import (
@@ -22,7 +23,6 @@ from iwasawa_kernel.mahler import (
     aut_mahler_coeffs,
     is_mahler_aut,
     mahler_coeffs,
-    mahler_product_coeff,
     q_growth,
 )
 

@@ -1,0 +1,205 @@
+"""The automorphism layer's array passes against the scalar routes of
+``mahler_route``: Mahler tables, the factorization criterion, truncated
+expansions, the sparse homomorphism check and the growth table.
+
+The specs are the three ``inputs/`` automorphisms and the 79 other inner
+automorphisms of the Heisenberg chart that the mahler-729 benchmark draws
+from, at levels 1 and 2 (level 1 has radix 3 < D, so the p^n-periodic wrap
+of beta -> phi(g^beta) g^{-beta} is covered) and degrees 0 to 6.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+import mahler_route as ref
+from iwasawa_kernel.algebra import AlgebraElement, build_quotient
+from iwasawa_kernel.charts import cyclic_chart, heisenberg_chart
+from iwasawa_kernel.errors import PrecisionError
+from iwasawa_kernel.mahler import (
+    AutomorphismSpec,
+    aut_mahler_coeffs,
+    expand_aut,
+    is_mahler_aut,
+    q_growth,
+)
+from iwasawa_kernel.presentation import load_presentation
+
+P = 3
+DEGREE = 6
+ROOT = Path(__file__).resolve().parents[1]
+CHART = heisenberg_chart(P)
+
+
+def input_spec(stem):
+    doc = load_presentation(str(ROOT / "inputs" / f"{stem}.txt"))
+    return doc.automorphism(CHART)
+
+
+def inner(a, b):
+    """Conjugation by g1^a g2^b: g1 -> g1 g3^-b, g2 -> g2 g3^a, g3 fixed."""
+    words = [(1, 0, -b), (0, 1, a), (0, 0, 1)]
+    return AutomorphismSpec.from_words(CHART, words, name=f"inner-{a}-{b}")
+
+
+INPUTS = ["heis_id", "heis_conj", "heis_swap"]
+# (0, 0) is heis_id and (1, 0) is heis_conj
+INNER = [(a, b) for a in range(P**2) for b in range(P**2) if (a, b) not in ((0, 0), (1, 0))]
+SPECS = [(stem, lambda stem=stem: input_spec(stem)) for stem in INPUTS] + [
+    (f"inner-{a}-{b}", lambda a=a, b=b: inner(a, b)) for a, b in INNER
+]
+
+
+@pytest.fixture(scope="module")
+def stages():
+    return {n: build_quotient(CHART, n, 2) for n in (1, 2)}
+
+
+def truncated(table, degree):
+    return (
+        {a: m for a, m in table.entries.items() if sum(a) <= degree},
+        table.decay_log[: degree + 1],
+    )
+
+
+def test_spec_count():
+    assert len(SPECS) == 82
+
+
+@pytest.mark.parametrize("make", [s[1] for s in SPECS], ids=[s[0] for s in SPECS])
+def test_tables_criterion_and_expansions_match_scalar_routes(stages, make):
+    phi = make()
+    rng = random.Random(5)
+    for n, Q in stages.items():
+        # m_alpha reads f only at beta <= alpha, so the degree-6 table of the
+        # dict route holds the one of every lower degree
+        want = ref.table_by_dicts(phi, Q, DEGREE)
+        mismatches = ref.formula_mismatches(phi, Q, want, DEGREE)
+        commutes = ref.by_commutation(phi, Q)
+        for degree in range(DEGREE + 1):
+            table = aut_mahler_coeffs(phi, Q, degree)
+            assert (table.entries, table.decay_log) == truncated(want, degree)
+            assert list(table.entries) == sorted(table.entries)
+            # the formula is compared through shell 2 at least
+            shells = max(degree, 2)
+            witness = next((a for a in mismatches if sum(a) <= shells), None)
+            got = is_mahler_aut(phi, Q, degree, table)
+            assert got == (witness is None, commutes, witness)
+            assert got[0] == got[1]
+        x = AlgebraElement(Q, {rng.randrange(Q.size): 1 + rng.randrange(8) for _ in range(3)})
+        for degree in (0, 1, 3, DEGREE):
+            assert expand_aut(phi, x, degree, want) == ref.expand_by_divided_powers(
+                phi, x, degree, want
+            )
+
+
+def test_expansion_builds_its_own_table(stages):
+    Q = stages[2]
+    phi = input_spec("heis_swap")
+    x = AlgebraElement.group_element(Q, Q.index((4, 7, 2)))
+    for degree in range(4):
+        want = ref.table_by_dicts(phi, Q, degree)
+        assert expand_aut(phi, x, degree) == ref.expand_by_divided_powers(phi, x, degree, want)
+    zero = AlgebraElement.zero(Q)
+    assert expand_aut(phi, zero, 2) == ref.expand_by_divided_powers(
+        phi, zero, 2, ref.table_by_dicts(phi, Q, 2)
+    )
+
+
+def test_python_int_paths():
+    # degree 70 holds weights beyond int64 before the reduction mod p^N,
+    # and 3^25 squared is beyond int64 in the expansion
+    chart = cyclic_chart(P)
+    Q = build_quotient(chart, 2, 2)
+    square = AutomorphismSpec.from_words(chart, [(2,)], name="square")
+    want = ref.table_by_dicts(square, Q, 70)
+    table = aut_mahler_coeffs(square, Q, 70)
+    assert (table.entries, table.decay_log) == (want.entries, want.decay_log)
+    Q = build_quotient(CHART, 1, 25)
+    phi = input_spec("heis_swap")
+    want = ref.table_by_dicts(phi, Q, 4)
+    table = aut_mahler_coeffs(phi, Q, 4)
+    assert (table.entries, table.decay_log) == (want.entries, want.decay_log)
+    x = AlgebraElement(Q, {5: 3**24 + 7, 11: 2})
+    assert expand_aut(phi, x, 4, table) == ref.expand_by_divided_powers(phi, x, 4, want)
+
+
+@pytest.fixture(scope="module")
+def sparse_stage():
+    # |Q| = 3^12 is above the dense limit: no index arrays, chart solves only
+    return build_quotient(CHART, 4, 6, size_budget=10**7, verify=False)
+
+
+def broken():
+    # fixing g1 and g2 but moving the commutator g3 is inconsistent
+    return AutomorphismSpec.from_words(CHART, [(1, 0, 0), (0, 1, 0), (1, 0, 1)], name="broken")
+
+
+def shear():
+    return AutomorphismSpec.from_words(CHART, [(1, 0, 0), (1, 1, 0), (1, 0, 1)], name="shear")
+
+
+@pytest.mark.parametrize(
+    "make, expect",
+    [
+        (lambda: input_spec("heis_id"), True),
+        (lambda: input_spec("heis_conj"), True),
+        (lambda: input_spec("heis_swap"), True),
+        (lambda: inner(5, 7), True),
+        (broken, False),
+        (shear, False),
+    ],
+    ids=["heis_id", "heis_conj", "heis_swap", "inner-5-7", "broken", "shear"],
+)
+def test_sparse_homomorphism_check_matches_pairs(sparse_stage, make, expect):
+    Q = sparse_stage
+    assert not Q.dense
+    phi = make()
+    assert phi.verify_homomorphism(Q) == ref.verify_by_pairs(phi, Q) == expect
+    assert Q._columns is None and Q._inverse is None
+
+
+def test_sparse_table_criterion_and_expansion(sparse_stage):
+    Q = sparse_stage
+    for stem in INPUTS:
+        phi = input_spec(stem)
+        want = ref.table_by_dicts(phi, Q, 2)
+        table = aut_mahler_coeffs(phi, Q, 2)
+        assert (table.entries, table.decay_log) == (want.entries, want.decay_log)
+        witness = next(iter(ref.formula_mismatches(phi, Q, want, 2)), None)
+        assert is_mahler_aut(phi, Q, 1, table) == (
+            witness is None, ref.by_commutation(phi, Q), witness
+        )
+        x = AlgebraElement(Q, {Q.index((40, 2, 77)): 5, Q.index((3, 80, 9)): 1})
+        assert expand_aut(phi, x, 2, table) == ref.expand_by_divided_powers(phi, x, 2, want)
+
+
+GROWTH = [
+    # (level, N, regime, m_range)
+    (2, 3, "char0", range(3)),
+    (2, 1, "charp", range(2)),
+    (4, 6, "char0", range(3)),
+    (4, 1, "charp", range(2)),
+]
+
+
+@pytest.mark.parametrize("level, N, regime, m_range", GROWTH)
+@pytest.mark.parametrize("stem", ["heis_conj", "heis_id", "inner-4-2"])
+def test_growth_matches_powers_in_the_algebra(level, N, regime, m_range, stem):
+    phi = inner(4, 2) if stem == "inner-4-2" else input_spec(stem)
+    Q = build_quotient(CHART, level, N, size_budget=10**7, verify=False)
+    for i in range(Q.dim):
+        assert q_growth(phi, i, m_range, regime, Q) == ref.q_growth_by_powers(
+            phi, i, m_range, regime, Q
+        )
+
+
+def test_growth_failure_is_the_same():
+    phi = input_spec("heis_swap")
+    Q = build_quotient(CHART, 2, 3)
+    with pytest.raises(PrecisionError) as new:
+        q_growth(phi, 0, range(2), "char0", Q)
+    with pytest.raises(PrecisionError) as old:
+        ref.q_growth_by_powers(phi, 0, range(2), "char0", Q)
+    assert str(new.value) == str(old.value)
