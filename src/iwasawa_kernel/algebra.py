@@ -2,12 +2,14 @@
 
 A quotient stage enumerates Q = G/G^{p^n} through ordered-product
 coordinates beta in [0, p^n)^d from a matrix chart; algebra elements are
-sparse coefficient dictionaries over Z/p^N.  Within the dense budget the
-group law is a set of index arrays: the d generator columns h -> h g_i
-come from one batched chart solve each, and products, inverses, the
-multiplication table and translation permutations are lookups in their
-powers.  Larger stages solve products through the chart matrices, a batch
-of matrices at a time in `index_of_matrices`.
+sparse coefficient dictionaries over Z/p^N.  The group law has one entry
+point per operation, for every stage size: `mult_array` for products and
+`inverse_array` for inverses of index arrays (`mult` and `inv` are their
+scalar forms).  Within the dense budget both are lookups in index arrays:
+the d generator columns h -> h g_i come from one batched chart solve each,
+and products, inverses and the multiplication table are composed from
+their powers.  Larger stages solve each batch through the chart matrices,
+a chunk of matrices at a time in `index_of_matrices`.
 
 The filtration weight of an element is the infimum of v_p(coefficient) +
 weighted degree over its expansion in the ordered monomials b^alpha,
@@ -27,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .charts import GroupChart, Matrix, _mul
+from .charts import GroupChart
 from .errors import BudgetError, ValidationError
 
 DEFAULT_SIZE_BUDGET = 50_000
@@ -77,8 +79,8 @@ class QuotientGroup:
     generator columns h -> h g_i are solved once, in one batched chart solve
     each, and their powers give the columns h -> h g_i^k; a product a*b is
     d lookups in them, following the coordinates of b.  Above the budget
-    every product and inverse is solved through the chart matrices, and no
-    |Q|-length array is built.
+    `mult_array` and `inverse_array` solve their batch through the chart
+    matrices, and no |Q|-length array is built.
     """
 
     chart: GroupChart
@@ -155,12 +157,6 @@ class QuotientGroup:
             idx = np.arange(self.size)
         return np.asarray(idx, dtype=np.int64)[:, None] // (r ** np.arange(self.dim)) % r
 
-    def matrix(self, idx: int) -> Matrix:
-        return self.chart.word(self.coords(idx))
-
-    def index_of_matrix(self, g: Matrix) -> int:
-        return self.index(self.chart.coordinates(g, prec=self.n))
-
     def index_of_matrices(self, mats: np.ndarray) -> np.ndarray:
         """Indices of a (B, size, size) array of chart matrices, solved in
         batches of at most _SOLVE_CHUNK."""
@@ -198,7 +194,15 @@ class QuotientGroup:
         return self._columns
 
     def mult_array(self, a, b) -> np.ndarray:
-        """Elementwise products a*b of two broadcastable index arrays."""
+        """Elementwise products a*b of two broadcastable index arrays: d
+        lookups in the generator columns on a dense stage, following the
+        coordinates of b; one batched chart solve above it."""
+        if not self.dense:
+            chart = self.chart
+            a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+            left = chart.words(self.coords_array(a.ravel()))
+            right = chart.words(self.coords_array(b.ravel()))
+            return self.index_of_matrices(np.matmul(left, right) % chart.modulus).reshape(a.shape)
         cols = self.columns()
         a, b = np.asarray(a), np.asarray(b)
         for i in range(self.dim):
@@ -206,33 +210,29 @@ class QuotientGroup:
             a = cols[i, k, a]
         return a
 
+    def inverse_array(self, idx=None) -> np.ndarray:
+        """Indices of the inverses of the index array idx, or the inverse
+        permutation of Q when idx is None (dense; budgeted).  A dense stage
+        composes that permutation once from the columns and looks idx up in
+        it; above it idx takes one batched chart solve."""
+        if self.dense or idx is None:
+            if self._inverse is None:
+                # (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1}
+                cols, coords = self.columns(), self.coords_array()
+                out = np.zeros(self.size, dtype=np.int64)
+                for i in reversed(range(self.dim)):
+                    out = cols[i, -coords[:, i] % self.radix, out]
+                self._inverse = out
+            return self._inverse if idx is None else self._inverse[idx]
+        idx = np.asarray(idx, dtype=np.int64)
+        words = self.chart.inverse_words(self.coords_array(idx.ravel()))
+        return self.index_of_matrices(words).reshape(idx.shape)
+
     def mult(self, a: int, b: int) -> int:
-        if not self.dense:
-            return self.index_of_matrix(
-                _mul(self.matrix(a), self.matrix(b), self.chart.modulus)
-            )
-        cols = self.columns()
-        for i in range(self.dim):
-            b, k = divmod(b, self.radix)
-            a = cols[i, k, a]
-        return int(a)
+        return int(self.mult_array(a, b))
 
     def inv(self, a: int) -> int:
-        if not self.dense:
-            return self.index_of_matrix(self.chart.inverse(self.matrix(a)))
-        return int(self.inverse_array()[a])
-
-    def inverse_array(self) -> np.ndarray:
-        """inverse[h] = index of h^{-1} (dense; budgeted), composed from the
-        columns."""
-        if self._inverse is None:
-            # (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1}
-            cols, coords = self.columns(), self.coords_array()
-            out = np.zeros(self.size, dtype=np.int64)
-            for i in reversed(range(self.dim)):
-                out = cols[i, -coords[:, i] % self.radix, out]
-            self._inverse = out
-        return self._inverse
+        return int(self.inverse_array(a))
 
     def generator(self, i: int, power: int = 1) -> int:
         beta = [0] * self.dim
@@ -247,14 +247,6 @@ class QuotientGroup:
             h = np.arange(self.size)
             self._mult_table = self.mult_array(h[:, None], h[None, :])
         return self._mult_table
-
-    def right_mult_perm(self, g: int) -> np.ndarray:
-        """Permutation h -> h*g over all of Q (dense; budgeted)."""
-        return self.mult_array(np.arange(self.size), g)
-
-    def left_mult_perm(self, g: int) -> np.ndarray:
-        """Permutation h -> g*h over all of Q (dense; budgeted)."""
-        return self.mult_array(g, np.arange(self.size))
 
     def _require_dense(self):
         if not self.dense:
@@ -308,15 +300,14 @@ def _verify_axioms(Q: QuotientGroup):
     size = Q.size
     sample = range(size) if size <= 30 else [rng.randrange(size) for _ in range(12)]
     sample = list(sample)
-    for a in sample[:6]:
-        if Q.mult(a, 0) != a or Q.mult(0, a) != a:
-            raise ValidationError("identity axiom fails in quotient")
-        if Q.mult(a, Q.inv(a)) != 0:
-            raise ValidationError("inverse axiom fails in quotient")
-    for _ in range(8):
-        a, b, c = (rng.choice(sample) for _ in range(3))
-        if Q.mult(Q.mult(a, b), c) != Q.mult(a, Q.mult(b, c)):
-            raise ValidationError("associativity fails in quotient")
+    a = np.array(sample[:6], dtype=np.int64)
+    if (Q.mult_array(a, 0) != a).any() or (Q.mult_array(0, a) != a).any():
+        raise ValidationError("identity axiom fails in quotient")
+    if Q.mult_array(a, Q.inverse_array(a)).any():
+        raise ValidationError("inverse axiom fails in quotient")
+    a, b, c = np.array([[rng.choice(sample) for _ in range(3)] for _ in range(8)]).T
+    if (Q.mult_array(Q.mult_array(a, b), c) != Q.mult_array(a, Q.mult_array(b, c))).any():
+        raise ValidationError("associativity fails in quotient")
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +364,13 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         Q = self.quotient
+        a = np.array(list(self.coeffs), dtype=np.int64)
+        b = np.array(list(other.coeffs), dtype=np.int64)
+        # exact Python-int products, in the order of the index products
+        terms = [sa * sb for sa in self.coeffs.values() for sb in other.coeffs.values()]
         out: Dict[int, int] = {}
-        for a, sa in self.coeffs.items():
-            for b, sb in other.coeffs.items():
-                k = Q.mult(a, b)
-                out[k] = out.get(k, 0) + sa * sb
+        for k, c in zip(Q.mult_array(a[:, None], b[None, :]).ravel().tolist(), terms):
+            out[k] = out.get(k, 0) + c
         return AlgebraElement(Q, out)
 
     def __pow__(self, m: int) -> "AlgebraElement":

@@ -11,12 +11,14 @@ ordered products of (psi(g_i) - 1)^{alpha_i} terms with psi(g) = phi(g)g^{-1};
 both the factorization and the commutation criterion are checked
 independently and must agree.
 
-The automorphism layer sees the stage only through index arrays: on a
-dense stage, the automorphism permutation `perm`, the inverse array and
-`QuotientGroup.mult_array`; above the dense limit, batches of products and
-images go through one batched chart solve each.  A group-valued function
-is an index array over the multi-indices |beta| <= D, and its Mahler table
-is differenced from (point, label, weight) triples.
+The automorphism layer sees the stage only through index arrays.  Every
+group product and inverse is one `QuotientGroup.mult_array` or
+`inverse_array` call, which serves dense and larger stages alike; only phi
+itself forks, as lookups in the permutation `perm` on a dense stage and one
+batched chart solve of the images above it (`apply_array`).  A
+group-valued function is an index array over the multi-indices
+|beta| <= D, and its Mahler table is differenced from (point, label,
+weight) triples.
 """
 
 from __future__ import annotations
@@ -77,14 +79,7 @@ def _shell_val(value, p: int, N: int) -> Optional[int]:
     return vp_int(value, p, N)
 
 
-def mahler_coeffs(
-    f: Callable,
-    dim: int,
-    degree: int,
-    p: int,
-    N: int,
-    zero=0,
-) -> MahlerTable:
+def mahler_coeffs(f: Callable, dim: int, degree: int, p: int, N: int) -> MahlerTable:
     """Mahler coefficients of f on integer points of [0, degree]^dim.
 
     Computed by axis-wise forward differencing, which evaluates the
@@ -281,9 +276,6 @@ class AutomorphismSpec:
             return self.perm(Q)[idx]
         return Q.index_of_matrices(self.image_words(Q.coords_array(idx)))
 
-    def apply_index(self, Q: QuotientGroup, idx: int) -> int:
-        return int(self.apply_array(Q, [idx])[0])
-
     def apply_element(self, x: AlgebraElement) -> AlgebraElement:
         Q = x.quotient
         out: Dict[int, int] = {}
@@ -327,22 +319,19 @@ class AutomorphismSpec:
         go through five batched chart solves.
         """
         if Q.dense:
-            perm = self.perm(Q)
-            if not np.array_equal(np.sort(perm), np.arange(Q.size)):
+            perm, h = self.perm(Q), np.arange(Q.size)
+            if not np.array_equal(np.sort(perm), h):
                 return False
-            for i in range(Q.dim):
-                g = Q.generator(i)
-                img = Q.right_mult_perm(int(perm[g]))
-                if not np.array_equal(perm[Q.right_mult_perm(g)], img[perm]):
-                    return False
-            return True
+            gens = Q.index_array(np.eye(Q.dim, dtype=np.int64))[:, None]
+            lhs, rhs = perm[Q.mult_array(h, gens)], Q.mult_array(perm, perm[gens])
+            return bool(np.array_equal(lhs, rhs))
         import random
 
         rng = random.Random(23)
         pairs = [(rng.randrange(Q.size), rng.randrange(Q.size)) for _ in range(samples)]
         a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        lhs = self.apply_array(Q, _mult(Q, a, b))
-        rhs = _mult(Q, self.apply_array(Q, a), self.apply_array(Q, b))
+        lhs = self.apply_array(Q, Q.mult_array(a, b))
+        rhs = Q.mult_array(self.apply_array(Q, a), self.apply_array(Q, b))
         return bool(np.array_equal(lhs, rhs))
 
 
@@ -350,24 +339,11 @@ class AutomorphismSpec:
 # group-valued functions as index arrays
 
 
-def _mult(Q: QuotientGroup, a, b) -> np.ndarray:
-    """Elementwise products a*b of two broadcastable index arrays: lookups in
-    the generator columns on a dense stage, one batched chart solve above
-    it."""
-    if Q.dense:
-        return Q.mult_array(a, b)
-    chart = Q.chart
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    left = chart.words(Q.coords_array(a.ravel()))
-    right = chart.words(Q.coords_array(b.ravel()))
-    return Q.index_of_matrices(np.matmul(left, right) % chart.modulus).reshape(a.shape)
-
-
 def _power_table(Q: QuotientGroup, bases: np.ndarray, top: int) -> np.ndarray:
     """pw[k, i] = bases[i]^k in Q for 0 <= k <= top."""
     pw = np.zeros((top + 1, len(bases)), dtype=np.int64)
     for k in range(1, top + 1):
-        pw[k] = _mult(Q, pw[k - 1], bases)
+        pw[k] = Q.mult_array(pw[k - 1], bases)
     return pw
 
 
@@ -376,21 +352,15 @@ def _ordered(Q: QuotientGroup, pw: np.ndarray, betas: np.ndarray) -> np.ndarray:
     table pw of the b_i."""
     out = pw[betas[:, 0], 0]
     for i in range(1, betas.shape[1]):
-        out = _mult(Q, out, pw[betas[:, i], i])
+        out = Q.mult_array(out, pw[betas[:, i], i])
     return out
 
 
 def _aut_values(phi: AutomorphismSpec, Q: QuotientGroup, betas: np.ndarray) -> np.ndarray:
     """Indices of phi(g^beta) g^{-beta} for each row of betas, which is
-    p^n-periodic in each coordinate: lookups in perm(Q) and the inverse
-    array on a dense stage, one batched chart solve above it."""
-    betas = betas % Q.radix
-    if Q.dense:
-        idx = Q.index_array(betas)
-        return Q.mult_array(phi.perm(Q)[idx], Q.inverse_array()[idx])
-    chart = Q.chart
-    mats = np.matmul(phi.image_words(betas), chart.inverse_words(betas)) % chart.modulus
-    return Q.index_of_matrices(mats)
+    p^n-periodic in each coordinate."""
+    idx = Q.index_array(betas)
+    return Q.mult_array(phi.apply_array(Q, idx), Q.inverse_array(idx))
 
 
 def _multi_indices(dim: int, degree: int):
@@ -439,11 +409,11 @@ def _group_table(
     (-1)^(k-j) binom(k, j), and merges the triples with equal point and
     label.  A weight at a point alpha is at most 2^|alpha| in absolute
     value, so int64 holds it exactly up to degree 61, and Python ints do
-    beyond.
+    beyond, or when the modulus q = p^N itself does not fit in int64.
     """
     q = Q.coeff_mod
     dim = alphas.shape[1]
-    dtype = np.int64 if degree < 62 else object
+    dtype = np.int64 if degree < 62 and q < 2**63 else object
     signed = np.array(
         [[(-1) ** (k - j) * math.comb(k, j) for j in range(degree + 1)]
          for k in range(degree + 1)],
@@ -526,7 +496,7 @@ def is_mahler_aut(
     i, j = np.tril_indices(d)
     gens = Q.index_array(np.eye(d, dtype=np.int64))
     by_commutation = bool(
-        np.array_equal(_mult(Q, psi[i], gens[j]), _mult(Q, gens[j], psi[i]))
+        np.array_equal(Q.mult_array(psi[i], gens[j]), Q.mult_array(gens[j], psi[i]))
     )
     return witness is None, by_commutation, witness
 
@@ -571,7 +541,7 @@ def expand_aut(
     ) % q
     for i in range(Q.dim):
         w = w * binom[:, i, alphas[:, i]].T % q
-    prods = _mult(Q, labels[:, None], support[None, :])
+    prods = Q.mult_array(labels[:, None], support[None, :])
     keys, sums = _merge(prods.reshape(-1, 1), w.ravel(), q)
     approx = AlgebraElement(Q, dict(zip(keys[:, 0].tolist(), sums.tolist())))
     residual = phi.apply_element(x) - approx

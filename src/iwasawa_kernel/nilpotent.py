@@ -230,9 +230,9 @@ def validate(L: LiePresentation) -> ValidationReport:
                 acc = [
                     a + b + c
                     for a, b, c in zip(
-                        L.bracket_vec(L.bracket_vec(ei, ej), ek),
-                        L.bracket_vec(L.bracket_vec(ej, ek), ei),
-                        L.bracket_vec(L.bracket_vec(ek, ei), ej),
+                        L.bracket_vec(L.bracket[i][j], ek),
+                        L.bracket_vec(L.bracket[j][k], ei),
+                        L.bracket_vec(L.bracket[k][i], ej),
                     )
                 ]
                 for t, val in enumerate(acc):
@@ -285,7 +285,7 @@ def upper_central_series(L: LiePresentation) -> List[Submodule]:
         for i in range(L.dim):
             row: List[Fraction] = []
             for j in range(L.dim):
-                vec = L.bracket_vec(L.basis_vector(i), L.basis_vector(j))
+                vec = [Fraction(c) for c in L.bracket[i][j]]
                 for r, c in zip(red, pivcols):
                     f = vec[c]
                     if f != 0:

@@ -189,7 +189,7 @@ def ideal_closure(gens, side, Q):
     perms = tab.T if side in ("right", "two-sided") else tab
     rows = linalg.howell(np.vstack([_apply_perm(mat, perm) for perm in perms]), p, N)
     if side == "two-sided":
-        lperms = [Q.left_mult_perm(Q.generator(i)) for i in range(Q.dim)]
+        lperms = [Q.mult_array(Q.generator(i), np.arange(Q.size)) for i in range(Q.dim)]
         while True:
             dense = rows.toarray()
             new = [dense] + [_apply_perm(dense, perm) for perm in lperms]

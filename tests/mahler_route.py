@@ -19,12 +19,13 @@ it became an index-array pass or a batched chart solve:
   repeated squaring, and rebuilds the chain phi^(p^m) for each axis.
 
 `apply_index` is phi on one index: a lookup in `perm` on a dense stage
-(`test_group_law` checks it against the matrix route) and one chart solve
+(`test_group_law` checks it against the matrix route) and the matrix route
 above it.
 """
 
 import random
 
+import matrix_route
 from iwasawa_kernel.algebra import AlgebraElement, build_quotient, lazard_value
 from iwasawa_kernel.errors import PrecisionError, ValidationError
 from iwasawa_kernel.mahler import _multi_indices, divided_power, mahler_coeffs, z_approximants
@@ -33,7 +34,7 @@ from iwasawa_kernel.mahler import _multi_indices, divided_power, mahler_coeffs, 
 def apply_index(phi, Q, idx):
     if Q.dense:
         return int(phi.perm(Q)[idx])
-    return Q.index_of_matrix(phi.image_word(Q.coords(idx)))
+    return matrix_route.apply_index(phi, Q, idx)
 
 
 def aut_periodic_f(phi, Q):
@@ -49,9 +50,7 @@ def aut_periodic_f(phi, Q):
 
 
 def table_by_dicts(phi, Q, degree):
-    return mahler_coeffs(
-        aut_periodic_f(phi, Q), Q.dim, degree, Q.p, Q.N, zero=AlgebraElement.zero(Q)
-    )
+    return mahler_coeffs(aut_periodic_f(phi, Q), Q.dim, degree, Q.p, Q.N)
 
 
 def psi_indices(phi, Q):
@@ -130,10 +129,10 @@ def q_growth_by_powers(phi, i, m_range, regime, Q):
         raise ValidationError("char0 regime needs coefficient precision N > 1")
     m_max = max(2, *m_range) if m_range else 2
     approx = z_approximants(phi, phi.chart.generators[i], range(m_max + 1))
-    idxs = [Q.index_of_matrix(a) for a in approx]
+    idxs = [matrix_route.index_of_matrix(Q, a) for a in approx]
     z, stable = approx[-1], idxs[-1] == idxs[-2]
     if not stable:
         raise PrecisionError("z-map approximants did not stabilize")
-    zel = AlgebraElement.group_element(Q, Q.index_of_matrix(z))
+    zel = AlgebraElement.group_element(Q, matrix_route.index_of_matrix(Q, z))
     one = AlgebraElement.one(Q)
     return [lazard_value(zel ** (Q.p**m) - one) for m in m_range]

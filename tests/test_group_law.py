@@ -132,7 +132,7 @@ def test_heis_swap_mahler_table_and_witness_match_matrix_route(heis729):
         return AlgebraElement.group_element(Q, ref.index_of_matrix(Q, g))
 
     degree = 6
-    want = mahler_coeffs(f_ref, Q.dim, degree, Q.p, Q.N, zero=AlgebraElement.zero(Q))
+    want = mahler_coeffs(f_ref, Q.dim, degree, Q.p, Q.N)
     table = aut_mahler_coeffs(phi, Q, degree)
     assert table.entries == want.entries
     assert table.decay_log == want.decay_log
@@ -161,6 +161,23 @@ def test_sparse_stage_builds_no_index_arrays():
     assert [v.value for v in q_growth(phi, 1, range(2), "char0", Q)] == [2, 3]
     assert Q._columns is None and Q._inverse is None and Q._mult_table is None
     assert phi._perm is None
+
+
+def test_sparse_group_law_matches_matrix_route():
+    # |Q| = 3^12 is above the dense limit: mult_array and inverse_array solve
+    # through the chart, and mult and inv are their scalar forms
+    Q = build_quotient(heisenberg_chart(P), 4, 6, size_budget=10**7)
+    assert Q.size == 531441 and not Q.dense
+    rng = random.Random(11)
+    a = np.array([rng.randrange(Q.size) for _ in range(200)])
+    b = np.array([rng.randrange(Q.size) for _ in range(200)])
+    want_mult = [ref.mult(Q, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    want_inv = [ref.inv(Q, x) for x in a.tolist()]
+    assert Q.mult_array(a, b).tolist() == want_mult
+    assert Q.inverse_array(a).tolist() == want_inv
+    assert [Q.mult(x, y) for x, y in zip(a.tolist(), b.tolist())] == want_mult
+    assert [Q.inv(x) for x in a.tolist()] == want_inv
+    assert Q._columns is None and Q._inverse is None and Q._mult_table is None
 
 
 def test_exact_check_rejects_non_bijective_spec(heis729):

@@ -123,6 +123,14 @@ def test_python_int_paths():
     assert (table.entries, table.decay_log) == (want.entries, want.decay_log)
     x = AlgebraElement(Q, {5: 3**24 + 7, 11: 2})
     assert expand_aut(phi, x, 4, table) == ref.expand_by_divided_powers(phi, x, 4, want)
+    # q = 3^40 >= 2^63 does not fit in int64 itself (3^39 does), so the
+    # differencing weights are Python ints even at degree 2
+    Q = build_quotient(CHART, 1, 40)
+    for stem in INPUTS:
+        phi = input_spec(stem)
+        want = ref.table_by_dicts(phi, Q, 2)
+        table = aut_mahler_coeffs(phi, Q, 2)
+        assert (table.entries, table.decay_log) == (want.entries, want.decay_log)
 
 
 @pytest.fixture(scope="module")

@@ -101,6 +101,19 @@ class TestUpperCentralSeries:
     def test_strictly_upper_5x5_class(self):
         assert nilpotency_class(upper5()) == 4
 
+    def test_series_reads_basis_brackets_from_the_table(self, monkeypatch):
+        # [x_i, x_j] is L.bracket[i][j]; no step of the chain recomputes it
+        calls = []
+        real = LiePresentation.bracket_vec
+
+        def spy(self, u, v):
+            calls.append((u, v))
+            return real(self, u, v)
+
+        monkeypatch.setattr(LiePresentation, "bracket_vec", spy)
+        assert nilpotency_class(upper5()) == 4
+        assert calls == []
+
     def test_non_nilpotent_raises(self):
         L = LiePresentation.from_triples(
             P, 3, 4, [(1, 2, 2, 2 * P), (1, 3, 3, -2 * P), (2, 3, 1, P)]
