@@ -180,16 +180,17 @@ class QuotientGroup:
             chart, size = self.chart, self.size
             gens = chart.words(np.eye(self.dim, dtype=np.int64))
             coords = self.coords_array()
-            right = np.empty((self.dim, size), dtype=np.int64)
+            # allocated before the solves' temporaries, so that where the block
+            # lands, and with it the peak RSS, does not hang on the gaps they leave
+            cols = np.empty((self.dim, self.radix, size), dtype=np.int64)
+            cols[:, 0] = np.arange(size)
             for lo in range(0, size, _SOLVE_CHUNK):
                 hs = chart.words(coords[lo:lo + _SOLVE_CHUNK])
                 for i, g in enumerate(gens):
                     prods = np.matmul(hs, g) % chart.modulus
-                    right[i, lo:lo + _SOLVE_CHUNK] = self.index_of_matrices(prods)
-            cols = np.empty((self.dim, self.radix, size), dtype=np.int64)
-            cols[:, 0] = np.arange(size)
-            for k in range(1, self.radix):
-                cols[:, k] = np.take_along_axis(right, cols[:, k - 1], axis=1)
+                    cols[i, 1, lo:lo + _SOLVE_CHUNK] = self.index_of_matrices(prods)
+            for k in range(2, self.radix):
+                cols[:, k] = np.take_along_axis(cols[:, 1], cols[:, k - 1], axis=1)
             self._columns = cols
         return self._columns
 
@@ -210,12 +211,11 @@ class QuotientGroup:
             a = cols[i, k, a]
         return a
 
-    def inverse_array(self, idx=None) -> np.ndarray:
-        """Indices of the inverses of the index array idx, or the inverse
-        permutation of Q when idx is None (dense; budgeted).  A dense stage
-        composes that permutation once from the columns and looks idx up in
-        it; above it idx takes one batched chart solve."""
-        if self.dense or idx is None:
+    def inverse_array(self, idx) -> np.ndarray:
+        """Indices of the inverses of the index array idx.  A dense stage
+        composes the inverse permutation of Q once from the columns and
+        looks idx up in it; above it idx takes one batched chart solve."""
+        if self.dense:
             if self._inverse is None:
                 # (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1}
                 cols, coords = self.columns(), self.coords_array()
@@ -223,7 +223,7 @@ class QuotientGroup:
                 for i in reversed(range(self.dim)):
                     out = cols[i, -coords[:, i] % self.radix, out]
                 self._inverse = out
-            return self._inverse if idx is None else self._inverse[idx]
+            return self._inverse[idx]
         idx = np.asarray(idx, dtype=np.int64)
         words = self.chart.inverse_words(self.coords_array(idx.ravel()))
         return self.index_of_matrices(words).reshape(idx.shape)
