@@ -4,16 +4,15 @@ The lattice has basis x1..x6 with the nonzero brackets
 
     [x1,x4] = 3 x2   [x1,x5] = 3 x3   [x2,x6] = 3 x3   [x4,x6] = 3 x5
 
-We validate the presentation, walk the upper central series Z_1 < Z_2 < ...,
-and compute the centralizer of Z_2, which is the input to the saturated-
-subalgebra constructions downstream.
+We validate the presentation, which decides nilpotency by computing the
+upper central series Z_1 < Z_2 < ..., walk that series, and compute the
+centralizer of Z_2, which is the input to the saturated-subalgebra
+constructions downstream.
 """
 
 from iwasawa_kernel.nilpotent import (
     LiePresentation,
     centralizer,
-    nilpotency_class,
-    upper_central_series,
     validate,
 )
 
@@ -25,10 +24,10 @@ def main():
     report = validate(L)
     print("presentation valid:", report.ok)
 
-    series = upper_central_series(L)
+    series = report.series
     for k, Z in enumerate(series[1:], start=1):
         print(f"Z_{k} = {Z.describe()}")
-    print("nilpotency class =", nilpotency_class(L))
+    print("nilpotency class =", len(series) - 1)
 
     C = centralizer(L, series[2])
     print("C(Z_2) =", C.describe())

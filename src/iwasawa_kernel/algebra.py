@@ -456,17 +456,6 @@ def b_monomial(Q: QuotientGroup, alpha: Sequence[int], degree_budget: int = 512)
 # Lazard filtration weight
 
 
-def _vp_cap(c: int, p: int, N: int) -> Optional[int]:
-    c %= p**N
-    if c == 0:
-        return None
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
-
-
 def lazard_value(x: AlgebraElement, degree_cap: int = 4096) -> FiltValue:
     """inf of v_p(lambda_alpha) + sum alpha_i * omega(g_i) over the
     ordered-monomial expansion of x.
@@ -502,8 +491,8 @@ def lazard_value(x: AlgebraElement, degree_cap: int = 4096) -> FiltValue:
             lam = 0
             for (beta, s), pref in zip(supp, prefix):
                 lam += pref * s
-            v = _vp_cap(lam, p, N)
-            if v is not None:
+            v = linalg.vp_int(lam, p, N)
+            if v < N:
                 total = v + tau
                 if total < floor and (best is None or total < best):
                     best = total

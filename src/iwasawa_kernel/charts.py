@@ -426,7 +426,7 @@ def _chart_solver(chart: GroupChart):
                 rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[best])]
                 trans[i] = [(a - f * b) % q for a, b in zip(trans[i], trans[best])]
         echelon.append(((col, e), np.array(rows[best], dtype=dtype), np.array(trans[best], dtype=dtype)))
-    if live and any(any(rows[i]) for i in live):
+    if live:
         raise ValidationError("chart basis matrices are linearly dependent")
     max_e = max(e for (_, e), _, _ in echelon)
     return echelon, trans, max_e

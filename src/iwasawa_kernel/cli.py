@@ -74,7 +74,7 @@ def cmd_ucs(config) -> int:
     if not report.ok:
         print(str(report), file=sys.stderr)
         return 1
-    chain = nilpotent.upper_central_series(L)
+    chain = report.series
     c_z2 = nilpotent.second_centre_centralizer(L, chain)
     cls = len(chain) - 1
     lines = [f"presentation: p={L.p} dim={L.dim} prec={L.prec}", "valid"]

@@ -1,10 +1,12 @@
 """Nilpotent Z_p-Lie algebras given by structure constants.
 
-Structure constants arrive as exact integers (or rationals, for rescaled
-sublattices), so the upper central series and centralizers are computed by
-exact rational kernels and returned as primitive integer bases.  These are
-automatically saturated, which sidesteps the junk vectors that plain
-mod-p^N kernels accumulate near the precision floor.
+Structure constants arrive as exact integers or rationals; rescaled
+sublattices and the input format both allow rationals, and `validate`
+reads them in Z_(p).  Every bracket is a combination of table rows, and
+one kernel, `_annihilator`, gives both the upper central series (which
+also decides nilpotency) and centralizers.  It works over Q and returns
+primitive integer bases, so the results are saturated, which sidesteps the
+junk vectors that plain mod-p^N kernels accumulate near the precision floor.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
+from .padic import vp
 
 Vector = Tuple[Fraction, ...]
 
@@ -85,6 +88,22 @@ def _canonical_rows(vectors: Iterable[Sequence[Fraction]]) -> Tuple[Tuple[int, .
     return tuple(_primitive(r) for r in red)
 
 
+def _combine(coeffs: Sequence, rows: Sequence[Sequence], dim: int) -> List[Fraction]:
+    """sum_t coeffs[t] * rows[t]; rows with a zero coefficient are not read."""
+    out = [Fraction(0)] * dim
+    for c, row in zip(coeffs, rows):
+        if c:
+            for m, r in enumerate(row):
+                if r:
+                    out[m] += c * r
+    return out
+
+
+def _vp(c: Fraction, p: int) -> int:
+    """v_p of a nonzero rational."""
+    return vp(c.numerator, p) - vp(c.denominator, p)
+
+
 # ---------------------------------------------------------------------------
 # presentations and submodules
 
@@ -95,7 +114,6 @@ class Submodule:
 
     ambient: int
     rows: Tuple[Tuple[int, ...], ...]
-    saturated: bool = True
 
     @property
     def dim(self) -> int:
@@ -165,22 +183,9 @@ class LiePresentation:
         return LiePresentation(p, dim, prec, rows)
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> List[Fraction]:
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                coeffs = self.bracket[i][j]
-                if any(coeffs):
-                    f = Fraction(ui) * Fraction(vj)
-                    for k in range(self.dim):
-                        out[k] += f * coeffs[k]
-        return out
-
-    def basis_vector(self, i: int) -> List[Fraction]:
-        return [Fraction(1) if j == i else Fraction(0) for j in range(self.dim)]
+        """[u, v] = sum_i u_i [x_i, v], where [x_i, v] = sum_k v_k bracket[i][k]."""
+        rows = [_combine(v, self.bracket[i], self.dim) if ui else () for i, ui in enumerate(u)]
+        return _combine(u, rows, self.dim)
 
     def rescaled(self, exponents: Sequence[int]) -> "LiePresentation":
         """Presentation of the sublattice with basis u_i = p^{e_i} x_i."""
@@ -205,6 +210,9 @@ class LiePresentation:
 class ValidationReport:
     ok: bool
     violations: List[str] = field(default_factory=list)
+    # the upper central series; empty when antisymmetry or Jacobi fails, or
+    # when L is not nilpotent
+    series: List[Submodule] = field(default_factory=list)
 
     def __str__(self):
         if self.ok:
@@ -213,9 +221,9 @@ class ValidationReport:
 
 
 def validate(L: LiePresentation) -> ValidationReport:
-    """Check antisymmetry, Jacobi (mod p^prec), nilpotency and powerfulness."""
+    """Check antisymmetry, Jacobi (mod p^prec), that every constant lies in
+    p·Z_(p), and nilpotency, which the upper central series decides."""
     bad: List[str] = []
-    q = L.p**L.prec
     for i in range(L.dim):
         for j in range(L.dim):
             for k in range(L.dim):
@@ -223,20 +231,21 @@ def validate(L: LiePresentation) -> ValidationReport:
                     bad.append(f"antisymmetry fails at [x{i+1},x{j+1}] vs [x{j+1},x{i+1}]")
                 if i == j and L.bracket[i][j][k] != 0:
                     bad.append(f"[x{i+1},x{i+1}] nonzero")
+    # [u, x_k] = sum_t u_t bracket[t][k]: column k of the table
+    cols = [[row[k] for row in L.bracket] for k in range(L.dim)]
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             for k in range(j + 1, L.dim):
-                ei, ej, ek = (L.basis_vector(t) for t in (i, j, k))
                 acc = [
                     a + b + c
                     for a, b, c in zip(
-                        L.bracket_vec(L.bracket[i][j], ek),
-                        L.bracket_vec(L.bracket[j][k], ei),
-                        L.bracket_vec(L.bracket[k][i], ej),
+                        _combine(L.bracket[i][j], cols[k], L.dim),
+                        _combine(L.bracket[j][k], cols[i], L.dim),
+                        _combine(L.bracket[k][i], cols[j], L.dim),
                     )
                 ]
                 for t, val in enumerate(acc):
-                    if val.denominator != 1 or int(val) % q != 0:
+                    if val and _vp(val, L.p) < L.prec:
                         bad.append(
                             f"Jacobi fails on (x{i+1},x{j+1},x{k+1}) in x{t+1}-coordinate"
                         )
@@ -245,64 +254,52 @@ def validate(L: LiePresentation) -> ValidationReport:
         for j in range(L.dim):
             for k in range(L.dim):
                 c = L.bracket[i][j][k]
-                if c != 0 and (Fraction(c) / L.p).denominator != 1:
+                if c != 0 and _vp(Fraction(c), L.p) < 1:
                     bad.append(f"bracket [x{i+1},x{j+1}] not in p·lattice (x{k+1}-part {c})")
+    series: List[Submodule] = []
     if not any(v.startswith("antisymmetry") or v.startswith("Jacobi") for v in bad):
-        if not _is_nilpotent(L):
-            bad.append("lower central series does not reach 0 (not nilpotent)")
-    return ValidationReport(not bad, bad)
+        try:
+            series = upper_central_series(L)
+        except ValidationError as exc:
+            bad.append(str(exc))
+    return ValidationReport(not bad, bad, series)
 
 
-def _lcs_step(L: LiePresentation, current: Submodule) -> Submodule:
-    gens = []
-    for r in current.rows:
-        for j in range(L.dim):
-            gens.append(L.bracket_vec(r, L.basis_vector(j)))
-    return Submodule(L.dim, _canonical_rows(gens))
+def _annihilator(
+    L: LiePresentation, S: Iterable[Sequence[int]], P: Sequence[Sequence[int]]
+) -> Submodule:
+    """Saturated {x : [x, s] in span(P) for every s in S}.
 
-
-def _is_nilpotent(L: LiePresentation) -> bool:
-    term = full_module(L.dim)
-    for _ in range(L.dim + 1):
-        nxt = _lcs_step(L, term)
-        if nxt.dim == 0:
-            return True
-        if nxt.rows == term.rows:
-            return False
-        term = nxt
-    return False
+    [x, s] = sum_i x_i [x_i, s], and [x_i, s] = sum_k s_k bracket[i][k] is a
+    combination of table rows.  Reduced modulo span(P), its coordinates off
+    P's pivots must vanish: each is one linear condition on x.
+    """
+    red, pivcols = _rref([[Fraction(v) for v in r] for r in P])
+    free = [t for t in range(L.dim) if t not in pivcols]
+    conditions: List[List[Fraction]] = []
+    for s in S:
+        images = []
+        for i in range(L.dim):
+            vec = _combine(s, L.bracket[i], L.dim)
+            for r, c in zip(red, pivcols):
+                f = vec[c]
+                if f != 0:
+                    vec = [a - f * b for a, b in zip(vec, r)]
+            images.append(vec)
+        conditions.extend([img[t] for img in images] for t in free)
+    return Submodule(L.dim, _canonical_rows(_nullspace(conditions, L.dim)))
 
 
 def upper_central_series(L: LiePresentation) -> List[Submodule]:
-    """Ascending chain 0 = Z_0 < Z_1 < ... terminating at L (saturated)."""
+    """Ascending chain 0 = Z_0 < Z_1 < ... terminating at L (saturated):
+    Z_k is the annihilator of the basis modulo Z_{k-1}."""
+    basis = full_module(L.dim).rows
     chain = [zero_module(L.dim)]
-    while True:
-        prev = chain[-1]
-        # x in Z_k  iff  [x, e_j] lies in span(Z_{k-1}) for every j.
-        prev_rows = [[Fraction(x) for x in r] for r in prev.rows]
-        red, pivcols = _rref(prev_rows) if prev_rows else ([], [])
-        conditions: List[List[Fraction]] = []
-        for i in range(L.dim):
-            row: List[Fraction] = []
-            for j in range(L.dim):
-                vec = [Fraction(c) for c in L.bracket[i][j]]
-                for r, c in zip(red, pivcols):
-                    f = vec[c]
-                    if f != 0:
-                        vec = [a - f * b for a, b in zip(vec, r)]
-                row.extend(vec)
-            conditions.append(row)
-        # kernel of x -> x · conditions  (x runs over rows)
-        transposed = [[conditions[i][c] for i in range(L.dim)] for c in range(len(conditions[0]))]
-        basis = _nullspace(transposed, L.dim)
-        nxt = Submodule(L.dim, _canonical_rows(basis))
-        if nxt.rows == prev.rows:
-            if nxt.dim < L.dim:
-                raise ValidationError("upper central series stalls: not nilpotent")
-            break
+    while chain[-1].dim < L.dim:
+        nxt = _annihilator(L, basis, chain[-1].rows)
+        if nxt.rows == chain[-1].rows:
+            raise ValidationError("upper central series stalls: not nilpotent")
         chain.append(nxt)
-        if nxt.dim == L.dim:
-            break
     return chain
 
 
@@ -314,17 +311,7 @@ def centralizer(L: LiePresentation, S: Submodule) -> Submodule:
     """Saturated kernel of x -> [x, S]."""
     if S.ambient != L.dim:
         raise ValidationError("ambient dimension mismatch")
-    conditions: List[List[Fraction]] = []
-    for i in range(L.dim):
-        row: List[Fraction] = []
-        for s in S.rows:
-            row.extend(L.bracket_vec(L.basis_vector(i), s))
-        conditions.append(row)
-    if not S.rows:
-        return full_module(L.dim)
-    transposed = [[conditions[i][c] for i in range(L.dim)] for c in range(len(conditions[0]))]
-    basis = _nullspace(transposed, L.dim)
-    return Submodule(L.dim, _canonical_rows(basis))
+    return _annihilator(L, S.rows, ())
 
 
 def second_centre_centralizer(

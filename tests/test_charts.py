@@ -13,6 +13,7 @@ from iwasawa_kernel.charts import (
     _mul,
     abelian_chart,
     builtin_chart,
+    chart_from_matrices,
     cyclic_chart,
     heisenberg_chart,
     unipotent_chart,
@@ -38,6 +39,15 @@ class TestConstruction:
     def test_non_strictly_upper_rejected(self):
         with pytest.raises(ValidationError):
             GroupChart(3, 10, (((3, 0), (3, 0)),))
+
+    @pytest.mark.parametrize("matrices", [
+        [((0, 3), (0, 0)), ((0, 6), (0, 0))],  # x2 = 2·x1
+        [((0, 0), (0, 0))],
+    ], ids=["multiple", "zero"])
+    def test_dependent_basis_rejected(self, matrices):
+        chart = chart_from_matrices(P, matrices)
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            chart.solve_lattice(((0, 3), (0, 0)))
 
     def test_builtin_names(self):
         assert builtin_chart("cyclic", P).dim == 1

@@ -77,6 +77,14 @@ class TestUcs:
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         assert main(["ucs", write(tmp_path, "k.txt", "p 3\nfrobnicate 1\n")]) == 1
 
+    def test_rational_constant_in_p_z_p(self, tmp_path, capsys):
+        # v_3(3/2) = 1: the constant lies in 3·Z_(3)
+        text = "p 3\ndim 3\nprec 4\nbracket 1 2 3 3/2\n"
+        assert main(["ucs", write(tmp_path, "q.txt", text)]) == 0
+        out = capsys.readouterr().out
+        assert "Z_1 = span{x3}" in out
+        assert "nilpotency class = 2" in out
+
     def test_series_computed_once(self, tmp_path, capsys, monkeypatch):
         # C(Z_2) reads the chain the command already holds
         calls = []
@@ -249,6 +257,16 @@ class TestDeterminism:
 
 # (name, input text, or None for a missing file; arguments; exit code; a
 # line of stderr)
+# x2 = 2·x1: the chart basis is linearly dependent
+DEPENDENT_CHART = """\
+p 3
+chartmat 0 3 0 0 0 0 0 0 0
+chartmat 0 6 0 0 0 0 0 0 0
+aut 1 1 0
+aut 2 0 1
+ideal bmono 0 1
+"""
+
 FUZZ = [
     ("valid", CENTRAL_IDEAL, ["control"], 0, ""),
     ("negative-dim", "p 3\ndim -2\nprec 4\n", ["ucs"], 1, "dim must be >= 1"),
@@ -290,6 +308,14 @@ FUZZ = [
     ("control-level-4-size-budget", CENTRAL_IDEAL,
      ["control", "--level", "4", "--size-budget", "10000000"], 2,
      "exceeds the fixed dense-stage limit of 50000 elements, which is separate from --size-budget"),
+    ("dependent-chart-control", DEPENDENT_CHART, ["control"], 1, "linearly dependent"),
+    ("dependent-chart-mahler", DEPENDENT_CHART, ["mahler"], 1, "linearly dependent"),
+    ("dependent-chart-growth", DEPENDENT_CHART, ["growth", "--level", "1"], 1,
+     "linearly dependent"),
+    ("dependent-chart-growth-level-6", DEPENDENT_CHART,
+     ["growth", "--level", "6", "--size-budget", "100000000"], 1, "linearly dependent"),
+    ("zero-chart-matrix", "p 3\nchartmat 0 0 0 0\naut 1 1\nideal bmono 1\n", ["control"], 1,
+     "linearly dependent"),
     # |Q| = 729 is one above the budget the flag sets
     ("control-size-budget-728", CENTRAL_IDEAL, ["control", "--level", "2", "--size-budget", "728"],
      2, "exceeds budget 728"),

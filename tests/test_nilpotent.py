@@ -68,6 +68,55 @@ class TestValidation:
         assert not report.ok
         assert any("lattice" in v for v in report.violations)
 
+    def test_rational_constants_read_in_z_p(self):
+        # v_3(3/2) = 1, v_3(9/2) = 2, v_3(-3/4) = 1; x4 is central, so
+        # Jacobi holds exactly
+        L = LiePresentation.from_triples(P, 3, 4, [(1, 2, 3, Fraction(3, 2))])
+        assert validate(L).ok
+        L = LiePresentation.from_triples(
+            P, 4, 4,
+            [(1, 2, 3, Fraction(3, 2)), (1, 3, 4, Fraction(9, 2)), (2, 3, 4, Fraction(-3, 4))],
+        )
+        report = validate(L)
+        assert report.ok, report.violations
+        assert [s.describe() for s in report.series] == [
+            "0", "span{x4}", "span{x3, x4}", "span{x1, x2, x3, x4}"
+        ]
+
+    @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 9)])
+    def test_unit_or_p_denominator_rejected(self, c):
+        report = validate(LiePresentation.from_triples(P, 3, 4, [(1, 2, 3, c)]))
+        assert not report.ok
+        assert any("lattice" in v for v in report.violations)
+
+    def test_jacobi_sum_read_in_z_p(self):
+        # the Jacobi sum on (x1, x2, x4) is c·3 x5: (81/2) x5 has v_3 = 4 =
+        # prec, (27/2) x5 has v_3 = 3 < prec
+        def jacobi_violations(c):
+            L = LiePresentation.from_triples(P, 5, 4, [(1, 2, 3, c), (3, 4, 5, P)])
+            return [v for v in validate(L).violations if "Jacobi" in v]
+
+        assert jacobi_violations(Fraction(27, 2)) == []
+        assert jacobi_violations(27) == []
+        assert jacobi_violations(Fraction(9, 2)) == [
+            "Jacobi fails on (x1,x2,x4) in x5-coordinate"
+        ]
+
+    def test_report_carries_the_series(self):
+        assert validate(example2()).series == upper_central_series(example2())
+        bad = LiePresentation.from_triples(P, 4, 4, [(1, 2, 3, P), (3, 4, 3, P)])
+        assert validate(bad).series == []
+
+    def test_validate_reads_brackets_from_the_table(self, monkeypatch):
+        calls = []
+        real = LiePresentation.bracket_vec
+        monkeypatch.setattr(
+            LiePresentation, "bracket_vec",
+            lambda self, u, v: calls.append((u, v)) or real(self, u, v),
+        )
+        assert validate(upper5()).ok
+        assert calls == []
+
     def test_non_nilpotent_flagged(self):
         # sl2-like relations never reach zero in the lower central series
         L = LiePresentation.from_triples(
@@ -120,6 +169,17 @@ class TestUpperCentralSeries:
         )
         with pytest.raises(ValidationError):
             upper_central_series(L)
+
+
+class TestBracket:
+    def test_bracket_vec_is_bilinear_in_the_table(self):
+        L = example2()
+        e = [[1 if j == i else 0 for j in range(6)] for i in range(6)]
+        assert L.bracket_vec(e[0], e[3]) == [0, P, 0, 0, 0, 0]
+        assert L.bracket_vec(e[3], e[0]) == [0, -P, 0, 0, 0, 0]
+        # [2 x1 + x2, x4 - x6] = 2 [x1, x4] - [x2, x6] = 6 x2 - 3 x3
+        u, v = [2, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, -1]
+        assert L.bracket_vec(u, v) == [0, 2 * P, -P, 0, 0, 0]
 
 
 class TestCentralizer:
