@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import control as control_mod
 from . import mahler as mahler_mod
@@ -112,18 +113,17 @@ def cmd_mahler(config) -> int:
         )
     rng = random.Random(config.seed)
     sample = sorted(rng.randrange(Q.size) for _ in range(min(4, Q.size)))
-    residuals = {}
-    for d in range(1, degree + 1):
-        worst: Optional[FiltValue] = None
-        for g in sample:
-            x = AlgebraElement.group_element(Q, g)
-            _, res = mahler_mod.expand_aut(phi, x, d, table)
-            if worst is None or (
-                res.value is not None
-                and (worst.value is None or res.value < worst.value)
-            ):
-                worst = res
-        residuals[d] = worst
+    # one expansion per sampled element serves every degree 1 .. D
+    steps = [
+        mahler_mod.expand_aut(phi, AlgebraElement.group_element(Q, g), degree, table)
+        for g in sample
+    ] if degree else []
+    # the first least residual weight, None counting as infinite
+    residuals = {
+        d: min((s[d][1] for s in steps),
+               key=lambda r: math.inf if r.value is None else r.value)
+        for d in range(1, degree + 1)
+    }
 
     lines = [f"automorphism: {phi.name} on {chart.name}, |Q| = {Q.size}"]
     lines.append(f"mahler factorization: by_formula={by_formula} by_commutation={by_commutation}")

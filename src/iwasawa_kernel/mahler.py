@@ -2,7 +2,9 @@
 
 Scalar side: the coefficients m_alpha(f) of a function on (Z/p^n)^d in the
 binomial basis, by exact finite differencing, with a per-shell decay log
-and partial-sum reconstruction.
+and partial-sum reconstruction.  Scalar, algebra-valued and group-valued
+functions share one differencing kernel, `_mahler_table`, on (point,
+label, weight) triples.
 
 Automorphism side: an automorphism given by generator images acts on a
 quotient stage; the function beta -> phi(g^beta) g^{-beta} has algebra-
@@ -17,8 +19,8 @@ group product and inverse is one `QuotientGroup.mult_array` or
 itself forks, as lookups in the permutation `perm` on a dense stage and one
 batched chart solve of the images above it (`apply_array`).  A
 group-valued function is an index array over the multi-indices
-|beta| <= D, and its Mahler table is differenced from (point, label,
-weight) triples.
+|beta| <= D, one triple per point.  One `expand_aut` call returns the
+truncated expansion of an element at every degree 0 .. D.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ class MahlerTable:
     entries: Dict[Tuple[int, ...], object]
     decay_log: List[Optional[int]]
 
-    def coeff(self, alpha: Tuple[int, ...]):
-        return self.entries.get(alpha, 0)
-
     def support_shell(self) -> int:
         """Largest shell carrying a nonzero coefficient (-1 if empty)."""
         last = -1
@@ -68,80 +67,30 @@ class MahlerTable:
         return last
 
 
-def _shell_val(value, p: int, N: int) -> Optional[int]:
-    if isinstance(value, AlgebraElement):
-        if value.is_zero():
-            return None
-        return min(vp_int(c, p, N) for c in value.coeffs.values())
-    value = int(value) % p**N
-    if value == 0:
-        return None
-    return vp_int(value, p, N)
-
-
 def mahler_coeffs(f: Callable, dim: int, degree: int, p: int, N: int) -> MahlerTable:
-    """Mahler coefficients of f on integer points of [0, degree]^dim.
+    """Mahler coefficients m_alpha, |alpha| <= degree, of f on N^dim (f
+    takes an int when dim == 1, else a tuple).
 
-    Computed by axis-wise forward differencing, which evaluates the
-    alternating sum m_alpha = sum_{beta<=alpha} (-1)^{|alpha-beta|}
-    binom(alpha,beta) f(beta) for every alpha at once.
+    m_alpha = sum_{beta<=alpha} (-1)^{|alpha-beta|} binom(alpha,beta) f(beta)
+    reads f only on |beta| <= degree.  There f becomes (point, label,
+    weight) triples for `_mahler_table`: one per point, with weight
+    f(beta) mod p^N and a constant label, for a scalar f, and one per
+    support element of f(beta) for an algebra-valued f.
     """
     if degree < 0:
         raise ValidationError("degree must be >= 0")
-    grid: Dict[Tuple[int, ...], object] = {}
-
-    def fill(prefix: Tuple[int, ...]):
-        if len(prefix) == dim:
-            grid[prefix] = f(prefix if dim > 1 else prefix[0])
-            return
-        for b in range(degree + 1):
-            fill(prefix + (b,))
-
-    fill(())
-    # difference along each axis in turn
-    for axis in range(dim):
-        new_grid: Dict[Tuple[int, ...], object] = {}
-        # iteratively: Delta^k along this axis stored at coordinate k
-        # process each line independently
-        lines: Dict[Tuple[int, ...], List[object]] = {}
-        for point, val in grid.items():
-            key = point[:axis] + point[axis + 1:]
-            lines.setdefault(key, [None] * (degree + 1))[point[axis]] = val
-        for key, line in lines.items():
-            vals = list(line)
-            out = [vals[0]]
-            for _ in range(degree):
-                vals = [b - a for a, b in zip(vals, vals[1:])]
-                if not vals:
-                    break
-                out.append(vals[0])
-            for k, v in enumerate(out):
-                new_grid[key[:axis] + (k,) + key[axis:]] = v
-        grid = new_grid
-
-    entries = {}
-    for alpha, v in grid.items():
-        if sum(alpha) > degree:
-            continue
-        if isinstance(v, AlgebraElement):
-            if not v.is_zero():
-                entries[alpha] = v
-        elif int(v) % p**N:
-            entries[alpha] = int(v) % p**N
-    return MahlerTable(dim, degree, entries, _decay_log(entries, degree, p, N))
-
-
-def _decay_log(entries: Dict, degree: int, p: int, N: int) -> List[Optional[int]]:
-    """Per shell |alpha| = s <= degree, the least valuation of a coefficient
-    of the entries (None when the shell vanishes)."""
-    decay = []
-    for s in range(degree + 1):
-        vals = [
-            _shell_val(v, p, N) for a, v in entries.items() if sum(a) == s
-        ]
-        vals = [v for v in vals if v is not None]
-        decay.append(min(vals) if vals else None)
-    return decay
+    points = _multi_index_array(dim, degree)
+    values = [f(tuple(b) if dim > 1 else b[0]) for b in points.tolist()]
+    if isinstance(values[0], AlgebraElement):
+        return _mahler_table(
+            np.repeat(points, [len(v.coeffs) for v in values], axis=0),
+            [h for v in values for h in v.coeffs],
+            [c for v in values for c in v.coeffs.values()],
+            degree, p, N, values[0].quotient,
+        )
+    return _mahler_table(
+        points, [0] * len(values), [int(v) % p**N for v in values], degree, p, N
+    )
 
 
 def reconstruct(T: MahlerTable, gamma: Sequence[int], zero=0):
@@ -336,7 +285,7 @@ class AutomorphismSpec:
 
 
 # ---------------------------------------------------------------------------
-# group-valued functions as index arrays
+# group-valued functions as index arrays, and the one differencing kernel
 
 
 def _power_table(Q: QuotientGroup, bases: np.ndarray, top: int) -> np.ndarray:
@@ -396,32 +345,39 @@ def _merge(keys: np.ndarray, w: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndar
     return keys[keep], w[keep]
 
 
-def _group_table(
-    Q: QuotientGroup, values: np.ndarray, alphas: np.ndarray, degree: int
+def _mahler_table(
+    points: np.ndarray,
+    labels: Sequence[int],
+    weights: Sequence[int],
+    degree: int,
+    p: int,
+    N: int,
+    Q: Optional[QuotientGroup] = None,
 ) -> MahlerTable:
-    """Mahler table of a function with values in Q given on the points
-    alphas = _multi_index_array(d, degree): values[j] is the index of its
-    value at alphas[j].
+    """Mahler table of a function given on points |beta| <= degree as
+    (point, label, weight) triples: its value at beta is the sum of
+    weight * g_label over the triples at beta, with values in the algebra
+    of Q, or the sum of the weights when Q is None (the labels are then a
+    constant).
 
-    The function is held as (point, label, weight) triples, one per point.
     Differencing along an axis sends a triple at coordinate j to every
     k >= j that stays within shell ``degree``, with weight
     (-1)^(k-j) binom(k, j), and merges the triples with equal point and
-    label.  A weight at a point alpha is at most 2^|alpha| in absolute
-    value, so int64 holds it exactly up to degree 61, and Python ints do
-    beyond, or when the modulus q = p^N itself does not fit in int64.
+    label.  Weights start in [0, q), q = p^N, and a weight at a point alpha
+    is at most q 2^|alpha| in absolute value, so int64 holds it exactly
+    while q 2^degree < 2^63, and Python ints do beyond.
     """
-    q = Q.coeff_mod
-    dim = alphas.shape[1]
-    dtype = np.int64 if degree < 62 and q < 2**63 else object
+    q = p**N
+    dim = points.shape[1]
+    dtype = np.int64 if q << degree < 2**63 else object
     signed = np.array(
         [[(-1) ** (k - j) * math.comb(k, j) for j in range(degree + 1)]
          for k in range(degree + 1)],
         dtype=dtype,
     )
     # the point's coordinates, then the label
-    keys = np.column_stack([alphas, values])
-    w = np.ones(len(keys), dtype=dtype)
+    keys = np.column_stack([points, np.asarray(labels, dtype=np.int64)])
+    w = np.array(weights, dtype=dtype)
     for axis in range(dim):
         # k - j runs over 0 .. degree - |point| for each triple
         reach = degree + 1 - keys[:, :dim].sum(axis=1)
@@ -434,10 +390,15 @@ def _group_table(
     points, labels, coeffs = keys[:, :dim], keys[:, dim].tolist(), (w % q).tolist()
     bounds = np.append(_run_starts(points), len(w)).tolist()
     entries = {
-        tuple(points[lo].tolist()): AlgebraElement(Q, dict(zip(labels[lo:hi], coeffs[lo:hi])))
+        tuple(points[lo].tolist()): coeffs[lo] if Q is None
+        else AlgebraElement(Q, dict(zip(labels[lo:hi], coeffs[lo:hi])))
         for lo, hi in zip(bounds, bounds[1:])
     }
-    return MahlerTable(dim, degree, entries, _decay_log(entries, degree, Q.p, Q.N))
+    decay: List[Optional[int]] = [None] * (degree + 1)
+    for shell, c in zip(points.sum(axis=1).tolist(), coeffs):
+        v = vp_int(c, p, N)
+        decay[shell] = v if decay[shell] is None else min(decay[shell], v)
+    return MahlerTable(dim, degree, entries, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +410,12 @@ def aut_mahler_coeffs(
 ) -> MahlerTable:
     """Mahler table of beta -> phi(g^beta) g^{-beta}, with values in the
     stage algebra: the function on every |beta| <= degree is one index
-    array, differenced by `_group_table`."""
+    array, differenced by `_mahler_table` with unit weights."""
     if degree < 0:
         raise ValidationError("degree must be >= 0")
     alphas = _multi_index_array(Q.dim, degree)
-    return _group_table(Q, _aut_values(phi, Q, alphas), alphas, degree)
+    values = _aut_values(phi, Q, alphas)
+    return _mahler_table(alphas, values, [1] * len(alphas), degree, Q.p, Q.N, Q)
 
 
 def is_mahler_aut(
@@ -486,7 +448,7 @@ def is_mahler_aut(
     alphas = _multi_index_array(d, shells)
     psi = _aut_values(phi, Q, np.eye(d, dtype=np.int64))
     products = _ordered(Q, _power_table(Q, psi, shells), alphas)
-    formula = _group_table(Q, products, alphas, shells)
+    formula = _mahler_table(alphas, products, [1] * len(alphas), shells, Q.p, Q.N, Q)
     # multi-indices that vanish in the table are checked too
     witness = next(
         (a for a in map(tuple, alphas.tolist())
@@ -506,17 +468,19 @@ def expand_aut(
     x: AlgebraElement,
     degree: int,
     table: Optional[MahlerTable] = None,
-) -> Tuple[AlgebraElement, FiltValue]:
-    """Truncated expansion phi(x) ~= sum_{|alpha|<=D} m_alpha ∂^{(alpha)} x
-    and the filtration weight of the residual.
+) -> List[Tuple[AlgebraElement, FiltValue]]:
+    """The truncated expansions phi(x) ~= sum_{|alpha|<=d} m_alpha ∂^{(alpha)} x
+    for d = 0 .. degree, each with the filtration weight of its residual.
 
-    The table is flattened into (alpha, label h, coefficient c) triples.
-    For each term s_k g_k of x the triple contributes
-    c s_k binom(beta_k, alpha) to h g_k, so every product is in one
-    `Q.mult_array` call (one batched chart solve above the dense limit).
+    The table is computed here unless one of at least that degree is given.
+    It is flattened once into (alpha, label h, coefficient c) triples.  For
+    each term s_k g_k of x the triple contributes c s_k binom(beta_k, alpha)
+    to h g_k, so every product is in one `Q.mult_array` call (one batched
+    chart solve above the dense limit).  The truncation at d merges the
+    contributions of shell d into the one at d - 1.
     """
     Q = x.quotient
-    if table is None:
+    if table is None or table.degree < degree:
         table = aut_mahler_coeffs(phi, Q, degree)
     q = Q.coeff_mod
     # int64 when a product of two residues fits in it, else Python ints
@@ -542,10 +506,19 @@ def expand_aut(
     for i in range(Q.dim):
         w = w * binom[:, i, alphas[:, i]].T % q
     prods = Q.mult_array(labels[:, None], support[None, :])
-    keys, sums = _merge(prods.reshape(-1, 1), w.ravel(), q)
-    approx = AlgebraElement(Q, dict(zip(keys[:, 0].tolist(), sums.tolist())))
-    residual = phi.apply_element(x) - approx
-    return approx, lazard_value(residual)
+    shell = alphas.sum(axis=1)
+    target = phi.apply_element(x)
+    keys, sums = np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=dtype)
+    out = []
+    for d in range(degree + 1):
+        keys, sums = _merge(
+            np.concatenate([keys, prods[shell == d].reshape(-1, 1)]),
+            np.concatenate([sums, w[shell == d].ravel()]) % q,
+            q,
+        )
+        approx = AlgebraElement(Q, dict(zip(keys[:, 0].tolist(), sums.tolist())))
+        out.append((approx, lazard_value(target - approx)))
+    return out
 
 
 # ---------------------------------------------------------------------------

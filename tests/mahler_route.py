@@ -4,14 +4,17 @@ reference.
 These are the implementations `mahler` used before every group product in
 it became an index-array pass or a batched chart solve:
 
+- `coeffs_by_dicts` is the dict-grid differencing `mahler_coeffs` used
+  before it became triples: f is evaluated on the whole (D+1)^d grid,
+  scalar or algebra-valued, and differenced one axis line at a time; its
+  decay log takes the least valuation entry by entry (`_decay_log`);
 - `table_by_dicts` evaluates beta -> phi(g^beta) g^{-beta} one point at a
-  time (`aut_periodic_f`) on the whole (D+1)^d grid and differences the
-  grid of sparse algebra elements with `mahler_coeffs`;
+  time (`aut_periodic_f`) and differences it with `coeffs_by_dicts`;
 - `formula_mismatches` compares a table with the ordered products
   (psi_1 - 1)^{alpha_1} ... (psi_d - 1)^{alpha_d} of `mahler_product_coeff`,
   built by algebra convolution, one multi-index at a time;
 - `expand_by_divided_powers` sums m_alpha * divided_power(alpha, x) by
-  convolution;
+  convolution, for one degree;
 - `verify_by_pairs` checks phi(ab) = phi(a) phi(b) on the seeded random
   pairs of a stage above the dense limit, one scalar chart solve per
   product and per image;
@@ -24,11 +27,18 @@ above it.
 """
 
 import random
+from typing import Dict, List, Optional, Tuple
 
 import matrix_route
 from iwasawa_kernel.algebra import AlgebraElement, build_quotient, lazard_value
 from iwasawa_kernel.errors import PrecisionError, ValidationError
-from iwasawa_kernel.mahler import _multi_indices, divided_power, mahler_coeffs, z_approximants
+from iwasawa_kernel.linalg import vp_int
+from iwasawa_kernel.mahler import (
+    MahlerTable,
+    _multi_indices,
+    divided_power,
+    z_approximants,
+)
 
 
 def apply_index(phi, Q, idx):
@@ -49,8 +59,84 @@ def aut_periodic_f(phi, Q):
     return f
 
 
+def _shell_val(value, p: int, N: int) -> Optional[int]:
+    if isinstance(value, AlgebraElement):
+        if value.is_zero():
+            return None
+        return min(vp_int(c, p, N) for c in value.coeffs.values())
+    value = int(value) % p**N
+    if value == 0:
+        return None
+    return vp_int(value, p, N)
+
+
+def _decay_log(entries: Dict, degree: int, p: int, N: int) -> List[Optional[int]]:
+    """Per shell |alpha| = s <= degree, the least valuation of a coefficient
+    of the entries (None when the shell vanishes)."""
+    decay = []
+    for s in range(degree + 1):
+        vals = [
+            _shell_val(v, p, N) for a, v in entries.items() if sum(a) == s
+        ]
+        vals = [v for v in vals if v is not None]
+        decay.append(min(vals) if vals else None)
+    return decay
+
+
+def coeffs_by_dicts(f, dim: int, degree: int, p: int, N: int) -> MahlerTable:
+    """Mahler coefficients of f on integer points of [0, degree]^dim.
+
+    Computed by axis-wise forward differencing, which evaluates the
+    alternating sum m_alpha = sum_{beta<=alpha} (-1)^{|alpha-beta|}
+    binom(alpha,beta) f(beta) for every alpha at once.
+    """
+    if degree < 0:
+        raise ValidationError("degree must be >= 0")
+    grid: Dict[Tuple[int, ...], object] = {}
+
+    def fill(prefix: Tuple[int, ...]):
+        if len(prefix) == dim:
+            grid[prefix] = f(prefix if dim > 1 else prefix[0])
+            return
+        for b in range(degree + 1):
+            fill(prefix + (b,))
+
+    fill(())
+    # difference along each axis in turn
+    for axis in range(dim):
+        new_grid: Dict[Tuple[int, ...], object] = {}
+        # iteratively: Delta^k along this axis stored at coordinate k
+        # process each line independently
+        lines: Dict[Tuple[int, ...], List[object]] = {}
+        for point, val in grid.items():
+            key = point[:axis] + point[axis + 1:]
+            lines.setdefault(key, [None] * (degree + 1))[point[axis]] = val
+        for key, line in lines.items():
+            vals = list(line)
+            out = [vals[0]]
+            for _ in range(degree):
+                vals = [b - a for a, b in zip(vals, vals[1:])]
+                if not vals:
+                    break
+                out.append(vals[0])
+            for k, v in enumerate(out):
+                new_grid[key[:axis] + (k,) + key[axis:]] = v
+        grid = new_grid
+
+    entries = {}
+    for alpha, v in grid.items():
+        if sum(alpha) > degree:
+            continue
+        if isinstance(v, AlgebraElement):
+            if not v.is_zero():
+                entries[alpha] = v
+        elif int(v) % p**N:
+            entries[alpha] = int(v) % p**N
+    return MahlerTable(dim, degree, entries, _decay_log(entries, degree, p, N))
+
+
 def table_by_dicts(phi, Q, degree):
-    return mahler_coeffs(aut_periodic_f(phi, Q), Q.dim, degree, Q.p, Q.N)
+    return coeffs_by_dicts(aut_periodic_f(phi, Q), Q.dim, degree, Q.p, Q.N)
 
 
 def psi_indices(phi, Q):

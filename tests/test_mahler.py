@@ -176,8 +176,8 @@ class TestMahlerFactorization:
         Q = build_quotient(chart, 2, 4)  # floor 3
         phi = conj_by_g1(chart)
         x = AlgebraElement.group_element(Q, Q.index((0, 1, 0)))
-        _, res0 = expand_aut(phi, x, 0)
-        _, res_hi = expand_aut(phi, x, 8)
+        _, res0 = expand_aut(phi, x, 0)[0]
+        _, res_hi = expand_aut(phi, x, 8)[8]
         assert res0.exact and res0.value == 2
         assert res_hi.value is None or res_hi.value > res0.value
 

@@ -1,6 +1,9 @@
 """The automorphism layer's array passes against the scalar routes of
 ``mahler_route``: Mahler tables, the factorization criterion, truncated
-expansions, the sparse homomorphism check and the growth table.
+expansions, the sparse homomorphism check and the growth table.  The
+triple kernel behind `mahler_coeffs` is checked against the dict-grid
+differencing of ``mahler_route.coeffs_by_dicts`` on scalar and
+algebra-valued functions.
 
 The specs are the three ``inputs/`` automorphisms and the 79 other inner
 automorphisms of the Heisenberg chart that the mahler-729 benchmark draws
@@ -8,6 +11,8 @@ from, at levels 1 and 2 (level 1 has radix 3 < D, so the p^n-periodic wrap
 of beta -> phi(g^beta) g^{-beta} is covered) and degrees 0 to 6.
 """
 
+import itertools
+import math
 import random
 from pathlib import Path
 
@@ -22,6 +27,7 @@ from iwasawa_kernel.mahler import (
     aut_mahler_coeffs,
     expand_aut,
     is_mahler_aut,
+    mahler_coeffs,
     q_growth,
 )
 from iwasawa_kernel.presentation import load_presentation
@@ -89,7 +95,7 @@ def test_tables_criterion_and_expansions_match_scalar_routes(stages, make):
             assert got[0] == got[1]
         x = AlgebraElement(Q, {rng.randrange(Q.size): 1 + rng.randrange(8) for _ in range(3)})
         for degree in (0, 1, 3, DEGREE):
-            assert expand_aut(phi, x, degree, want) == ref.expand_by_divided_powers(
+            assert expand_aut(phi, x, degree, want)[degree] == ref.expand_by_divided_powers(
                 phi, x, degree, want
             )
 
@@ -100,9 +106,11 @@ def test_expansion_builds_its_own_table(stages):
     x = AlgebraElement.group_element(Q, Q.index((4, 7, 2)))
     for degree in range(4):
         want = ref.table_by_dicts(phi, Q, degree)
-        assert expand_aut(phi, x, degree) == ref.expand_by_divided_powers(phi, x, degree, want)
+        assert expand_aut(phi, x, degree)[degree] == ref.expand_by_divided_powers(
+            phi, x, degree, want
+        )
     zero = AlgebraElement.zero(Q)
-    assert expand_aut(phi, zero, 2) == ref.expand_by_divided_powers(
+    assert expand_aut(phi, zero, 2)[2] == ref.expand_by_divided_powers(
         phi, zero, 2, ref.table_by_dicts(phi, Q, 2)
     )
 
@@ -122,7 +130,7 @@ def test_python_int_paths():
     table = aut_mahler_coeffs(phi, Q, 4)
     assert (table.entries, table.decay_log) == (want.entries, want.decay_log)
     x = AlgebraElement(Q, {5: 3**24 + 7, 11: 2})
-    assert expand_aut(phi, x, 4, table) == ref.expand_by_divided_powers(phi, x, 4, want)
+    assert expand_aut(phi, x, 4, table)[4] == ref.expand_by_divided_powers(phi, x, 4, want)
     # q = 3^40 >= 2^63 does not fit in int64 itself (3^39 does), so the
     # differencing weights are Python ints even at degree 2
     Q = build_quotient(CHART, 1, 40)
@@ -131,6 +139,117 @@ def test_python_int_paths():
         want = ref.table_by_dicts(phi, Q, 2)
         table = aut_mahler_coeffs(phi, Q, 2)
         assert (table.entries, table.decay_log) == (want.entries, want.decay_log)
+
+
+def test_every_truncation_matches_divided_powers(stages):
+    # one call returns the expansion at each degree 0 .. D
+    rng = random.Random(11)
+    for Q in stages.values():
+        for stem in INPUTS:
+            phi = input_spec(stem)
+            want = ref.table_by_dicts(phi, Q, DEGREE)
+            x = AlgebraElement(Q, {rng.randrange(Q.size): 1 + rng.randrange(8) for _ in range(3)})
+            steps = expand_aut(phi, x, DEGREE, want)
+            assert len(steps) == DEGREE + 1
+            for d, step in enumerate(steps):
+                assert step == ref.expand_by_divided_powers(phi, x, d, want)
+
+
+def test_lower_degree_table_is_recomputed(stages):
+    # a table below the asked degree is rebuilt, not read as a truncation
+    Q = stages[2]
+    phi = input_spec("heis_swap")
+    x = AlgebraElement.group_element(Q, Q.index((4, 7, 2)))
+    want = ref.expand_by_divided_powers(phi, x, DEGREE, ref.table_by_dicts(phi, Q, DEGREE))
+    low = aut_mahler_coeffs(phi, Q, 2)
+    assert ref.expand_by_divided_powers(phi, x, DEGREE, low)[0] != want[0]
+    assert expand_aut(phi, x, DEGREE, low)[DEGREE] == want
+    assert expand_aut(phi, x, DEGREE, low) == expand_aut(phi, x, DEGREE)
+
+
+def polynomial(rng, dim, q):
+    """A seeded integer polynomial on N^dim: up to four monomials of degree
+    at most 3 per variable, with coefficients in (-q, q)."""
+    terms = [
+        ([rng.randrange(4) for _ in range(dim)], rng.randrange(-q + 1, q))
+        for _ in range(rng.randint(1, 4))
+    ]
+
+    def f(beta):
+        beta = (beta,) if dim == 1 else beta
+        return sum(c * math.prod(b**e for b, e in zip(beta, exps)) for exps, c in terms)
+
+    return f
+
+
+def same_table(got, want):
+    return (got.dim, got.degree, got.entries, got.decay_log) == (
+        want.dim, want.degree, want.entries, want.decay_log
+    )
+
+
+def test_scalar_coeffs_match_dict_route():
+    # two seeded polynomials for each of the 108 (dim, degree, N)
+    rng = random.Random(17)
+    for dim, degree, N in itertools.product((1, 2, 3), range(9), range(1, 5)):
+        for _ in range(2):
+            f = polynomial(rng, dim, P**N)
+            assert same_table(
+                mahler_coeffs(f, dim, degree, P, N), ref.coeffs_by_dicts(f, dim, degree, P, N)
+            )
+
+
+@pytest.mark.parametrize("stem", INPUTS)
+def test_algebra_valued_coeffs_match_dict_route(stages, stem):
+    phi = input_spec(stem)
+    for Q in stages.values():
+        f = ref.aut_periodic_f(phi, Q)
+        for degree in range(DEGREE + 1):
+            want = ref.coeffs_by_dicts(f, Q.dim, degree, Q.p, Q.N)
+            assert same_table(mahler_coeffs(f, Q.dim, degree, Q.p, Q.N), want)
+
+
+def test_multi_term_algebra_values_match_dict_route(stages):
+    # values with several terms, coefficients other than 1 and some zeros
+    rng = random.Random(29)
+    Q = stages[1]
+    for dim, degree in itertools.product((1, 2, 3), (0, 3, 6)):
+        values = {}
+
+        def f(beta):
+            if beta not in values:
+                values[beta] = AlgebraElement(
+                    Q, {rng.randrange(Q.size): rng.randrange(Q.coeff_mod)
+                        for _ in range(rng.randrange(4))}
+                )
+            return values[beta]
+
+        want = ref.coeffs_by_dicts(f, dim, degree, Q.p, Q.N)
+        assert same_table(mahler_coeffs(f, dim, degree, Q.p, Q.N), want)
+
+
+def test_scalar_dtype_rule_both_sides():
+    # q = 3^40 > 2^63: the weights start beyond int64
+    rng = random.Random(31)
+    for dim, degree in itertools.product((1, 2, 3), (0, 2, 5)):
+        f = polynomial(rng, dim, P**40)
+        assert same_table(
+            mahler_coeffs(f, dim, degree, P, 40), ref.coeffs_by_dicts(f, dim, degree, P, 40)
+        )
+    # q = 3^37 fits, and q 2^D crosses 2^63 between D = 4 and 5; alternating
+    # values q - 1 and 0 give coefficients of size (q - 1) 2^(D-1), beyond
+    # int64 from D = 7 on
+    N = 37
+    q = P**N
+    assert q << 4 < 2**63 <= q << 5
+    for dim, degree in itertools.product((1, 2, 3), range(3, 9)):
+        def f(beta, dim=dim):
+            return (q - 1) * (sum((beta,) if dim == 1 else beta) % 2)
+
+        for g in (f, polynomial(rng, dim, q)):
+            assert same_table(
+                mahler_coeffs(g, dim, degree, P, N), ref.coeffs_by_dicts(g, dim, degree, P, N)
+            )
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +299,7 @@ def test_sparse_table_criterion_and_expansion(sparse_stage):
             witness is None, ref.by_commutation(phi, Q), witness
         )
         x = AlgebraElement(Q, {Q.index((40, 2, 77)): 5, Q.index((3, 80, 9)): 1})
-        assert expand_aut(phi, x, 2, table) == ref.expand_by_divided_powers(phi, x, 2, want)
+        assert expand_aut(phi, x, 2, table)[2] == ref.expand_by_divided_powers(phi, x, 2, want)
 
 
 GROWTH = [
