@@ -113,14 +113,16 @@ def cmd_mahler(config) -> int:
         )
     rng = random.Random(config.seed)
     sample = sorted(rng.randrange(Q.size) for _ in range(min(4, Q.size)))
-    # one expansion per sampled element serves every degree 1 .. D
-    steps = [
-        mahler_mod.expand_aut(phi, AlgebraElement.group_element(Q, g), degree, table)
+    # one expansion per sampled element serves every degree 1 .. D; only
+    # the residual weights are kept
+    weights = [
+        [res for _, res in mahler_mod.expand_aut(
+            phi, AlgebraElement.group_element(Q, g), degree, table)]
         for g in sample
     ] if degree else []
     # the first least residual weight, None counting as infinite
     residuals = {
-        d: min((s[d][1] for s in steps),
+        d: min((row[d] for row in weights),
                key=lambda r: math.inf if r.value is None else r.value)
         for d in range(1, degree + 1)
     }
