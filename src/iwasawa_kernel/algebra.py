@@ -31,6 +31,7 @@ import numpy as np
 from . import linalg
 from .charts import GroupChart
 from .errors import BudgetError, ValidationError
+from .padic import vp_int
 
 DEFAULT_SIZE_BUDGET = 50_000
 # largest array (the multiplication table, the translates in an ideal
@@ -277,7 +278,7 @@ def build_quotient(
     size = (chart.p**n) ** chart.dim
     if size > size_budget:
         raise BudgetError(f"|Q| = p^(n*d) = {size} exceeds budget {size_budget}")
-    needed = n + max(e for _, e in _pivot_data(chart)) + 4
+    needed = n + chart.max_pivot_val + 4
     if chart.work_prec < needed:
         raise ValidationError(
             f"chart work precision {chart.work_prec} too small for level {n}"
@@ -286,11 +287,6 @@ def build_quotient(
     if verify:
         _verify_axioms(Q)
     return Q
-
-
-def _pivot_data(chart: GroupChart):
-    echelon, _, _ = chart._solver
-    return [cols for cols, _, _ in echelon]
 
 
 def _verify_axioms(Q: QuotientGroup):
@@ -491,7 +487,7 @@ def lazard_value(x: AlgebraElement, degree_cap: int = 4096) -> FiltValue:
             lam = 0
             for (beta, s), pref in zip(supp, prefix):
                 lam += pref * s
-            v = linalg.vp_int(lam, p, N)
+            v = vp_int(lam, p, N)
             if v < N:
                 total = v + tau
                 if total < floor and (best is None or total < best):

@@ -3,18 +3,22 @@
 A chart fixes d nilpotent integer matrices x_1..x_d with entries in p·Z
 (p odd) and realizes the group on generators g_i = exp(x_i).  All matrix
 arithmetic is exact modulo p^work_prec: exp and log divide by factorials
-via exact p-power division plus a unit inverse (powers carry enough extra
-p-adic digits for the division to be exact), so no floating point and no
-hidden rounding appear anywhere.  A power g_i^b = exp(b x_i) is the sum of
-b^k (x_i^k / k!) over k < mat_size, from the exact divided powers
-x_i^k / k! computed once when the chart is built.
+via exact p-power division plus a unit inverse (`padic.unit_split`; powers
+carry enough extra p-adic digits for the division to be exact), so no
+floating point and no hidden rounding appear anywhere.  A power
+g_i^b = exp(b x_i) is the sum of b^k (x_i^k / k!) over k < mat_size, from
+the exact divided powers x_i^k / k! computed once when the chart is built,
+together with the echelon solver of the chart lattice.
 
-Coordinates of a group element in the ordered-product normal form
-g = g_1^{b_1} ... g_d^{b_d} are recovered by successive elimination on the
-logarithm, using a precomputed echelon solver for the chart lattice.  The
-elimination runs on a whole batch of elements at once and applies every
-check to every element of the batch; `coordinates` takes one matrix as a
-batch of one.  Batches are numpy arrays of int64 when
+Matrices are arrays inside this module: every kernel (divided powers, exp,
+log, the Neumann-series inverse, roots, the lattice solve) runs on a
+(B, size, size) batch, and the scalar methods (`exp`, `log`, `inverse`,
+`root`, `word`, ...) are batches of one whose result becomes the tuple
+`Matrix` once, at the boundary.  Coordinates of a group element in the
+ordered-product normal form g = g_1^{b_1} ... g_d^{b_d} are recovered by
+successive elimination on the logarithm, and every check applies to every
+element of the batch; `coordinates` takes one matrix as a batch of one.
+Batches are numpy arrays of int64 when
 (mat_size + 1) * (modulus * headroom)^2 < 2^63, which bounds every
 intermediate sum of products of residues, and of Python ints otherwise.
 """
@@ -23,13 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import PrecisionError, ValidationError
-from .linalg import vp_int
+from .padic import legendre_factorial_val, unit_split, vp_array, vp_int
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -38,52 +41,25 @@ def _mat(rows: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(int(x) for x in r) for r in rows)
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _add(a: Matrix, b: Matrix, q: int) -> Matrix:
-    return tuple(tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _scale(a: Matrix, c: int, q: int) -> Matrix:
-    return tuple(tuple((c * x) % q for x in r) for r in a)
-
-
-def _mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(ra, cb)) % q for cb in bt) for ra in a
-    )
-
-
 def _is_strictly_upper(a: Matrix) -> bool:
     return all(a[i][j] == 0 for i in range(len(a)) for j in range(i + 1))
 
 
-@lru_cache(maxsize=4096)
-def _unit_part_inverse(k: int, p: int, q: int) -> Tuple[int, int]:
-    v = 0
-    while k % p == 0:
-        k //= p
-        v += 1
-    return p**v, pow(k, -1, q)
-
-
-def _divided_powers(x: Sequence[Sequence[int]], p: int, q: int) -> np.ndarray:
-    """x^k / k! modulo q for 0 <= k < size, as a (size, size, size) array of
-    Python ints.  The integer power x^k is divided exactly by the p-part of
-    k! and then multiplied by the inverse of the unit part."""
-    x = np.array(x, dtype=object)
-    term = np.eye(len(x), dtype=np.int64).astype(object)
+def _divided_powers(xs, p: int, q: int) -> np.ndarray:
+    """x^k / k! modulo q for 0 <= k < size and each x of the batch xs, as a
+    (B, size, size, size) array of Python ints.  The integer power x^k is
+    divided exactly by the p-part of k! and then multiplied by the inverse
+    of the unit part."""
+    x = np.array(xs, dtype=object)
+    term = np.broadcast_to(np.eye(x.shape[-1], dtype=np.int64).astype(object), x.shape)
     out = [term]
-    for k in range(1, len(x)):
+    for k in range(1, x.shape[-1]):
         term = np.matmul(term, x)
-        pv, uinv = _unit_part_inverse(math.factorial(k), p, q)
-        if np.any(term % pv):
+        e, uinv = unit_split(math.factorial(k), p, q)
+        if np.any(term % p**e):
             raise PrecisionError("inexact division by a power of p")
-        out.append(term // pv * uinv % q)
-    return np.array(out)
+        out.append(term // p**e * uinv % q)
+    return np.stack(out, axis=1)
 
 
 def _powers(terms: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -110,6 +86,40 @@ def _as_matrix(a: np.ndarray) -> Matrix:
     return tuple(tuple(int(v) for v in row) for row in a)
 
 
+def _echelon(basis: Sequence[Matrix], p: int, work: int, dtype) -> list:
+    """Echelon rows of the flattened basis, each with its pivot (column,
+    valuation) and the transform back to basis coefficients:
+    row = sum_j tr[j] * basis[j] (flattened).  Rows and transforms are
+    arrays of the chart's batch dtype."""
+    q, dim = p**work, len(basis)
+    rows = [[v % q for r in x for v in r] for x in basis]
+    trans = [[1 if j == i else 0 for j in range(dim)] for i in range(dim)]
+    echelon = []
+    live = list(range(dim))
+    for col in range(len(rows[0])):
+        cand = [i for i in live if rows[i][col]]
+        if not cand:
+            continue
+        best = min(cand, key=lambda i: vp_int(rows[i][col], p, work))
+        live.remove(best)
+        e, uinv = unit_split(rows[best][col], p, q)
+        rows[best] = [(x * uinv) % q for x in rows[best]]
+        trans[best] = [(x * uinv) % q for x in trans[best]]
+        for i in live:
+            c = rows[i][col]
+            if c:
+                if vp_int(c, p, work) < e:
+                    raise ValidationError("chart basis is not echelon-compatible")
+                f = c // p**e
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[best])]
+                trans[i] = [(a - f * b) % q for a, b in zip(trans[i], trans[best])]
+        echelon.append(((col, e), np.array(rows[best], dtype=dtype),
+                        np.array(trans[best], dtype=dtype)))
+    if live:
+        raise ValidationError("chart basis matrices are linearly dependent")
+    return echelon
+
+
 @dataclass(frozen=True)
 class GroupChart:
     """d nilpotent basis matrices over Z_p, worked modulo p^work_prec."""
@@ -120,6 +130,13 @@ class GroupChart:
     name: str = "custom"
     # divided powers x_i^k / k! of the basis, shape (d, size, size, size)
     _terms: np.ndarray = field(init=False, repr=False, compare=False)
+    # p^v_p((mat_size - 1)!): the extra p-power that keeps the factorial
+    # divisions in exp/log exact
+    _headroom: int = field(init=False, repr=False, compare=False)
+    # ((pivot col, valuation), row, transform) per echelon row, see `_echelon`
+    _echelon: list = field(init=False, repr=False, compare=False)
+    # the largest pivot valuation of the chart lattice
+    max_pivot_val: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p == 2 or self.p < 2 or any(self.p % k == 0 for k in range(2, int(self.p**0.5) + 1)):
@@ -135,10 +152,15 @@ class GroupChart:
             if any(v % self.p for r in x for v in r):
                 raise ValidationError("basis matrix entries must lie in p*Z")
         q = self.modulus
-        wide = q * self._headroom
+        headroom = self.p ** legendre_factorial_val(u - 1, self.p)
+        wide = q * headroom
         dtype = np.int64 if (u + 1) * wide * wide < 2**63 else object
-        terms = np.array([_divided_powers(x, self.p, q) for x in self.basis])
+        terms = _divided_powers(self.basis, self.p, q)
+        echelon = _echelon(self.basis, self.p, self.work_prec, dtype)
         object.__setattr__(self, "_terms", terms.astype(dtype))
+        object.__setattr__(self, "_headroom", headroom)
+        object.__setattr__(self, "_echelon", echelon)
+        object.__setattr__(self, "max_pivot_val", max(e for (_, e), _, _ in echelon))
 
     @property
     def dim(self) -> int:
@@ -151,12 +173,6 @@ class GroupChart:
     @property
     def modulus(self) -> int:
         return self.p**self.work_prec
-
-    @property
-    def _headroom(self) -> int:
-        """p^v_p((mat_size - 1)!): the extra p-power that keeps the factorial
-        divisions in exp/log exact."""
-        return _unit_part_inverse(math.factorial(self.mat_size - 1), self.p, self.modulus)[0]
 
     # -- batches --------------------------------------------------------
 
@@ -177,6 +193,10 @@ class GroupChart:
         """(g^b)^{-1} = g_d^{-b_d} ... g_1^{-b_1} for each row b."""
         return _ordered_product(self._terms[::-1], -betas[:, ::-1], self.modulus)
 
+    def _exp_batch(self, x) -> np.ndarray:
+        """exp x = sum_k x^k / k! for each x of the batch, as Python ints."""
+        return _divided_powers(x, self.p, self.modulus).sum(axis=1) % self.modulus
+
     def _log_batch(self, g: np.ndarray) -> np.ndarray:
         """log g = sum_k (-1)^(k+1) m^k / k with m = g - 1, exact mod p^work:
         the powers m^k are kept modulo p^work times the largest p-part of a
@@ -191,7 +211,8 @@ class GroupChart:
         for k in range(1, n):
             if k > 1:
                 term = np.matmul(term, m) % wide
-            pv, uinv = _unit_part_inverse(k, self.p, q)
+            e, uinv = unit_split(k, self.p, q)
+            pv = self.p**e
             t = term % (q * pv)
             if (t % pv).any():
                 raise PrecisionError("inexact division by a power of p")
@@ -199,21 +220,45 @@ class GroupChart:
             out = (out + t if k % 2 == 1 else out - t) % q
         return out
 
+    def _inverse_batch(self, g: np.ndarray) -> np.ndarray:
+        """g^-1 = sum_k (1 - g)^k over k < mat_size for each g of the batch,
+        a Neumann series that ends because g - 1 is nilpotent."""
+        q = self.modulus
+        one = np.eye(self.mat_size, dtype=g.dtype)
+        m = (one - g) % q
+        out = term = np.broadcast_to(one, g.shape)
+        for _ in range(1, self.mat_size):
+            term = np.matmul(term, m) % q
+            out = (out + term) % q
+        return out
+
+    def _root_batch(self, g: np.ndarray, m: int) -> np.ndarray:
+        """The p^m-th root of each g of the batch, when every log g is
+        divisible by p^m.  The logs are residues below p^work_prec, so the
+        divisor is p^min(m, work_prec), which fits the batch dtype."""
+        x = self._log_batch(g)
+        pm = self.p ** min(m, self.work_prec)
+        if (x % pm).any():
+            raise PrecisionError(f"log g not divisible by p^{m}: no root at precision")
+        y = x // pm
+        # the quotient must itself lie in the chart lattice (the top m
+        # digits of y are junk after the division, hence the tolerance)
+        self._solve_batch(y, tol=m + 3)
+        return self._exp_batch(y)
+
     def _weights(self, x: np.ndarray) -> np.ndarray:
         """Per matrix: the least valuation of a nonzero entry (work_prec when
-        the matrix vanishes), read off gcd(entries, p^work) = p^weight."""
-        p, work = self.p, self.work_prec
-        g = np.gcd(np.gcd.reduce(x.reshape(len(x), self.mat_size**2), axis=1), p**work)
-        return np.searchsorted(np.array([p**e for e in range(work + 1)], dtype=g.dtype), g)
+        the matrix vanishes)."""
+        g = np.gcd.reduce(x.reshape(len(x), self.mat_size**2), axis=1)
+        return vp_array(g, self.p, self.work_prec)
 
     def _solve_batch(self, x: np.ndarray, tol: int) -> np.ndarray:
         """Rows lam with sum_i lam_i x_i = target for each target in the batch;
         every remainder must vanish modulo p^(work_prec - tol)."""
         p, q = self.p, self.modulus
-        echelon, _, _ = self._solver
         t = x.reshape(len(x), self.mat_size**2) % q
         lam = np.zeros((len(x), self.dim), dtype=t.dtype)
-        for (col, e), row, tr in echelon:
+        for (col, e), row, tr in self._echelon:
             c = t[:, col]
             if (c % p**e).any():
                 raise PrecisionError("target outside chart lattice")
@@ -227,7 +272,7 @@ class GroupChart:
     # -- exp / log -----------------------------------------------------
 
     def exp(self, x: Matrix) -> Matrix:
-        return _as_matrix(_divided_powers(x, self.p, self.modulus).sum(axis=0) % self.modulus)
+        return _as_matrix(self._exp_batch([x])[0])
 
     def log(self, g: Matrix) -> Matrix:
         return _as_matrix(self._log_batch(self.batch([g]))[0])
@@ -237,11 +282,8 @@ class GroupChart:
 
         Returns None when log g vanishes at working precision.
         """
-        x = self.log(g)
-        vals = [
-            vp_int(v, self.p, self.work_prec) for r in x for v in r if v % self.modulus
-        ]
-        return min(vals) if vals else None
+        w = int(self._weights(self._log_batch(self.batch([g])))[0])
+        return None if w == self.work_prec else w
 
     # -- generators and words ------------------------------------------
 
@@ -251,11 +293,7 @@ class GroupChart:
 
     @property
     def omega_weights(self) -> Tuple[int, ...]:
-        out = []
-        for x in self.basis:
-            vals = [vp_int(v, self.p, self.work_prec) for r in x for v in r if v]
-            out.append(min(vals))
-        return tuple(out)
+        return tuple(self._weights(self.batch(self.basis)).tolist())
 
     def generator_power(self, i: int, k: int) -> Matrix:
         """g_i^k for any integer k, via exp(k * x_i)."""
@@ -272,8 +310,7 @@ class GroupChart:
     def log_powers(self, elements: Sequence[Matrix]) -> np.ndarray:
         """The divided powers (log h)^k / k! of each element h, from which
         `power_words` evaluates powers of the h."""
-        logs = self._log_batch(self.batch(elements))
-        return np.array([_divided_powers(x, self.p, self.modulus) for x in logs])
+        return _divided_powers(self._log_batch(self.batch(elements)), self.p, self.modulus)
 
     def power_words(self, terms: np.ndarray, betas) -> np.ndarray:
         """h_1^{b_1} ... h_d^{b_d} for each row b of betas, each power
@@ -282,33 +319,13 @@ class GroupChart:
         return _ordered_product(terms, np.array(betas, dtype=object) % q, q)
 
     def inverse(self, g: Matrix) -> Matrix:
-        q = self.modulus
-        n = len(g)
-        m = _add(g, _scale(_identity(n), -1, q), q)
-        out = _identity(n)
-        term = _identity(n)
-        for _ in range(1, n):
-            term = _scale(_mul(term, m, q), -1, q)
-            out = _add(out, term, q)
-        return out
+        return _as_matrix(self._inverse_batch(self.batch([g]))[0])
 
     def root(self, g: Matrix, m: int) -> Matrix:
         """The p^m-th root of g, when log g is divisible by p^m."""
-        x = self.log(g)
-        pm = self.p**m
-        if any(v % self.modulus and v % pm for r in x for v in r):
-            raise PrecisionError(f"log g not divisible by p^{m}: no root at precision")
-        y = tuple(tuple((v % self.modulus) // pm for v in r) for r in x)
-        # the quotient must itself lie in the chart lattice (the top m
-        # digits of y are junk after the division, hence the tolerance)
-        self.solve_lattice(y, tol=m + 3)
-        return self.exp(y)
+        return _as_matrix(self._root_batch(self.batch([g]), m)[0])
 
     # -- coordinate recovery -------------------------------------------
-
-    @property
-    def _solver(self):
-        return _chart_solver(self)
 
     def solve_lattice(self, target: Matrix, tol: int = 0) -> List[int]:
         """Solve sum lambda_i x_i = target in the chart lattice mod p^work.
@@ -336,7 +353,7 @@ class GroupChart:
 
     def _coordinates(self, gs, prec: Optional[int]) -> np.ndarray:
         p, q = self.p, self.modulus
-        _, _, max_e = self._solver
+        max_e = self.max_pivot_val
         noise = 3  # headroom for the factorial divisions inside exp/log
         if prec is None:
             prec = self.work_prec - max_e - noise - 2
@@ -376,60 +393,17 @@ class GroupChart:
         under the bracket; raises otherwise."""
         from .nilpotent import LiePresentation
 
-        q = self.modulus
+        q, half = self.modulus, self.modulus // 2
+        x = self.batch(self.basis)
+        i, j = np.triu_indices(self.dim, 1)
+        lams = self._solve_batch((x[i] @ x[j] - x[j] @ x[i]) % q, tol=0)
         triples = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                comm = _add(
-                    _mul(self.basis[i], self.basis[j], q),
-                    _scale(_mul(self.basis[j], self.basis[i], q), -1, q),
-                    q,
-                )
-                lam = self.solve_lattice(comm)
-                half = self.modulus // 2
-                for k, c in enumerate(lam):
-                    if c:
-                        signed = c - self.modulus if c > half else c
-                        triples.append((i + 1, j + 1, k + 1, signed))
+        for a, b, lam in zip(i.tolist(), j.tolist(), lams.tolist()):
+            for k, c in enumerate(lam):
+                if c:
+                    signed = c - q if c > half else c
+                    triples.append((a + 1, b + 1, k + 1, signed))
         return LiePresentation.from_triples(self.p, self.dim, prec, triples)
-
-
-@lru_cache(maxsize=64)
-def _chart_solver(chart: GroupChart):
-    """Echelon rows of the flattened basis with a transform back to
-    basis coefficients: row = sum_j tr[j] * basis[j] (flattened).  Rows and
-    transforms are arrays of the chart's batch dtype."""
-    p, q, work = chart.p, chart.modulus, chart.work_prec
-    dtype = chart._terms.dtype
-    rows = [[v % q for r in x for v in r] for x in chart.basis]
-    trans = [[1 if j == i else 0 for j in range(chart.dim)] for i in range(chart.dim)]
-    ncols = chart.mat_size**2
-    echelon = []
-    live = list(range(chart.dim))
-    for col in range(ncols):
-        cand = [i for i in live if rows[i][col] % q]
-        if not cand:
-            continue
-        best = min(cand, key=lambda i: vp_int(rows[i][col], p, work))
-        live.remove(best)
-        e = vp_int(rows[best][col], p, work)
-        u = rows[best][col] // p**e
-        uinv = pow(u, -1, q)
-        rows[best] = [(x * uinv) % q for x in rows[best]]
-        trans[best] = [(x * uinv) % q for x in trans[best]]
-        for i in live:
-            c = rows[i][col]
-            if c:
-                if vp_int(c, p, work) < e:
-                    raise ValidationError("chart basis is not echelon-compatible")
-                f = c // p**e
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[best])]
-                trans[i] = [(a - f * b) % q for a, b in zip(trans[i], trans[best])]
-        echelon.append(((col, e), np.array(rows[best], dtype=dtype), np.array(trans[best], dtype=dtype)))
-    if live:
-        raise ValidationError("chart basis matrices are linearly dependent")
-    max_e = max(e for (_, e), _, _ in echelon)
-    return echelon, trans, max_e
 
 
 # ---------------------------------------------------------------------------

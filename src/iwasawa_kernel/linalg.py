@@ -35,7 +35,10 @@ The dense steps share one row update, `_eliminate`, which forms an int64
 product of two residues before each reduction, and every kernel holds
 int64 residues, so the modulus must satisfy p^N <= isqrt(2^63 - 1).
 `_check_modulus` enforces that bound for every entry point and raises
-`BudgetError` above it.
+`BudgetError` above it.  Pivot valuations (`padic.vp_int`, and
+`padic.vp_array` for a column or the pivots of a basis) and the unit
+inverse that normalizes a pivot to a power of p (`padic.unit_split`) come
+from `padic`, as in every other layer.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from typing import Dict, Iterator, List, Tuple, Union
 import numpy as np
 
 from .errors import BudgetError
+from .padic import unit_split, vp_array, vp_int
 
 # Products of two residues modulo any q <= MAX_MODULUS fit in int64.
 MAX_MODULUS = isqrt(2**63 - 1)
@@ -147,42 +151,6 @@ class Rows:
         keep = cols >= 0
         return Rows.from_entries(self.row_ids()[keep], cols[keep], self.data[keep],
                                  (self.shape[0], m))
-
-
-def vp_int(a: int, p: int, N: int) -> int:
-    """Valuation of a residue mod p^N, capped at N for zero."""
-    a %= p**N
-    if a == 0:
-        return N
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
-
-
-def _unit_inv(a: int, p: int, N: int) -> Tuple[int, int]:
-    """Split a nonzero residue as p^e * u and return (e, u^-1 mod p^N)."""
-    q = p**N
-    a %= q
-    e = vp_int(a, p, N)
-    u = a // p**e
-    return e, pow(u, -1, q)
-
-
-def _col_vals(col: np.ndarray, p: int, N: int) -> np.ndarray:
-    """Vectorized valuations of a residue column (N for zeros)."""
-    v = np.full(col.shape, N, dtype=np.int64)
-    cur = col.copy()
-    alive = cur != 0
-    v[alive] = 0
-    while True:
-        alive = alive & (cur % p == 0) & (cur != 0)
-        if not alive.any():
-            break
-        cur = np.where(alive, cur // p, cur)
-        v[alive] += 1
-    return v
 
 
 def _check_modulus(p: int, N: int) -> int:
@@ -293,7 +261,7 @@ def _sparse_forward(
         pivot = group[0]
         e = 0
         if pivot[col] != 1:
-            e, uinv = _unit_inv(pivot[col], p, N)
+            e, uinv = unit_split(pivot[col], p, q)
             if uinv != 1:
                 pivot = {c: v * uinv % q for c, v in pivot.items()}
         result.append((col, e, pivot))
@@ -360,7 +328,7 @@ def _dense_forward(A: np.ndarray, start: int, p: int, N: int) -> list:
         if units.any():
             k, e = int(np.argmax(units)), 0
         else:
-            vals = _col_vals(colv, p, N)
+            vals = vp_array(colv, p, N)
             k = int(np.argmin(vals))
             e = int(vals[k])
         best = int(nz[k])
@@ -372,7 +340,7 @@ def _dense_forward(A: np.ndarray, start: int, p: int, N: int) -> list:
             nz = nz[:-1]
         else:
             nz = np.concatenate((nz[:k], nz[k + 1 :]))
-        _, uinv = _unit_inv(int(pivot[col]), p, N)
+        _, uinv = unit_split(int(pivot[col]), p, q)
         pivot[col:] = (pivot[col:] * uinv) % q
         pe = p**e
         if nz.size:
@@ -472,7 +440,7 @@ def _reduce(row: dict, todo: List[int], at: Dict[int, Tuple[int, int]], rows: Li
 def pivots(rows: Rows, p: int, N: int) -> List[Tuple[int, int]]:
     """(column, valuation) of each Howell row's pivot, its first entry."""
     first = rows.indptr[:-1]
-    vals = _col_vals(rows.data[first], p, N)
+    vals = vp_array(rows.data[first], p, N)
     return list(zip(rows.indices[first].tolist(), vals.tolist()))
 
 

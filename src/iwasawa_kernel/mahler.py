@@ -37,9 +37,9 @@ from .algebra import (
     QuotientGroup,
     lazard_value,
 )
-from .charts import GroupChart, Matrix, _as_matrix, _mul
+from .charts import GroupChart, Matrix, _as_matrix
 from .errors import PrecisionError, ValidationError
-from .linalg import vp_int
+from .padic import vp_int
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +183,9 @@ class AutomorphismSpec:
     @staticmethod
     def conjugation(chart: GroupChart, g: Matrix, name: str = "conj") -> "AutomorphismSpec":
         q = chart.modulus
-        ginv = chart.inverse(g)
-        return AutomorphismSpec(
-            chart,
-            tuple(_mul(_mul(g, h, q), ginv, q) for h in chart.generators),
-            name=name,
-        )
+        g, ginv = chart.batch([g, chart.inverse(g)])
+        images = g @ chart.batch(chart.generators) % q @ ginv % q
+        return AutomorphismSpec(chart, tuple(map(_as_matrix, images)), name=name)
 
     # -- action ---------------------------------------------------------
 
@@ -551,9 +548,9 @@ def z_approximants(
     chart = phi.chart
     q = chart.modulus
     beta = chart.coordinates(g)
-    ginv = chart.inverse(g)
+    ginv = chart.batch([chart.inverse(g)])
     approx = {
-        m: chart.root(_mul(chain[m].image_word(beta), ginv, q), m)
+        m: chart.root(_as_matrix((chain[m].image_words([beta]) @ ginv % q)[0]), m)
         for m in sorted(set(m_range))
     }
     return [approx[m] for m in m_range]

@@ -99,11 +99,6 @@ def _combine(coeffs: Sequence, rows: Sequence[Sequence], dim: int) -> List[Fract
     return out
 
 
-def _vp(c: Fraction, p: int) -> int:
-    """v_p of a nonzero rational."""
-    return vp(c.numerator, p) - vp(c.denominator, p)
-
-
 # ---------------------------------------------------------------------------
 # presentations and submodules
 
@@ -245,7 +240,7 @@ def validate(L: LiePresentation) -> ValidationReport:
                     )
                 ]
                 for t, val in enumerate(acc):
-                    if val and _vp(val, L.p) < L.prec:
+                    if val and vp(val, L.p) < L.prec:
                         bad.append(
                             f"Jacobi fails on (x{i+1},x{j+1},x{k+1}) in x{t+1}-coordinate"
                         )
@@ -254,7 +249,7 @@ def validate(L: LiePresentation) -> ValidationReport:
         for j in range(L.dim):
             for k in range(L.dim):
                 c = L.bracket[i][j][k]
-                if c != 0 and _vp(Fraction(c), L.p) < 1:
+                if c != 0 and vp(c, L.p) < 1:
                     bad.append(f"bracket [x{i+1},x{j+1}] not in p·lattice (x{k+1}-part {c})")
     series: List[Submodule] = []
     if not any(v.startswith("antisymmetry") or v.startswith("Jacobi") for v in bad):

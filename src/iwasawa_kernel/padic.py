@@ -1,4 +1,12 @@
-"""Exact p-adic scalar arithmetic at fixed precision.
+"""Exact p-adic scalar arithmetic at fixed precision, and the one home of
+valuations and unit splits.
+
+Every layer decides by p-adic valuations: Howell pivots, Lazard weights,
+bracket constants in Z_(p) and chart coordinates.  They all read them here:
+`vp` is exact on nonzero integers and rationals, `vp_int` and `vp_array`
+read the valuation of residues mod p^N (N for zero), one at a time or
+elementwise, and `unit_split` writes a nonzero integer as p^e u and inverts
+the unit part.
 
 Scalars are residues mod p^N with a tracked valuation.  A residue of zero
 means the value is indistinguishable from 0 at this precision; its
@@ -12,13 +20,18 @@ no precision cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Tuple, Union
+
+import numpy as np
 
 from .errors import PrecisionError, ValidationError
 
 
-def vp(k: int, p: int) -> int:
-    """Exact p-adic valuation of a nonzero integer."""
+def vp(k: Union[int, Fraction], p: int) -> int:
+    """Exact p-adic valuation of a nonzero integer or rational."""
+    if isinstance(k, Fraction):
+        return vp(k.numerator, p) - vp(k.denominator, p)
     if k == 0:
         raise ValidationError("valuation of zero is undefined")
     k = abs(k)
@@ -27,6 +40,31 @@ def vp(k: int, p: int) -> int:
         k //= p
         v += 1
     return v
+
+
+def vp_int(a: int, p: int, N: int) -> int:
+    """Valuation of a residue mod p^N, capped at N for zero."""
+    a %= p**N
+    return N if a == 0 else vp(a, p)
+
+
+def vp_array(a: np.ndarray, p: int, N: int) -> np.ndarray:
+    """`vp_int` elementwise: p^v is read off gcd(a, p^N) with one
+    searchsorted.  ``a`` is an int64 array with p^N < 2^63 or an object
+    array of Python ints."""
+    a = np.asarray(a)
+    powers = np.array([p**e for e in range(N + 1)], dtype=a.dtype)
+    return np.searchsorted(powers, np.gcd(a, powers[-1]))
+
+
+def unit_split(a: int, p: int, q: int) -> Tuple[int, int]:
+    """Write a nonzero integer as p^e u with u prime to p; (e, u^-1 mod q).
+
+    ``a`` is split as given, not reduced mod q first, so an exact k! above
+    q splits as well as a residue does.
+    """
+    e = vp(a, p)
+    return e, pow(a // p**e, -1, q)
 
 
 def digit_sum(k: int, p: int) -> int:

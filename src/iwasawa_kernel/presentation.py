@@ -19,7 +19,8 @@ comment; blank lines are ignored.
 
 Automorphism images may instead be explicit matrices (``autmat i`` followed
 by row-major entries), and the chart may be given as explicit basis
-matrices (one ``chartmat`` line per generator).
+matrices (one ``chartmat`` line per generator).  An explicit image must lie
+in the chart group: its log must lie in the chart lattice.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, QuotientGroup, b_monomial
 from .charts import GroupChart, builtin_chart, chart_from_matrices
-from .errors import ValidationError
+from .errors import PrecisionError, ValidationError
 from .mahler import AutomorphismSpec
 from .nilpotent import LiePresentation
 
@@ -100,7 +101,15 @@ class PresentationFile:
         images = []
         for i in range(chart.dim):
             if i in self.aut_matrices:
-                images.append(self.aut_matrices[i])
+                image = self.aut_matrices[i]
+                try:
+                    chart.solve_lattice(chart.log(image))
+                except PrecisionError:
+                    raise ValidationError(
+                        f"autmat image of generator {i + 1} is not in the chart group: "
+                        "its log lies outside the chart lattice"
+                    )
+                images.append(image)
             elif i in self.aut_words:
                 images.append(chart.word(self.aut_words[i]))
             else:

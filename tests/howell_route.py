@@ -25,7 +25,8 @@ import numpy as np
 from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import AlgebraElement, SubmoduleBasis
 from iwasawa_kernel.control import centre_indices
-from iwasawa_kernel.linalg import Rows, rank_log, vp_int
+from iwasawa_kernel.linalg import Rows, rank_log
+from iwasawa_kernel.padic import vp_int
 
 
 def _unit_inv(a, p, N):

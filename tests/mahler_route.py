@@ -32,13 +32,13 @@ from typing import Dict, List, Optional, Tuple
 import matrix_route
 from iwasawa_kernel.algebra import AlgebraElement, build_quotient, lazard_value
 from iwasawa_kernel.errors import PrecisionError, ValidationError
-from iwasawa_kernel.linalg import vp_int
 from iwasawa_kernel.mahler import (
     MahlerTable,
     _multi_indices,
     divided_power,
     z_approximants,
 )
+from iwasawa_kernel.padic import vp_int
 
 
 def apply_index(phi, Q, idx):

@@ -1,16 +1,53 @@
 """The matrix route to the group law, kept as the tests' reference.
 
 These are the scalar implementations the package used before its group
-law moved to batched solves and index arrays: tuple-matrix exp/log, the
-one-element iterative coordinate solve, and phi(g^beta) as the product of
-exp(b_i log phi(g_i)).  They share no arithmetic with the package beyond
-the chart's basis and its echelon pivots, so agreement is a differential
-check of the batched route.
+law moved to batched solves and index arrays: tuple-matrix arithmetic,
+exp/log, the Neumann-series inverse, p^m-th roots, the chart's structure
+constants, conjugation images, the one-element iterative coordinate solve,
+and phi(g^beta) as the product of exp(b_i log phi(g_i)).  They share no
+arithmetic with the package beyond the chart's basis and its echelon
+pivots, so agreement is a differential check of the batched route.
 """
 
-from iwasawa_kernel.charts import _add, _identity, _mul, _scale, _unit_part_inverse
 from iwasawa_kernel.errors import PrecisionError
-from iwasawa_kernel.linalg import vp_int
+
+
+def _identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _add(a, b, q):
+    return tuple(tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _scale(a, c, q):
+    return tuple(tuple((c * x) % q for x in r) for r in a)
+
+
+def _mul(a, b, q):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(ra, cb)) % q for cb in bt) for ra in a
+    )
+
+
+def _vp_int(a, p, N):
+    a %= p**N
+    if a == 0:
+        return N
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def _unit_part_inverse(k, p, q):
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return p**v, pow(k, -1, q)
 
 
 def _div_exact(a, k, p, q):
@@ -65,6 +102,43 @@ def inverse(chart, g):
     return out
 
 
+def root(chart, g, m):
+    """The p^m-th root of g, when log g is divisible by p^m."""
+    x = log(chart, g)
+    pm = chart.p**m
+    if any(v % chart.modulus and v % pm for r in x for v in r):
+        raise PrecisionError(f"log g not divisible by p^{m}: no root at precision")
+    y = tuple(tuple((v % chart.modulus) // pm for v in r) for r in x)
+    solve_lattice(chart, y, tol=m + 3)
+    return exp(chart, y)
+
+
+def structure_triples(chart):
+    """(i, j, k, c) with [x_i, x_j] = sum_k c x_k for i < j, c a signed
+    residue, as `structure_presentation` reads them."""
+    q = chart.modulus
+    out = []
+    for i in range(chart.dim):
+        for j in range(i + 1, chart.dim):
+            comm = _add(
+                _mul(chart.basis[i], chart.basis[j], q),
+                _scale(_mul(chart.basis[j], chart.basis[i], q), -1, q),
+                q,
+            )
+            for k, c in enumerate(solve_lattice(chart, comm)):
+                if c:
+                    out.append((i + 1, j + 1, k + 1, c - q if c > q // 2 else c))
+    return out
+
+
+def conjugation_images(chart, g):
+    """g g_i g^-1 for each generator g_i."""
+    q = chart.modulus
+    ginv = inverse(chart, g)
+    units = [tuple(int(k == i) for k in range(chart.dim)) for i in range(chart.dim)]
+    return tuple(_mul(_mul(g, word(chart, e), q), ginv, q) for e in units)
+
+
 def word(chart, beta):
     q = chart.modulus
     g = _identity(chart.mat_size)
@@ -75,7 +149,7 @@ def word(chart, beta):
 
 
 def solve_lattice(chart, target, tol=0):
-    echelon, _, _ = chart._solver
+    echelon = chart._echelon
     p, q = chart.p, chart.modulus
     t = [v % q for r in target for v in r]
     lam = [0] * chart.dim
@@ -83,7 +157,7 @@ def solve_lattice(chart, target, tol=0):
         c = t[col]
         if c == 0:
             continue
-        if vp_int(c, p, chart.work_prec) < e:
+        if _vp_int(c, p, chart.work_prec) < e:
             raise PrecisionError("target outside chart lattice")
         f = c // p**e
         t = [(a - f * int(b)) % q for a, b in zip(t, row)]
@@ -98,7 +172,7 @@ def coordinates(chart, g, prec):
     """Exponents (b_1..b_d) with g = g_1^{b_1} ... g_d^{b_d} mod p^prec, one
     log/solve step at a time."""
     p = chart.p
-    _, _, max_e = chart._solver
+    max_e = chart.max_pivot_val
     noise = 3
     stop_val = prec + max_e + 1
     if prec < 1 or stop_val + noise > chart.work_prec:
@@ -107,7 +181,7 @@ def coordinates(chart, g, prec):
     last_wt = -1
     for _ in range(stop_val + chart.mat_size + 2):
         x = log(chart, _mul(inverse(chart, word(chart, beta)), g, chart.modulus))
-        vals = [vp_int(v, p, chart.work_prec) for r in x for v in r if v % chart.modulus]
+        vals = [_vp_int(v, p, chart.work_prec) for r in x for v in r if v % chart.modulus]
         wt = min(vals) if vals else chart.work_prec
         if wt >= stop_val:
             break

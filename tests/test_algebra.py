@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matrix_route as ref
+from matrix_route import _mul
 from control_route import rho
 from iwasawa_kernel.algebra import (
     AlgebraElement,
@@ -20,7 +21,6 @@ from iwasawa_kernel.algebra import (
     lazard_value,
 )
 from iwasawa_kernel.charts import (
-    _mul,
     abelian_chart,
     cyclic_chart,
     heisenberg_chart,

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matrix_route as ref
+from matrix_route import _identity, _mul
 from iwasawa_kernel.charts import (
     GroupChart,
-    _identity,
-    _mul,
     abelian_chart,
     builtin_chart,
     chart_from_matrices,
@@ -19,6 +19,7 @@ from iwasawa_kernel.charts import (
     unipotent_chart,
 )
 from iwasawa_kernel.errors import PrecisionError, ValidationError
+from iwasawa_kernel.padic import legendre_factorial_val
 
 P = 3
 
@@ -45,9 +46,8 @@ class TestConstruction:
         [((0, 0), (0, 0))],
     ], ids=["multiple", "zero"])
     def test_dependent_basis_rejected(self, matrices):
-        chart = chart_from_matrices(P, matrices)
         with pytest.raises(ValidationError, match="linearly dependent"):
-            chart.solve_lattice(((0, 3), (0, 0)))
+            chart_from_matrices(P, matrices)
 
     def test_builtin_names(self):
         assert builtin_chart("cyclic", P).dim == 1
@@ -171,3 +171,126 @@ class TestStructure:
         q = chart.modulus
         a, b = chart.generators
         assert _mul(a, b, q) == _mul(b, a, q)
+
+
+# builtin charts, three of whose batches are object arrays of Python ints
+# (p^work_prec too large for int64 products): (name, p, work_prec, object?)
+ROUTE_CHARTS = [
+    ("cyclic", 3, None, False),
+    ("abelian2", 5, None, False),
+    ("heisenberg", 3, None, False),
+    ("unipotent4", 3, None, False),
+    ("heisenberg", 7, None, True),
+    ("heisenberg", 3, 30, True),
+    ("unipotent4", 5, 24, True),
+    ("skew", 3, None, False),
+]
+
+
+def skew_heisenberg(p):
+    """Heisenberg on x1 = p(E12 + E23), x2 = p(E12 - E23), x3 = p^2 E13,
+    where both products x1 x2 and x2 x1 are nonzero: [x1, x2] = -2 x3."""
+    return chart_from_matrices(p, [
+        ((0, p, 0), (0, 0, p), (0, 0, 0)),
+        ((0, p, 0), (0, 0, -p), (0, 0, 0)),
+        ((0, 0, p * p), (0, 0, 0), (0, 0, 0)),
+    ])
+
+
+@pytest.fixture(params=ROUTE_CHARTS, ids=lambda c: f"{c[0]}-p{c[1]}-w{c[2]}")
+def route_chart(request):
+    name, p, work, wide = request.param
+    chart = skew_heisenberg(p) if name == "skew" else builtin_chart(name, p, work_prec=work)
+    assert (chart._terms.dtype == object) == wide
+    return chart
+
+
+def agree(a, b, chart, slack=0):
+    """Whether two matrices agree modulo p^work_prec when p >= size, and
+    modulo p^(work_prec - slack - 2 v) otherwise, with p^v the p-part of
+    (size - 1)!: the tuple route reduces each power mod p^work_prec before
+    its factorial division, so its top v digits of log and of exp are junk,
+    and a p^m-th root moves them down m digits."""
+    v = legendre_factorial_val(chart.mat_size - 1, chart.p)
+    cut = chart.p ** (chart.work_prec - (slack + 2 * v if v else 0))
+    return all((x - y) % cut == 0 for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def route_elements(chart, count=6, bound=30):
+    rng = random.Random(hash(chart.name) % 1000 + chart.p)
+    return [chart.word(random_word(chart, rng, bound)) for _ in range(count)]
+
+
+class TestAgainstMatrixRoute:
+    """The array kernels against the tuple route of `tests/matrix_route.py`."""
+
+    def test_inverse(self, route_chart):
+        chart, q = route_chart, route_chart.modulus
+        for g in route_elements(chart):
+            assert chart.inverse(g) == ref.inverse(chart, g)
+            assert _mul(g, chart.inverse(g), q) == _identity(chart.mat_size)
+
+    def test_exp_log(self, route_chart):
+        chart = route_chart
+        for g in route_elements(chart):
+            x = chart.log(g)
+            assert agree(x, ref.log(chart, g), chart)
+            assert agree(chart.exp(x), ref.exp(chart, x), chart)
+            assert chart.exp(x) == g
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_root(self, route_chart, m):
+        chart, q = route_chart, route_chart.modulus
+        for g in route_elements(chart, count=3, bound=10):
+            power = _identity(chart.mat_size)
+            for _ in range(chart.p**m):
+                power = _mul(power, g, q)
+            root = chart.root(power, m)
+            assert agree(root, ref.root(chart, power, m), chart, slack=m)
+            # the top m digits of the root are junk
+            cut = chart.p ** (chart.work_prec - m)
+            assert all((x - y) % cut == 0 for ra, rb in zip(root, g) for x, y in zip(ra, rb))
+
+    def test_root_of_non_power_raises_on_both_routes(self, route_chart):
+        chart = route_chart
+        g = chart.generators[0]
+        with pytest.raises(PrecisionError):
+            ref.root(chart, g, 1)
+        with pytest.raises(PrecisionError):
+            chart.root(g, 1)
+
+    def test_structure_presentation(self, route_chart):
+        from iwasawa_kernel.nilpotent import LiePresentation
+
+        chart = route_chart
+        want = LiePresentation.from_triples(chart.p, chart.dim, 4, ref.structure_triples(chart))
+        assert chart.structure_presentation(4).bracket == want.bracket
+        if chart.name == "custom":
+            # -2 modulo p^(work_prec - 2), the precision of a coefficient
+            # of x3, whose pivot valuation is 2
+            ((i, j, k, c),) = ref.structure_triples(chart)
+            assert (i, j, k) == (1, 2, 3) and (c + 2) % chart.p ** (chart.work_prec - 2) == 0
+
+    def test_conjugation(self, route_chart):
+        from iwasawa_kernel.mahler import AutomorphismSpec
+
+        chart = route_chart
+        for g in route_elements(chart, count=3):
+            phi = AutomorphismSpec.conjugation(chart, g)
+            assert phi.images == ref.conjugation_images(chart, g)
+
+
+@pytest.mark.parametrize("work", [None, 30])
+def test_root_far_above_working_precision_raises_precision_error(work):
+    # p^40 does not fit an int64 batch; the division is by p^min(m, work)
+    chart = builtin_chart("heisenberg", P, work_prec=work)
+    g = chart.generator_power(0, P**2)
+    with pytest.raises(PrecisionError, match="not divisible by p\\^40"):
+        chart.root(g, 40)
+    assert chart.root(_identity(3), 40) == _identity(3)
+
+
+def test_derivations_built_with_the_chart():
+    chart = heisenberg_chart(P)
+    assert chart.max_pivot_val == 2
+    assert [pivot for pivot, _, _ in chart._echelon] == [((1, 1)), ((2, 2)), ((5, 1))]

@@ -267,6 +267,16 @@ aut 2 0 1
 ideal bmono 0 1
 """
 
+# g1 |-> exp(3 E13) = exp(x3 / 3): unipotent, but its log x3 / 3 lies
+# outside the chart lattice
+OFF_LATTICE_AUTMAT = """\
+p 3
+chart heisenberg
+autmat 1 1 0 3 0 1 0 0 0 1
+aut 2 0 1 0
+aut 3 0 0 1
+"""
+
 FUZZ = [
     ("valid", CENTRAL_IDEAL, ["control"], 0, ""),
     ("negative-dim", "p 3\ndim -2\nprec 4\n", ["ucs"], 1, "dim must be >= 1"),
@@ -316,6 +326,10 @@ FUZZ = [
      ["growth", "--level", "6", "--size-budget", "100000000"], 1, "linearly dependent"),
     ("zero-chart-matrix", "p 3\nchartmat 0 0 0 0\naut 1 1\nideal bmono 1\n", ["control"], 1,
      "linearly dependent"),
+    ("autmat-off-lattice-mahler", OFF_LATTICE_AUTMAT, ["mahler", "--level", "2"], 1,
+     "autmat image of generator 1 is not in the chart group"),
+    ("autmat-off-lattice-growth", OFF_LATTICE_AUTMAT, ["growth"], 1,
+     "autmat image of generator 1 is not in the chart group"),
     # |Q| = 729 is one above the budget the flag sets
     ("control-size-budget-728", CENTRAL_IDEAL, ["control", "--level", "2", "--size-budget", "728"],
      2, "exceeds budget 728"),

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matrix_route as ref
+from matrix_route import _mul
 from mahler_route import coeffs_by_dicts, mahler_product_coeff
 from iwasawa_kernel.algebra import AlgebraElement, build_quotient
-from iwasawa_kernel.charts import _mul, builtin_chart, heisenberg_chart
+from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
 from iwasawa_kernel.mahler import (
     AutomorphismSpec,
     aut_mahler_coeffs,

@@ -8,8 +8,9 @@ import random
 import pytest
 
 import matrix_route as ref
+from matrix_route import _mul
 from iwasawa_kernel.algebra import AlgebraElement, b_element, build_quotient
-from iwasawa_kernel.charts import _mul, heisenberg_chart, unipotent_chart
+from iwasawa_kernel.charts import heisenberg_chart, unipotent_chart
 from iwasawa_kernel.errors import ValidationError
 from iwasawa_kernel.mahler import (
     AutomorphismSpec,

@@ -6,19 +6,25 @@ match them exactly.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwasawa_kernel.errors import PrecisionError, ValidationError
+from iwasawa_kernel.linalg import MAX_MODULUS
 from iwasawa_kernel.padic import (
     PadicScalar,
     digit_sum,
     idempotent_power,
     legendre_factorial_val,
+    unit_split,
     vp,
+    vp_array,
     vp_binom_prime_power,
+    vp_int,
 )
 
 PRIMES = [2, 3, 5, 7]
@@ -77,6 +83,92 @@ class TestValuationHelpers:
             vp_binom_prime_power(2, 9, 3)
         with pytest.raises(ValidationError):
             vp_binom_prime_power(2, 0, 3)
+
+
+def naive_vp_int(a, p, N):
+    a %= p**N
+    return N if a == 0 else naive_vp(a, p)
+
+
+def largest_prec(p):
+    """The largest N with p^N <= MAX_MODULUS."""
+    N = 1
+    while p ** (N + 1) <= MAX_MODULUS:
+        N += 1
+    return N
+
+
+class TestResidueValuationsAndUnitSplit:
+    def test_vp_of_rationals(self):
+        assert vp(Fraction(9, 2), 3) == 2
+        assert vp(Fraction(2, 27), 3) == -3
+        assert vp(Fraction(-18, 4), 3) == 2
+        with pytest.raises(ValidationError):
+            vp(Fraction(0), 3)
+
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_vp_int_matches_naive_up_to_max_modulus(self, p, data):
+        N = data.draw(st.integers(1, largest_prec(p)))
+        a = data.draw(st.integers(-(p**N), 2 * p**N))
+        assert vp_int(a, p, N) == naive_vp_int(a, p, N)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_and_pure_powers(self, p):
+        N = largest_prec(p)
+        assert vp_int(0, p, N) == N
+        assert vp_int(p**N, p, N) == N
+        for e in range(N):
+            assert vp_int(p**e, p, N) == e
+            assert vp_int((p - 1) * p**e, p, N) == e
+        a = np.array([0, p**N, *(p**e for e in range(N))], dtype=np.int64)
+        assert vp_array(a, p, N).tolist() == [N, N, *range(N)]
+
+    @settings(max_examples=50)
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_vp_array_matches_naive_on_int64(self, p, data):
+        N = data.draw(st.integers(1, largest_prec(p)))
+        q = p**N
+        # residues, with pure p-powers and zeros mixed in
+        vals = data.draw(st.lists(
+            st.one_of(st.integers(0, q - 1), st.integers(0, N).map(lambda e: p**e % q)),
+            min_size=0, max_size=30))
+        a = np.array(vals, dtype=np.int64)
+        got = vp_array(a, p, N)
+        assert got.tolist() == [naive_vp_int(x, p, N) for x in vals]
+
+    @settings(max_examples=30)
+    @given(st.sampled_from([3, 5, 7]), st.integers(30, 80), st.data())
+    def test_vp_array_matches_naive_on_object_arrays(self, p, N, data):
+        # p^N above 2^63: the residues are Python ints in an object array
+        vals = data.draw(st.lists(st.integers(0, p**N - 1), min_size=1, max_size=20))
+        vals += [0, p ** (N - 1), p**N]
+        a = np.array(vals, dtype=object)
+        assert vp_array(a, p, N).tolist() == [naive_vp_int(x, p, N) for x in vals]
+        assert vp_array(a.reshape(1, -1), p, N).shape == (1, len(vals))
+
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_unit_split_of_residues(self, p, data):
+        N = data.draw(st.integers(1, largest_prec(p)))
+        q = p**N
+        a = data.draw(st.integers(1, q - 1))
+        e, uinv = unit_split(a, p, q)
+        assert e == naive_vp(a, p)
+        assert (a // p**e) * uinv % q == 1
+
+    @pytest.mark.parametrize("p, N", [(3, 4), (5, 3), (7, 2), (3, 14)])
+    def test_unit_split_of_factorials_above_q(self, p, N):
+        # k! is split exactly: reducing it mod q first would lose its p-part
+        q = p**N
+        for k in range(1, 40):
+            f = math.factorial(k)
+            e, uinv = unit_split(f, p, q)
+            assert e == legendre_factorial_val(k, p) == naive_vp(f, p)
+            assert (f // p**e) * uinv % q == 1
+        assert math.factorial(39) > q
+
+    def test_unit_split_of_zero_rejected(self):
+        with pytest.raises(ValidationError):
+            unit_split(0, 3, 27)
 
 
 class TestPadicScalar:

@@ -1,10 +1,12 @@
 """The input text format: key parsing, matrix sections, ideal sections."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from iwasawa_kernel.algebra import build_quotient
+from iwasawa_kernel.charts import builtin_chart
 from iwasawa_kernel.errors import ValidationError
 from iwasawa_kernel.presentation import parse_presentation
 
@@ -31,11 +33,37 @@ class TestParsing:
     def test_autmat_images(self):
         text = (
             "p 3\nchart cyclic\n"
-            "autmat 1 0 3 0 0\n"
+            "autmat 1 1 3 0 1\n"
         )
         doc = parse_presentation(text)
         phi = doc.automorphism(doc.chart())
-        assert phi.images[0] == ((0, 3), (0, 0))
+        assert phi.images[0] == ((1, 3), (0, 1))
+
+    @pytest.mark.parametrize("name", ["cyclic", "abelian2", "heisenberg", "unipotent4"])
+    def test_autmat_images_of_words_accepted(self, name):
+        chart = builtin_chart(name, 3)
+        rng = random.Random(11)
+        words = [[rng.randrange(-20, 20) for _ in range(chart.dim)] for _ in range(chart.dim)]
+        images = [chart.word(w) for w in words]
+        text = f"p 3\nchart {name}\n" + "".join(
+            f"autmat {i + 1} " + " ".join(str(v) for row in img for v in row) + "\n"
+            for i, img in enumerate(images)
+        )
+        doc = parse_presentation(text)
+        assert doc.automorphism(doc.chart()).images == tuple(images)
+
+    @pytest.mark.parametrize("entries, gen", [
+        ("1 0 3 0 1 0 0 0 1", 1),  # exp(x3 / 3)
+        ("1 1 0 0 1 0 0 0 1", 1),  # exp(x1 / 3)
+        ("1 0 0 0 1 1 0 0 1", 2),  # exp(x2 / 3)
+    ])
+    def test_autmat_image_outside_the_chart_group_rejected(self, entries, gen):
+        text = f"p 3\nchart heisenberg\nautmat {gen} {entries}\n"
+        text += "".join(f"aut {i} {' '.join(str(int(i == k)) for k in (1, 2, 3))}\n"
+                        for i in (1, 2, 3) if i != gen)
+        doc = parse_presentation(text)
+        with pytest.raises(ValidationError, match=f"autmat image of generator {gen}"):
+            doc.automorphism(doc.chart())
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
