@@ -293,7 +293,9 @@ class GroupChart:
 
     @property
     def omega_weights(self) -> Tuple[int, ...]:
-        return tuple(self._weights(self.batch(self.basis)).tolist())
+        return tuple(
+            min(vp_int(v, self.p, self.work_prec) for r in x for v in r if v) for x in self.basis
+        )
 
     def generator_power(self, i: int, k: int) -> Matrix:
         """g_i^k for any integer k, via exp(k * x_i)."""

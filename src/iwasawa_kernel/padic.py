@@ -30,7 +30,8 @@ from .errors import PrecisionError, ValidationError
 
 def vp(k: Union[int, Fraction], p: int) -> int:
     """Exact p-adic valuation of a nonzero integer or rational."""
-    if isinstance(k, Fraction):
+    # type(), not isinstance: Fraction is an ABC, and vp_int runs in hot loops
+    if type(k) is Fraction:
         return vp(k.numerator, p) - vp(k.denominator, p)
     if k == 0:
         raise ValidationError("valuation of zero is undefined")
