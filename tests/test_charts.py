@@ -217,7 +217,7 @@ def agree(a, b, chart, slack=0):
 
 
 def route_elements(chart, count=6, bound=30):
-    rng = random.Random(hash(chart.name) % 1000 + chart.p)
+    rng = random.Random(f"{chart.name}-{chart.p}-{chart.work_prec}")
     return [chart.word(random_word(chart, rng, bound)) for _ in range(count)]
 
 
@@ -293,4 +293,4 @@ def test_root_far_above_working_precision_raises_precision_error(work):
 def test_derivations_built_with_the_chart():
     chart = heisenberg_chart(P)
     assert chart.max_pivot_val == 2
-    assert [pivot for pivot, _, _ in chart._echelon] == [((1, 1)), ((2, 2)), ((5, 1))]
+    assert [pivot for pivot, _, _ in chart._echelon] == [(1, 1), (2, 2), (5, 1)]
