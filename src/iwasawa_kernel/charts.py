@@ -86,7 +86,7 @@ def _as_matrix(a: np.ndarray) -> Matrix:
     return tuple(tuple(int(v) for v in row) for row in a)
 
 
-def _echelon(basis: Sequence[Matrix], p: int, work: int, dtype) -> list:
+def _echelon_solver(basis: Sequence[Matrix], p: int, work: int, dtype) -> list:
     """Echelon rows of the flattened basis, each with its pivot (column,
     valuation) and the transform back to basis coefficients:
     row = sum_j tr[j] * basis[j] (flattened).  Rows and transforms are
@@ -133,7 +133,7 @@ class GroupChart:
     # p^v_p((mat_size - 1)!): the extra p-power that keeps the factorial
     # divisions in exp/log exact
     _headroom: int = field(init=False, repr=False, compare=False)
-    # ((pivot col, valuation), row, transform) per echelon row, see `_echelon`
+    # ((pivot col, valuation), row, transform) per echelon row, see `_echelon_solver`
     _echelon: list = field(init=False, repr=False, compare=False)
     # the largest pivot valuation of the chart lattice
     max_pivot_val: int = field(init=False, repr=False, compare=False)
@@ -156,7 +156,7 @@ class GroupChart:
         wide = q * headroom
         dtype = np.int64 if (u + 1) * wide * wide < 2**63 else object
         terms = _divided_powers(self.basis, self.p, q)
-        echelon = _echelon(self.basis, self.p, self.work_prec, dtype)
+        echelon = _echelon_solver(self.basis, self.p, self.work_prec, dtype)
         object.__setattr__(self, "_terms", terms.astype(dtype))
         object.__setattr__(self, "_headroom", headroom)
         object.__setattr__(self, "_echelon", echelon)
