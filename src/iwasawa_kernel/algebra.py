@@ -39,6 +39,10 @@ DEFAULT_SIZE_BUDGET = 50_000
 DENSE_BYTE_BUDGET = 1 << 30
 # elements per batched chart solve, which bounds its temporary arrays
 _SOLVE_CHUNK = 1024
+# largest |alpha| a b-monomial may have
+B_MONOMIAL_DEGREE_BUDGET = 512
+# most multi-indices `lazard_value` may visit
+LAZARD_DEGREE_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +135,10 @@ class QuotientGroup:
     # -- indexing -------------------------------------------------------
 
     def index(self, beta: Sequence[int]) -> int:
-        r = self.radix
-        idx = 0
-        for b in reversed([b % r for b in beta]):
-            idx = idx * r + b
-        return idx
+        return int(self.index_array([beta])[0])
 
     def coords(self, idx: int) -> Tuple[int, ...]:
-        r = self.radix
-        out = []
-        for _ in range(self.dim):
-            idx, b = divmod(idx, r)
-            out.append(b)
-        return tuple(out)
+        return tuple(self.coords_array([idx])[0].tolist())
 
     def index_array(self, betas: np.ndarray) -> np.ndarray:
         """Indices of the rows of a (B, d) coordinate array."""
@@ -345,11 +340,7 @@ class AlgebraElement:
         return AlgebraElement(self.quotient, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return AlgebraElement(self.quotient, out)
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.quotient, {k: -v for k, v in self.coeffs.items()})
@@ -394,23 +385,12 @@ class AlgebraElement:
     def support(self) -> List[int]:
         return sorted(self.coeffs)
 
-    def to_vector(self) -> np.ndarray:
-        self.quotient._require_dense()
-        vec = np.zeros(self.quotient.size, dtype=np.int64)
-        for k, v in self.coeffs.items():
-            vec[k] = v
-        return vec
-
-    @staticmethod
-    def from_vector(Q: QuotientGroup, vec: np.ndarray) -> "AlgebraElement":
-        return AlgebraElement(Q, {int(i): int(v) for i, v in enumerate(vec) if v})
-
     def __str__(self):
         if not self.coeffs:
             return "0"
         parts = []
-        for k in sorted(self.coeffs):
-            beta = self.quotient.coords(k)
+        support = self.support()
+        for k, beta in zip(support, self.quotient.coords_array(support).tolist()):
             mono = "*".join(
                 f"g{i+1}^{b}" if b != 1 else f"g{i+1}" for i, b in enumerate(beta) if b
             )
@@ -423,7 +403,7 @@ def b_element(Q: QuotientGroup, i: int) -> AlgebraElement:
     return AlgebraElement(Q, {Q.generator(i): 1, 0: -1})
 
 
-def b_monomial(Q: QuotientGroup, alpha: Sequence[int], degree_budget: int = 512) -> AlgebraElement:
+def b_monomial(Q: QuotientGroup, alpha: Sequence[int]) -> AlgebraElement:
     """The ordered product (g_1-1)^{alpha_1} ... (g_d-1)^{alpha_d}.
 
     Each factor is expanded by the integer binomial theorem; only exponents
@@ -434,7 +414,7 @@ def b_monomial(Q: QuotientGroup, alpha: Sequence[int], degree_budget: int = 512)
         raise ValidationError("multi-index length mismatch")
     if any(a < 0 for a in alpha):
         raise ValidationError("multi-index entries must be >= 0")
-    if sum(alpha) > degree_budget:
+    if sum(alpha) > B_MONOMIAL_DEGREE_BUDGET:
         raise BudgetError(f"|alpha| = {sum(alpha)} exceeds degree budget")
     out = AlgebraElement.one(Q)
     for i, a in enumerate(alpha):
@@ -452,7 +432,7 @@ def b_monomial(Q: QuotientGroup, alpha: Sequence[int], degree_budget: int = 512)
 # Lazard filtration weight
 
 
-def lazard_value(x: AlgebraElement, degree_cap: int = 4096) -> FiltValue:
+def lazard_value(x: AlgebraElement) -> FiltValue:
     """inf of v_p(lambda_alpha) + sum alpha_i * omega(g_i) over the
     ordered-monomial expansion of x.
 
@@ -468,7 +448,7 @@ def lazard_value(x: AlgebraElement, degree_cap: int = 4096) -> FiltValue:
     omega = Q.chart.omega_weights
     if not x.coeffs:
         return FiltValue(None, floor)
-    supp = [(Q.coords(k), s) for k, s in x.coeffs.items()]
+    supp = list(zip(Q.coords_array(list(x.coeffs)).tolist(), x.coeffs.values()))
     maxes = [max(beta[i] for beta, _ in supp) for i in range(Q.dim)]
 
     best: Optional[int] = None
@@ -482,7 +462,7 @@ def lazard_value(x: AlgebraElement, degree_cap: int = 4096) -> FiltValue:
             return
         if i == Q.dim:
             count += 1
-            if count > degree_cap:
+            if count > LAZARD_DEGREE_CAP:
                 raise BudgetError("b-expansion enumeration exceeds degree cap")
             lam = 0
             for (beta, s), pref in zip(supp, prefix):
@@ -523,9 +503,10 @@ class SubmoduleBasis:
     side: str = "right"
 
     def member(self, x: AlgebraElement) -> bool:
-        return linalg.member(
-            self.rows, x.to_vector(), self.quotient.p, self.quotient.N
-        )
+        """Whether x lies in the submodule: x reduced as one sparse row."""
+        Q = self.quotient
+        vec = linalg.Rows.from_dicts([x.coeffs], Q.size)
+        return bool(linalg.in_span(self.rows, vec, Q.p, Q.N)[0])
 
     @property
     def rank_log(self) -> int:

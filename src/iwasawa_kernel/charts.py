@@ -329,12 +329,10 @@ class GroupChart:
 
     # -- coordinate recovery -------------------------------------------
 
-    def solve_lattice(self, target: Matrix, tol: int = 0) -> List[int]:
-        """Solve sum lambda_i x_i = target in the chart lattice mod p^work.
-
-        The remainder must vanish modulo p^(work_prec - tol).
-        """
-        return [int(v) for v in self._solve_batch(self.batch([target]), tol)[0]]
+    def solve_lattice(self, target: Matrix) -> List[int]:
+        """Solve sum lambda_i x_i = target in the chart lattice mod p^work;
+        the remainder must vanish."""
+        return [int(v) for v in self._solve_batch(self.batch([target]), tol=0)[0]]
 
     def coordinates(self, g, prec: Optional[int] = None):
         """Exponents (b_1..b_d) with g = g_1^{b_1} ... g_d^{b_d} mod p^prec.
@@ -392,18 +390,24 @@ class GroupChart:
 
     def structure_presentation(self, prec: int):
         """Lie structure constants of the chart lattice, when it is closed
-        under the bracket; raises otherwise."""
+        under the bracket; raises otherwise.
+
+        The solve fixes a coefficient only modulo p^(work_prec -
+        max_pivot_val), so each is reduced and signed at that modulus.
+        """
         from .nilpotent import LiePresentation
 
-        q, half = self.modulus, self.modulus // 2
+        q = self.modulus
+        known = self.p ** (self.work_prec - self.max_pivot_val)
         x = self.batch(self.basis)
         i, j = np.triu_indices(self.dim, 1)
         lams = self._solve_batch((x[i] @ x[j] - x[j] @ x[i]) % q, tol=0)
         triples = []
         for a, b, lam in zip(i.tolist(), j.tolist(), lams.tolist()):
             for k, c in enumerate(lam):
+                c %= known
                 if c:
-                    signed = c - q if c > half else c
+                    signed = c - known if c > known // 2 else c
                     triples.append((a + 1, b + 1, k + 1, signed))
         return LiePresentation.from_triples(self.p, self.dim, prec, triples)
 

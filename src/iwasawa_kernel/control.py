@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -260,7 +260,7 @@ def centre_indices(Q: QuotientGroup) -> List[int]:
     return np.flatnonzero(central).tolist()
 
 
-def j_ideal_rank(I: SubmoduleBasis, centre: Optional[Sequence[int]] = None) -> int:
+def j_ideal_rank(I: SubmoduleBasis) -> int:
     """log_p of the size of the centre-subalgebra image modulo I.
 
     By the second isomorphism theorem (KZ + I)/I ≅ KZ/(I ∩ KZ), so the rank
@@ -269,6 +269,6 @@ def j_ideal_rank(I: SubmoduleBasis, centre: Optional[Sequence[int]] = None) -> i
     """
     Q = I.quotient
     p, N = Q.p, Q.N
-    centre = np.array(sorted(set(centre_indices(Q) if centre is None else centre)), dtype=np.int64)
+    centre = np.array(centre_indices(Q), dtype=np.int64)
     inner = _restrict(I.rows, np.arange(Q.size), centre, p, N)
     return N * centre.size - linalg.rank_log(inner, p, N)

@@ -29,7 +29,7 @@ a Howell basis under the same rule: each vector is reduced by following
 its non-zeros through the loop the sparse back-substitution uses, or,
 against a filled basis, with one vectorised step per pivot.  The batch is
 reduced in blocks of at most `_BLOCK_BYTES` as an array, and only one
-block of remainders is held at a time; `member` is a batch of one.
+block of remainders is held at a time.
 
 The dense steps share one row update, `_eliminate`, which forms an int64
 product of two residues before each reduction, and every kernel holds
@@ -483,10 +483,6 @@ def in_span(rows: Rows, vecs: Rows, p: int, N: int) -> np.ndarray:
     ``rows``; only one block of remainders is held at a time."""
     rems = _reduced(rows, vecs, p, N)
     return np.concatenate([np.zeros(0, dtype=bool), *(np.diff(rem.indptr) == 0 for rem in rems)])
-
-
-def member(rows: Rows, vec: np.ndarray, p: int, N: int) -> bool:
-    return bool(in_span(rows, Rows.from_array(np.asarray(vec)[None, :]), p, N)[0])
 
 
 def span_equal(a: Rows, b: Rows) -> bool:

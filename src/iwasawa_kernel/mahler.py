@@ -41,6 +41,10 @@ from .charts import GroupChart, Matrix, _as_matrix
 from .errors import PrecisionError, ValidationError
 from .padic import vp_int
 
+# random pairs (a, b) on which `verify_homomorphism` checks phi(ab) =
+# phi(a) phi(b) above the dense limit
+_HOMOMORPHISM_SAMPLES = 20
+
 
 # ---------------------------------------------------------------------------
 # scalar Mahler tables
@@ -51,13 +55,15 @@ class MahlerTable:
     """Coefficients m_alpha for |alpha| <= degree, with a decay log.
 
     decay_log[s] is the minimal valuation over the shell |alpha| = s
-    (None when the shell vanishes identically).
+    (None when the shell vanishes identically).  ``quotient`` is the stage
+    whose algebra holds the coefficients, None for scalar ones.
     """
 
     dim: int
     degree: int
     entries: Dict[Tuple[int, ...], object]
     decay_log: List[Optional[int]]
+    quotient: Optional[QuotientGroup] = None
 
     def support_shell(self) -> int:
         """Largest shell carrying a nonzero coefficient (-1 if empty)."""
@@ -93,23 +99,21 @@ def mahler_coeffs(f: Callable, dim: int, degree: int, p: int, N: int) -> MahlerT
     )
 
 
-def reconstruct(T: MahlerTable, gamma: Sequence[int], zero=0):
-    """Partial Mahler sum f(gamma) ~= sum_alpha m_alpha binom(gamma, alpha)."""
+def reconstruct(T: MahlerTable, gamma: Sequence[int]):
+    """Partial Mahler sum f(gamma) ~= sum_alpha m_alpha binom(gamma, alpha),
+    summed from the zero of the coefficients' ring."""
     if isinstance(gamma, int):
         gamma = (gamma,)
     if len(gamma) != T.dim:
         raise ValidationError("evaluation point has wrong dimension")
-    acc = zero
+    acc = 0 if T.quotient is None else AlgebraElement.zero(T.quotient)
     for alpha, v in T.entries.items():
         c = 1
         for g, a in zip(gamma, alpha):
             c *= math.comb(g, a)
         if c == 0:
             continue
-        if isinstance(v, AlgebraElement):
-            acc = acc + v.scale(c)
-        else:
-            acc = acc + c * v
+        acc = acc + (c * v if T.quotient is None else v.scale(c))
     return acc
 
 
@@ -127,8 +131,8 @@ def divided_power(alpha: Sequence[int], x: AlgebraElement) -> AlgebraElement:
     if len(alpha) != Q.dim:
         raise ValidationError("multi-index length mismatch")
     out: Dict[int, int] = {}
-    for k, s in x.coeffs.items():
-        beta = Q.coords(k)
+    betas = Q.coords_array(list(x.coeffs)).tolist()
+    for (k, s), beta in zip(x.coeffs.items(), betas):
         c = 1
         for b, a in zip(beta, alpha):
             c *= math.comb(b, a)
@@ -255,14 +259,14 @@ class AutomorphismSpec:
 
     # -- verification ---------------------------------------------------
 
-    def verify_homomorphism(self, Q: QuotientGroup, samples: int = 20) -> bool:
+    def verify_homomorphism(self, Q: QuotientGroup) -> bool:
         """Whether phi acts on Q as an automorphism.
 
         Dense stages are checked exactly: perm(Q) must be a permutation with
         phi(h g_i) = phi(h) phi(g_i) for every h and every generator g_i.
         Above the dense limit, phi(ab) = phi(a) phi(b) is checked on
-        ``samples`` random pairs (a, b), drawn from a fixed seed; the pairs
-        go through five batched chart solves.
+        `_HOMOMORPHISM_SAMPLES` random pairs (a, b), drawn from a fixed
+        seed; the pairs go through five batched chart solves.
         """
         if Q.dense:
             perm, h = self.perm(Q), np.arange(Q.size)
@@ -274,7 +278,8 @@ class AutomorphismSpec:
         import random
 
         rng = random.Random(23)
-        pairs = [(rng.randrange(Q.size), rng.randrange(Q.size)) for _ in range(samples)]
+        pairs = [(rng.randrange(Q.size), rng.randrange(Q.size))
+                 for _ in range(_HOMOMORPHISM_SAMPLES)]
         a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         lhs = self.apply_array(Q, Q.mult_array(a, b))
         rhs = Q.mult_array(self.apply_array(Q, a), self.apply_array(Q, b))
@@ -395,7 +400,7 @@ def _mahler_table(
     for shell, c in zip(points.sum(axis=1).tolist(), coeffs):
         v = vp_int(c, p, N)
         decay[shell] = v if decay[shell] is None else min(decay[shell], v)
-    return MahlerTable(dim, degree, entries, decay)
+    return MahlerTable(dim, degree, entries, decay, Q)
 
 
 # ---------------------------------------------------------------------------

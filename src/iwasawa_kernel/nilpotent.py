@@ -120,17 +120,15 @@ class Submodule:
     def __hash__(self):
         return hash(self.rows)
 
-    def describe(self, names: Optional[Sequence[str]] = None) -> str:
+    def describe(self) -> str:
         """Pretty form, e.g. ``span{x2, x3, x5}`` when rows are unit vectors."""
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.ambient)]
         if not self.rows:
             return "0"
         labels = []
         for r in self.rows:
             support = [i for i, x in enumerate(r) if x != 0]
             if len(support) == 1 and r[support[0]] == 1:
-                labels.append(names[support[0]])
+                labels.append(f"x{support[0] + 1}")
             else:
                 labels.append("(" + " ".join(str(x) for x in r) + ")")
         return "span{" + ", ".join(labels) + "}"

@@ -1,5 +1,5 @@
-"""Exact p-adic scalar arithmetic at fixed precision, and the one home of
-valuations and unit splits.
+"""The one home of p-adic valuations and unit splits, with the exact
+valuation identities and the idempotent dichotomy.
 
 Every layer decides by p-adic valuations: Howell pivots, Lazard weights,
 bracket constants in Z_(p) and chart coordinates.  They all read them here:
@@ -8,9 +8,8 @@ read the valuation of residues mod p^N (N for zero), one at a time or
 elementwise, and `unit_split` writes a nonzero integer as p^e u and inverts
 the unit part.
 
-Scalars are residues mod p^N with a tracked valuation.  A residue of zero
-means the value is indistinguishable from 0 at this precision; its
-valuation is reported as ``None`` ("bottom", i.e. >= N).
+`PadicScalar` is a frozen residue mod p^prec, the container that
+`idempotent_power` takes and returns; it carries no arithmetic.
 
 The number-theoretic helpers (digit sums, Legendre's formula, valuations
 of binomials of prime-power order) are exact big-integer computations with
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -99,7 +98,7 @@ def vp_binom_prime_power(m: int, k: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PadicScalar:
-    """Residue mod p^prec with tracked valuation."""
+    """Residue mod p^prec, normalized to [0, p^prec)."""
 
     p: int
     prec: int
@@ -109,52 +108,6 @@ class PadicScalar:
         if self.prec <= 0:
             raise ValidationError("precision must be positive")
         object.__setattr__(self, "residue", self.residue % self.p**self.prec)
-
-    @property
-    def val(self) -> Optional[int]:
-        """Valuation in [0, prec), or None ("bottom") for the zero residue."""
-        if self.residue == 0:
-            return None
-        return vp(self.residue, self.p)
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    def _join(self, other: "PadicScalar") -> int:
-        if not isinstance(other, PadicScalar):
-            raise TypeError("expected PadicScalar")
-        if other.p != self.p:
-            raise ValidationError("mixed primes")
-        return min(self.prec, other.prec)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = PadicScalar(self.p, self.prec, other)
-        n = self._join(other)
-        return PadicScalar(self.p, n, self.residue + other.residue)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = PadicScalar(self.p, self.prec, other)
-        n = self._join(other)
-        return PadicScalar(self.p, n, self.residue - other.residue)
-
-    def __neg__(self):
-        return PadicScalar(self.p, self.prec, -self.residue)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PadicScalar(self.p, self.prec, self.residue * other)
-        n = self._join(other)
-        return PadicScalar(self.p, n, self.residue * other.residue)
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        return f"{self.residue} mod {self.p}^{self.prec}"
 
 
 def idempotent_power(beta: PadicScalar, n: int, f: int = 1) -> PadicScalar:

@@ -79,16 +79,14 @@ class PresentationFile:
             [(i, j, k, c) for i, j, k, c in self.brackets],
         )
 
-    def chart(self, work_prec: Optional[int] = None) -> GroupChart:
+    def chart(self) -> GroupChart:
         if self.p is None:
             raise ValidationError("chart needs the p field")
         if self.chart_matrices:
-            return chart_from_matrices(
-                self.p, self.chart_matrices, work_prec=work_prec or 14
-            )
+            return chart_from_matrices(self.p, self.chart_matrices)
         if self.chart_name is None:
             raise ValidationError("no chart section in input")
-        return builtin_chart(self.chart_name, self.p, work_prec=work_prec)
+        return builtin_chart(self.chart_name, self.p)
 
     def automorphism(self, chart: GroupChart) -> AutomorphismSpec:
         if not self.aut_words and not self.aut_matrices:

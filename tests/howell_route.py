@@ -27,6 +27,7 @@ from iwasawa_kernel.algebra import AlgebraElement, SubmoduleBasis
 from iwasawa_kernel.control import centre_indices
 from iwasawa_kernel.linalg import Rows, rank_log
 from iwasawa_kernel.padic import vp_int
+from stages import to_vector
 
 
 def _unit_inv(a, p, N):
@@ -110,7 +111,7 @@ def is_faithful(I):
     one = AlgebraElement.one(Q)
     rows = I.rows.toarray()
     for g in range(1, Q.size):
-        vec = (AlgebraElement.group_element(Q, g) - one).to_vector()
+        vec = to_vector(AlgebraElement.group_element(Q, g) - one)
         if not reduce_vector(rows, vec, Q.p, Q.N).any():
             return False
     return True
@@ -185,7 +186,7 @@ def _apply_perm(rows, perm):
 
 def ideal_closure(gens, side, Q):
     p, N = Q.p, Q.N
-    mat = np.array([g.to_vector() for g in gens if not g.is_zero()], dtype=np.int64)
+    mat = np.array([to_vector(g) for g in gens if not g.is_zero()], dtype=np.int64)
     tab = Q.mult_table()
     perms = tab.T if side in ("right", "two-sided") else tab
     rows = linalg.howell(np.vstack([_apply_perm(mat, perm) for perm in perms]), p, N)

@@ -114,9 +114,12 @@ def root(chart, g, m):
 
 
 def structure_triples(chart):
-    """(i, j, k, c) with [x_i, x_j] = sum_k c x_k for i < j, c a signed
-    residue, as `structure_presentation` reads them."""
+    """(i, j, k, c) with [x_i, x_j] = sum_k c x_k for i < j, c a residue
+    modulo p^(work_prec - max pivot valuation), the precision the solve
+    fixes it to, signed against half that modulus, as
+    `structure_presentation` reads them."""
     q = chart.modulus
+    known = chart.p ** (chart.work_prec - max(e for (_, e), _, _ in chart._echelon))
     out = []
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
@@ -126,8 +129,9 @@ def structure_triples(chart):
                 q,
             )
             for k, c in enumerate(solve_lattice(chart, comm)):
+                c %= known
                 if c:
-                    out.append((i + 1, j + 1, k + 1, c - q if c > q // 2 else c))
+                    out.append((i + 1, j + 1, k + 1, c - known if c > known // 2 else c))
     return out
 
 

@@ -1,7 +1,22 @@
-"""Small stages and ideals shared by the differential tests."""
+"""Small stages and ideals shared by the differential tests, and the dense
+coefficient vectors of stage elements."""
 
-from iwasawa_kernel.algebra import b_monomial, build_quotient
+import numpy as np
+
+from iwasawa_kernel.algebra import AlgebraElement, b_monomial, build_quotient
 from iwasawa_kernel.charts import builtin_chart
+
+
+def to_vector(x):
+    """The coefficients of x as a dense vector of length |Q|."""
+    vec = np.zeros(x.quotient.size, dtype=np.int64)
+    vec[list(x.coeffs)] = list(x.coeffs.values())
+    return vec
+
+
+def from_vector(Q, vec):
+    """The element of Q's algebra with the dense coefficient vector vec."""
+    return AlgebraElement(Q, {int(i): int(v) for i, v in enumerate(vec) if v})
 
 
 def small_stage_ideals():

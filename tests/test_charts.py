@@ -147,6 +147,15 @@ class TestStructure:
         assert L.bracket[0][1][2] == 1
         assert not any(L.bracket[0][2])
 
+    def test_skew_structure_constant_signed_at_its_precision(self):
+        # [x1, x2] = -18 E13 = -2 x3 on x1 = 3(E12 + E23), x2 = 3(E12 - E23),
+        # x3 = 9 E13; the solve fixes the coefficient only modulo
+        # 3^(work_prec - 2), so signing it against 3^work_prec / 2 would
+        # give 3^12 - 2
+        L = skew_heisenberg(P).structure_presentation(4)
+        assert L.bracket[0][1] == (0, 0, -2)
+        assert ref.structure_triples(skew_heisenberg(P)) == [(1, 2, 3, -2)]
+
     def test_unipotent4_matches_example2_relations(self):
         # basis p E_{ij} in lex order gives exactly the 6-dimensional
         # presentation with [x1,x4]=p x2, [x1,x5]=p x3, [x2,x6]=p x3,

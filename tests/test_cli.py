@@ -48,6 +48,14 @@ chart heisenberg
 ideal bmono 0 0 1
 """
 
+# the same generator b3 = g3 - 1 as a coefficient list: index 9 of the
+# level-1 stage is g3
+CENTRAL_IDEAL_COEFFS = """\
+p 3
+chart heisenberg
+ideal coeffs -1 0 0 0 0 0 0 0 0 1
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -157,6 +165,17 @@ class TestMahler:
         assert code == 0
         assert doc["by_formula"] is True and doc["by_commutation"] is True
 
+    def test_prime_override(self, tmp_path, capsys):
+        # --p replaces the file's p = 3: the stage is Heisenberg mod 5
+        path = write(tmp_path, "conj.txt", HEIS_CONJ)
+        code = main(["mahler", path, "--p", "5", "--level", "1", "--degree", "2",
+                     "--format", "structured"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["config"]["p"] == 5
+        assert main(["mahler", path, "--p", "5", "--level", "1", "--degree", "2"]) == 0
+        assert "|Q| = 125" in capsys.readouterr().out
+
     def test_level2_degree6_runtime(self, tmp_path, capsys):
         # one Mahler table per command and batched chart solves; with a
         # table per factorization check and one chart solve per element
@@ -179,6 +198,17 @@ class TestControl:
             cell["definitional"] == cell["by_action"]
             for cell in doc["lattice"].values()
         )
+
+    def test_coefficient_list_ideal_matches_b_monomial(self, tmp_path, capsys):
+        reports = []
+        for name, text in (("bmono.txt", CENTRAL_IDEAL), ("coeffs.txt", CENTRAL_IDEAL_COEFFS)):
+            assert main(["control", write(tmp_path, name, text), "--format", "structured"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["config"]
+            reports.append(doc)
+        assert reports[0] == reports[1]
+        assert reports[1]["rank_log"] == 36
+        assert reports[1]["controller_estimate"] == [1, 1, 0]
 
     def test_budget_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "c.txt", CENTRAL_IDEAL)
@@ -283,6 +313,7 @@ FUZZ = [
     ("zero-dim", "p 3\ndim 0\nprec 4\n", ["ucs"], 1, "dim must be >= 1"),
     ("zero-prec", "p 3\ndim 2\nprec 0\n", ["ucs"], 1, "prec must be >= 1"),
     ("non-prime-p", "p 0\ndim 2\nprec 3\n", ["ucs"], 1, "p must be a prime"),
+    ("non-prime-p-override", EXAMPLE2, ["ucs", "--p", "9"], 1, "p must be a prime, got 9"),
     ("unknown-chart", "p 3\nchart foo\nideal bmono 0 1\n", ["control"], 1,
      "unknown builtin chart 'foo'"),
     ("chart-size-not-a-number", "p 3\nchart abelianx\nideal bmono 0 1\n", ["control"], 1,
@@ -324,6 +355,11 @@ FUZZ = [
      "linearly dependent"),
     ("dependent-chart-growth-level-6", DEPENDENT_CHART,
      ["growth", "--level", "6", "--size-budget", "100000000"], 1, "linearly dependent"),
+    # |Q| = 27 at level 1
+    ("coeffs-longer-than-quotient", "p 3\nchart heisenberg\nideal coeffs " + "1 " * 28 + "\n",
+     ["control"], 1, "coefficient list longer than the quotient"),
+    ("coeffs-denominator-p", "p 3\nchart heisenberg\nideal coeffs 1/3\n", ["control"], 1,
+     "has denominator divisible by p"),
     ("zero-chart-matrix", "p 3\nchartmat 0 0 0 0\naut 1 1\nideal bmono 1\n", ["control"], 1,
      "linearly dependent"),
     ("autmat-off-lattice-mahler", OFF_LATTICE_AUTMAT, ["mahler", "--level", "2"], 1,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from control_route import coset_partition, rho
+from stages import from_vector
 from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import (
     AlgebraElement,
@@ -74,7 +75,7 @@ def brute_force_by_action(I, U):
     for members in coset_partition(U).values():
         member_set = set(members)
         for row in I.rows.toarray():
-            x = AlgebraElement.from_vector(Q, row)
+            x = from_vector(Q, row)
             proj = rho(lambda k, s=member_set: 1 if k in s else 0, x)
             if not I.member(proj):
                 return False

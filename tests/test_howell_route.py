@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import howell_route as ref
-from stages import small_stage_ideals
+from stages import small_stage_ideals, to_vector
 from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import AlgebraElement, b_monomial, build_quotient, ideal_closure
 from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
@@ -156,7 +156,7 @@ def test_sparse_howell_matches_full_matrix_route(case):
 def translates(Q, x):
     """The right translates x·g, g in Q: the matrix `ideal_closure` echelons."""
     T = np.zeros((Q.size, Q.size), dtype=np.int64)
-    T[np.arange(Q.size)[:, None], Q.mult_table().T] = x.to_vector()
+    T[np.arange(Q.size)[:, None], Q.mult_table().T] = to_vector(x)
     return T
 
 
@@ -222,7 +222,7 @@ def test_reduce_rows_matches_per_vector_reduction(case, seed):
     got = ref.remainders(H, linalg.Rows.from_array(vecs), p, N)
     for v, r in zip(vecs, got):
         assert np.array_equal(r, ref.reduce_vector(H.toarray(), v, p, N))
-        assert linalg.member(H, v, p, N) == (not r.any())
+        assert linalg.in_span(H, linalg.Rows.from_array(v[None, :]), p, N)[0] == (not r.any())
 
 
 CASES = small_stage_ideals()

@@ -71,9 +71,8 @@ class TestHowell:
         p, N = 3, 2
         mat = np.array([[3, 1, 0], [0, 3, 3]])
         H = linalg.howell(mat, p, N)
-        assert linalg.member(H, np.array([3, 1, 0]), p, N)
-        assert linalg.member(H, np.array([3, 4, 3]), p, N)
-        assert not linalg.member(H, np.array([1, 0, 0]), p, N)
+        vecs = Rows.from_array(np.array([[3, 1, 0], [3, 4, 3], [1, 0, 0]]))
+        assert linalg.in_span(H, vecs, p, N).tolist() == [True, True, False]
 
     def test_zero_matrix(self):
         H = linalg.howell(np.zeros((3, 4), dtype=np.int64), 3, 2)

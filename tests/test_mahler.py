@@ -28,6 +28,8 @@ from iwasawa_kernel.mahler import (
 P = 3
 
 SWAP_WORDS = [(0, 1, 0), (1, 0, 0), (0, 0, -1)]
+# the generator images of inputs/heis_conj.txt, conjugation by g1
+CONJ_WORDS = [(1, 0, 0), (0, 1, 1), (0, 0, 1)]
 
 
 def mahler_coeff_direct(f, alpha):
@@ -158,6 +160,22 @@ class TestMahlerFactorization:
         T = aut_mahler_coeffs(AutomorphismSpec.identity(chart), Q, 3)
         assert list(T.entries) == [(0, 0, 0)]
         assert T.entries[(0, 0, 0)] == AlgebraElement.one(Q)
+
+    @pytest.mark.parametrize("words", [CONJ_WORDS, SWAP_WORDS], ids=["conj", "swap"])
+    def test_reconstruct_algebra_valued_table(self, words):
+        # below degree D the partial sum at |gamma| <= D is exact: it gives
+        # back the group element phi(g^gamma) g^-gamma, from the algebra's zero
+        chart = heisenberg_chart(P)
+        Q = build_quotient(chart, 1, 2)
+        phi = AutomorphismSpec.from_words(chart, words)
+        T = aut_mahler_coeffs(phi, Q, 3)
+        for gamma in itertools.product(range(4), repeat=3):
+            if sum(gamma) <= 3:
+                g = Q.index(gamma)
+                want = ref.mult(Q, ref.apply_index(phi, Q, g), ref.inv(Q, g))
+                assert reconstruct(T, gamma) == AlgebraElement.group_element(Q, want)
+        if words == CONJ_WORDS:
+            assert str(reconstruct(T, (1, 1, 0))) == "1*g3"
 
     def test_inner_automorphism_is_mahler(self):
         chart = heisenberg_chart(P)

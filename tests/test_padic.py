@@ -1,4 +1,5 @@
-"""p-adic scalar arithmetic and the number-theoretic closed forms.
+"""p-adic valuations, unit splits, the idempotent dichotomy and the
+number-theoretic closed forms.
 
 Oracle values are frozen from independent big-integer computations
 (math.comb, math.factorial, repeated division); the closed forms must
@@ -177,36 +178,6 @@ class TestPadicScalar:
         assert x.residue == 2
         assert PadicScalar(3, 2, -1).residue == 8
 
-    def test_val_and_bottom(self):
-        assert PadicScalar(3, 4, 18).val == 2
-        assert PadicScalar(3, 4, 81).val is None
-        assert PadicScalar(3, 4, 0).is_zero()
-
-    def test_ring_ops(self):
-        a = PadicScalar(3, 3, 5)
-        b = PadicScalar(3, 3, 7)
-        assert (a + b).residue == 12
-        assert (a - b).residue == (5 - 7) % 27
-        assert (a * b).residue == 35 % 27
-        assert (-a).residue == 22
-        assert (2 * a).residue == 10
-
-    def test_precision_join_takes_min(self):
-        a = PadicScalar(3, 4, 5)
-        b = PadicScalar(3, 2, 7)
-        assert (a + b).prec == 2
-        assert (a * b).prec == 2
-
-    def test_mixed_primes_rejected(self):
-        with pytest.raises(ValidationError):
-            PadicScalar(3, 2, 1) + PadicScalar(5, 2, 1)
-
-    @given(st.sampled_from([3, 5]), st.integers(1, 5), st.integers(), st.integers())
-    def test_add_commutes(self, p, prec, x, y):
-        a, b = PadicScalar(p, prec, x), PadicScalar(p, prec, y)
-        assert (a + b).residue == (b + a).residue
-        assert (a * b).residue == (b * a).residue
-
 
 class TestIdempotentDichotomy:
     @given(st.sampled_from([3, 5]), st.integers(0, 4), st.data())
@@ -215,7 +186,7 @@ class TestIdempotentDichotomy:
         residue = data.draw(st.integers(0, p ** (n + 1) - 1))
         beta = PadicScalar(p, n + 1, residue)
         out = idempotent_power(beta, n)
-        if beta.is_unit():
+        if residue % p:
             assert out.residue == 1
         else:
             assert out.residue == 0
