@@ -6,10 +6,12 @@ sparse coefficient dictionaries over Z/p^N.  The group law has one entry
 point per operation, for every stage size: `mult_array` for products and
 `inverse_array` for inverses of index arrays (`mult` and `inv` are their
 scalar forms).  Within the dense budget both are lookups in index arrays:
-the d generator columns h -> h g_i come from one batched chart solve each,
-and products, inverses and the multiplication table are composed from
-their powers.  Larger stages solve each batch through the chart matrices,
-a chunk of matrices at a time in `index_of_matrices`.
+the d generator columns h -> h g_i come from one batched chart solve of
+the products t g_i on the |Q|/p^n elements t with beta_1 = 0 (left
+multiplication by g_1 only shifts beta_1), and products, inverses and the
+multiplication table are composed from their powers.  Larger stages solve
+each batch through the chart matrices, a chunk of matrices at a time in
+`index_of_matrices`.
 
 The filtration weight of an element is the infimum of v_p(coefficient) +
 weighted degree over its expansion in the ordered monomials b^alpha,
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .charts import GroupChart
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, InvariantViolation, ValidationError
 from .padic import vp_int
 
 DEFAULT_SIZE_BUDGET = 50_000
@@ -82,10 +84,11 @@ class QuotientGroup:
 
     Within the dense budget the group law is index arithmetic: the d
     generator columns h -> h g_i are solved once, in one batched chart solve
-    each, and their powers give the columns h -> h g_i^k; a product a*b is
-    d lookups in them, following the coordinates of b.  Above the budget
-    `mult_array` and `inverse_array` solve their batch through the chart
-    matrices, and no |Q|-length array is built.
+    on the beta_1 = 0 slice of Q, and their powers give the columns
+    h -> h g_i^k; a product a*b is d lookups in them, following the
+    coordinates of b.  Above the budget `mult_array` and `inverse_array`
+    solve their batch through the chart matrices, and no |Q|-length array
+    is built.
     """
 
     chart: GroupChart
@@ -167,26 +170,42 @@ class QuotientGroup:
     def columns(self) -> np.ndarray:
         """columns[i, k, h] = index of h * g_i^k (dense; budgeted).
 
-        Only the d generator columns go through the chart, each as one
-        batched solve over all of Q (in chunks); the powers are
-        compositions of those permutations.
+        Left multiplication by g_1^a adds a to the first coordinate in any
+        chart, so with h = g_1^{beta_1} t, where t has beta_1 = 0, h g_i =
+        g_1^{beta_1} (t g_i): only the products t g_i on the |Q|/p^n
+        elements t go through the chart, in one batched solve, and each
+        generator column is their indices with the first digit shifted.  The
+        powers are compositions of those permutations; g_i^{p^n} must act
+        as the identity on Q (InvariantViolation otherwise).
         """
         if self._columns is None:
             self._require_dense()
-            chart, size = self.chart, self.size
-            gens = chart.words(np.eye(self.dim, dtype=np.int64))
-            coords = self.coords_array()
-            # allocated before the solves' temporaries, so that where the block
+            chart, d, r, size = self.chart, self.dim, self.radix, self.size
+            gens = chart.words(np.eye(d, dtype=np.int64))
+            # allocated before the solve's temporaries, so that where the block
             # lands, and with it the peak RSS, does not hang on the gaps they leave
-            cols = np.empty((self.dim, self.radix, size), dtype=np.int64)
+            cols = np.empty((d, r, size), dtype=np.int64)
             cols[:, 0] = np.arange(size)
-            for lo in range(0, size, _SOLVE_CHUNK):
-                hs = chart.words(coords[lo:lo + _SOLVE_CHUNK])
-                for i, g in enumerate(gens):
-                    prods = np.matmul(hs, g) % chart.modulus
-                    cols[i, 1, lo:lo + _SOLVE_CHUNK] = self.index_of_matrices(prods)
-            for k in range(2, self.radix):
+            t_idx = np.arange(0, size, r)  # the elements t with beta_1 = 0
+            shift = np.arange(r)
+            # elements t per solve: d products each, at most _SOLVE_CHUNK in all
+            step = max(1, _SOLVE_CHUNK // d)
+            for lo in range(0, len(t_idx), step):
+                ts = chart.words(self.coords_array(t_idx[lo:lo + step]))
+                prods = np.matmul(ts, gens[:, None]) % chart.modulus
+                y = self.index_of_matrices(prods.reshape(-1, *ts.shape[1:])).reshape(d, -1, 1)
+                # (g_1^a t) g_i = g_1^a (t g_i): shift the first digit by a
+                first = y % r
+                block = y - first + (first + shift) % r
+                cols[:, 1, lo * r:(lo + step) * r] = block.reshape(d, -1)
+            for k in range(2, r):
                 cols[:, k] = np.take_along_axis(cols[:, 1], cols[:, k - 1], axis=1)
+            cycled = np.take_along_axis(cols[:, 1], cols[:, r - 1], axis=1)
+            bad = (cycled != cols[:, 0]).any(axis=1)
+            if bad.any():
+                raise InvariantViolation(
+                    f"g_{np.argmax(bad) + 1}^{r} does not act as the identity on Q (|Q| = {size})"
+                )
             self._columns = cols
         return self._columns
 

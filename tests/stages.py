@@ -1,10 +1,11 @@
-"""Small stages and ideals shared by the differential tests, and the dense
-coefficient vectors of stage elements."""
+"""Small stages and ideals shared by the differential tests, the dense
+coefficient vectors of stage elements, and the all-of-Q route to a stage's
+generator columns."""
 
 import numpy as np
 
 from iwasawa_kernel.algebra import AlgebraElement, b_monomial, build_quotient
-from iwasawa_kernel.charts import builtin_chart
+from iwasawa_kernel.charts import builtin_chart, chart_from_matrices
 
 
 def to_vector(x):
@@ -48,3 +49,28 @@ def stages_up_to_729(N=2):
         assert Q.size <= 729
         out.append((f"{name}-n{n}", Q))
     return out
+
+
+def skew_heisenberg(p):
+    """Heisenberg on x1 = p(E12 + E23), x2 = p(E12 - E23), x3 = p^2 E13,
+    where both products x1 x2 and x2 x1 are nonzero: [x1, x2] = -2 x3."""
+    return chart_from_matrices(p, [
+        ((0, p, 0), (0, 0, p), (0, 0, 0)),
+        ((0, p, 0), (0, 0, -p), (0, 0, 0)),
+        ((0, 0, p * p), (0, 0, 0), (0, 0, 0)),
+    ])
+
+
+def columns_by_full_solve(Q):
+    """columns[i, k, h] = index of h * g_i^k, with every product h * g_i over
+    all of Q solved through the chart and the powers composed from them."""
+    chart, size = Q.chart, Q.size
+    gens = chart.words(np.eye(Q.dim, dtype=np.int64))
+    hs = chart.words(Q.coords_array())
+    cols = np.empty((Q.dim, Q.radix, size), dtype=np.int64)
+    cols[:, 0] = np.arange(size)
+    for i, g in enumerate(gens):
+        cols[i, 1] = Q.index_of_matrices(np.matmul(hs, g) % chart.modulus)
+    for k in range(2, Q.radix):
+        cols[:, k] = np.take_along_axis(cols[:, 1], cols[:, k - 1], axis=1)
+    return cols

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import matrix_route as ref
 from matrix_route import _identity, _mul
+from stages import skew_heisenberg
 from iwasawa_kernel.charts import (
     GroupChart,
     abelian_chart,
@@ -194,16 +195,6 @@ ROUTE_CHARTS = [
     ("unipotent4", 5, 24, True),
     ("skew", 3, None, False),
 ]
-
-
-def skew_heisenberg(p):
-    """Heisenberg on x1 = p(E12 + E23), x2 = p(E12 - E23), x3 = p^2 E13,
-    where both products x1 x2 and x2 x1 are nonzero: [x1, x2] = -2 x3."""
-    return chart_from_matrices(p, [
-        ((0, p, 0), (0, 0, p), (0, 0, 0)),
-        ((0, p, 0), (0, 0, -p), (0, 0, 0)),
-        ((0, 0, p * p), (0, 0, 0), (0, 0, 0)),
-    ])
 
 
 @pytest.fixture(params=ROUTE_CHARTS, ids=lambda c: f"{c[0]}-p{c[1]}-w{c[2]}")

@@ -1,10 +1,16 @@
 """The index-array group law against the matrix route.
 
-The package solves each dense stage's generator columns in batches and
-does everything else by index arithmetic; ``matrix_route`` is the scalar
-route it replaced (tuple-matrix exp/log, one-element iterative solves,
-phi(g^beta) through exp(b log phi(g_i))).  Small stages are compared on
-all of Q, |Q| = 729 stages on sampled pairs and random products.
+A dense stage's generator columns come from one batched chart solve on the
+|Q|/p^n elements with beta_1 = 0: left multiplication by g_1^a only shifts
+the first coordinate, so the rest of each column is index arithmetic, as is
+everything else.  ``columns_by_full_solve`` (in ``stages``) is the solve
+over all of Q that this replaced, compared on every |Q| <= 729 test stage,
+on a skew chart and on one stage solved in several chunks, and a wrapped
+``chart.coordinates`` counts the matrices solved.  ``matrix_route`` is the
+scalar route before both (tuple-matrix exp/log, one-element iterative
+solves, phi(g^beta) through exp(b log phi(g_i))).  Small stages are
+compared with it on all of Q, |Q| = 729 stages on sampled pairs and random
+products.
 """
 
 import random
@@ -17,8 +23,10 @@ from hypothesis import strategies as st
 import matrix_route as ref
 from matrix_route import _mul
 from mahler_route import coeffs_by_dicts, mahler_product_coeff
+from stages import columns_by_full_solve, skew_heisenberg, stages_up_to_729
 from iwasawa_kernel.algebra import AlgebraElement, build_quotient
-from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
+from iwasawa_kernel.charts import GroupChart, builtin_chart, heisenberg_chart
+from iwasawa_kernel.errors import InvariantViolation
 from iwasawa_kernel.mahler import (
     AutomorphismSpec,
     aut_mahler_coeffs,
@@ -88,6 +96,46 @@ def test_small_stage_matches_matrix_route_on_all_of_Q(name, p, n):
         assert Q.inv(h) == ref.inv(Q, h)
     for phi in automorphisms(chart):
         assert list(phi.perm(Q)) == [ref.apply_index(phi, Q, h) for h in range(Q.size)]
+
+
+def test_columns_match_full_solve():
+    stages = stages_up_to_729()
+    stages += [(f"skew-n{n}", build_quotient(skew_heisenberg(P), n, 2)) for n in (1, 2)]
+    # 3 * 729 products: more than one solve chunk
+    stages.append(("heisenberg-n3", build_quotient(heisenberg_chart(P), 3, 2)))
+    for name, Q in stages:
+        assert (Q.columns() == columns_by_full_solve(Q)).all(), name
+
+
+@pytest.mark.parametrize("name, n, solved", [("heisenberg", 2, 243), ("unipotent4", 1, 1458)])
+def test_columns_solve_only_the_first_coordinate_slice(monkeypatch, name, n, solved):
+    Q = build_quotient(builtin_chart(name, P), n, 2, verify=False)
+    assert solved == Q.dim * Q.size // Q.radix
+    sizes = []
+    coordinates = GroupChart.coordinates
+
+    def counted(chart, g, prec=None):
+        sizes.append(len(g))
+        return coordinates(chart, g, prec)
+
+    monkeypatch.setattr(GroupChart, "coordinates", counted)
+    Q.columns()
+    assert sum(sizes) == solved
+
+
+def test_columns_raise_when_a_power_is_not_the_identity():
+    Q = build_quotient(heisenberg_chart(P), 2, 2, verify=False)
+    solve = Q.index_of_matrices
+
+    def corrupted(mats):
+        out = solve(mats)
+        out[0] = (out[0] + Q.radix) % Q.size
+        return out
+
+    Q.index_of_matrices = corrupted
+    with pytest.raises(InvariantViolation):
+        Q.columns()
+    assert Q._columns is None
 
 
 @pytest.mark.parametrize("name, n", LARGE)
