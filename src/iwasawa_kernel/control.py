@@ -4,8 +4,11 @@ An open subgroup is specified by exponents e with U = <g_i^{p^{e_i}}>.
 Control of an ideal I by U is decided two independent ways — the
 definitional identity I = (I ∩ KU)·KG and stability of I under the
 canonical action of U-coset indicator functions — and the two verdicts
-must agree.  The controller estimate sweeps the diagonal subgroup lattice
-{0..n}^d and is an upper approximation to the true controller subgroup.
+must agree.  I is controlled by U exactly when π_U(I) ⊆ I, where π_U keeps
+the coefficients on U, so the controlling diagonal subgroups form a
+join-closed down-set of the lattice {0..n}^d (`control_lattice`), and the
+controller estimate is the least controlling diagonal subgroup at the
+stage.
 """
 
 from __future__ import annotations
@@ -171,46 +174,95 @@ def is_controlled(
     return definitional, by_action
 
 
+def _leq(e: Tuple[int, ...], f: Tuple[int, ...]) -> bool:
+    return all(a <= b for a, b in zip(e, f))
+
+
 def control_lattice(
     I: SubmoduleBasis,
 ) -> Dict[Tuple[int, ...], Tuple[bool, bool]]:
     """Both control verdicts on every compatible diagonal lattice point
     e in {0..n}^d; incompatible exponent vectors are skipped.
 
-    e' <= e coordinatewise gives U_e ⊆ U_e', so I ∩ KU_e and the projection
-    of I onto KU_e are taken from the smallest already computed I ∩ KU_e'
-    and projection onto KU_e' rather than from all of I; the sweep order
-    visits every e' <= e before e.  U = Q controls every ideal, so a
-    failure at e = 0 raises `InvariantViolation`.
+    I is controlled by U iff π_U(I) ⊆ I, where π_U keeps the coefficients
+    on U.  So the controlling points form a down-set (U_e ⊆ U_f for f <= e,
+    and π_{U_f} is a sum of translates of π_{U_e}) closed under joins
+    (U_e ∩ U_f = U_max(e,f) and π_{U∩V} = π_U·π_V), and every verdict is
+    [e <= E] with E the join of the controlling points.  The sweep visits
+    the points by increasing |e| and evaluates only those this does not
+    decide: e <= J, the join of the controlling points found so far, is
+    controlled, and e above a point that failed is not.
+
+    An evaluated point takes I ∩ KU_e and the projection of I onto KU_e
+    from the smallest evaluated U_f with f <= e rather than from all of I;
+    at the origin both are I itself, whose rows are already in Howell form.
+    Each evaluated point must give agreeing verdicts, U = Q must control,
+    and the final join J, evaluated once, must control with no failed
+    point below it; otherwise `InvariantViolation` is raised.
     """
     Q = I.quotient
     p, N = Q.p, Q.N
     total = I.rank_log
     # the zero ideal and the full algebra return before using I ∩ KU
     nested = total not in (0, N * Q.size)
-    # e -> (members of U_e, I ∩ KU_e, projection of I onto KU_e)
+    # evaluated e -> (members of U_e, I ∩ KU_e, projection of I onto KU_e)
     known: Dict[Tuple[int, ...], Tuple[np.ndarray, Rows, Rows]] = {}
-    out = {}
-    for e in product(range(Q.n + 1), repeat=Q.dim):
-        U = OpenSubgroupSpec(Q, e)
-        if not U.is_compatible():
-            continue
+
+    def evaluate(U: OpenSubgroupSpec) -> Tuple[bool, bool]:
+        e = U.exponents
+        members = U.members()
         inner = projection = None
-        if nested:
-            members = U.members()
-            below = [f for f in known if all(a <= b for a, b in zip(f, e))]
-            if below:
-                cols, rows, outer = known[min(below, key=lambda f: known[f][0].size)]
-            else:
-                cols, rows, outer = np.arange(Q.size), I.rows, I.rows
+        if nested and not known:
+            # the origin, visited first: U = Q
+            inner = projection = I.rows
+        elif nested:
+            below = [f for f in known if _leq(f, e)]
+            cols, rows, outer = known[min(below, key=lambda f: known[f][0].size)]
             inner = _restrict(rows, cols, members, p, N)
             projection = linalg.howell(_columns(outer, cols, members), p, N)
-            known[e] = (members, inner, projection)
-        out[e] = is_controlled(I, U, _inner=inner, _projection=projection, _total=total)
+        known[e] = (members, inner, projection)
+        definitional, by_action = is_controlled(
+            I, U, _inner=inner, _projection=projection, _total=total
+        )
+        if definitional != by_action:
+            raise InvariantViolation(
+                f"control verdicts disagree at lattice point {e}: "
+                f"definitional={definitional} by_action={by_action}"
+            )
+        return definitional, by_action
+
+    points = []
+    for e in product(range(Q.n + 1), repeat=Q.dim):
+        U = OpenSubgroupSpec(Q, e)
+        if U.is_compatible():
+            points.append(U)
+    join: Optional[Tuple[int, ...]] = None
+    failed: List[Tuple[int, ...]] = []
+    out = dict.fromkeys(U.exponents for U in points)  # in the product order
+    for U in sorted(points, key=lambda U: sum(U.exponents)):
+        e = U.exponents
+        if join is not None and _leq(e, join):
+            out[e] = (True, True)
+        elif any(_leq(f, e) for f in failed):
+            out[e] = (False, False)
+        else:
+            out[e] = evaluate(U)
+            if out[e][0]:
+                join = e if join is None else tuple(map(max, join, e))
+            else:
+                failed.append(e)
     origin = (0,) * Q.dim
     if out[origin] != (True, True):
         raise InvariantViolation(
             f"U = Q does not control the ideal: verdicts {out[origin]} at {origin}"
+        )
+    if join not in known:
+        top = OpenSubgroupSpec(Q, join)
+        if not top.is_compatible() or evaluate(top) != (True, True):
+            failed.append(join)
+    if any(_leq(f, join) for f in failed):
+        raise InvariantViolation(
+            f"the join {join} of the controlling lattice points does not control"
         )
     return out
 
@@ -218,9 +270,10 @@ def control_lattice(
 def controller_estimate(
     I: SubmoduleBasis, lattice: Optional[Dict] = None
 ) -> Tuple[int, ...]:
-    """Coordinatewise max of all controlling exponent vectors: the finest
-    diagonal subgroup controlling I.  An upper approximation to the true
-    controller at this stage."""
+    """Coordinatewise max of all controlling exponent vectors.  The
+    controlling points are a join-closed down-set (`control_lattice`), so
+    this is the least controlling diagonal subgroup of the stage, and I is
+    controlled by U_e exactly when e <= it."""
     Q = I.quotient
     if lattice is None:
         lattice = control_lattice(I)

@@ -200,9 +200,6 @@ class AutomorphismSpec:
             self._log_terms = self.chart.log_powers(self.images)
         return self.chart.power_words(self._log_terms, betas)
 
-    def image_word(self, beta: Sequence[int]) -> Matrix:
-        return _as_matrix(self.image_words([beta])[0])
-
     def perm(self, Q: QuotientGroup) -> np.ndarray:
         """phi on a dense stage as an index array: perm[idx(g^beta)] is the
         index of phi(g_1)^{b_1} ... phi(g_d)^{b_d}.

@@ -175,11 +175,6 @@ class LiePresentation:
         rows = tuple(tuple(tuple(v) for v in row) for row in table)
         return LiePresentation(p, dim, prec, rows)
 
-    def bracket_vec(self, u: Sequence, v: Sequence) -> List[Fraction]:
-        """[u, v] = sum_i u_i [x_i, v], where [x_i, v] = sum_k v_k bracket[i][k]."""
-        rows = [_combine(v, self.bracket[i], self.dim) if ui else () for i, ui in enumerate(u)]
-        return _combine(u, rows, self.dim)
-
     def rescaled(self, exponents: Sequence[int]) -> "LiePresentation":
         """Presentation of the sublattice with basis u_i = p^{e_i} x_i."""
         if len(exponents) != self.dim:

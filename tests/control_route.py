@@ -13,14 +13,17 @@ The subgroup image and the centre are found with scalar products, as
 power columns of Q.  `rho` is the canonical action of a function on Q.
 `restrict_dense` and `project_dense` are `control._restrict` and the
 projection onto KU as they were on dense arrays, before bases became
-sparse rows.
+sparse rows.  `nested_lattice` is the lattice sweep as it was before it
+skipped the points that the down-set and join closure of the controlling
+set decide: every compatible point evaluated, each from the smallest
+already computed larger subgroup.
 """
 
 from itertools import product
 
 import numpy as np
 
-from iwasawa_kernel import linalg
+from iwasawa_kernel import control, linalg
 from iwasawa_kernel.algebra import AlgebraElement
 from iwasawa_kernel.control import OpenSubgroupSpec
 from iwasawa_kernel.errors import ValidationError
@@ -139,6 +142,37 @@ def control_lattice(I):
         if not U.is_compatible():
             continue
         out[e] = is_controlled(I, U)
+    return out
+
+
+def nested_lattice(I):
+    """Both verdicts of `control.is_controlled` at every compatible point,
+    I ∩ KU_e and the projection onto KU_e taken from the smallest already
+    computed U_f with f <= e; the product order visits every such f first."""
+    Q = I.quotient
+    p, N = Q.p, Q.N
+    total = I.rank_log
+    nested = total not in (0, N * Q.size)
+    known = {}
+    out = {}
+    for e in product(range(Q.n + 1), repeat=Q.dim):
+        U = OpenSubgroupSpec(Q, e)
+        if not U.is_compatible():
+            continue
+        inner = projection = None
+        if nested:
+            members = U.members()
+            below = [f for f in known if all(a <= b for a, b in zip(f, e))]
+            if below:
+                cols, rows, outer = known[min(below, key=lambda f: known[f][0].size)]
+            else:
+                cols, rows, outer = np.arange(Q.size), I.rows, I.rows
+            inner = control._restrict(rows, cols, members, p, N)
+            projection = linalg.howell(control._columns(outer, cols, members), p, N)
+            known[e] = (members, inner, projection)
+        out[e] = control.is_controlled(
+            I, U, _inner=inner, _projection=projection, _total=total
+        )
     return out
 
 

@@ -208,7 +208,7 @@ class TestZMapGrowth:
         phi, g = conj_by_g1(chart), chart.generators[1]
         beta, ginv = chart.coordinates(g), chart.inverse(g)
         want = [
-            chart.root(_mul(phi.power(P**m).image_word(beta), ginv, chart.modulus), m)
+            chart.root(_mul(phi.power(P**m).image_words([beta])[0], ginv, chart.modulus), m)
             for m in range(4)
         ]
         assert z_approximants(phi, g, range(4)) == want
