@@ -8,8 +8,9 @@ point per operation, for every stage size: `mult_array` for products and
 scalar forms).  Within the dense budget both are lookups in index arrays:
 the d generator columns h -> h g_i come from one batched chart solve of
 the products t g_i on the |Q|/p^n elements t with beta_1 = 0 (left
-multiplication by g_1 only shifts beta_1), and products, inverses and the
-multiplication table are composed from their powers.  Larger stages solve
+multiplication by g_1 only shifts beta_1), and products and inverses are
+composed from their powers.  The multiplication table is written in place,
+one generator digit at a time, from the same powers.  Larger stages solve
 each batch through the chart matrices, a chunk of matrices at a time in
 `index_of_matrices`.
 
@@ -37,7 +38,8 @@ from .padic import vp_int
 
 DEFAULT_SIZE_BUDGET = 50_000
 # largest array (the multiplication table, the translates in an ideal
-# closure) a stage may allocate, in bytes
+# closure) a stage may allocate, in bytes; the table is built in its own
+# buffer, so its 8|Q|^2 bytes are the whole peak of the build
 DENSE_BYTE_BUDGET = 1 << 30
 # elements per batched chart solve, which bounds its temporary arrays
 _SOLVE_CHUNK = 1024
@@ -88,7 +90,8 @@ class QuotientGroup:
     h -> h g_i^k; a product a*b is d lookups in them, following the
     coordinates of b.  Above the budget `mult_array` and `inverse_array`
     solve their batch through the chart matrices, and no |Q|-length array
-    is built.
+    is built.  The cached columns, inverse and table are read-only, so that
+    no stray write can corrupt a later product.
     """
 
     chart: GroupChart
@@ -206,6 +209,7 @@ class QuotientGroup:
                 raise InvariantViolation(
                     f"g_{np.argmax(bad) + 1}^{r} does not act as the identity on Q (|Q| = {size})"
                 )
+            cols.flags.writeable = False
             self._columns = cols
         return self._columns
 
@@ -237,6 +241,7 @@ class QuotientGroup:
                 out = np.zeros(self.size, dtype=np.int64)
                 for i in reversed(range(self.dim)):
                     out = cols[i, -coords[:, i] % self.radix, out]
+                out.flags.writeable = False
                 self._inverse = out
             return self._inverse[idx]
         idx = np.asarray(idx, dtype=np.int64)
@@ -255,12 +260,29 @@ class QuotientGroup:
         return self.index(beta)
 
     def mult_table(self) -> np.ndarray:
-        """Dense table t[a, b] = a*b (budgeted), composed from the columns."""
+        """Dense table t[a, b] = a*b (budgeted), written in place one
+        generator digit at a time.
+
+        The buffer holds the transpose, row b being a -> a*b, which is what
+        right closures read.  After i digits its first r^i rows are
+        a -> a*g_1^{b_1}...g_i^{b_i}; the next digit sets row k*r^i + j to
+        columns[i, k] applied to row j, and k = 0 leaves row j as it is, so
+        each step only writes rows past the ones it reads.  The buffer is the
+        only |Q|^2 array allocated.
+        """
         if self._mult_table is None:
             self._require_dense()
             self._require_bytes(8 * self.size**2, "the multiplication table")
-            h = np.arange(self.size)
-            self._mult_table = self.mult_array(h[:, None], h[None, :])
+            cols, r, size = self.columns(), self.radix, self.size
+            out = np.empty((size, size), dtype=np.int64)
+            out[0] = np.arange(size)
+            for i in range(self.dim):
+                m = r**i
+                # mode="raise" would buffer the output; "clip" writes the slab in place
+                np.take(cols[i, 1:], out[:m], axis=1, mode="clip",
+                        out=out[m:r * m].reshape(r - 1, m, size))
+            out.flags.writeable = False
+            self._mult_table = out.T
         return self._mult_table
 
     def _require_dense(self):

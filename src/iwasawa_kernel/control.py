@@ -289,12 +289,22 @@ def controller_estimate(
 
 
 def is_faithful(I: SubmoduleBasis) -> bool:
-    """No nontrivial g in Q has g - 1 in I (stage shadow of faithfulness)."""
+    """No nontrivial g in Q has g - 1 in I (stage shadow of faithfulness).
+
+    H = {g : g - 1 in I} is a subgroup of Q for a right, left or two-sided
+    I, since gh - 1 = (g - 1)h + (h - 1) and hg - 1 = h(g - 1) + (h - 1).
+    A nontrivial H is a p-group and so holds an element of order p: only
+    the g - 1 with g of order p are reduced, as one sparse batch.
+    """
     Q = I.quotient
-    # row g - 1 of the batch, g = 1..|Q|-1, holds -1 at the identity and 1 at g
-    g = np.arange(1, Q.size)
+    h = np.arange(Q.size)
+    power = h
+    for _ in range(Q.p - 1):
+        power = Q.mult_array(power, h)
+    g = np.flatnonzero(power == 0)[1:]  # the identity is index 0
+    # row t of the batch, for g = g[t], holds -1 at the identity and 1 at g
     batch = Rows(
-        np.arange(0, 2 * Q.size - 1, 2),
+        np.arange(0, 2 * g.size + 1, 2),
         np.column_stack((np.zeros_like(g), g)).ravel(),
         np.tile([Q.coeff_mod - 1, 1], g.size),
         Q.size,

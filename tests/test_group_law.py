@@ -10,10 +10,12 @@ on a skew chart and on one stage solved in several chunks, and a wrapped
 scalar route before both (tuple-matrix exp/log, one-element iterative
 solves, phi(g^beta) through exp(b log phi(g_i))).  Small stages are
 compared with it on all of Q, |Q| = 729 stages on sampled pairs and random
-products.
+products.  The multiplication table, written one generator digit at a time,
+is compared with the pairwise `mult_array` route it replaced.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +138,40 @@ def test_columns_raise_when_a_power_is_not_the_identity():
     with pytest.raises(InvariantViolation):
         Q.columns()
     assert Q._columns is None
+
+
+def test_mult_table_matches_pairwise_products():
+    # the table written one digit at a time against the route it replaced:
+    # d lookups in the columns for every pair (a, b)
+    for name, Q in stages_up_to_729():
+        h = np.arange(Q.size)
+        assert np.array_equal(Q.mult_table(), Q.mult_array(h[:, None], h[None, :])), name
+
+
+def test_mult_table_allocates_about_one_table():
+    # the pairwise route peaks at ~2.02 tables; the digit steps write into
+    # the table itself
+    for name, Q in stages_up_to_729():
+        if Q.size < 243:
+            continue
+        Q.columns()
+        tracemalloc.start()
+        try:
+            Q.mult_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r = Q.radix
+        assert peak <= (1 + 1 / r + 1 / r**2) * 8 * Q.size**2 + 64 * 1024, name
+
+
+def test_cached_index_arrays_are_read_only():
+    Q = build_quotient(heisenberg_chart(P), 1, 2)
+    Q.inverse_array(0)
+    for cached in (Q.columns(), Q._inverse, Q.mult_table()):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[..., 1] = 0
+    assert Q.mult(1, 0) == 1 and Q.inv(0) == 0
 
 
 @pytest.mark.parametrize("name, n", LARGE)

@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 import howell_route as ref
 from stages import small_stage_ideals, to_vector
 from iwasawa_kernel import linalg
-from iwasawa_kernel.algebra import AlgebraElement, b_monomial, build_quotient, ideal_closure
+from iwasawa_kernel.algebra import (
+    AlgebraElement,
+    b_element,
+    b_monomial,
+    build_quotient,
+    ideal_closure,
+)
 from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
 from iwasawa_kernel.control import is_faithful, j_ideal_rank
 
@@ -241,6 +247,56 @@ def test_is_faithful_in_small_chunks(Q, gens):
     # batch with a zero remainder, against the one sparse batch
     I = ideal_closure(gens, side="right", quotient=Q)
     assert is_faithful(I) == ref.is_faithful_chunked(I, 5) == ref.is_faithful(I)
+
+
+def in_span_batches(monkeypatch):
+    """(batch, verdicts) of every `linalg.in_span` call from here on."""
+    seen = []
+    real = linalg.in_span
+
+    def spy(rows, vecs, p, N):
+        found = real(rows, vecs, p, N)
+        seen.append((vecs, found))
+        return found
+
+    monkeypatch.setattr(linalg, "in_span", spy)
+    return seen
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_is_faithful_finds_a_non_normal_subgroup_through_order_p(monkeypatch, side):
+    # g - 1 lies in the closure of g_1 - 1 exactly for g in H = <g_1> = Z/9,
+    # which is not normal and holds only g_1^3 and g_1^6 of order p
+    Q = build_quotient(heisenberg_chart(3), 2, 2)
+    I = ideal_closure([b_element(Q, 0)], side=side, quotient=Q)
+    seen = in_span_batches(monkeypatch)
+    assert is_faithful(I) is False
+    (batch, found), = seen
+    assert batch.shape[0] == 26
+    assert sorted(batch.indices[batch.indptr[1:] - 1][found]) == sorted(
+        Q.generator(0, k) for k in (3, 6)
+    )
+    assert ref.is_faithful(I) is False
+
+
+@pytest.mark.parametrize("name, n, rows", [("heisenberg", 2, 26), ("abelian2", 3, 8)])
+def test_is_faithful_reduces_the_elements_of_order_p(monkeypatch, name, n, rows):
+    Q = build_quotient(builtin_chart(name, 3), n, 2)
+    I = ideal_closure([], side="right", quotient=Q)
+    seen = in_span_batches(monkeypatch)
+    assert is_faithful(I) is True
+    assert [batch.shape[0] for batch, _ in seen] == [rows]
+    assert ref.is_faithful(I) is True
+
+
+def test_is_faithful_on_a_central_character_ideal():
+    # the two-sided ideal of z - 4 at n = 1, N = 2: 4 has order p mod 9 as
+    # z does, and no g - 1 lies in it
+    Q = build_quotient(heisenberg_chart(3), 1, 2)
+    z = Q.generator(2)
+    I = ideal_closure([AlgebraElement(Q, {z: 1, 0: -4})], side="two-sided", quotient=Q)
+    assert is_faithful(I) is True
+    assert ref.is_faithful(I) is True
 
 
 @contextmanager
