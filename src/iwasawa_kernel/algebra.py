@@ -8,10 +8,11 @@ point per operation, for every stage size: `mult_array` for products and
 scalar forms).  Within the dense budget both are lookups in index arrays:
 the d generator columns h -> h g_i come from one batched chart solve of
 the products t g_i on the |Q|/p^n elements t with beta_1 = 0 (left
-multiplication by g_1 only shifts beta_1), and products and inverses are
-composed from their powers.  The multiplication table is written in place,
-one generator digit at a time, from the same powers.  Larger stages solve
-each batch through the chart matrices, a chunk of matrices at a time in
+multiplication by g_1 only shifts beta_1), and products and inverses of a
+batch are composed from their powers, d lookups per element.  The stage
+keeps only the columns and the table, which is written in place one
+generator digit at a time from the same powers.  Larger stages solve each
+batch through the chart matrices, a chunk of matrices at a time in
 `index_of_matrices`.
 
 The filtration weight of an element is the infimum of v_p(coefficient) +
@@ -90,8 +91,8 @@ class QuotientGroup:
     h -> h g_i^k; a product a*b is d lookups in them, following the
     coordinates of b.  Above the budget `mult_array` and `inverse_array`
     solve their batch through the chart matrices, and no |Q|-length array
-    is built.  The cached columns, inverse and table are read-only, so that
-    no stray write can corrupt a later product.
+    is built.  The cached columns and table are read-only, so that no stray
+    write can corrupt a later product.
     """
 
     chart: GroupChart
@@ -100,7 +101,6 @@ class QuotientGroup:
 
     # columns[i, k, h] = index of h * g_i^k (dense stages only)
     _columns: Optional["np.ndarray"] = field(default=None, repr=False)
-    _inverse: Optional["np.ndarray"] = field(default=None, repr=False)
     _mult_table: Optional["np.ndarray"] = field(default=None, repr=False)
 
     @property
@@ -231,20 +231,16 @@ class QuotientGroup:
         return a
 
     def inverse_array(self, idx) -> np.ndarray:
-        """Indices of the inverses of the index array idx.  A dense stage
-        composes the inverse permutation of Q once from the columns and
-        looks idx up in it; above it idx takes one batched chart solve."""
-        if self.dense:
-            if self._inverse is None:
-                # (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1}
-                cols, coords = self.columns(), self.coords_array()
-                out = np.zeros(self.size, dtype=np.int64)
-                for i in reversed(range(self.dim)):
-                    out = cols[i, -coords[:, i] % self.radix, out]
-                out.flags.writeable = False
-                self._inverse = out
-            return self._inverse[idx]
+        """Indices of the inverses of the index array idx: d lookups in the
+        generator columns on a dense stage, one batched chart solve above it."""
         idx = np.asarray(idx, dtype=np.int64)
+        if self.dense:
+            # (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1}
+            cols, beta = self.columns(), self.coords_array(idx.ravel())
+            out = np.zeros(idx.size, dtype=np.int64)
+            for i in reversed(range(self.dim)):
+                out = cols[i, -beta[:, i] % self.radix, out]
+            return out.reshape(idx.shape)
         words = self.chart.inverse_words(self.coords_array(idx.ravel()))
         return self.index_of_matrices(words).reshape(idx.shape)
 
@@ -541,7 +537,6 @@ class SubmoduleBasis:
 
     quotient: QuotientGroup
     rows: linalg.Rows
-    side: str = "right"
 
     def member(self, x: AlgebraElement) -> bool:
         """Whether x lies in the submodule: x reduced as one sparse row."""
@@ -566,12 +561,12 @@ def _translates(rows: linalg.Rows, perms: np.ndarray) -> linalg.Rows:
 def ideal_closure(
     gens: Iterable[AlgebraElement], side: str = "right", quotient: Optional[QuotientGroup] = None
 ) -> SubmoduleBasis:
-    """Smallest submodule containing ``gens`` closed under the declared
-    group-translation action.
+    """Smallest right (``side="right"``) or two-sided ideal containing
+    ``gens``.
 
-    One-sided closures are spans of the full translate family, so a single
-    echelon pass suffices; the two-sided case finishes with a fixed-point
-    iteration on the remaining side.  Translates are built as sparse rows
+    The right closure is the span of the full right translate family, so a
+    single echelon pass suffices; the two-sided case finishes with a
+    fixed-point iteration on the left.  Translates are built as sparse rows
     from the generators' supports, never as a dense |Q|·k x |Q| stack.
     """
     gens = list(gens)
@@ -580,7 +575,7 @@ def ideal_closure(
             raise ValidationError("need a quotient or at least one generator")
         quotient = gens[0].quotient
     Q = quotient
-    if side not in ("left", "right", "two-sided"):
+    if side not in ("right", "two-sided"):
         raise ValidationError(f"unknown side {side!r}")
     Q._require_dense()
     p, N = Q.p, Q.N
@@ -588,13 +583,12 @@ def ideal_closure(
     linalg._check_modulus(p, N)
     mat = linalg.Rows.from_dicts([g.coeffs for g in gens if not g.is_zero()], Q.size)
     if not mat.shape[0]:
-        return SubmoduleBasis(Q, mat, side)
+        return SubmoduleBasis(Q, mat)
     # row, column, residue and sort order of each translated entry
     Q._require_bytes(32 * Q.size * mat.nnz, "the translates")
     tab = Q.mult_table()
     # column g of the table is h -> h*g, row g is h -> g*h
-    perms = tab.T if side in ("right", "two-sided") else tab
-    rows = linalg.howell(_translates(mat, perms), p, N)
+    rows = linalg.howell(_translates(mat, tab.T), p, N)
     if side == "two-sided":
         # the identity first, so that each step keeps the rows it had
         lperms = np.array(
@@ -606,4 +600,4 @@ def ideal_closure(
             if linalg.span_equal(nxt, rows):
                 break
             rows = nxt
-    return SubmoduleBasis(Q, rows, side)
+    return SubmoduleBasis(Q, rows)

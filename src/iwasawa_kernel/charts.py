@@ -220,7 +220,7 @@ class GroupChart:
             out = (out + t if k % 2 == 1 else out - t) % q
         return out
 
-    def _inverse_batch(self, g: np.ndarray) -> np.ndarray:
+    def _neumann_batch(self, g: np.ndarray) -> np.ndarray:
         """g^-1 = sum_k (1 - g)^k over k < mat_size for each g of the batch,
         a Neumann series that ends because g - 1 is nilpotent."""
         q = self.modulus
@@ -321,7 +321,7 @@ class GroupChart:
         return _ordered_product(terms, np.array(betas, dtype=object) % q, q)
 
     def inverse(self, g: Matrix) -> Matrix:
-        return _as_matrix(self._inverse_batch(self.batch([g]))[0])
+        return _as_matrix(self._neumann_batch(self.batch([g]))[0])
 
     def root(self, g: Matrix, m: int) -> Matrix:
         """The p^m-th root of g, when log g is divisible by p^m."""
@@ -428,9 +428,9 @@ def cyclic_chart(p: int, work_prec: int = 12) -> GroupChart:
 
 
 def abelian_chart(p: int, dim: int, work_prec: int = 12) -> GroupChart:
-    """Z_p^d as commuting 2x2 blocks on the diagonal."""
-    size = 2 * dim
-    basis = tuple(_unit_entry(size, 2 * i, 2 * i + 1, p) for i in range(dim))
+    """Z_p^d on the first row of a (d+1)x(d+1) matrix: x_i = p E_{1,i+1},
+    so every product x_i x_j is zero."""
+    basis = tuple(_unit_entry(dim + 1, 0, i + 1, p) for i in range(dim))
     return GroupChart(p, work_prec, basis, name="abelian")
 
 

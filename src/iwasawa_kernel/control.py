@@ -13,7 +13,7 @@ stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -35,7 +35,6 @@ class OpenSubgroupSpec:
 
     quotient: QuotientGroup
     exponents: Tuple[int, ...]
-    _members: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         Q = self.quotient
@@ -53,40 +52,40 @@ class OpenSubgroupSpec:
     def members(self) -> np.ndarray:
         """Sorted indices of the image of U in Q (dense stages).
 
-        S <- S·<g_i^{p^{e_i}}> for each generator, one lookup in the power
-        columns of Q per generator, until S stops growing; a finite set
-        closed under right multiplication by the generators is the
-        subgroup they generate.
+        The grid S = {g^beta : p^{e_i} | beta_i for every i}, with indices
+        sum_i p^{e_i} b_i r^i, lies in U and has the expected order.  A
+        finite set that holds 1 and is closed under right multiplication by
+        U's generators contains U, so S is the image of U exactly when it is
+        so closed, which is when e is compatible with the ordered basis;
+        ValidationError names the first generator that leaves S otherwise.
         """
-        if self._members is None:
-            Q = self.quotient
-            cols = Q.columns()
-            inside = np.zeros(Q.size, dtype=bool)
-            inside[0] = True
-            size = 1
-            while True:
-                for i, e in enumerate(self.exponents):
-                    if e < Q.n:
-                        inside[cols[i, :: Q.p**e][:, inside]] = True
-                grown = int(np.count_nonzero(inside))
-                if grown == size:
-                    break
-                size = grown
-            if size != self.expected_order:
-                raise ValidationError(
-                    f"subgroup image has order {size}, expected {self.expected_order}"
-                )
-            self._members = np.flatnonzero(inside)
-        return self._members
+        grid, i = self._grid()
+        if i is not None:
+            raise ValidationError(
+                f"exponent vector {self.exponents} is incompatible: right multiplication "
+                f"by g_{i + 1}^{self.quotient.p ** self.exponents[i]} leaves the grid"
+            )
+        return grid
 
     def is_compatible(self) -> bool:
-        """True when the generated image has the expected order, i.e. the
-        exponent vector is compatible with the ordered basis."""
-        try:
-            self.members()
-            return True
-        except ValidationError:
-            return False
+        """True when the image of U is the grid of `members`, i.e. has the
+        expected order."""
+        return self._grid()[1] is None
+
+    def _grid(self) -> Tuple[np.ndarray, Optional[int]]:
+        """The sorted grid indices (higher digits vary slowest), and the first
+        i with e_i < n whose g_i^{p^{e_i}} moves some of them off the grid,
+        one lookup in the columns of Q per generator (None if there is none)."""
+        Q = self.quotient
+        r, steps = Q.radix, Q.p ** np.array(self.exponents)
+        grid = np.zeros(1, dtype=np.int64)
+        for i, step in enumerate(steps.tolist()):
+            grid = (np.arange(0, r, step)[:, None] * r**i + grid).ravel()
+        gens = np.flatnonzero(steps < r)
+        inside = np.zeros(Q.size, dtype=bool)
+        inside[grid] = True
+        leaves = ~inside[Q.columns()[gens[:, None], steps[gens, None], grid]].all(axis=1)
+        return grid, int(gens[np.argmax(leaves)]) if leaves.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +151,6 @@ def is_controlled(
     Q = I.quotient
     if U.quotient is not Q:
         raise ValidationError("ideal and subgroup live in different quotients")
-    if I.side == "left":
-        raise ValidationError("control is decided for right (or two-sided) ideals")
     p, N = Q.p, Q.N
 
     # The full algebra and the zero ideal are controlled by every subgroup,
@@ -291,8 +288,8 @@ def controller_estimate(
 def is_faithful(I: SubmoduleBasis) -> bool:
     """No nontrivial g in Q has g - 1 in I (stage shadow of faithfulness).
 
-    H = {g : g - 1 in I} is a subgroup of Q for a right, left or two-sided
-    I, since gh - 1 = (g - 1)h + (h - 1) and hg - 1 = h(g - 1) + (h - 1).
+    H = {g : g - 1 in I} is a subgroup of Q for a right or two-sided I,
+    since gh - 1 = (g - 1)h + (h - 1).
     A nontrivial H is a p-group and so holds an element of order p: only
     the g - 1 with g of order p are reduced, as one sparse batch.
     """

@@ -215,6 +215,22 @@ def subgroup_elements(U):
     return frozenset(seen)
 
 
+def grid_leaving_generator(U):
+    """The first i with e_i < n such that h·g_i^{p^{e_i}} leaves the grid
+    {beta : p^{e_j} | beta_j for every j} for some h in it, one scalar product
+    per grid element and generator; None when the grid is closed."""
+    Q = U.quotient
+    steps = [Q.p**e for e in U.exponents]
+    grid = [Q.index(beta) for beta in product(*(range(0, Q.radix, s) for s in steps))]
+    for i, step in enumerate(steps):
+        if step < Q.radix and any(
+            any(b % s for b, s in zip(Q.coords(Q.mult(h, Q.generator(i, step))), steps))
+            for h in grid
+        ):
+            return i
+    return None
+
+
 def centre_indices(Q):
     """Elements of Q commuting with every generator, one scalar product pair
     per element and generator."""

@@ -187,9 +187,7 @@ def _apply_perm(rows, perm):
 def ideal_closure(gens, side, Q):
     p, N = Q.p, Q.N
     mat = np.array([to_vector(g) for g in gens if not g.is_zero()], dtype=np.int64)
-    tab = Q.mult_table()
-    perms = tab.T if side in ("right", "two-sided") else tab
-    rows = linalg.howell(np.vstack([_apply_perm(mat, perm) for perm in perms]), p, N)
+    rows = linalg.howell(np.vstack([_apply_perm(mat, perm) for perm in Q.mult_table().T]), p, N)
     if side == "two-sided":
         lperms = [Q.mult_array(Q.generator(i), np.arange(Q.size)) for i in range(Q.dim)]
         while True:
@@ -199,4 +197,4 @@ def ideal_closure(gens, side, Q):
             if linalg.span_equal(nxt, rows):
                 break
             rows = nxt
-    return SubmoduleBasis(Q, rows, side)
+    return SubmoduleBasis(Q, rows)

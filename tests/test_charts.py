@@ -182,6 +182,14 @@ class TestStructure:
         a, b = chart.generators
         assert _mul(a, b, q) == _mul(b, a, q)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_abelian_chart_is_one_row(self, dim):
+        # x_i = p E_{1,i+1}: every product x_i x_j vanishes
+        chart = abelian_chart(P, dim)
+        assert chart.mat_size == dim + 1
+        x = chart.batch(chart.basis)
+        assert not (x[:, None] @ x[None, :]).any()
+
 
 # builtin charts, three of whose batches are object arrays of Python ints
 # (p^work_prec too large for int64 products): (name, p, work_prec, object?)

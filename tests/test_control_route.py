@@ -17,6 +17,7 @@ must raise when a patched predicate breaks agreement or join closure.
 """
 
 import random
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -153,12 +154,10 @@ def test_single_point_matches_lattice():
 
 
 def test_left_ideal_rejected():
+    # only right and two-sided closures exist
     Q = build_quotient(heisenberg_chart(P), 1, 2)
-    I = ideal_closure([b_element(Q, 0)], side="left", quotient=Q)
-    with pytest.raises(ValidationError):
-        is_controlled(I, OpenSubgroupSpec(Q, (1, 0, 0)))
-    with pytest.raises(ValidationError):
-        control_lattice(I)
+    with pytest.raises(ValidationError, match="unknown side 'left'"):
+        ideal_closure([b_element(Q, 0)], side="left", quotient=Q)
 
 
 def test_origin_must_control(monkeypatch):
@@ -269,9 +268,12 @@ def test_subgroup_members_match_search(Q):
         U = OpenSubgroupSpec(Q, e)
         try:
             want = ref.subgroup_elements(U)
-        except ValidationError as exc:
+        except ValidationError:
             incompatible += 1
-            with pytest.raises(ValidationError, match=str(exc)):
+            i = ref.grid_leaving_generator(U)
+            step = Q.p ** e[i]
+            with pytest.raises(ValidationError, match=re.escape(f"{e} is incompatible: right "
+                                                                f"multiplication by g_{i + 1}^{step} ")):
                 U.members()
             assert not U.is_compatible()
             continue

@@ -88,6 +88,7 @@ def test_small_stage_matches_matrix_route_on_all_of_Q(name, p, n):
     rng = random.Random(n)
     cols = Q.columns()
     tab = Q.mult_table()
+    inverses = [ref.inv(Q, h) for h in range(Q.size)]
     for h in range(Q.size):
         for i in range(Q.dim):
             prod = _mul(ref.matrix(Q, h), generator_matrix(chart, i), chart.modulus)
@@ -95,7 +96,10 @@ def test_small_stage_matches_matrix_route_on_all_of_Q(name, p, n):
         b = rng.randrange(Q.size)
         want = ref.mult(Q, h, b)
         assert Q.mult(h, b) == want and tab[h, b] == want
-        assert Q.inv(h) == ref.inv(Q, h)
+        assert Q.inv(h) == inverses[h]
+    # a 2-D batch keeps its shape
+    idx = np.arange(Q.size).reshape(-1, Q.p)
+    assert Q.inverse_array(idx).tolist() == np.array(inverses)[idx].tolist()
     for phi in automorphisms(chart):
         assert list(phi.perm(Q)) == [ref.apply_index(phi, Q, h) for h in range(Q.size)]
 
@@ -167,8 +171,7 @@ def test_mult_table_allocates_about_one_table():
 
 def test_cached_index_arrays_are_read_only():
     Q = build_quotient(heisenberg_chart(P), 1, 2)
-    Q.inverse_array(0)
-    for cached in (Q.columns(), Q._inverse, Q.mult_table()):
+    for cached in (Q.columns(), Q.mult_table()):
         with pytest.raises(ValueError, match="read-only"):
             cached[..., 1] = 0
     assert Q.mult(1, 0) == 1 and Q.inv(0) == 0
@@ -243,7 +246,7 @@ def test_sparse_stage_builds_no_index_arrays():
     phi = AutomorphismSpec.conjugation(chart, chart.generators[0])
     assert phi.verify_homomorphism(Q)
     assert [v.value for v in q_growth(phi, 1, range(2), "char0", Q)] == [2, 3]
-    assert Q._columns is None and Q._inverse is None and Q._mult_table is None
+    assert Q._columns is None and Q._mult_table is None
     assert phi._perm is None
 
 
@@ -261,7 +264,7 @@ def test_sparse_group_law_matches_matrix_route():
     assert Q.inverse_array(a).tolist() == want_inv
     assert [Q.mult(x, y) for x, y in zip(a.tolist(), b.tolist())] == want_mult
     assert [Q.inv(x) for x in a.tolist()] == want_inv
-    assert Q._columns is None and Q._inverse is None and Q._mult_table is None
+    assert Q._columns is None and Q._mult_table is None
 
 
 def test_exact_check_rejects_non_bijective_spec(heis729):

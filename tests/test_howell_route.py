@@ -263,12 +263,11 @@ def in_span_batches(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("side", ["right", "left"])
-def test_is_faithful_finds_a_non_normal_subgroup_through_order_p(monkeypatch, side):
+def test_is_faithful_finds_a_non_normal_subgroup_through_order_p(monkeypatch):
     # g - 1 lies in the closure of g_1 - 1 exactly for g in H = <g_1> = Z/9,
     # which is not normal and holds only g_1^3 and g_1^6 of order p
     Q = build_quotient(heisenberg_chart(3), 2, 2)
-    I = ideal_closure([b_element(Q, 0)], side=side, quotient=Q)
+    I = ideal_closure([b_element(Q, 0)], side="right", quotient=Q)
     seen = in_span_batches(monkeypatch)
     assert is_faithful(I) is False
     (batch, found), = seen
@@ -320,7 +319,7 @@ CLOSURE_STAGES = [("cyclic", 2, 2), ("abelian2", 1, 3), ("abelian3", 1, 2),
                   ("heisenberg", 1, 2), ("heisenberg", 1, 3), ("abelian2", 2, 2)]
 
 
-@pytest.mark.parametrize("side", ["right", "left", "two-sided"])
+@pytest.mark.parametrize("side", ["right", "two-sided"])
 @pytest.mark.parametrize("name, n, N", CLOSURE_STAGES,
                          ids=[f"{c[0]}-n{c[1]}-N{c[2]}" for c in CLOSURE_STAGES])
 def test_closure_stacks_translates_as_before(name, n, N, side):

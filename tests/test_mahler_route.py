@@ -284,7 +284,7 @@ def test_sparse_homomorphism_check_matches_pairs(sparse_stage, make, expect):
     assert not Q.dense
     phi = make()
     assert phi.verify_homomorphism(Q) == ref.verify_by_pairs(phi, Q) == expect
-    assert Q._columns is None and Q._inverse is None
+    assert Q._columns is None
 
 
 def test_sparse_table_criterion_and_expansion(sparse_stage):
