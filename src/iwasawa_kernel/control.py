@@ -4,8 +4,12 @@ An open subgroup is specified by exponents e with U = <g_i^{p^{e_i}}>.
 Control of an ideal I by U is decided two independent ways — the
 definitional identity I = (I ∩ KU)·KG and stability of I under the
 canonical action of U-coset indicator functions — and the two verdicts
-must agree.  I is controlled by U exactly when π_U(I) ⊆ I, where π_U keeps
-the coefficients on U, so the controlling diagonal subgroups form a
+must agree.  Both are rank identities read off column projections of I:
+the sequence 0 -> I ∩ KU -> I -> π_{Q∖U}(I) -> 0 is exact, so the rank of
+I ∩ KU is rank_log(I) minus the rank of π_{Q∖U}(I), and the action is
+read off π_U(I), where π_S keeps the coefficients on S.  A rank needs only
+the forward elimination (`linalg.span_rank_log`).  I is controlled by U
+exactly when π_U(I) ⊆ I, so the controlling diagonal subgroups form a
 join-closed down-set of the lattice {0..n}^d (`control_lattice`), and the
 controller estimate is the least controlling diagonal subgroup at the
 stage.
@@ -92,83 +96,50 @@ class OpenSubgroupSpec:
 # control predicate
 
 
-def _columns(rows: Rows, cols: np.ndarray, members: np.ndarray) -> Rows:
-    """The entries of ``rows``, a matrix on the sorted columns ``cols``, in
-    the columns ``members`` (a sorted subset), numbered as in ``members``."""
-    new = np.full(cols.size, -1, dtype=np.int64)
-    new[np.searchsorted(cols, members)] = np.arange(members.size)
-    return rows.relabel(new, members.size)
+def _columns(rows: Rows, keep: np.ndarray) -> Rows:
+    """The projection of ``rows`` onto the columns where the boolean
+    ``keep`` holds, numbered in their order."""
+    new = np.cumsum(keep) - 1
+    new[~keep] = -1
+    return rows.relabel(new, int(np.count_nonzero(keep)))
 
 
-def _restrict(rows: Rows, cols: np.ndarray, members: np.ndarray, p: int, N: int) -> Rows:
-    """Howell rows of span(rows) ∩ KU on the sorted columns ``members``.
-
-    ``rows`` spans a submodule on the sorted columns ``cols``, a superset
-    of ``members``.  One echelon pass with the columns outside U ordered
-    first suffices: the rows vanishing on that block span the intersection,
-    and since the inside columns keep their order they already form its
-    Howell form.
-    """
-    inside = np.searchsorted(cols, members)
-    if rows.shape[0] == 0 or inside.size == cols.size:
-        return _columns(rows, cols, members)
-    outside = np.setdiff1d(np.arange(cols.size), inside, assume_unique=True)
-    new = np.empty(cols.size, dtype=np.int64)
-    new[outside] = np.arange(outside.size)
-    new[inside] = outside.size + np.arange(inside.size)
-    H = linalg.howell(rows.relabel(new, cols.size), p, N)
-    # a Howell row vanishes on the outside block iff its pivot lies past it
-    H = H.take(H.indices[H.indptr[:-1]] >= outside.size)
-    return H.relabel(np.arange(cols.size) - outside.size, inside.size)
-
-
-def is_controlled(
-    I: SubmoduleBasis,
-    U: OpenSubgroupSpec,
-    _inner: Optional[Rows] = None,
-    _projection: Optional[Rows] = None,
-    _total: Optional[int] = None,
-) -> Tuple[bool, bool]:
+def is_controlled(I: SubmoduleBasis, U: OpenSubgroupSpec) -> Tuple[bool, bool]:
     """(definitional, by_action) verdicts for control of the right ideal I
-    by U.
+    by U, each a rank identity read off a column projection of I's rows.
 
     definitional: I equals the right ideal generated by I ∩ KU.  I ∩ KU is
     already closed under right multiplication by U, and the generated ideal
     is the direct sum of its translates over the [Q:U] cosets, so equality
-    holds iff rank_log(I) = [Q:U] * rank_log(I ∩ KU).
+    holds iff rank_log(I) = [Q:U] * rank_log(I ∩ KU).  The sequence
+    0 -> I ∩ KU -> I -> π_{Q∖U}(I) -> 0, with π_{Q∖U} keeping the
+    coefficients off U, is exact, so rank_log(I ∩ KU) is rank_log(I) minus
+    the rank of that projection.
     by_action: the canonical action of every U-coset indicator function maps
     I into I, i.e. I is the direct sum of its coset projections.  The
-    projection onto the coset U·g is the projection onto U translated by g,
-    so this holds iff rank_log(I) = [Q:U] * rank_log of the projection onto
-    KU.
+    projection onto the coset U·g is the projection π_U onto KU translated
+    by g, so this holds iff rank_log(I) = [Q:U] * rank_log(π_U(I)).
 
-    ``_inner`` and ``_projection`` are the Howell forms of I ∩ KU and of the
-    projection of I onto KU on the sorted members of U, and ``_total`` is
-    rank_log(I), when the caller already has them (`control_lattice` takes
-    the first two from a larger subgroup); otherwise they are computed from
-    I.
+    I ∩ KU lies in π_U(I), so 0 <= rank_log(I ∩ KU) <= rank_log(π_U(I));
+    `InvariantViolation` is raised otherwise.  A rank needs only
+    `linalg.span_rank_log`, the forward elimination.
     """
     Q = I.quotient
     if U.quotient is not Q:
         raise ValidationError("ideal and subgroup live in different quotients")
     p, N = Q.p, Q.N
-
-    # The full algebra and the zero ideal are controlled by every subgroup,
-    # under either reading.
-    total = linalg.rank_log(I.rows, p, N) if _total is None else _total
-    if total in (0, N * Q.size):
-        return True, True
-
-    members = U.members()
-    whole = np.arange(Q.size)
-    if _inner is None:
-        _inner = _restrict(I.rows, whole, members, p, N)
-    if _projection is None:
-        _projection = linalg.howell(_columns(I.rows, whole, members), p, N)
-    index = Q.size // members.size
-    definitional = total == index * linalg.rank_log(_inner, p, N)
-    by_action = total == index * linalg.rank_log(_projection, p, N)
-    return definitional, by_action
+    inside = np.zeros(Q.size, dtype=bool)
+    inside[U.members()] = True
+    total = I.rank_log
+    inner = total - linalg.span_rank_log(_columns(I.rows, ~inside), p, N)
+    projection = linalg.span_rank_log(_columns(I.rows, inside), p, N)
+    if not 0 <= inner <= projection:
+        raise InvariantViolation(
+            f"rank_log(I ∩ KU) = {inner} at {U.exponents} lies outside "
+            f"[0, {projection}], the rank of the projection onto KU"
+        )
+    index = Q.size // U.expected_order
+    return total == index * inner, total == index * projection
 
 
 def _leq(e: Tuple[int, ...], f: Tuple[int, ...]) -> bool:
@@ -190,40 +161,19 @@ def control_lattice(
     decide: e <= J, the join of the controlling points found so far, is
     controlled, and e above a point that failed is not.
 
-    An evaluated point takes I ∩ KU_e and the projection of I onto KU_e
-    from the smallest evaluated U_f with f <= e rather than from all of I;
-    at the origin both are I itself, whose rows are already in Howell form.
     Each evaluated point must give agreeing verdicts, U = Q must control,
     and the final join J, evaluated once, must control with no failed
     point below it; otherwise `InvariantViolation` is raised.
     """
     Q = I.quotient
-    p, N = Q.p, Q.N
-    total = I.rank_log
-    # the zero ideal and the full algebra return before using I ∩ KU
-    nested = total not in (0, N * Q.size)
-    # evaluated e -> (members of U_e, I ∩ KU_e, projection of I onto KU_e)
-    known: Dict[Tuple[int, ...], Tuple[np.ndarray, Rows, Rows]] = {}
+    evaluated = set()
 
     def evaluate(U: OpenSubgroupSpec) -> Tuple[bool, bool]:
-        e = U.exponents
-        members = U.members()
-        inner = projection = None
-        if nested and not known:
-            # the origin, visited first: U = Q
-            inner = projection = I.rows
-        elif nested:
-            below = [f for f in known if _leq(f, e)]
-            cols, rows, outer = known[min(below, key=lambda f: known[f][0].size)]
-            inner = _restrict(rows, cols, members, p, N)
-            projection = linalg.howell(_columns(outer, cols, members), p, N)
-        known[e] = (members, inner, projection)
-        definitional, by_action = is_controlled(
-            I, U, _inner=inner, _projection=projection, _total=total
-        )
+        evaluated.add(U.exponents)
+        definitional, by_action = is_controlled(I, U)
         if definitional != by_action:
             raise InvariantViolation(
-                f"control verdicts disagree at lattice point {e}: "
+                f"control verdicts disagree at lattice point {U.exponents}: "
                 f"definitional={definitional} by_action={by_action}"
             )
         return definitional, by_action
@@ -253,7 +203,7 @@ def control_lattice(
         raise InvariantViolation(
             f"U = Q does not control the ideal: verdicts {out[origin]} at {origin}"
         )
-    if join not in known:
+    if join not in evaluated:
         top = OpenSubgroupSpec(Q, join)
         if not top.is_compatible() or evaluate(top) != (True, True):
             failed.append(join)
@@ -324,11 +274,17 @@ def j_ideal_rank(I: SubmoduleBasis) -> int:
     """log_p of the size of the centre-subalgebra image modulo I.
 
     By the second isomorphism theorem (KZ + I)/I ≅ KZ/(I ∩ KZ), so the rank
-    is N·|Z| - rank_log(I ∩ KZ), and `_restrict` gives I ∩ KZ from one
-    Howell form of I, or from none when Z = Q (abelian charts).
+    is N·|Z| - rank_log(I ∩ KZ).  The sequence 0 -> I ∩ KZ -> I ->
+    π_{Q∖Z}(I) -> 0 is exact, so this is N·|Z| - rank_log(I) plus the rank
+    of the projection of I off the centre, a matrix with no columns when
+    Z = Q (abelian charts).  It lies in [0, N·|Z|]; `InvariantViolation` is
+    raised otherwise.
     """
     Q = I.quotient
-    p, N = Q.p, Q.N
-    centre = np.array(centre_indices(Q), dtype=np.int64)
-    inner = _restrict(I.rows, np.arange(Q.size), centre, p, N)
-    return N * centre.size - linalg.rank_log(inner, p, N)
+    off = np.ones(Q.size, dtype=bool)
+    off[centre_indices(Q)] = False
+    full = Q.N * (Q.size - int(np.count_nonzero(off)))
+    rank = full - I.rank_log + linalg.span_rank_log(_columns(I.rows, off), Q.p, Q.N)
+    if not 0 <= rank <= full:
+        raise InvariantViolation(f"j_ideal_rank {rank} lies outside [0, N·|Z|] = [0, {full}]")
+    return rank

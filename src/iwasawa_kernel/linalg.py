@@ -24,7 +24,10 @@ goes to the dense loop when its non-zeros exceed `DENSE_FILL` (1/16) of
 its rows' cells.  The input picks the forward kernel, and a sparse forward
 elimination hands its live rows to the dense loop once they fill in; the
 forward result picks the back-substitution, which runs in that kernel to
-the end.  `in_span` tests a batch of vectors for membership in the span of
+the end.  `span_rank_log` runs the forward elimination alone: with the
+closure row of each pivot p^e, e > 0, its rows are a weak Howell form
+(Storjohann, thesis 2000), whose pivots give the log-cardinality of the
+span exactly as `rank_log` reads it off the Howell form.  `in_span` tests a batch of vectors for membership in the span of
 a Howell basis under the same rule: each vector is reduced by following
 its non-zeros through the loop the sparse back-substitution uses, or,
 against a filled basis, with one vectorised step per pivot.  The batch is
@@ -166,27 +169,9 @@ def _check_modulus(p: int, N: int) -> int:
 
 def howell(mat: Union[np.ndarray, Rows], p: int, N: int) -> Rows:
     """Howell canonical form of the row span of ``mat`` over Z/p^N."""
-    q = _check_modulus(p, N)
-    if not isinstance(mat, Rows):
-        mat = Rows.from_array(mat)
-    m = mat.m
-    # row, column and residue of each non-zero entry, in row-major order
-    r, c, vals = mat.row_ids(), mat.indices, mat.data % q
-    keep = vals != 0
-    r, c, vals = r[keep], c[keep], vals[keep]
-    if not vals.size:
+    result, k, m = _forward(mat, p, N)
+    if not result:
         return Rows.from_array(np.zeros((0, m), dtype=np.int64))
-    # the position of each entry's row among the non-zero rows
-    at = np.concatenate(([0], np.cumsum(np.diff(r) != 0)))
-    if _filled(vals.size, (int(at[-1]) + 1) * m):
-        A = np.zeros((int(at[-1]) + 1, m), dtype=np.int64)
-        A[at, c] = vals
-        result, k = _dense_forward(A, 0, p, N), 0
-    else:
-        result, rest, col = _sparse_forward(r, c, vals, m, p, N)
-        k = len(result)
-        if rest is not None:
-            result += _dense_forward(rest, col, p, N)
     # k dict rows, then array rows from the dense loop
     piv = [(col, e) for col, e, _ in result]
     rows = [row for _, _, row in result]
@@ -198,6 +183,41 @@ def howell(mat: Union[np.ndarray, Rows], p: int, N: int) -> Rows:
         cols = rows[i].nonzero()[0]
         rows[i] = dict(zip(cols.tolist(), rows[i][cols].tolist()))
     return _sparse_back(rows, piv, m, p, N)
+
+
+def span_rank_log(mat: Union[np.ndarray, Rows], p: int, N: int) -> int:
+    """log_p of the cardinality of the row span of ``mat``: the forward
+    elimination alone, a weak Howell form whose closure rows make the sum
+    of N - e over its pivots p^e exact, as `rank_log` of `howell` reads it."""
+    return sum(N - e for _, e, _ in _forward(mat, p, N)[0])
+
+
+def _forward(mat: Union[np.ndarray, Rows], p: int, N: int) -> Tuple[list, int, int]:
+    """Forward elimination of ``mat`` over Z/p^N, with the closure row of
+    each pivot p^e, e > 0; ``(result, k, m)``: the (pivot col, valuation,
+    row) triples, of which the first k rows are column->residue dicts and
+    the rest arrays, and the number of columns."""
+    q = _check_modulus(p, N)
+    if not isinstance(mat, Rows):
+        mat = Rows.from_array(mat)
+    m = mat.m
+    # row, column and residue of each non-zero entry, in row-major order
+    r, c, vals = mat.row_ids(), mat.indices, mat.data % q
+    keep = vals != 0
+    r, c, vals = r[keep], c[keep], vals[keep]
+    if not vals.size:
+        return [], 0, m
+    # the position of each entry's row among the non-zero rows
+    at = np.concatenate(([0], np.cumsum(np.diff(r) != 0)))
+    if _filled(vals.size, (int(at[-1]) + 1) * m):
+        A = np.zeros((int(at[-1]) + 1, m), dtype=np.int64)
+        A[at, c] = vals
+        return _dense_forward(A, 0, p, N), 0, m
+    result, rest, col = _sparse_forward(r, c, vals, m, p, N)
+    k = len(result)
+    if rest is not None:
+        result += _dense_forward(rest, col, p, N)
+    return result, k, m
 
 
 def _filled(nnz: int, cells: int) -> bool:

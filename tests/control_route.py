@@ -11,22 +11,26 @@ point, and `is_controlled` sums a Howell rank over every U-coset, which
 The subgroup image and the centre are found with scalar products, as
 `OpenSubgroupSpec` and `centre_indices` found them before they read the
 power columns of Q.  `rho` is the canonical action of a function on Q.
-`restrict_dense` and `project_dense` are `control._restrict` and the
-projection onto KU as they were on dense arrays, before bases became
-sparse rows.  `nested_lattice` is the lattice sweep as it was before it
-skipped the points that the down-set and join closure of the controlling
-set decide: every compatible point evaluated, each from the smallest
-already computed larger subgroup.
+`_restrict` is the Howell form of I ∩ KU from one echelon pass with the
+columns outside U first, as `control` built it before it read both
+verdicts off ranks of column projections, and `_columns` the projection
+it started from.  `restrict_dense` and `project_dense` are `_restrict`
+and the projection onto KU as they were on dense arrays, before bases
+became sparse rows.  `nested_lattice` is the lattice sweep as it was
+before it skipped the points that the down-set and join closure of the
+controlling set decide: every compatible point evaluated, each from the
+smallest already computed larger subgroup.
 """
 
 from itertools import product
 
 import numpy as np
 
-from iwasawa_kernel import control, linalg
+from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import AlgebraElement
 from iwasawa_kernel.control import OpenSubgroupSpec
 from iwasawa_kernel.errors import ValidationError
+from iwasawa_kernel.linalg import Rows
 
 
 def coset_partition(U):
@@ -145,40 +149,70 @@ def control_lattice(I):
     return out
 
 
+def _columns(rows: Rows, cols: np.ndarray, members: np.ndarray) -> Rows:
+    """The entries of ``rows``, a matrix on the sorted columns ``cols``, in
+    the columns ``members`` (a sorted subset), numbered as in ``members``."""
+    new = np.full(cols.size, -1, dtype=np.int64)
+    new[np.searchsorted(cols, members)] = np.arange(members.size)
+    return rows.relabel(new, members.size)
+
+
+def _restrict(rows: Rows, cols: np.ndarray, members: np.ndarray, p: int, N: int) -> Rows:
+    """Howell rows of span(rows) ∩ KU on the sorted columns ``members``.
+
+    ``rows`` spans a submodule on the sorted columns ``cols``, a superset
+    of ``members``.  One echelon pass with the columns outside U ordered
+    first suffices: the rows vanishing on that block span the intersection,
+    and since the inside columns keep their order they already form its
+    Howell form.
+    """
+    inside = np.searchsorted(cols, members)
+    if rows.shape[0] == 0 or inside.size == cols.size:
+        return _columns(rows, cols, members)
+    outside = np.setdiff1d(np.arange(cols.size), inside, assume_unique=True)
+    new = np.empty(cols.size, dtype=np.int64)
+    new[outside] = np.arange(outside.size)
+    new[inside] = outside.size + np.arange(inside.size)
+    H = linalg.howell(rows.relabel(new, cols.size), p, N)
+    # a Howell row vanishes on the outside block iff its pivot lies past it
+    H = H.take(H.indices[H.indptr[:-1]] >= outside.size)
+    return H.relabel(np.arange(cols.size) - outside.size, inside.size)
+
+
 def nested_lattice(I):
-    """Both verdicts of `control.is_controlled` at every compatible point,
-    I ∩ KU_e and the projection onto KU_e taken from the smallest already
-    computed U_f with f <= e; the product order visits every such f first."""
+    """Both verdicts at every compatible point, rank_log(I) against [Q:U]
+    times the ranks of I ∩ KU_e and of the projection onto KU_e, each taken
+    from the smallest already computed U_f with f <= e; the product order
+    visits every such f first."""
     Q = I.quotient
     p, N = Q.p, Q.N
     total = I.rank_log
-    nested = total not in (0, N * Q.size)
     known = {}
     out = {}
     for e in product(range(Q.n + 1), repeat=Q.dim):
         U = OpenSubgroupSpec(Q, e)
         if not U.is_compatible():
             continue
-        inner = projection = None
-        if nested:
-            members = U.members()
-            below = [f for f in known if all(a <= b for a, b in zip(f, e))]
-            if below:
-                cols, rows, outer = known[min(below, key=lambda f: known[f][0].size)]
-            else:
-                cols, rows, outer = np.arange(Q.size), I.rows, I.rows
-            inner = control._restrict(rows, cols, members, p, N)
-            projection = linalg.howell(control._columns(outer, cols, members), p, N)
-            known[e] = (members, inner, projection)
-        out[e] = control.is_controlled(
-            I, U, _inner=inner, _projection=projection, _total=total
+        members = U.members()
+        below = [f for f in known if all(a <= b for a, b in zip(f, e))]
+        if below:
+            cols, rows, outer = known[min(below, key=lambda f: known[f][0].size)]
+        else:
+            cols, rows, outer = np.arange(Q.size), I.rows, I.rows
+        inner = _restrict(rows, cols, members, p, N)
+        projection = linalg.howell(_columns(outer, cols, members), p, N)
+        known[e] = (members, inner, projection)
+        index = Q.size // members.size
+        out[e] = (
+            total == index * linalg.rank_log(inner, p, N),
+            total == index * linalg.rank_log(projection, p, N),
         )
     return out
 
 
 def restrict_dense(rows, cols, members, p, N):
-    """Howell rows of span(rows) ∩ KU on the sorted columns ``members``,
-    from the dense array ``rows`` on the sorted columns ``cols``."""
+    """`_restrict` on the dense array ``rows`` on the sorted columns
+    ``cols``."""
     inside = np.searchsorted(cols, members)
     if rows.shape[0] == 0 or inside.size == cols.size:
         return rows[:, inside]

@@ -1,19 +1,25 @@
-"""Control lattices from the identity coset and nested intersections
-against the per-coset route, and the skipping sweep against the full one.
+"""Control lattices from ranks of column projections against the
+per-coset route, and the skipping sweep against the full nested one.
 
 ``control_route`` holds the implementations the package used before: the
 intersection I ∩ KU re-derived from all of I with a second echelon pass,
-the spin of I ∩ KU to a fixed point under the generators of U, and one
-Howell rank per U-coset.  The new lattice must agree verdict for verdict,
-and every nested intersection it builds must be array-equal to the Howell
-form of I ∩ KU computed directly from I, which is unique.  The subgroup
-images read from the power columns and the array-compared centre must
-equal the scalar-product search on every stage with |Q| <= 729.
+the spin of I ∩ KU to a fixed point under the generators of U, one Howell
+rank per U-coset, and the nested sweep that took I ∩ KU_e from a larger
+subgroup's with one reordered Howell pass.  The new lattice must agree
+verdict for verdict.  At every point it evaluates, rank_log(I) minus the
+rank of the projection of I off U must be the rank of I ∩ KU from the
+re-echelon route (the sequence 0 -> I ∩ KU -> I -> π_{Q∖U}(I) -> 0 is
+exact), and the rank of the projection onto KU that of its Howell form.
+The subgroup images read from the power columns and the array-compared
+centre must equal the scalar-product search on every stage with
+|Q| <= 729.
 
 The sweep evaluates only the lattice points that the down-set and join
 closure of the controlling set leave open; on seeded ideals its lattice
 must equal the full nested sweep's and {e <= controller_estimate}, and it
-must raise when a patched predicate breaks agreement or join closure.
+must raise when a patched predicate breaks agreement or join closure, or
+a patched rank breaks 0 <= rank(I ∩ KU) <= rank(π_U(I)) or
+0 <= j_ideal_rank <= N·|Z|.
 """
 
 import random
@@ -26,7 +32,7 @@ import pytest
 
 import control_route as ref
 from stages import small_stage_ideals, stages_up_to_729
-from iwasawa_kernel import control
+from iwasawa_kernel import control, linalg
 from iwasawa_kernel.algebra import (
     AlgebraElement,
     b_element,
@@ -46,6 +52,7 @@ from iwasawa_kernel.control import (
     control_lattice,
     controller_estimate,
     is_controlled,
+    j_ideal_rank,
 )
 from iwasawa_kernel.errors import InvariantViolation, ValidationError
 
@@ -106,14 +113,12 @@ LARGE = criterion_8_large_ideals()
 
 
 def recorded_lattice(I, monkeypatch):
-    """control_lattice(I), plus the I ∩ KU and the projection onto KU it
-    hands to each is_controlled."""
+    """control_lattice(I), plus the (I, U) of each is_controlled it calls."""
     seen = {}
 
-    def record(I, U, _inner=None, _projection=None, _total=None):
-        seen[U.exponents] = _inner, _projection
-        assert _total == I.rank_log
-        return is_controlled(I, U, _inner=_inner, _projection=_projection, _total=_total)
+    def record(I, U):
+        seen[U.exponents] = I, U
+        return is_controlled(I, U)
 
     monkeypatch.setattr(control, "is_controlled", record)
     return control_lattice(I), seen
@@ -128,20 +133,23 @@ def test_lattice_matches_per_coset_route(Q, gens, side, monkeypatch):
     assert got == ref.control_lattice(I)
     # the sweep evaluates only the points the theorem leaves open
     assert set(seen) <= set(got)
-    for e, (inner, projection) in seen.items():
-        if inner is None:
-            # only the zero ideal and the full algebra skip the intersection
-            assert projection is None
-            assert I.rank_log in (0, Q.N * Q.size)
-            continue
-        U = OpenSubgroupSpec(Q, e)
+    p, N = Q.p, Q.N
+    dense = I.rows.toarray()
+    for e, (J, U) in seen.items():
+        assert J is I and U.exponents == e
         members = U.members()
-        direct = ref._subalgebra_restriction(I, set(members.tolist()))[:, members]
-        assert inner.shape == direct.shape
-        assert np.array_equal(inner.toarray(), direct), e
-        # the projection taken from a larger subgroup's equals the one from I
-        direct = ref.project_dense(I.rows.toarray(), members, Q.p, Q.N)
-        assert np.array_equal(projection.toarray(), direct), e
+        outside = np.setdiff1d(np.arange(Q.size), members)
+        # exactness of 0 -> I ∩ KU -> I -> π_{Q∖U}(I) -> 0, against I ∩ KU
+        # from the re-echelon route
+        inner = ref._subalgebra_restriction(I, set(members.tolist()))
+        assert I.rank_log - linalg.span_rank_log(dense[:, outside], p, N) == ref._rank_log(
+            inner, p, N
+        ), e
+        # the rank of π_U(I), against its Howell form
+        projection = ref.project_dense(dense, members, p, N)
+        assert linalg.span_rank_log(dense[:, members], p, N) == ref._rank_log(
+            projection, p, N
+        ), e
 
 
 def test_single_point_matches_lattice():
@@ -164,7 +172,7 @@ def test_origin_must_control(monkeypatch):
     # U = Q controls every ideal; a lattice saying otherwise is a fault
     Q = build_quotient(heisenberg_chart(P), 1, 2)
     I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
-    monkeypatch.setattr(control, "is_controlled", lambda I, U, **handed: (False, False))
+    monkeypatch.setattr(control, "is_controlled", lambda I, U: (False, False))
     with pytest.raises(InvariantViolation):
         control_lattice(I)
 
@@ -236,7 +244,7 @@ def test_sweep_evaluates_few_points(name, n, gens, most, size, monkeypatch):
 def test_disagreeing_verdicts_raise(monkeypatch):
     Q = build_quotient(heisenberg_chart(P), 1, 2)
     I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
-    monkeypatch.setattr(control, "is_controlled", lambda I, U, **handed: (True, False))
+    monkeypatch.setattr(control, "is_controlled", lambda I, U: (True, False))
     with pytest.raises(InvariantViolation, match="verdicts disagree at lattice point"):
         control_lattice(I)
 
@@ -248,13 +256,36 @@ def test_join_that_does_not_control_raises(monkeypatch):
     Q = build_quotient(abelian_chart(P, 2), 1, 2)
     I = ideal_closure([b_element(Q, 0)], side="right", quotient=Q)
 
-    def patched(I, U, **handed):
+    def patched(I, U):
         controls = sum(U.exponents) <= 1
         return controls, controls
 
     monkeypatch.setattr(control, "is_controlled", patched)
     with pytest.raises(InvariantViolation, match="join"):
         control_lattice(I)
+
+
+def test_intersection_above_projection_raises(monkeypatch):
+    # with every projection of rank 0, I ∩ KU would be all of I, which is
+    # more than its projection onto KU holds
+    Q = build_quotient(heisenberg_chart(P), 1, 2)
+    I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
+    monkeypatch.setattr(linalg, "span_rank_log", lambda mat, p, N: 0)
+    with pytest.raises(InvariantViolation, match=r"rank_log\(I ∩ KU\) = 36 at \(1, 1, 0\)"):
+        is_controlled(I, OpenSubgroupSpec(Q, (1, 1, 0)))
+    with pytest.raises(InvariantViolation, match="the projection onto KU"):
+        control_lattice(I)
+
+
+def test_j_ideal_rank_above_centre_raises(monkeypatch):
+    # a projection off the centre ranked above all of I would make
+    # (KZ + I)/I larger than KZ
+    Q = build_quotient(heisenberg_chart(P), 1, 2)
+    I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
+    assert j_ideal_rank(I) == 2
+    monkeypatch.setattr(linalg, "span_rank_log", lambda mat, p, N: I.rank_log + 1)
+    with pytest.raises(InvariantViolation, match=r"j_ideal_rank 7 lies outside \[0, N·\|Z\|\] = \[0, 6\]"):
+        j_ideal_rank(I)
 
 
 STAGES = stages_up_to_729()

@@ -8,7 +8,8 @@ reduce-then-stack centre rank and the closure that stacks translates one
 permutation at a time.  The new routes must agree array for array on
 random matrices and verdict for verdict on every small stage, the closures
 must hand `howell` the same matrices, and the Howell tests also check which
-of `linalg.howell`'s kernels ran.
+of `linalg.howell`'s kernels ran.  `span_rank_log` must equal `rank_log` of
+the Howell form on the same inputs, from a forward elimination alone.
 """
 
 import random
@@ -213,6 +214,42 @@ def test_back_substitution_fill_goes_dense(scale):
         assert howell_checked(A, 3, 2) == SPARSE
         H = linalg.howell(A, 3, 2)
         assert linalg._filled(H.nnz, H.shape[0] * H.m)
+
+
+def span_rank_checked(A, p, N):
+    """`linalg.span_rank_log(A)` after checking it against `rank_log` of the
+    Howell form, as an array and as `Rows`; returns the kernels it ran,
+    which must include no back-substitution."""
+    want = linalg.rank_log(linalg.howell(A, p, N), p, N)
+    assert linalg.span_rank_log(linalg.Rows.from_array(A), p, N) == want
+    with kernels() as ran:
+        assert linalg.span_rank_log(A, p, N) == want
+    assert ran in ([], *FORWARDS)
+    return ran
+
+
+@given(st.one_of(matrices, sparse_matrices))
+@settings(max_examples=150, deadline=None)
+def test_span_rank_matches_howell_rank(case):
+    p, N, A = case
+    span_rank_checked(A, p, N)
+
+
+def test_span_rank_on_filling_inputs(heis2):
+    rng = np.random.default_rng(0)
+    assert span_rank_checked(random_matrix(rng, 3, 2, 30, 30, "dense"), 3, 2) == ["_dense_forward"]
+    # the sparse forward elimination fills in and hands off to the dense loop
+    A = sparse_matrix(np.random.default_rng(0), 3, 2, 60, 60, 3, False)
+    assert span_rank_checked(A, 3, 2) == FORWARDS[2]
+    x = AlgebraElement(heis2, {5: 3, 301: 6, 712: 3})
+    assert span_rank_checked(translates(heis2, x), 3, 2) == FORWARDS[2]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (4, 5)])
+def test_span_rank_of_empty_matrices(shape):
+    # no rows, no columns (the projection off the centre on an abelian
+    # chart) or only zeros
+    assert span_rank_checked(np.zeros(shape, dtype=np.int64), 3, 2) == []
 
 
 @given(matrices, st.integers(0, 2**32 - 1))

@@ -4,7 +4,8 @@ The package passes Howell forms between layers as compressed sparse rows
 and reduces batches by following non-zeros.  The array routes it used
 before are kept in ``howell_route`` (the vectorised batch reduction, the
 chunked `is_faithful`, `j_ideal_rank` from the stacked centre units) and
-``control_route`` (`_restrict` and the projection onto KU on arrays).
+``control_route`` (`_restrict` and the projection onto KU on arrays, the
+route `control` took before it read ranks of column projections).
 Every stage with |Q| <= 729 must give the same remainders, verdicts,
 ranks and Howell arrays both ways, and on random matrices `howell` must
 not depend on the form of its input.
@@ -18,7 +19,7 @@ import control_route as cref
 import howell_route as ref
 from stages import stages_up_to_729
 from test_howell_route import random_matrix, sparse_matrices
-from iwasawa_kernel import control, linalg
+from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import b_monomial, ideal_closure
 from iwasawa_kernel.control import OpenSubgroupSpec, is_faithful, j_ideal_rank
 from iwasawa_kernel.linalg import Rows
@@ -68,10 +69,10 @@ def test_sparse_routes_match_dense_routes(Q, gens):
         if not U.is_compatible():
             continue
         members = U.members()
-        inner = control._restrict(I.rows, whole, members, p, N)
+        inner = cref._restrict(I.rows, whole, members, p, N)
         assert inner.shape == (inner.shape[0], members.size)
         assert np.array_equal(inner.toarray(), cref.restrict_dense(dense, whole, members, p, N)), e
-        projection = linalg.howell(control._columns(I.rows, whole, members), p, N)
+        projection = linalg.howell(cref._columns(I.rows, whole, members), p, N)
         assert np.array_equal(projection.toarray(), cref.project_dense(dense, members, p, N)), e
 
 
