@@ -38,9 +38,9 @@ from .errors import BudgetError, InvariantViolation, ValidationError
 from .padic import vp_int
 
 DEFAULT_SIZE_BUDGET = 50_000
-# largest array (the multiplication table, the translates in an ideal
-# closure) a stage may allocate, in bytes; the table is built in its own
-# buffer, so its 8|Q|^2 bytes are the whole peak of the build
+# largest array (generator columns, multiplication table, the translates
+# of an ideal closure) a stage may allocate, in bytes; the table is built in
+# its own buffer, so its 8|Q|^2 bytes are the whole peak of the build
 DENSE_BYTE_BUDGET = 1 << 30
 # elements per batched chart solve, which bounds its temporary arrays
 _SOLVE_CHUNK = 1024
@@ -184,6 +184,7 @@ class QuotientGroup:
         if self._columns is None:
             self._require_dense()
             chart, d, r, size = self.chart, self.dim, self.radix, self.size
+            self._require_bytes(8 * d * r * size, "the generator columns")
             gens = chart.words(np.eye(d, dtype=np.int64))
             # allocated before the solve's temporaries, so that where the block
             # lands, and with it the peak RSS, does not hang on the gaps they leave
@@ -531,22 +532,24 @@ def lazard_value(x: AlgebraElement) -> FiltValue:
 # ideals
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubmoduleBasis:
-    """Howell-echelon generating rows of a coefficient submodule."""
+    """Howell-echelon generating rows of a coefficient submodule, with the
+    log_p of its size read off them once, when the basis is built."""
 
     quotient: QuotientGroup
     rows: linalg.Rows
+    rank_log: int = field(init=False)
+
+    def __post_init__(self):
+        Q = self.quotient
+        object.__setattr__(self, "rank_log", linalg.rank_log(self.rows, Q.p, Q.N))
 
     def member(self, x: AlgebraElement) -> bool:
         """Whether x lies in the submodule: x reduced as one sparse row."""
         Q = self.quotient
         vec = linalg.Rows.from_dicts([x.coeffs], Q.size)
         return bool(linalg.in_span(self.rows, vec, Q.p, Q.N)[0])
-
-    @property
-    def rank_log(self) -> int:
-        return linalg.rank_log(self.rows, self.quotient.p, self.quotient.N)
 
 
 def _translates(rows: linalg.Rows, perms: np.ndarray) -> linalg.Rows:

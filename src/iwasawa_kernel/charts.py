@@ -76,6 +76,9 @@ def _powers(terms: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 def _ordered_product(terms: np.ndarray, betas: np.ndarray, q: int) -> np.ndarray:
     """exp(b_1 y_1) ... exp(b_d y_d) for each row b of betas, where terms[i]
     holds the divided powers of y_i."""
+    # int64 coordinates meet a modulus above 2^63 as Python ints, like the terms
+    if betas.dtype != terms.dtype:
+        betas = betas.astype(terms.dtype)
     out = _powers(terms[0], betas[:, 0] % q, q)
     for i in range(1, len(terms)):
         out = np.matmul(out, _powers(terms[i], betas[:, i] % q, q)) % q

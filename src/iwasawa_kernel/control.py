@@ -17,7 +17,7 @@ stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -33,63 +33,67 @@ from .linalg import Rows
 # open subgroups of the quotient
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpenSubgroupSpec:
-    """U = <g_1^{p^{e_1}}, ..., g_d^{p^{e_d}}> inside a quotient stage."""
+    """U = <g_1^{p^{e_1}}, ..., g_d^{p^{e_d}}> inside a dense quotient stage.
+
+    The grid S = {g^beta : p^{e_i} | beta_i for every i}, with indices
+    sum_i p^{e_i} b_i r^i, lies in U and has the expected order.  A finite
+    set that holds 1 and is closed under right multiplication by U's
+    generators contains U, so S is the image of U exactly when it is so
+    closed, which is when e is compatible with the ordered basis.  Both are
+    derived once, when the spec is built: the sorted grid (higher digits
+    vary slowest) and the first generator that leaves it, found with one
+    lookup in the columns of Q per generator.
+    """
 
     quotient: QuotientGroup
     exponents: Tuple[int, ...]
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    # the first i whose g_i^{p^{e_i}} moves the grid, None when e is compatible
+    _leaving: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = self.quotient
-        self.exponents = tuple(int(e) for e in self.exponents)
-        if len(self.exponents) != Q.dim:
+        exponents = tuple(int(e) for e in self.exponents)
+        if len(exponents) != Q.dim:
             raise ValidationError("exponent vector length mismatch")
-        if any(e < 0 or e > Q.n for e in self.exponents):
+        if any(e < 0 or e > Q.n for e in exponents):
             raise ValidationError("exponents must lie in [0, n]")
-
-    @property
-    def expected_order(self) -> int:
-        Q = self.quotient
-        return Q.p ** sum(Q.n - e for e in self.exponents)
-
-    def members(self) -> np.ndarray:
-        """Sorted indices of the image of U in Q (dense stages).
-
-        The grid S = {g^beta : p^{e_i} | beta_i for every i}, with indices
-        sum_i p^{e_i} b_i r^i, lies in U and has the expected order.  A
-        finite set that holds 1 and is closed under right multiplication by
-        U's generators contains U, so S is the image of U exactly when it is
-        so closed, which is when e is compatible with the ordered basis;
-        ValidationError names the first generator that leaves S otherwise.
-        """
-        grid, i = self._grid()
-        if i is not None:
-            raise ValidationError(
-                f"exponent vector {self.exponents} is incompatible: right multiplication "
-                f"by g_{i + 1}^{self.quotient.p ** self.exponents[i]} leaves the grid"
-            )
-        return grid
-
-    def is_compatible(self) -> bool:
-        """True when the image of U is the grid of `members`, i.e. has the
-        expected order."""
-        return self._grid()[1] is None
-
-    def _grid(self) -> Tuple[np.ndarray, Optional[int]]:
-        """The sorted grid indices (higher digits vary slowest), and the first
-        i with e_i < n whose g_i^{p^{e_i}} moves some of them off the grid,
-        one lookup in the columns of Q per generator (None if there is none)."""
-        Q = self.quotient
-        r, steps = Q.radix, Q.p ** np.array(self.exponents)
+        r, steps = Q.radix, Q.p ** np.array(exponents)
         grid = np.zeros(1, dtype=np.int64)
         for i, step in enumerate(steps.tolist()):
             grid = (np.arange(0, r, step)[:, None] * r**i + grid).ravel()
         gens = np.flatnonzero(steps < r)
         inside = np.zeros(Q.size, dtype=bool)
         inside[grid] = True
-        leaves = ~inside[Q.columns()[gens[:, None], steps[gens, None], grid]].all(axis=1)
-        return grid, int(gens[np.argmax(leaves)]) if leaves.any() else None
+        grid.flags.writeable = False
+        moved = Q.columns()[gens[:, None], steps[gens, None], grid]
+        leaves = np.flatnonzero(~inside[moved].all(axis=1))
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_leaving", int(gens[leaves[0]]) if leaves.size else None)
+
+    @property
+    def expected_order(self) -> int:
+        """p^(sum of n - e_i), the size of the grid."""
+        return self._grid.size
+
+    def members(self) -> np.ndarray:
+        """Sorted indices of the image of U in Q; ValidationError names the
+        first generator that leaves the grid when e is incompatible."""
+        i = self._leaving
+        if i is not None:
+            raise ValidationError(
+                f"exponent vector {self.exponents} is incompatible: right multiplication "
+                f"by g_{i + 1}^{self.quotient.p ** self.exponents[i]} leaves the grid"
+            )
+        return self._grid
+
+    def is_compatible(self) -> bool:
+        """True when the image of U is the grid of `members`, i.e. has the
+        expected order."""
+        return self._leaving is None
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +150,7 @@ def _leq(e: Tuple[int, ...], f: Tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(e, f))
 
 
-def control_lattice(
-    I: SubmoduleBasis,
-) -> Dict[Tuple[int, ...], Tuple[bool, bool]]:
+def control_lattice(I: SubmoduleBasis) -> Dict[Tuple[int, ...], Tuple[bool, bool]]:
     """Both control verdicts on every compatible diagonal lattice point
     e in {0..n}^d; incompatible exponent vectors are skipped.
 
@@ -178,16 +180,12 @@ def control_lattice(
             )
         return definitional, by_action
 
-    points = []
-    for e in product(range(Q.n + 1), repeat=Q.dim):
-        U = OpenSubgroupSpec(Q, e)
-        if U.is_compatible():
-            points.append(U)
+    specs = {e: OpenSubgroupSpec(Q, e) for e in product(range(Q.n + 1), repeat=Q.dim)}
+    specs = {e: U for e, U in specs.items() if U.is_compatible()}  # in the product order
     join: Optional[Tuple[int, ...]] = None
     failed: List[Tuple[int, ...]] = []
-    out = dict.fromkeys(U.exponents for U in points)  # in the product order
-    for U in sorted(points, key=lambda U: sum(U.exponents)):
-        e = U.exponents
+    out = dict.fromkeys(specs)
+    for e, U in sorted(specs.items(), key=lambda item: sum(item[0])):
         if join is not None and _leq(e, join):
             out[e] = (True, True)
         elif any(_leq(f, e) for f in failed):
@@ -203,10 +201,9 @@ def control_lattice(
         raise InvariantViolation(
             f"U = Q does not control the ideal: verdicts {out[origin]} at {origin}"
         )
-    if join not in evaluated:
-        top = OpenSubgroupSpec(Q, join)
-        if not top.is_compatible() or evaluate(top) != (True, True):
-            failed.append(join)
+    # a join missing from specs is incompatible, and counts as failed
+    if join not in evaluated and (join not in specs or evaluate(specs[join]) != (True, True)):
+        failed.append(join)
     if any(_leq(f, join) for f in failed):
         raise InvariantViolation(
             f"the join {join} of the controlling lattice points does not control"
@@ -214,21 +211,15 @@ def control_lattice(
     return out
 
 
-def controller_estimate(
-    I: SubmoduleBasis, lattice: Optional[Dict] = None
-) -> Tuple[int, ...]:
+def controller_estimate(I: SubmoduleBasis, lattice: Optional[Dict] = None) -> Tuple[int, ...]:
     """Coordinatewise max of all controlling exponent vectors.  The
     controlling points are a join-closed down-set (`control_lattice`), so
     this is the least controlling diagonal subgroup of the stage, and I is
     controlled by U_e exactly when e <= it."""
-    Q = I.quotient
     if lattice is None:
         lattice = control_lattice(I)
-    best = [0] * Q.dim
-    for e, (definitional, by_action) in lattice.items():
-        if definitional and by_action:
-            best = [max(a, b) for a, b in zip(best, e)]
-    return tuple(best)
+    controlling = (e for e, verdicts in lattice.items() if all(verdicts))
+    return tuple(map(max, zip((0,) * I.quotient.dim, *controlling)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ derived structure constants."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,3 +303,16 @@ def test_derivations_built_with_the_chart():
     chart = heisenberg_chart(P)
     assert chart.max_pivot_val == 2
     assert [pivot for pivot, _, _ in chart._echelon] == [(1, 1), (2, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("chart", [heisenberg_chart(23), abelian_chart(41, 2)],
+                         ids=["heisenberg-23", "abelian2-41"])
+def test_int64_coordinates_above_an_int64_modulus(chart):
+    # p^work_prec > 2^63, so the chart's batches hold Python ints and the
+    # int64 coordinates a stage passes in are cast to them
+    assert chart.modulus > 2**63 - 1
+    units = np.eye(chart.dim, dtype=np.int64)
+    words = [[list(row) for row in chart.word(e)] for e in units.tolist()]
+    assert chart.words(units).tolist() == words
+    inverses = [[list(row) for row in chart.inverse(chart.word(e))] for e in units.tolist()]
+    assert chart.inverse_words(units).tolist() == inverses

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from iwasawa_kernel import nilpotent
+from iwasawa_kernel import linalg, nilpotent
 from iwasawa_kernel.cli import main
 
 EXAMPLE2 = """\
@@ -45,6 +45,31 @@ aut 3 0 0 -1
 CENTRAL_IDEAL = """\
 p 3
 chart heisenberg
+ideal bmono 0 0 1
+"""
+
+# Z_3 on one 2x2 matrix, x1 = 3 E12
+ONE_DIM = """\
+p 3
+chartmat 0 3 0 0
+aut 1 1
+ideal bmono 1
+"""
+
+# 41^12 and 23^14 lie above 2^63, so these charts hold their matrices as
+# Python ints
+ABELIAN2_P41 = """\
+p 41
+chart abelian2
+ideal bmono 1 0
+"""
+
+HEIS_P23 = """\
+p 23
+chart heisenberg
+aut 1 1 0 -1
+aut 2 0 1 0
+aut 3 0 0 1
 ideal bmono 0 0 1
 """
 
@@ -165,6 +190,15 @@ class TestMahler:
         assert code == 0
         assert doc["by_formula"] is True and doc["by_commutation"] is True
 
+    def test_large_prime_heisenberg(self, tmp_path, capsys):
+        # the int64 coordinates of Q meet the chart's Python-int modulus
+        path = write(tmp_path, "heis23.txt", HEIS_P23)
+        code = main(["mahler", path, "--level", "1", "--degree", "2", "--format", "structured"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["by_formula"] is True and doc["by_commutation"] is True
+        assert main(["growth", path, "--level", "1"]) == 0
+
     def test_prime_override(self, tmp_path, capsys):
         # --p replaces the file's p = 3: the stage is Heisenberg mod 5
         path = write(tmp_path, "conj.txt", HEIS_CONJ)
@@ -209,6 +243,25 @@ class TestControl:
         assert reports[0] == reports[1]
         assert reports[1]["rank_log"] == 36
         assert reports[1]["controller_estimate"] == [1, 1, 0]
+
+    def test_large_prime_abelian(self, tmp_path, capsys):
+        path = write(tmp_path, "abelian2.txt", ABELIAN2_P41)
+        code = main(["control", path, "--level", "1", "--format", "structured"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        got = (doc["rank_log"], doc["controller_estimate"], doc["faithful"],
+               doc["j_ideal_rank"], len(doc["lattice"]))
+        assert got == (3280, [0, 1], False, 82, 4)
+
+    def test_rank_log_computed_once(self, tmp_path, capsys, monkeypatch):
+        # the ideal's rank_log is a field, set when its basis is built
+        calls = []
+        rank_log = linalg.rank_log
+        monkeypatch.setattr(linalg, "rank_log", lambda *args: calls.append(args) or rank_log(*args))
+        path = write(tmp_path, "c.txt", CENTRAL_IDEAL)
+        assert main(["control", path, "--level", "2", "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank_log"] == 1296
+        assert len(calls) == 1
 
     def test_budget_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "c.txt", CENTRAL_IDEAL)
@@ -366,6 +419,16 @@ FUZZ = [
      "autmat image of generator 1 is not in the chart group"),
     ("autmat-off-lattice-growth", OFF_LATTICE_AUTMAT, ["growth"], 1,
      "autmat image of generator 1 is not in the chart group"),
+    # |Q| = 3^9 on a one-dimensional chart is inside the size budget and the
+    # dense limit, but its generator columns would take 2.89 GiB; every
+    # command refuses them before they are allocated
+    ("one-dim-level-9-mahler", ONE_DIM, ["mahler", "--level", "9"], 2, "the generator columns"),
+    ("one-dim-level-9-growth", ONE_DIM, ["growth", "--level", "9"], 2, "the generator columns"),
+    ("one-dim-level-9-control", ONE_DIM, ["control", "--level", "9"], 2,
+     "the generator columns"),
+    # |Q| = 23^3: the generator columns take 6.7 MB, the table 1.10 GiB
+    ("heis-p23-control", HEIS_P23, ["control", "--level", "1"], 2,
+     "the multiplication table at |Q| = 12167"),
     # |Q| = 729 is one above the budget the flag sets
     ("control-size-budget-728", CENTRAL_IDEAL, ["control", "--level", "2", "--size-budget", "728"],
      2, "exceeds budget 728"),

@@ -35,6 +35,7 @@ from stages import small_stage_ideals, stages_up_to_729
 from iwasawa_kernel import control, linalg
 from iwasawa_kernel.algebra import (
     AlgebraElement,
+    QuotientGroup,
     b_element,
     b_monomial,
     build_quotient,
@@ -239,6 +240,18 @@ def test_sweep_evaluates_few_points(name, n, gens, most, size, monkeypatch):
     lattice, seen = recorded_lattice(I, monkeypatch)
     assert len(lattice) == size
     assert len(seen) <= most
+
+
+def test_lattice_reads_the_columns_once_per_exponent_vector(monkeypatch):
+    # each spec finds its grid and compatibility when it is built; the
+    # evaluated points and the final join (2, 2, 0) reuse the stored grid
+    Q = stage("heisenberg", 2, 2)
+    I = ideal_closure([b_monomial(Q, (0, 0, 1))], side="right", quotient=Q)
+    lookups = []
+    columns = QuotientGroup.columns
+    monkeypatch.setattr(QuotientGroup, "columns", lambda Q: lookups.append(Q) or columns(Q))
+    assert controller_estimate(I, control_lattice(I)) == (2, 2, 0)
+    assert len(lookups) == (Q.n + 1) ** Q.dim == 27
 
 
 def test_disagreeing_verdicts_raise(monkeypatch):
