@@ -18,10 +18,11 @@ from iwasawa_kernel.mahler import AutomorphismSpec, q_growth
 P = 3
 
 
-def show(label, Q, phi, regime, m_range):
+def show(label, Q, phi, m_range):
+    """The q-series on the g2 and g3 axes; Q.N fixes the regime."""
     print(label)
     for axis in (1, 2):
-        vals = q_growth(phi, axis, m_range, regime, Q)
+        vals = q_growth(phi, axis, m_range, Q)
         cells = ", ".join(f"v(q_{m})={v}" for m, v in zip(m_range, vals))
         print(f"  axis g{axis + 1}: {cells}")
 
@@ -31,12 +32,10 @@ def main():
     phi = AutomorphismSpec.conjugation(chart, chart.generators[0], name="conj-g1")
 
     Q0 = build_quotient(chart, 4, 6, size_budget=10**7, verify=False)
-    show("characteristic 0 (N = 6, level 4): affine growth", Q0, phi,
-         "char0", range(3))
+    show("characteristic 0 (N = 6, level 4): affine growth", Q0, phi, range(3))
 
     Qp = build_quotient(chart, 2, 1, verify=False)
-    show("characteristic p (N = 1, level 2): p-power growth", Qp, phi,
-         "charp", range(2))
+    show("characteristic p (N = 1, level 2): p-power growth", Qp, phi, range(2))
 
 
 if __name__ == "__main__":

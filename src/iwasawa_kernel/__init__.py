@@ -60,7 +60,6 @@ from .nilpotent import (
     Submodule,
     centraliser_compat,
     centralizer,
-    nilpotency_class,
     second_centre_centralizer,
     upper_central_series,
     validate,

@@ -4,12 +4,12 @@ A quotient stage enumerates Q = G/G^{p^n} through ordered-product
 coordinates beta in [0, p^n)^d from a matrix chart; algebra elements are
 sparse coefficient dictionaries over Z/p^N.  The group law has one entry
 point per operation, for every stage size: `mult_array` for products and
-`inverse_array` for inverses of index arrays (`mult` and `inv` are their
-scalar forms).  Within the dense budget both are lookups in index arrays:
-the d generator columns h -> h g_i come from one batched chart solve of
-the products t g_i on the |Q|/p^n elements t with beta_1 = 0 (left
-multiplication by g_1 only shifts beta_1), and products and inverses of a
-batch are composed from their powers, d lookups per element.  The stage
+`inverse_array` for inverses of index arrays.  Within the dense budget both
+are lookups in index arrays: the d generator columns h -> h g_i come from
+one batched chart solve of the products t g_i on the |Q|/p^n elements t
+with beta_1 = 0 (left multiplication by g_1 only shifts beta_1), and
+products and inverses of a batch are composed from their powers, d lookups
+per element.  The stage
 keeps only the columns and the table, which is written in place one
 generator digit at a time from the same powers.  Larger stages solve each
 batch through the chart matrices, a chunk of matrices at a time in
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +38,9 @@ from .errors import BudgetError, InvariantViolation, ValidationError
 from .padic import vp_int
 
 DEFAULT_SIZE_BUDGET = 50_000
-# largest array (generator columns, multiplication table, the translates
-# of an ideal closure) a stage may allocate, in bytes; the table is built in
-# its own buffer, so its 8|Q|^2 bytes are the whole peak of the build
+# largest array (generator columns, multiplication table, translates of an
+# ideal closure, keys of a Mahler differencing pass) allocated, in bytes; the
+# table is built in its own buffer, so its 8|Q|^2 bytes are the build's peak
 DENSE_BYTE_BUDGET = 1 << 30
 # elements per batched chart solve, which bounds its temporary arrays
 _SOLVE_CHUNK = 1024
@@ -48,6 +48,15 @@ _SOLVE_CHUNK = 1024
 B_MONOMIAL_DEGREE_BUDGET = 512
 # most multi-indices `lazard_value` may visit
 LAZARD_DEGREE_CAP = 4096
+
+
+def require_bytes(nbytes: int, what: str):
+    """BudgetError before allocating more than DENSE_BYTE_BUDGET bytes."""
+    if nbytes > DENSE_BYTE_BUDGET:
+        raise BudgetError(
+            f"{what} needs {nbytes / 2**30:.2f} GiB, "
+            f"above the dense byte budget of {DENSE_BYTE_BUDGET / 2**30:.2f} GiB"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +152,6 @@ class QuotientGroup:
     def index(self, beta: Sequence[int]) -> int:
         return int(self.index_array([beta])[0])
 
-    def coords(self, idx: int) -> Tuple[int, ...]:
-        return tuple(self.coords_array([idx])[0].tolist())
-
     def index_array(self, betas: np.ndarray) -> np.ndarray:
         """Indices of the rows of a (B, d) coordinate array."""
         r = self.radix
@@ -184,7 +190,7 @@ class QuotientGroup:
         if self._columns is None:
             self._require_dense()
             chart, d, r, size = self.chart, self.dim, self.radix, self.size
-            self._require_bytes(8 * d * r * size, "the generator columns")
+            require_bytes(8 * d * r * size, f"the generator columns at |Q| = {size}")
             gens = chart.words(np.eye(d, dtype=np.int64))
             # allocated before the solve's temporaries, so that where the block
             # lands, and with it the peak RSS, does not hang on the gaps they leave
@@ -245,12 +251,6 @@ class QuotientGroup:
         words = self.chart.inverse_words(self.coords_array(idx.ravel()))
         return self.index_of_matrices(words).reshape(idx.shape)
 
-    def mult(self, a: int, b: int) -> int:
-        return int(self.mult_array(a, b))
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse_array(a))
-
     def generator(self, i: int, power: int = 1) -> int:
         beta = [0] * self.dim
         beta[i] = power
@@ -269,7 +269,7 @@ class QuotientGroup:
         """
         if self._mult_table is None:
             self._require_dense()
-            self._require_bytes(8 * self.size**2, "the multiplication table")
+            require_bytes(8 * self.size**2, f"the multiplication table at |Q| = {self.size}")
             cols, r, size = self.columns(), self.radix, self.size
             out = np.empty((size, size), dtype=np.int64)
             out[0] = np.arange(size)
@@ -287,14 +287,6 @@ class QuotientGroup:
             raise BudgetError(
                 f"|Q| = {self.size} exceeds the fixed dense-stage limit of "
                 f"{DEFAULT_SIZE_BUDGET} elements, which is separate from --size-budget"
-            )
-
-    def _require_bytes(self, nbytes: int, what: str):
-        """BudgetError before allocating more than DENSE_BYTE_BUDGET bytes."""
-        if nbytes > DENSE_BYTE_BUDGET:
-            raise BudgetError(
-                f"{what} at |Q| = {self.size} needs {nbytes / 2**30:.2f} GiB, "
-                f"above the dense byte budget of {DENSE_BYTE_BUDGET / 2**30:.2f} GiB"
             )
 
 
@@ -420,21 +412,6 @@ class AlgebraElement:
             and other.coeffs == self.coeffs
         )
 
-    def support(self) -> List[int]:
-        return sorted(self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        support = self.support()
-        for k, beta in zip(support, self.quotient.coords_array(support).tolist()):
-            mono = "*".join(
-                f"g{i+1}^{b}" if b != 1 else f"g{i+1}" for i, b in enumerate(beta) if b
-            )
-            parts.append(f"{self.coeffs[k]}*{mono}" if mono else str(self.coeffs[k]))
-        return " + ".join(parts)
-
 
 def b_element(Q: QuotientGroup, i: int) -> AlgebraElement:
     """b_i = g_i - 1."""
@@ -545,12 +522,6 @@ class SubmoduleBasis:
         Q = self.quotient
         object.__setattr__(self, "rank_log", linalg.rank_log(self.rows, Q.p, Q.N))
 
-    def member(self, x: AlgebraElement) -> bool:
-        """Whether x lies in the submodule: x reduced as one sparse row."""
-        Q = self.quotient
-        vec = linalg.Rows.from_dicts([x.coeffs], Q.size)
-        return bool(linalg.in_span(self.rows, vec, Q.p, Q.N)[0])
-
 
 def _translates(rows: linalg.Rows, perms: np.ndarray) -> linalg.Rows:
     """Every row moved by every permutation, permutation-major: row t·k + r
@@ -562,21 +533,16 @@ def _translates(rows: linalg.Rows, perms: np.ndarray) -> linalg.Rows:
 
 
 def ideal_closure(
-    gens: Iterable[AlgebraElement], side: str = "right", quotient: Optional[QuotientGroup] = None
+    gens: Iterable[AlgebraElement], side: str = "right", *, quotient: QuotientGroup
 ) -> SubmoduleBasis:
-    """Smallest right (``side="right"``) or two-sided ideal containing
-    ``gens``.
+    """Smallest right (``side="right"``) or two-sided ideal of ``quotient``
+    containing ``gens``.
 
     The right closure is the span of the full right translate family, so a
     single echelon pass suffices; the two-sided case finishes with a
     fixed-point iteration on the left.  Translates are built as sparse rows
     from the generators' supports, never as a dense |Q|·k x |Q| stack.
     """
-    gens = list(gens)
-    if quotient is None:
-        if not gens:
-            raise ValidationError("need a quotient or at least one generator")
-        quotient = gens[0].quotient
     Q = quotient
     if side not in ("right", "two-sided"):
         raise ValidationError(f"unknown side {side!r}")
@@ -588,7 +554,7 @@ def ideal_closure(
     if not mat.shape[0]:
         return SubmoduleBasis(Q, mat)
     # row, column, residue and sort order of each translated entry
-    Q._require_bytes(32 * Q.size * mat.nnz, "the translates")
+    require_bytes(32 * Q.size * mat.nnz, f"the translates at |Q| = {Q.size}")
     tab = Q.mult_table()
     # column g of the table is h -> h*g, row g is h -> g*h
     rows = linalg.howell(_translates(mat, tab.T), p, N)

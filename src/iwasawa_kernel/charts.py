@@ -140,6 +140,10 @@ class GroupChart:
     _echelon: list = field(init=False, repr=False, compare=False)
     # the largest pivot valuation of the chart lattice
     max_pivot_val: int = field(init=False, repr=False, compare=False)
+    # g_i = exp(x_i)
+    generators: Tuple[Matrix, ...] = field(init=False, repr=False, compare=False)
+    # the filtration weight of each g_i: the least valuation of an entry of x_i
+    omega_weights: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p == 2 or self.p < 2 or any(self.p % k == 0 for k in range(2, int(self.p**0.5) + 1)):
@@ -164,6 +168,10 @@ class GroupChart:
         object.__setattr__(self, "_headroom", headroom)
         object.__setattr__(self, "_echelon", echelon)
         object.__setattr__(self, "max_pivot_val", max(e for (_, e), _, _ in echelon))
+        weights = self._weights(self.batch(self.basis))
+        object.__setattr__(self, "omega_weights", tuple(weights.tolist()))
+        gens = tuple(self.generator_power(i, 1) for i in range(self.dim))
+        object.__setattr__(self, "generators", gens)
 
     @property
     def dim(self) -> int:
@@ -280,25 +288,7 @@ class GroupChart:
     def log(self, g: Matrix) -> Matrix:
         return _as_matrix(self._log_batch(self.batch([g]))[0])
 
-    def omega(self, g: Matrix) -> Optional[int]:
-        """Filtration weight: min valuation over the entries of log g.
-
-        Returns None when log g vanishes at working precision.
-        """
-        w = int(self._weights(self._log_batch(self.batch([g])))[0])
-        return None if w == self.work_prec else w
-
     # -- generators and words ------------------------------------------
-
-    @property
-    def generators(self) -> Tuple[Matrix, ...]:
-        return tuple(self.generator_power(i, 1) for i in range(self.dim))
-
-    @property
-    def omega_weights(self) -> Tuple[int, ...]:
-        return tuple(
-            min(vp_int(v, self.p, self.work_prec) for r in x for v in r if v) for x in self.basis
-        )
 
     def generator_power(self, i: int, k: int) -> Matrix:
         """g_i^k for any integer k, via exp(k * x_i)."""

@@ -211,8 +211,10 @@ def cmd_growth(config) -> int:
     p = Q.p
     # phi^(p^m) up to the depth the z-map reads, shared by every axis
     chain = mahler_mod.p_power_chain(phi, max(2, config.m_max))
+    if config.regime == "char0" and N == 1:
+        raise ValidationError("char0 regime needs coefficient precision N > 1")
     for i in range(Q.dim):
-        vals = mahler_mod.q_growth(phi, i, m_range, config.regime, Q, chain)
+        vals = mahler_mod.q_growth(phi, i, m_range, Q, chain)
         table[i] = vals
         exact = [(m, v.value) for m, v in zip(m_range, vals) if v.exact]
         fit: Dict = {"law": None, "lambda": None, "fit_exact": None}

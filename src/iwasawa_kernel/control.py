@@ -211,13 +211,11 @@ def control_lattice(I: SubmoduleBasis) -> Dict[Tuple[int, ...], Tuple[bool, bool
     return out
 
 
-def controller_estimate(I: SubmoduleBasis, lattice: Optional[Dict] = None) -> Tuple[int, ...]:
-    """Coordinatewise max of all controlling exponent vectors.  The
-    controlling points are a join-closed down-set (`control_lattice`), so
-    this is the least controlling diagonal subgroup of the stage, and I is
-    controlled by U_e exactly when e <= it."""
-    if lattice is None:
-        lattice = control_lattice(I)
+def controller_estimate(I: SubmoduleBasis, lattice: Dict) -> Tuple[int, ...]:
+    """Coordinatewise max of all controlling exponent vectors of
+    ``lattice``, I's `control_lattice`.  The controlling points are a
+    join-closed down-set, so this is the least controlling diagonal subgroup
+    of the stage, and I is controlled by U_e exactly when e <= it."""
     controlling = (e for e, verdicts in lattice.items() if all(verdicts))
     return tuple(map(max, zip((0,) * I.quotient.dim, *controlling)))
 

@@ -36,6 +36,7 @@ from .algebra import (
     FiltValue,
     QuotientGroup,
     lazard_value,
+    require_bytes,
 )
 from .charts import GroupChart, Matrix, _as_matrix
 from .errors import PrecisionError, ValidationError
@@ -322,8 +323,16 @@ def _multi_indices(dim: int, degree: int):
 
 
 def _multi_index_array(dim: int, degree: int) -> np.ndarray:
-    """_multi_indices as a (count, dim) array."""
+    """_multi_indices as a (count, dim) array, refused before it is listed
+    when the first differencing pass on one triple per point would not fit."""
+    _require_pass_bytes(math.comb(degree + dim + 1, dim + 1), dim, degree)
     return np.array(list(_multi_indices(dim, degree)), dtype=np.int64).reshape(-1, dim)
+
+
+def _require_pass_bytes(triples: int, dim: int, degree: int):
+    """BudgetError before a differencing pass on N^dim builds the int64
+    (point, label) keys of ``triples`` triples, its largest array."""
+    require_bytes(8 * (dim + 1) * triples, f"--degree {degree}: a Mahler differencing pass")
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -380,6 +389,7 @@ def _mahler_table(
     for axis in range(dim):
         # k - j runs over 0 .. degree - |point| for each triple
         reach = degree + 1 - keys[:, :dim].sum(axis=1)
+        _require_pass_bytes(int(reach.sum()), dim, degree)
         src = np.repeat(np.arange(len(keys)), reach)
         step = np.arange(len(src)) - np.repeat(np.cumsum(reach) - reach, reach)
         j = keys[src, axis]
@@ -565,8 +575,13 @@ def z_stable(
     Q: QuotientGroup,
     chain: Optional[List[AutomorphismSpec]] = None,
 ) -> Tuple[Matrix, bool]:
-    """Last approximant, plus whether consecutive approximants agreed in Q."""
-    approx = z_approximants(phi, g, range(m_max + 1), chain)
+    """The approximant at m_max, plus whether it agrees in Q with the one at
+    m_max - 1.  Every m is computed only when one of those fails, so that the
+    error is that of the first m that fails."""
+    try:
+        approx = z_approximants(phi, g, range(max(m_max - 1, 0), m_max + 1), chain)
+    except PrecisionError:
+        approx = z_approximants(phi, g, range(m_max + 1), chain)
     idxs = Q.index_of_matrices(phi.chart.batch(approx))
     stable = len(idxs) < 2 or idxs[-1] == idxs[-2]
     return approx[-1], bool(stable)
@@ -576,27 +591,17 @@ def q_growth(
     phi: AutomorphismSpec,
     i: int,
     m_range: Sequence[int],
-    regime: str,
     Q: QuotientGroup,
     chain: Optional[List[AutomorphismSpec]] = None,
 ) -> List[FiltValue]:
-    """Weights of q_{i,m} = z(g_i)^{p^m} - 1 over the m-range.
-
-    regime 'char0' keeps the stage's N > 1; 'charp' reduces coefficients
-    to Z/p.  The caller fits the affine / p-power growth law.  The z-map
+    """Weights of q_{i,m} = z(g_i)^{p^m} - 1 over the m-range, with
+    coefficients in the stage's Z/p^N: N = 1 is the charp regime and N > 1
+    char0.  The caller fits the affine / p-power growth law.  The z-map
     reads phi^(p^m) up to m = max(2, m_range); a caller that runs every axis
     passes that ``chain`` (see `p_power_chain`) to build it once.  Each
     z(g_i)^{p^m} is exp(p^m log z(g_i)), and all of them are indexed in one
     batched chart solve.
     """
-    from .algebra import build_quotient
-
-    if regime not in ("char0", "charp"):
-        raise ValidationError(f"unknown regime {regime!r}")
-    if regime == "charp" and Q.N != 1:
-        Q = build_quotient(Q.chart, Q.n, 1, verify=False)
-    if regime == "char0" and Q.N == 1:
-        raise ValidationError("char0 regime needs coefficient precision N > 1")
     m_range = list(m_range)
     z, stable = z_stable(phi, phi.chart.generators[i], max([2, *m_range]), Q, chain)
     if not stable:

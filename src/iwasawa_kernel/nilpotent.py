@@ -114,12 +114,6 @@ class Submodule:
     def dim(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other):
-        return isinstance(other, Submodule) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def describe(self) -> str:
         """Pretty form, e.g. ``span{x2, x3, x5}`` when rows are unit vectors."""
         if not self.rows:
@@ -289,10 +283,6 @@ def upper_central_series(L: LiePresentation) -> List[Submodule]:
             raise ValidationError("upper central series stalls: not nilpotent")
         chain.append(nxt)
     return chain
-
-
-def nilpotency_class(L: LiePresentation) -> int:
-    return len(upper_central_series(L)) - 1
 
 
 def centralizer(L: LiePresentation, S: Submodule) -> Submodule:

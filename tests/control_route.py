@@ -42,7 +42,7 @@ def coset_partition(U):
     covered = set()
     for b in product(*[range(Q.p**e) for e in U.exponents]):
         rep = Q.index(b)
-        out[rep] = [Q.mult(u, rep) for u in members]
+        out[rep] = [int(Q.mult_array(u, rep)) for u in members]
         covered.update(out[rep])
     if len(covered) != Q.size:
         raise ValidationError("coset representatives do not partition Q")
@@ -93,7 +93,7 @@ def _local_closure_rank(U, inner):
         if e < Q.n:
             g = Q.generator(i, Q.p**e)
             perms.append(
-                np.array([pos[Q.mult(h, g)] for h in members], dtype=np.int64)
+                np.array([pos[int(Q.mult_array(h, g))] for h in members], dtype=np.int64)
             )
     while True:
         stacked = [rows]
@@ -238,7 +238,7 @@ def subgroup_elements(U):
     while frontier:
         h = frontier.pop()
         for g in gens:
-            for x in (Q.mult(h, g), Q.mult(g, h)):
+            for x in (int(Q.mult_array(h, g)), int(Q.mult_array(g, h))):
                 if x not in seen:
                     seen.add(x)
                     frontier.append(x)
@@ -258,7 +258,7 @@ def grid_leaving_generator(U):
     grid = [Q.index(beta) for beta in product(*(range(0, Q.radix, s) for s in steps))]
     for i, step in enumerate(steps):
         if step < Q.radix and any(
-            any(b % s for b, s in zip(Q.coords(Q.mult(h, Q.generator(i, step))), steps))
+            (Q.coords_array([Q.mult_array(h, Q.generator(i, step))]) % steps).any()
             for h in grid
         ):
             return i
@@ -269,4 +269,6 @@ def centre_indices(Q):
     """Elements of Q commuting with every generator, one scalar product pair
     per element and generator."""
     gens = [Q.generator(i) for i in range(Q.dim)]
-    return [h for h in range(Q.size) if all(Q.mult(h, g) == Q.mult(g, h) for g in gens)]
+    return [
+        h for h in range(Q.size) if all(Q.mult_array(h, g) == Q.mult_array(g, h) for g in gens)
+    ]

@@ -54,7 +54,8 @@ def aut_periodic_f(phi, Q):
         if isinstance(beta, int):
             beta = (beta,)
         idx = Q.index(beta)
-        return AlgebraElement.group_element(Q, Q.mult(apply_index(phi, Q, idx), Q.inv(idx)))
+        prod = Q.mult_array(apply_index(phi, Q, idx), Q.inverse_array(idx))
+        return AlgebraElement.group_element(Q, int(prod))
 
     return f
 
@@ -142,7 +143,7 @@ def table_by_dicts(phi, Q, degree):
 def psi_indices(phi, Q):
     """psi(g_i) = phi(g_i) g_i^{-1} for every generator."""
     return [
-        Q.mult(apply_index(phi, Q, Q.generator(i)), Q.inv(Q.generator(i)))
+        int(Q.mult_array(apply_index(phi, Q, Q.generator(i)), Q.inverse_array(Q.generator(i))))
         for i in range(Q.dim)
     ]
 
@@ -173,7 +174,7 @@ def formula_mismatches(phi, Q, table, shells):
 def by_commutation(phi, Q):
     psi = psi_indices(phi, Q)
     return all(
-        Q.mult(psi[i], Q.generator(j)) == Q.mult(Q.generator(j), psi[i])
+        Q.mult_array(psi[i], Q.generator(j)) == Q.mult_array(Q.generator(j), psi[i])
         for i in range(Q.dim)
         for j in range(i + 1)
     )
@@ -199,8 +200,8 @@ def verify_by_pairs(phi, Q, samples=20):
     for _ in range(samples):
         a = rng.randrange(Q.size)
         b = rng.randrange(Q.size)
-        lhs = apply_index(phi, Q, Q.mult(a, b))
-        rhs = Q.mult(apply_index(phi, Q, a), apply_index(phi, Q, b))
+        lhs = apply_index(phi, Q, int(Q.mult_array(a, b)))
+        rhs = int(Q.mult_array(apply_index(phi, Q, a), apply_index(phi, Q, b)))
         if lhs != rhs:
             return False
     return True

@@ -208,7 +208,7 @@ def index_of_matrix(Q, g):
 
 
 def matrix(Q, idx):
-    return word(Q.chart, Q.coords(idx))
+    return word(Q.chart, Q.coords_array([idx])[0].tolist())
 
 
 def apply_matrix(phi, beta):
@@ -232,4 +232,4 @@ def inv(Q, a):
 
 
 def apply_index(phi, Q, idx):
-    return index_of_matrix(Q, apply_matrix(phi, Q.coords(idx)))
+    return index_of_matrix(Q, apply_matrix(phi, Q.coords_array([idx])[0].tolist()))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import matrix_route as ref
 from matrix_route import _mul
 from control_route import rho
-from stages import from_vector
 from iwasawa_kernel.algebra import (
     AlgebraElement,
     FiltValue,
@@ -41,7 +40,7 @@ class TestQuotientGroup:
         Q = heis_quotient(2, 2)
         assert Q.size == 729
         for idx in [0, 1, 500, 728]:
-            assert Q.index(Q.coords(idx)) == idx
+            assert Q.index(Q.coords_array([idx])[0]) == idx
 
     def test_mult_matches_matrix_oracle(self):
         Q = heis_quotient()
@@ -50,12 +49,12 @@ class TestQuotientGroup:
         for _ in range(40):
             a, b = rng.randrange(Q.size), rng.randrange(Q.size)
             want = ref.index_of_matrix(Q, _mul(ref.matrix(Q, a), ref.matrix(Q, b), q))
-            assert Q.mult(a, b) == want
+            assert Q.mult_array(a, b) == want
 
     def test_mult_table_consistent(self):
         Q = heis_quotient()
         direct = [
-            [Q.mult(a, b) for b in range(Q.size)] for a in range(Q.size)
+            [int(Q.mult_array(a, b)) for b in range(Q.size)] for a in range(Q.size)
         ]
         tab = Q.mult_table()
         assert np.array_equal(tab, np.array(direct))
@@ -65,9 +64,9 @@ class TestQuotientGroup:
         rng = random.Random(3)
         for _ in range(30):
             a, b, c = (rng.randrange(Q.size) for _ in range(3))
-            assert Q.mult(Q.mult(a, b), c) == Q.mult(a, Q.mult(b, c))
-            assert Q.mult(a, Q.inv(a)) == 0
-            assert Q.mult(0, a) == a
+            assert Q.mult_array(Q.mult_array(a, b), c) == Q.mult_array(a, Q.mult_array(b, c))
+            assert Q.mult_array(a, Q.inverse_array(a)) == 0
+            assert Q.mult_array(0, a) == a
 
     def test_size_budget(self):
         with pytest.raises(BudgetError):
@@ -96,7 +95,7 @@ class TestQuotientGroup:
     def test_cyclic_quotient_is_cyclic(self):
         Q = build_quotient(cyclic_chart(P), 1, 1)
         assert Q.size == P
-        assert Q.mult(1, 2) == 0
+        assert Q.mult_array(1, 2) == 0
 
 
 class TestAlgebraElement:
@@ -107,7 +106,7 @@ class TestAlgebraElement:
             a, b = rng.randrange(Q.size), rng.randrange(Q.size)
             ga = AlgebraElement.group_element(Q, a)
             gb = AlgebraElement.group_element(Q, b)
-            assert ga * gb == AlgebraElement.group_element(Q, Q.mult(a, b))
+            assert ga * gb == AlgebraElement.group_element(Q, int(Q.mult_array(a, b)))
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -200,8 +199,7 @@ class TestIdealsAndAction:
             rows = I.rows.toarray()
             moved = np.zeros_like(rows)
             moved[:, perm] = rows
-            for row in moved:
-                assert I.member(from_vector(Q, row))
+            assert linalg.in_span(I.rows, linalg.Rows.from_array(moved), Q.p, Q.N).all()
 
     def test_two_sided_contains_one_sided(self):
         Q = heis_quotient()
@@ -209,8 +207,7 @@ class TestIdealsAndAction:
         right = ideal_closure([gen], side="right", quotient=Q)
         two = ideal_closure([gen], side="two-sided", quotient=Q)
         assert two.rank_log >= right.rank_log
-        for row in right.rows.toarray():
-            assert two.member(from_vector(Q, row))
+        assert linalg.in_span(two.rows, right.rows, Q.p, Q.N).all()
 
     def test_rho_scales_coefficients(self):
         Q = heis_quotient()

@@ -59,6 +59,12 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             builtin_chart("dodecahedral", P)
 
+    def test_generators_and_weights_are_derived_once(self):
+        chart = heisenberg_chart(P)
+        assert chart.omega_weights == (1, 1, 2)
+        assert chart.generators == tuple(chart.generator_power(i, 1) for i in range(3))
+        assert chart.generators is chart.generators
+
 
 class TestExpLog:
     @given(st.integers(0, 10**6))
@@ -80,16 +86,6 @@ class TestExpLog:
         for _ in range(10):
             g = chart.word(random_word(chart, rng, bound=15))
             assert chart.exp(chart.log(g)) == g
-
-    def test_omega_of_generators(self):
-        chart = heisenberg_chart(P)
-        assert chart.omega_weights == (1, 1, 2)
-        assert chart.omega(_identity(3)) is None
-
-    def test_omega_increases_under_p_power(self):
-        chart = heisenberg_chart(P)
-        g = chart.generators[0]
-        assert chart.omega(chart.generator_power(0, P)) == chart.omega(g) + 1
 
 
 class TestCoordinates:

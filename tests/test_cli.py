@@ -387,6 +387,16 @@ FUZZ = [
     ("zero-size-budget", HEIS_CONJ, ["growth", "--size-budget", "0"], 1,
      "--size-budget must be >= 1"),
     ("negative-degree", HEIS_ID, ["mahler", "--degree", "-1"], 1, "degree must be >= 0"),
+    # the first differencing pass at degree 200 holds C(204, 4) triples, 2.09 GiB
+    # of keys; at degree 100000 the multi-indices alone would not fit.  Both
+    # are refused before the multi-indices are listed
+    ("mahler-degree-200", HEIS_CONJ, ["mahler", "--degree", "200"], 2,
+     "--degree 200: a Mahler differencing pass needs 2.09 GiB"),
+    ("mahler-degree-100000", HEIS_CONJ, ["mahler", "--degree", "100000"], 2,
+     "--degree 100000: a Mahler differencing pass"),
+    # the char0 fit needs N > 1; charp fixes N = 1 by itself
+    ("growth-char0-coeff-prec-1", HEIS_CONJ, ["growth", "--regime", "char0", "--coeff-prec", "1"],
+     1, "char0 regime needs coefficient precision N > 1"),
     ("coeff-prec-21", CENTRAL_IDEAL, ["control", "--coeff-prec", "21"], 2,
      "coefficient modulus 3^21"),
     # 3^40 > 2^63: the generators' coefficients would not fit in int64

@@ -77,7 +77,8 @@ def brute_force_by_action(I, U):
         for row in I.rows.toarray():
             x = from_vector(Q, row)
             proj = rho(lambda k, s=member_set: 1 if k in s else 0, x)
-            if not I.member(proj):
+            vec = linalg.Rows.from_dicts([proj.coeffs], Q.size)
+            if not linalg.in_span(I.rows, vec, Q.p, Q.N)[0]:
                 return False
     return True
 
@@ -111,7 +112,7 @@ class TestIsControlled:
     def test_central_ideal_controller_level2(self):
         Q = heis_quotient(2)
         I = central_ideal(Q)
-        assert controller_estimate(I) == (2, 2, 0)
+        assert controller_estimate(I, control_lattice(I)) == (2, 2, 0)
 
     def test_zero_ideal_controlled_by_finest(self):
         Q = heis_quotient()

@@ -95,8 +95,8 @@ def test_small_stage_matches_matrix_route_on_all_of_Q(name, p, n):
             assert cols[i, 1, h] == ref.index_of_matrix(Q, prod)
         b = rng.randrange(Q.size)
         want = ref.mult(Q, h, b)
-        assert Q.mult(h, b) == want and tab[h, b] == want
-        assert Q.inv(h) == inverses[h]
+        assert Q.mult_array(h, b) == want and tab[h, b] == want
+        assert Q.inverse_array(h) == inverses[h]
     # a 2-D batch keeps its shape
     idx = np.arange(Q.size).reshape(-1, Q.p)
     assert Q.inverse_array(idx).tolist() == np.array(inverses)[idx].tolist()
@@ -174,7 +174,7 @@ def test_cached_index_arrays_are_read_only():
     for cached in (Q.columns(), Q.mult_table()):
         with pytest.raises(ValueError, match="read-only"):
             cached[..., 1] = 0
-    assert Q.mult(1, 0) == 1 and Q.inv(0) == 0
+    assert Q.mult_array(1, 0) == 1 and Q.inverse_array(0) == 0
 
 
 @pytest.mark.parametrize("name, n", LARGE)
@@ -185,11 +185,11 @@ def test_729_stage_matches_matrix_route_on_samples(name, n):
     rng = random.Random(7)
     for _ in range(200):
         a, b = rng.randrange(Q.size), rng.randrange(Q.size)
-        assert Q.mult(a, b) == ref.mult(Q, a, b)
+        assert Q.mult_array(a, b) == ref.mult(Q, a, b)
     phi = automorphisms(chart)[0]
     perm = phi.perm(Q)
     for h in rng.sample(range(Q.size), 20):
-        assert Q.inv(h) == ref.inv(Q, h)
+        assert Q.inverse_array(h) == ref.inv(Q, h)
         assert perm[h] == ref.apply_index(phi, Q, h)
 
 
@@ -205,7 +205,7 @@ def test_random_products_match_matrix_route(heis729, exps):
     chart = Q.chart
     u, v = ref.word(chart, exps[:3]), ref.word(chart, exps[3:])
     want = ref.index_of_matrix(Q, _mul(u, v, chart.modulus))
-    assert Q.mult(Q.index(exps[:3]), Q.index(exps[3:])) == want
+    assert Q.mult_array(Q.index(exps[:3]), Q.index(exps[3:])) == want
 
 
 def test_heis_swap_mahler_table_and_witness_match_matrix_route(heis729):
@@ -245,14 +245,14 @@ def test_sparse_stage_builds_no_index_arrays():
     Q = build_quotient(chart, 4, 6, size_budget=10**7, verify=False)
     phi = AutomorphismSpec.conjugation(chart, chart.generators[0])
     assert phi.verify_homomorphism(Q)
-    assert [v.value for v in q_growth(phi, 1, range(2), "char0", Q)] == [2, 3]
+    assert [v.value for v in q_growth(phi, 1, range(2), Q)] == [2, 3]
     assert Q._columns is None and Q._mult_table is None
     assert phi._perm is None
 
 
 def test_sparse_group_law_matches_matrix_route():
     # |Q| = 3^12 is above the dense limit: mult_array and inverse_array solve
-    # through the chart, and mult and inv are their scalar forms
+    # through the chart, for arrays and single indices alike
     Q = build_quotient(heisenberg_chart(P), 4, 6, size_budget=10**7)
     assert Q.size == 531441 and not Q.dense
     rng = random.Random(11)
@@ -262,8 +262,8 @@ def test_sparse_group_law_matches_matrix_route():
     want_inv = [ref.inv(Q, x) for x in a.tolist()]
     assert Q.mult_array(a, b).tolist() == want_mult
     assert Q.inverse_array(a).tolist() == want_inv
-    assert [Q.mult(x, y) for x, y in zip(a.tolist(), b.tolist())] == want_mult
-    assert [Q.inv(x) for x in a.tolist()] == want_inv
+    assert [int(Q.mult_array(x, y)) for x, y in zip(a.tolist(), b.tolist())] == want_mult
+    assert [int(Q.inverse_array(x)) for x in a.tolist()] == want_inv
     assert Q._columns is None and Q._mult_table is None
 
 

@@ -9,9 +9,10 @@ import pytest
 
 import matrix_route as ref
 from matrix_route import _mul
+from iwasawa_kernel import algebra
 from iwasawa_kernel.algebra import AlgebraElement, b_element, build_quotient
-from iwasawa_kernel.charts import heisenberg_chart, unipotent_chart
-from iwasawa_kernel.errors import ValidationError
+from iwasawa_kernel.charts import GroupChart, heisenberg_chart, unipotent_chart
+from iwasawa_kernel.errors import BudgetError, PrecisionError
 from iwasawa_kernel.mahler import (
     AutomorphismSpec,
     aut_mahler_coeffs,
@@ -175,7 +176,19 @@ class TestMahlerFactorization:
                 want = ref.mult(Q, ref.apply_index(phi, Q, g), ref.inv(Q, g))
                 assert reconstruct(T, gamma) == AlgebraElement.group_element(Q, want)
         if words == CONJ_WORDS:
-            assert str(reconstruct(T, (1, 1, 0))) == "1*g3"
+            # phi(g1 g2) (g1 g2)^-1 = g3
+            assert reconstruct(T, (1, 1, 0)) == AlgebraElement.group_element(Q, Q.generator(2))
+
+    def test_every_differencing_pass_asks_the_byte_budget(self, monkeypatch):
+        # at degree 20 the first pass of the swap's table builds 10 626 keys of
+        # 32 bytes and the second 41 640: a 1 MB budget admits the first, which
+        # is checked before the multi-indices are listed, and refuses the second
+        chart = heisenberg_chart(P)
+        Q = build_quotient(chart, 2, 2)
+        phi = AutomorphismSpec.from_words(chart, SWAP_WORDS)
+        monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 10**6)
+        with pytest.raises(BudgetError, match="--degree 20: a Mahler differencing pass"):
+            aut_mahler_coeffs(phi, Q, 20)
 
     def test_inner_automorphism_is_mahler(self):
         chart = heisenberg_chart(P)
@@ -223,26 +236,35 @@ class TestZMapGrowth:
         # (g1, g2) = g3
         assert ref.index_of_matrix(Q, z) == Q.generator(2)
 
+    def test_z_stable_roots_only_the_two_it_compares(self, monkeypatch):
+        chart = heisenberg_chart(P)
+        Q = build_quotient(chart, 2, 2)
+        phi, g = conj_by_g1(chart), chart.generators[1]
+        roots = []
+        real = GroupChart.root
+        monkeypatch.setattr(GroupChart, "root", lambda c, h, m: roots.append(m) or real(c, h, m))
+        z, stable = z_stable(phi, g, 4, Q)
+        assert roots == [3, 4]
+        assert (z, stable) == (z_approximants(phi, g, [4])[0], True)
+
+    def test_z_stable_reports_the_first_m_that_fails(self):
+        # for the swap on g1 the root fails at m = 1 (outside the lattice) and
+        # at m = 2, 3 (log not divisible); the error names m = 1, as a run
+        # over every m would
+        chart = heisenberg_chart(P)
+        Q = build_quotient(chart, 2, 2)
+        phi = AutomorphismSpec.from_words(chart, SWAP_WORDS)
+        with pytest.raises(PrecisionError, match="target outside chart lattice"):
+            z_stable(phi, chart.generators[0], 3, Q)
+
     def test_char0_growth_is_affine(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 4, 6, size_budget=10**7, verify=False)
-        vals = q_growth(conj_by_g1(chart), 1, range(3), "char0", Q)
+        vals = q_growth(conj_by_g1(chart), 1, range(3), Q)
         assert [v.value for v in vals] == [2, 3, 4]
 
     def test_charp_growth_is_exponential(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 1, verify=False)
-        vals = q_growth(conj_by_g1(chart), 1, range(2), "charp", Q)
+        vals = q_growth(conj_by_g1(chart), 1, range(2), Q)
         assert [v.value for v in vals] == [2, 6]
-
-    def test_char0_needs_positive_characteristic_zero(self):
-        chart = heisenberg_chart(P)
-        Q = build_quotient(chart, 1, 1, verify=False)
-        with pytest.raises(ValidationError):
-            q_growth(conj_by_g1(chart), 1, range(2), "char0", Q)
-
-    def test_unknown_regime_rejected(self):
-        chart = heisenberg_chart(P)
-        Q = build_quotient(chart, 1, 2)
-        with pytest.raises(ValidationError):
-            q_growth(conj_by_g1(chart), 1, range(2), "mixed", Q)

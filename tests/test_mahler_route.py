@@ -317,7 +317,7 @@ def test_growth_matches_powers_in_the_algebra(level, N, regime, m_range, stem):
     phi = inner(4, 2) if stem == "inner-4-2" else input_spec(stem)
     Q = build_quotient(CHART, level, N, size_budget=10**7, verify=False)
     for i in range(Q.dim):
-        assert q_growth(phi, i, m_range, regime, Q) == ref.q_growth_by_powers(
+        assert q_growth(phi, i, m_range, Q) == ref.q_growth_by_powers(
             phi, i, m_range, regime, Q
         )
 
@@ -326,7 +326,7 @@ def test_growth_failure_is_the_same():
     phi = input_spec("heis_swap")
     Q = build_quotient(CHART, 2, 3)
     with pytest.raises(PrecisionError) as new:
-        q_growth(phi, 0, range(2), "char0", Q)
+        q_growth(phi, 0, range(2), Q)
     with pytest.raises(PrecisionError) as old:
         ref.q_growth_by_powers(phi, 0, range(2), "char0", Q)
     assert str(new.value) == str(old.value)
