@@ -21,8 +21,9 @@ P = 3
 def show(label, Q, phi, m_range):
     """The q-series on the g2 and g3 axes; Q.N fixes the regime."""
     print(label)
+    table = q_growth(phi, m_range, Q)
     for axis in (1, 2):
-        vals = q_growth(phi, axis, m_range, Q)
+        vals = table[axis]
         cells = ", ".join(f"v(q_{m})={v}" for m, v in zip(m_range, vals))
         print(f"  axis g{axis + 1}: {cells}")
 

@@ -196,6 +196,8 @@ def cmd_control(config) -> int:
 def cmd_growth(config) -> int:
     if config.m_max < 0:
         raise ValidationError(f"--m-max must be >= 0, got {config.m_max}")
+    if config.regime == "char0" and config.coeff_prec == 1:
+        raise ValidationError("char0 regime needs coefficient precision N > 1")
     doc = _load(config)
     chart = doc.chart()
     phi = doc.automorphism(chart)
@@ -205,17 +207,11 @@ def cmd_growth(config) -> int:
         print("automorphism spec is not a homomorphism on the stage", file=sys.stderr)
         return 1
     m_range = list(range(config.m_max + 1))
-    table: Dict[int, List[FiltValue]] = {}
+    table = mahler_mod.q_growth(phi, m_range, Q)
     fits: Dict[int, Dict] = {}
     lines = [f"growth regime {config.regime}: chart {chart.name}, n={Q.n}, N={Q.N}"]
     p = Q.p
-    # phi^(p^m) up to the depth the z-map reads, shared by every axis
-    chain = mahler_mod.p_power_chain(phi, max(2, config.m_max))
-    if config.regime == "char0" and N == 1:
-        raise ValidationError("char0 regime needs coefficient precision N > 1")
-    for i in range(Q.dim):
-        vals = mahler_mod.q_growth(phi, i, m_range, Q, chain)
-        table[i] = vals
+    for i, vals in enumerate(table):
         exact = [(m, v.value) for m, v in zip(m_range, vals) if v.exact]
         fit: Dict = {"law": None, "lambda": None, "fit_exact": None}
         if not exact:
@@ -246,7 +242,7 @@ def cmd_growth(config) -> int:
         "regime": config.regime,
         "m_range": m_range,
         "table": {
-            str(i + 1): [_cell(v) for v in vals] for i, vals in table.items()
+            str(i + 1): [_cell(v) for v in vals] for i, vals in enumerate(table)
         },
         "fits": {str(i + 1): fits[i] for i in fits},
     }

@@ -66,8 +66,8 @@ MAX_MODULUS = isqrt(2**63 - 1)
 DENSE_FILL = 1 / 16
 
 # Batches are reduced in blocks of vectors taking at most this many bytes as
-# an int64 array, so a long batch (the |Q| - 1 vectors g - 1) holds a bounded
-# working set whatever |Q| is.
+# an int64 array, so a long batch (such as the vectors g - 1 of the elements
+# of order p in `is_faithful`) holds a bounded working set whatever |Q| is.
 _BLOCK_BYTES = 8 << 20
 
 

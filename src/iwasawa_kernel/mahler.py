@@ -26,6 +26,7 @@ truncated expansion of an element at every degree 0 .. D.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -86,7 +87,7 @@ def mahler_coeffs(f: Callable, dim: int, degree: int, p: int, N: int) -> MahlerT
     """
     if degree < 0:
         raise ValidationError("degree must be >= 0")
-    points = _multi_index_array(dim, degree)
+    points = _multi_index_array(dim, degree, p**N)
     values = [f(tuple(b) if dim > 1 else b[0]) for b in points.tolist()]
     if isinstance(values[0], AlgebraElement):
         return _mahler_table(
@@ -95,9 +96,7 @@ def mahler_coeffs(f: Callable, dim: int, degree: int, p: int, N: int) -> MahlerT
             [c for v in values for c in v.coeffs.values()],
             degree, p, N, values[0].quotient,
         )
-    return _mahler_table(
-        points, [0] * len(values), [int(v) % p**N for v in values], degree, p, N
-    )
+    return _mahler_table(points, [0] * len(values), list(map(int, values)), degree, p, N)
 
 
 def reconstruct(T: MahlerTable, gamma: Sequence[int]):
@@ -322,17 +321,33 @@ def _multi_indices(dim: int, degree: int):
             yield (a,) + rest
 
 
-def _multi_index_array(dim: int, degree: int) -> np.ndarray:
+def _multi_index_array(dim: int, degree: int, q: int) -> np.ndarray:
     """_multi_indices as a (count, dim) array, refused before it is listed
-    when the first differencing pass on one triple per point would not fit."""
-    _require_pass_bytes(math.comb(degree + dim + 1, dim + 1), dim, degree)
+    when the first differencing pass on one triple per point, with weights
+    mod q, would not fit."""
+    _require_pass_bytes(
+        math.comb(degree + dim + 1, dim + 1), math.comb(degree + dim, dim), dim, degree, q
+    )
     return np.array(list(_multi_indices(dim, degree)), dtype=np.int64).reshape(-1, dim)
 
 
-def _require_pass_bytes(triples: int, dim: int, degree: int):
-    """BudgetError before a differencing pass on N^dim builds the int64
-    (point, label) keys of ``triples`` triples, its largest array."""
-    require_bytes(8 * (dim + 1) * triples, f"--degree {degree}: a Mahler differencing pass")
+def _residue_dtype(q: int):
+    """int64 when a product of two residues mod q fits in it, else Python ints."""
+    return np.int64 if (q - 1) ** 2 < 2**63 else object
+
+
+def _require_pass_bytes(triples: int, inputs: int, dim: int, degree: int, q: int):
+    """BudgetError before a differencing pass on N^dim sends ``inputs``
+    triples to ``triples`` with weights mod q.  The pass holds at once its
+    inputs, each triple's int64 (point, label) key and weight twice (its own
+    and `_merge`'s sorted copy) and three int64 index arrays; a Python-int
+    weight counts as its pointer and an int of q's size."""
+    key = 8 * (dim + 1)
+    weight = 8 if _residue_dtype(q) is np.int64 else 8 + sys.getsizeof(q)
+    require_bytes(
+        (2 * (key + weight) + 24) * triples + (key + weight) * inputs,
+        f"--degree {degree}: a Mahler differencing pass",
+    )
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -344,12 +359,12 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 def _merge(keys: np.ndarray, w: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct rows of keys in lexicographic order, each with the sum of
-    its weights; rows whose sum vanishes mod q are dropped."""
+    its weights mod q; rows whose sum vanishes are dropped."""
     order = np.lexsort(keys.T[::-1])
     keys, w = keys[order], w[order]
     starts = _run_starts(keys)
-    keys, w = keys[starts], np.add.reduceat(w, starts)
-    keep = w % q != 0
+    keys, w = keys[starts], np.add.reduceat(w, starts) % q
+    keep = w != 0
     return keys[keep], w[keep]
 
 
@@ -371,32 +386,32 @@ def _mahler_table(
     Differencing along an axis sends a triple at coordinate j to every
     k >= j that stays within shell ``degree``, with weight
     (-1)^(k-j) binom(k, j), and merges the triples with equal point and
-    label.  Weights start in [0, q), q = p^N, and a weight at a point alpha
-    is at most q 2^|alpha| in absolute value, so int64 holds it exactly
-    while q 2^degree < 2^63, and Python ints do beyond.
+    label.  Every weight is a residue mod q = p^N, so int64 holds the
+    product of two while (q - 1)^2 < 2^63, and Python ints do beyond.
     """
     q = p**N
     dim = points.shape[1]
-    dtype = np.int64 if q << degree < 2**63 else object
+    dtype = _residue_dtype(q)
     signed = np.array(
-        [[(-1) ** (k - j) * math.comb(k, j) for j in range(degree + 1)]
+        [[(-1) ** (k - j) * math.comb(k, j) % q for j in range(degree + 1)]
          for k in range(degree + 1)],
         dtype=dtype,
     )
     # the point's coordinates, then the label
     keys = np.column_stack([points, np.asarray(labels, dtype=np.int64)])
-    w = np.array(weights, dtype=dtype)
+    w = np.array([c % q for c in weights], dtype=dtype)
     for axis in range(dim):
         # k - j runs over 0 .. degree - |point| for each triple
         reach = degree + 1 - keys[:, :dim].sum(axis=1)
-        _require_pass_bytes(int(reach.sum()), dim, degree)
+        _require_pass_bytes(int(reach.sum()), len(keys), dim, degree, q)
         src = np.repeat(np.arange(len(keys)), reach)
-        step = np.arange(len(src)) - np.repeat(np.cumsum(reach) - reach, reach)
         j = keys[src, axis]
-        keys, w = keys[src], w[src] * signed[j + step, j]
-        keys[:, axis] = j + step
+        k = j + np.arange(len(src)) - np.repeat(np.cumsum(reach) - reach, reach)
+        keys, w = keys[src], w[src] * signed[k, j] % q
+        keys[:, axis] = k
+        del src, j, k  # not held through the merge
         keys, w = _merge(keys, w, q)
-    points, labels, coeffs = keys[:, :dim], keys[:, dim].tolist(), (w % q).tolist()
+    points, labels, coeffs = keys[:, :dim], keys[:, dim].tolist(), w.tolist()
     bounds = np.append(_run_starts(points), len(w)).tolist()
     entries = {
         tuple(points[lo].tolist()): coeffs[lo] if Q is None
@@ -422,7 +437,7 @@ def aut_mahler_coeffs(
     array, differenced by `_mahler_table` with unit weights."""
     if degree < 0:
         raise ValidationError("degree must be >= 0")
-    alphas = _multi_index_array(Q.dim, degree)
+    alphas = _multi_index_array(Q.dim, degree, Q.coeff_mod)
     values = _aut_values(phi, Q, alphas)
     return _mahler_table(alphas, values, [1] * len(alphas), degree, Q.p, Q.N, Q)
 
@@ -454,7 +469,7 @@ def is_mahler_aut(
     if table is None or table.degree < shells:
         table = aut_mahler_coeffs(phi, Q, shells)
     d = Q.dim
-    alphas = _multi_index_array(d, shells)
+    alphas = _multi_index_array(d, shells, Q.coeff_mod)
     psi = _aut_values(phi, Q, np.eye(d, dtype=np.int64))
     products = _ordered(Q, _power_table(Q, psi, shells), alphas)
     formula = _mahler_table(alphas, products, [1] * len(alphas), shells, Q.p, Q.N, Q)
@@ -492,8 +507,7 @@ def expand_aut(
     if table is None or table.degree < degree:
         table = aut_mahler_coeffs(phi, Q, degree)
     q = Q.coeff_mod
-    # int64 when a product of two residues fits in it, else Python ints
-    dtype = np.int64 if (q - 1) ** 2 < 2**63 else object
+    dtype = _residue_dtype(q)
     flat = [
         (alpha, h, c)
         for alpha, m in table.entries.items() if sum(alpha) <= degree
@@ -522,7 +536,7 @@ def expand_aut(
     for d in range(degree + 1):
         keys, sums = _merge(
             np.concatenate([keys, prods[shell == d].reshape(-1, 1)]),
-            np.concatenate([sums, w[shell == d].ravel()]) % q,
+            np.concatenate([sums, w[shell == d].ravel()]),
             q,
         )
         approx = AlgebraElement(Q, dict(zip(keys[:, 0].tolist(), sums.tolist())))
@@ -535,29 +549,20 @@ def expand_aut(
 
 
 def p_power_chain(phi: AutomorphismSpec, m_max: int) -> List[AutomorphismSpec]:
-    """phi^(p^m) for 0 <= m <= m_max, each the p-th power of the one
-    before, so the last costs about m_max·log2(p) squarings in all."""
-    chain = [phi.power(1)]
+    """phi^(p^m) for 0 <= m <= m_max: phi, then each the p-th power of the
+    one before, so the last costs about m_max·log2(p) squarings in all."""
+    chain = [phi]
     for _ in range(m_max):
         chain.append(chain[-1].power(phi.chart.p))
     return chain
 
 
 def z_approximants(
-    phi: AutomorphismSpec,
-    g: Matrix,
-    m_range: Sequence[int],
-    chain: Optional[List[AutomorphismSpec]] = None,
+    chain: List[AutomorphismSpec], g: Matrix, m_range: Sequence[int]
 ) -> List[Matrix]:
-    """(phi^{p^m}(g) g^{-1})^{p^{-m}} for m in m_range.
-
-    ``chain`` is p_power_chain(phi, m) for an m >= max(m_range); it is
-    computed here when not given.
-    """
-    m_range = list(m_range)
-    if chain is None:
-        chain = p_power_chain(phi, max(m_range, default=-1))
-    chart = phi.chart
+    """(phi^{p^m}(g) g^{-1})^{p^{-m}} for m in m_range, where ``chain`` is
+    p_power_chain(phi, m) for an m >= max(m_range)."""
+    chart = chain[0].chart
     q = chart.modulus
     beta = chart.coordinates(g)
     ginv = chart.batch([chart.inverse(g)])
@@ -569,45 +574,43 @@ def z_approximants(
 
 
 def z_stable(
-    phi: AutomorphismSpec,
-    g: Matrix,
-    m_max: int,
-    Q: QuotientGroup,
-    chain: Optional[List[AutomorphismSpec]] = None,
+    chain: List[AutomorphismSpec], g: Matrix, m_max: int, Q: QuotientGroup
 ) -> Tuple[Matrix, bool]:
     """The approximant at m_max, plus whether it agrees in Q with the one at
-    m_max - 1.  Every m is computed only when one of those fails, so that the
-    error is that of the first m that fails."""
+    m_max - 1; ``chain`` is p_power_chain(phi, m_max).  Every m is computed
+    only when one of those fails, so that the error is that of the first m
+    that fails."""
     try:
-        approx = z_approximants(phi, g, range(max(m_max - 1, 0), m_max + 1), chain)
+        approx = z_approximants(chain, g, range(max(m_max - 1, 0), m_max + 1))
     except PrecisionError:
-        approx = z_approximants(phi, g, range(m_max + 1), chain)
-    idxs = Q.index_of_matrices(phi.chart.batch(approx))
+        approx = z_approximants(chain, g, range(m_max + 1))
+    idxs = Q.index_of_matrices(chain[0].chart.batch(approx))
     stable = len(idxs) < 2 or idxs[-1] == idxs[-2]
     return approx[-1], bool(stable)
 
 
 def q_growth(
-    phi: AutomorphismSpec,
-    i: int,
-    m_range: Sequence[int],
-    Q: QuotientGroup,
-    chain: Optional[List[AutomorphismSpec]] = None,
-) -> List[FiltValue]:
-    """Weights of q_{i,m} = z(g_i)^{p^m} - 1 over the m-range, with
-    coefficients in the stage's Z/p^N: N = 1 is the charp regime and N > 1
-    char0.  The caller fits the affine / p-power growth law.  The z-map
-    reads phi^(p^m) up to m = max(2, m_range); a caller that runs every axis
-    passes that ``chain`` (see `p_power_chain`) to build it once.  Each
-    z(g_i)^{p^m} is exp(p^m log z(g_i)), and all of them are indexed in one
-    batched chart solve.
+    phi: AutomorphismSpec, m_range: Sequence[int], Q: QuotientGroup
+) -> List[List[FiltValue]]:
+    """Weights of q_{i,m} = z(g_i)^{p^m} - 1 over the m-range, one list per
+    axis i in order, with coefficients in the stage's Z/p^N: N = 1 is the
+    charp regime and N > 1 char0.  The caller fits the affine / p-power
+    growth law.  The z-map reads phi^(p^m) up to m = max(2, m_range), a
+    chain built once for every axis.  Each z(g_i)^{p^m} is exp(p^m log
+    z(g_i)), and an axis's powers are indexed in one batched chart solve.
     """
     m_range = list(m_range)
-    z, stable = z_stable(phi, phi.chart.generators[i], max([2, *m_range]), Q, chain)
-    if not stable:
-        raise PrecisionError("z-map approximants did not stabilize")
+    m_max = max([2, *m_range])
+    chain = p_power_chain(phi, m_max)
     chart = phi.chart
     exps = np.array([[Q.p**m] for m in m_range], dtype=object).reshape(-1, 1)
-    powers = Q.index_of_matrices(chart.power_words(chart.log_powers([z]), exps))
     one = AlgebraElement.one(Q)
-    return [lazard_value(AlgebraElement.group_element(Q, k) - one) for k in powers.tolist()]
+    table = []
+    for g in chart.generators:
+        z, stable = z_stable(chain, g, m_max, Q)
+        if not stable:
+            raise PrecisionError("z-map approximants did not stabilize")
+        powers = Q.index_of_matrices(chart.power_words(chart.log_powers([z]), exps))
+        table.append([lazard_value(AlgebraElement.group_element(Q, k) - one)
+                      for k in powers.tolist()])
+    return table

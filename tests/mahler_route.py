@@ -36,6 +36,7 @@ from iwasawa_kernel.mahler import (
     MahlerTable,
     _multi_indices,
     divided_power,
+    p_power_chain,
     z_approximants,
 )
 from iwasawa_kernel.padic import vp_int
@@ -215,7 +216,7 @@ def q_growth_by_powers(phi, i, m_range, regime, Q):
     if regime == "char0" and Q.N == 1:
         raise ValidationError("char0 regime needs coefficient precision N > 1")
     m_max = max(2, *m_range) if m_range else 2
-    approx = z_approximants(phi, phi.chart.generators[i], range(m_max + 1))
+    approx = z_approximants(p_power_chain(phi, m_max), phi.chart.generators[i], range(m_max + 1))
     idxs = [matrix_route.index_of_matrix(Q, a) for a in approx]
     z, stable = approx[-1], idxs[-1] == idxs[-2]
     if not stable:

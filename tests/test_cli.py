@@ -387,15 +387,25 @@ FUZZ = [
     ("zero-size-budget", HEIS_CONJ, ["growth", "--size-budget", "0"], 1,
      "--size-budget must be >= 1"),
     ("negative-degree", HEIS_ID, ["mahler", "--degree", "-1"], 1, "degree must be >= 0"),
-    # the first differencing pass at degree 200 holds C(204, 4) triples, 2.09 GiB
-    # of keys; at degree 100000 the multi-indices alone would not fit.  Both
-    # are refused before the multi-indices are listed
+    # the first differencing pass at degree 200 sends C(203, 3) triples to
+    # C(204, 4), 6.84 GiB with the keys and weights of both and the index
+    # arrays, and at degrees 140 and 160 it needs 1.68 and 2.84 GiB; at
+    # degree 100000 the multi-indices alone would not fit.  All are refused
+    # before the multi-indices are listed
     ("mahler-degree-200", HEIS_CONJ, ["mahler", "--degree", "200"], 2,
-     "--degree 200: a Mahler differencing pass needs 2.09 GiB"),
+     "--degree 200: a Mahler differencing pass needs 6.84 GiB"),
+    ("mahler-degree-140", HEIS_CONJ, ["mahler", "--degree", "140"], 2,
+     "a Mahler differencing pass"),
+    ("mahler-degree-160", HEIS_CONJ, ["mahler", "--degree", "160"], 2,
+     "a Mahler differencing pass"),
     ("mahler-degree-100000", HEIS_CONJ, ["mahler", "--degree", "100000"], 2,
      "--degree 100000: a Mahler differencing pass"),
     # the char0 fit needs N > 1; charp fixes N = 1 by itself
     ("growth-char0-coeff-prec-1", HEIS_CONJ, ["growth", "--regime", "char0", "--coeff-prec", "1"],
+     1, "char0 regime needs coefficient precision N > 1"),
+    # the flags are checked before the file is read
+    ("growth-char0-coeff-prec-1-missing-file", None,
+     ["growth", "--regime", "char0", "--coeff-prec", "1"],
      1, "char0 regime needs coefficient precision N > 1"),
     ("coeff-prec-21", CENTRAL_IDEAL, ["control", "--coeff-prec", "21"], 2,
      "coefficient modulus 3^21"),

@@ -20,6 +20,7 @@ from iwasawa_kernel.mahler import (
     expand_aut,
     is_mahler_aut,
     mahler_coeffs,
+    p_power_chain,
     q_growth,
     reconstruct,
     z_approximants,
@@ -180,13 +181,14 @@ class TestMahlerFactorization:
             assert reconstruct(T, (1, 1, 0)) == AlgebraElement.group_element(Q, Q.generator(2))
 
     def test_every_differencing_pass_asks_the_byte_budget(self, monkeypatch):
-        # at degree 20 the first pass of the swap's table builds 10 626 keys of
-        # 32 bytes and the second 41 640: a 1 MB budget admits the first, which
-        # is checked before the multi-indices are listed, and refuses the second
+        # at degree 20 the first pass of the swap's table sends 1 771 triples
+        # to 10 626, counted as 1.18 MB, and the second sends 7 338 to 41 640,
+        # 4.62 MB: a 2 MB budget admits the first, which is checked before
+        # the multi-indices are listed, and refuses the second
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 2)
         phi = AutomorphismSpec.from_words(chart, SWAP_WORDS)
-        monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 10**6)
+        monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 2 * 10**6)
         with pytest.raises(BudgetError, match="--degree 20: a Mahler differencing pass"):
             aut_mahler_coeffs(phi, Q, 20)
 
@@ -224,14 +226,16 @@ class TestZMapGrowth:
             chart.root(_mul(phi.power(P**m).image_words([beta])[0], ginv, chart.modulus), m)
             for m in range(4)
         ]
-        assert z_approximants(phi, g, range(4)) == want
-        assert z_approximants(phi, g, [3, 1]) == [want[3], want[1]]
+        chain = p_power_chain(phi, 3)
+        assert chain[0] is phi
+        assert z_approximants(chain, g, range(4)) == want
+        assert z_approximants(chain, g, [3, 1]) == [want[3], want[1]]
 
     def test_z_of_conjugation_is_commutator(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 2)
         phi = conj_by_g1(chart)
-        z, stable = z_stable(phi, chart.generators[1], 2, Q)
+        z, stable = z_stable(p_power_chain(phi, 2), chart.generators[1], 2, Q)
         assert stable
         # (g1, g2) = g3
         assert ref.index_of_matrix(Q, z) == Q.generator(2)
@@ -243,9 +247,10 @@ class TestZMapGrowth:
         roots = []
         real = GroupChart.root
         monkeypatch.setattr(GroupChart, "root", lambda c, h, m: roots.append(m) or real(c, h, m))
-        z, stable = z_stable(phi, g, 4, Q)
+        chain = p_power_chain(phi, 4)
+        z, stable = z_stable(chain, g, 4, Q)
         assert roots == [3, 4]
-        assert (z, stable) == (z_approximants(phi, g, [4])[0], True)
+        assert (z, stable) == (z_approximants(chain, g, [4])[0], True)
 
     def test_z_stable_reports_the_first_m_that_fails(self):
         # for the swap on g1 the root fails at m = 1 (outside the lattice) and
@@ -255,16 +260,36 @@ class TestZMapGrowth:
         Q = build_quotient(chart, 2, 2)
         phi = AutomorphismSpec.from_words(chart, SWAP_WORDS)
         with pytest.raises(PrecisionError, match="target outside chart lattice"):
-            z_stable(phi, chart.generators[0], 3, Q)
+            z_stable(p_power_chain(phi, 3), chart.generators[0], 3, Q)
 
     def test_char0_growth_is_affine(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 4, 6, size_budget=10**7, verify=False)
-        vals = q_growth(conj_by_g1(chart), 1, range(3), Q)
+        vals = q_growth(conj_by_g1(chart), range(3), Q)[1]
         assert [v.value for v in vals] == [2, 3, 4]
 
     def test_charp_growth_is_exponential(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 1, verify=False)
-        vals = q_growth(conj_by_g1(chart), 1, range(2), Q)
+        vals = q_growth(conj_by_g1(chart), range(2), Q)[1]
         assert [v.value for v in vals] == [2, 6]
+
+    def test_one_chain_from_phi_serves_every_axis(self, monkeypatch):
+        # m_range = range(3) reads phi^(p^m) up to m = 2: the chain is phi,
+        # phi^3 and (phi^3)^3, two powers in all for the three axes
+        chart = heisenberg_chart(P)
+        Q = build_quotient(chart, 2, 2)
+        phi = conj_by_g1(chart)
+        calls = []
+        real = AutomorphismSpec.power
+
+        def spy(self, k):
+            out = real(self, k)
+            calls.append((self, k, out))
+            return out
+
+        monkeypatch.setattr(AutomorphismSpec, "power", spy)
+        table = q_growth(phi, range(3), Q)
+        assert len(table) == Q.dim
+        assert [k for _, k, _ in calls] == [P, P]
+        assert calls[0][0] is phi and calls[1][0] is calls[0][2]

@@ -116,8 +116,9 @@ def test_expansion_builds_its_own_table(stages):
 
 
 def test_python_int_paths():
-    # degree 70 holds weights beyond int64 before the reduction mod p^N,
-    # and 3^25 squared is beyond int64 in the expansion
+    # at degree 70 the weights stay int64 residues mod 9, where unreduced
+    # they would pass 2^63; 3^25 squared is beyond int64, so the table and
+    # the expansion at N = 25 run on Python ints
     chart = cyclic_chart(P)
     Q = build_quotient(chart, 2, 2)
     square = AutomorphismSpec.from_words(chart, [(2,)], name="square")
@@ -236,20 +237,47 @@ def test_scalar_dtype_rule_both_sides():
         assert same_table(
             mahler_coeffs(f, dim, degree, P, 40), ref.coeffs_by_dicts(f, dim, degree, P, 40)
         )
-    # q = 3^37 fits, and q 2^D crosses 2^63 between D = 4 and 5; alternating
-    # values q - 1 and 0 give coefficients of size (q - 1) 2^(D-1), beyond
-    # int64 from D = 7 on
-    N = 37
-    q = P**N
-    assert q << 4 < 2**63 <= q << 5
-    for dim, degree in itertools.product((1, 2, 3), range(3, 9)):
-        def f(beta, dim=dim):
-            return (q - 1) * (sum((beta,) if dim == 1 else beta) % 2)
+    # residues mod q = 3^19 multiply within int64 and those mod 3^20 do not,
+    # so the weights are int64 at N = 19 and Python ints at N = 20;
+    # alternating values q - 1 and 0 make products near (q - 1)^2
+    for N in (19, 20):
+        q = P**N
+        assert ((q - 1) ** 2 < 2**63) == (N == 19)
+        for dim, degree in itertools.product((1, 2, 3), range(3, 9)):
+            def f(beta, dim=dim, q=q):
+                return (q - 1) * (sum((beta,) if dim == 1 else beta) % 2)
 
-        for g in (f, polynomial(rng, dim, q)):
-            assert same_table(
-                mahler_coeffs(g, dim, degree, P, N), ref.coeffs_by_dicts(g, dim, degree, P, N)
-            )
+            for g in (f, polynomial(rng, dim, q)):
+                assert same_table(
+                    mahler_coeffs(g, dim, degree, P, N), ref.coeffs_by_dicts(g, dim, degree, P, N)
+                )
+
+
+def test_degree_70_residues_match_dict_routes():
+    # unreduced, the weights of a degree-70 pass would reach 9 * 2^70, beyond
+    # int64; as residues mod 9 they stay int64.  beta -> phi(g^beta) g^{-beta}
+    # is 3-periodic at level 1, and on such functions (T - 1)^3 = -3T(T - 1),
+    # so (T - 1)^6 = 9T^2(T - 1)^2 vanishes mod 9 along every axis: no
+    # coefficient has an alpha_i >= 6, and the dict route at degree 15 holds
+    # the whole table (at degree 70 it would take minutes)
+    Q = build_quotient(CHART, 1, 2)
+    phi = input_spec("heis_conj")
+    want = ref.table_by_dicts(phi, Q, 15)
+    table = aut_mahler_coeffs(phi, Q, 70)
+    assert (table.entries, table.decay_log) == (want.entries, want.decay_log + [None] * 55)
+    # seeded residues mod 9 on the stage's coordinates vanish nowhere, so
+    # every shell through 70 is compared
+    rng = random.Random(70)
+    values = {}
+
+    def f(beta):
+        if beta not in values:
+            values[beta] = rng.randrange(Q.coeff_mod)
+        return values[beta]
+
+    assert same_table(
+        mahler_coeffs(f, Q.dim, 70, Q.p, Q.N), ref.coeffs_by_dicts(f, Q.dim, 70, Q.p, Q.N)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -316,17 +344,16 @@ GROWTH = [
 def test_growth_matches_powers_in_the_algebra(level, N, regime, m_range, stem):
     phi = inner(4, 2) if stem == "inner-4-2" else input_spec(stem)
     Q = build_quotient(CHART, level, N, size_budget=10**7, verify=False)
-    for i in range(Q.dim):
-        assert q_growth(phi, i, m_range, Q) == ref.q_growth_by_powers(
-            phi, i, m_range, regime, Q
-        )
+    assert q_growth(phi, m_range, Q) == [
+        ref.q_growth_by_powers(phi, i, m_range, regime, Q) for i in range(Q.dim)
+    ]
 
 
 def test_growth_failure_is_the_same():
     phi = input_spec("heis_swap")
     Q = build_quotient(CHART, 2, 3)
     with pytest.raises(PrecisionError) as new:
-        q_growth(phi, 0, range(2), Q)
+        q_growth(phi, range(2), Q)
     with pytest.raises(PrecisionError) as old:
         ref.q_growth_by_powers(phi, 0, range(2), "char0", Q)
     assert str(new.value) == str(old.value)
