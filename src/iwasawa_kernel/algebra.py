@@ -512,15 +512,28 @@ def lazard_value(x: AlgebraElement) -> FiltValue:
 @dataclass(frozen=True)
 class SubmoduleBasis:
     """Howell-echelon generating rows of a coefficient submodule, with the
-    log_p of its size read off them once, when the basis is built."""
+    log_p of its size read off them once, when the basis is built.
+
+    The rows must be reduced: each unit pivot is the only non-zero of its
+    column, which `linalg.projection_rank_log` relies on.  That is checked
+    once, here, and `InvariantViolation` names the first column where it
+    fails.
+    """
 
     quotient: QuotientGroup
     rows: linalg.Rows
     rank_log: int = field(init=False)
 
     def __post_init__(self):
-        Q = self.quotient
-        object.__setattr__(self, "rank_log", linalg.rank_log(self.rows, Q.p, Q.N))
+        Q, rows = self.quotient, self.rows
+        units = rows.indices[rows.indptr[:-1]][linalg.unit_pivots(rows, Q.p)]
+        shared = units[np.bincount(rows.indices, minlength=rows.m)[units] != 1]
+        if shared.size:
+            raise InvariantViolation(
+                f"the unit pivot in column {shared[0]} is not the only non-zero "
+                "of its column: the rows are not a reduced Howell form"
+            )
+        object.__setattr__(self, "rank_log", linalg.rank_log(rows, Q.p, Q.N))
 
 
 def _translates(rows: linalg.Rows, perms: np.ndarray) -> linalg.Rows:

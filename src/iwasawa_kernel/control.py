@@ -7,12 +7,13 @@ canonical action of U-coset indicator functions — and the two verdicts
 must agree.  Both are rank identities read off column projections of I:
 the sequence 0 -> I ∩ KU -> I -> π_{Q∖U}(I) -> 0 is exact, so the rank of
 I ∩ KU is rank_log(I) minus the rank of π_{Q∖U}(I), and the action is
-read off π_U(I), where π_S keeps the coefficients on S.  A rank needs only
-the forward elimination (`linalg.span_rank_log`).  I is controlled by U
-exactly when π_U(I) ⊆ I, so the controlling diagonal subgroups form a
-join-closed down-set of the lattice {0..n}^d (`control_lattice`), and the
-controller estimate is the least controlling diagonal subgroup at the
-stage.
+read off π_U(I), where π_S keeps the coefficients on S.  A rank is read
+off I's Howell rows by `linalg.projection_rank_log`: each unit pivot the
+projection keeps adds N, and only the other rows go through the forward
+elimination.  I is controlled by U exactly when π_U(I) ⊆ I, so the
+controlling diagonal subgroups form a join-closed down-set of the lattice
+{0..n}^d (`control_lattice`), and the controller estimate is the least
+controlling diagonal subgroup at the stage.
 """
 
 from __future__ import annotations
@@ -100,14 +101,6 @@ class OpenSubgroupSpec:
 # control predicate
 
 
-def _columns(rows: Rows, keep: np.ndarray) -> Rows:
-    """The projection of ``rows`` onto the columns where the boolean
-    ``keep`` holds, numbered in their order."""
-    new = np.cumsum(keep) - 1
-    new[~keep] = -1
-    return rows.relabel(new, int(np.count_nonzero(keep)))
-
-
 def is_controlled(I: SubmoduleBasis, U: OpenSubgroupSpec) -> Tuple[bool, bool]:
     """(definitional, by_action) verdicts for control of the right ideal I
     by U, each a rank identity read off a column projection of I's rows.
@@ -125,8 +118,8 @@ def is_controlled(I: SubmoduleBasis, U: OpenSubgroupSpec) -> Tuple[bool, bool]:
     by g, so this holds iff rank_log(I) = [Q:U] * rank_log(π_U(I)).
 
     I ∩ KU lies in π_U(I), so 0 <= rank_log(I ∩ KU) <= rank_log(π_U(I));
-    `InvariantViolation` is raised otherwise.  A rank needs only
-    `linalg.span_rank_log`, the forward elimination.
+    `InvariantViolation` is raised otherwise.  Both ranks come from
+    `linalg.projection_rank_log` on I's Howell rows.
     """
     Q = I.quotient
     if U.quotient is not Q:
@@ -135,8 +128,8 @@ def is_controlled(I: SubmoduleBasis, U: OpenSubgroupSpec) -> Tuple[bool, bool]:
     inside = np.zeros(Q.size, dtype=bool)
     inside[U.members()] = True
     total = I.rank_log
-    inner = total - linalg.span_rank_log(_columns(I.rows, ~inside), p, N)
-    projection = linalg.span_rank_log(_columns(I.rows, inside), p, N)
+    inner = total - linalg.projection_rank_log(I.rows, ~inside, p, N)
+    projection = linalg.projection_rank_log(I.rows, inside, p, N)
     if not 0 <= inner <= projection:
         raise InvariantViolation(
             f"rank_log(I ∩ KU) = {inner} at {U.exponents} lies outside "
@@ -265,15 +258,15 @@ def j_ideal_rank(I: SubmoduleBasis) -> int:
     By the second isomorphism theorem (KZ + I)/I ≅ KZ/(I ∩ KZ), so the rank
     is N·|Z| - rank_log(I ∩ KZ).  The sequence 0 -> I ∩ KZ -> I ->
     π_{Q∖Z}(I) -> 0 is exact, so this is N·|Z| - rank_log(I) plus the rank
-    of the projection of I off the centre, a matrix with no columns when
-    Z = Q (abelian charts).  It lies in [0, N·|Z|]; `InvariantViolation` is
-    raised otherwise.
+    of the projection of I off the centre (`linalg.projection_rank_log`), a
+    matrix with no columns when Z = Q (abelian charts).  It lies in
+    [0, N·|Z|]; `InvariantViolation` is raised otherwise.
     """
     Q = I.quotient
     off = np.ones(Q.size, dtype=bool)
     off[centre_indices(Q)] = False
     full = Q.N * (Q.size - int(np.count_nonzero(off)))
-    rank = full - I.rank_log + linalg.span_rank_log(_columns(I.rows, off), Q.p, Q.N)
+    rank = full - I.rank_log + linalg.projection_rank_log(I.rows, off, Q.p, Q.N)
     if not 0 <= rank <= full:
         raise InvariantViolation(f"j_ideal_rank {rank} lies outside [0, N·|Z|] = [0, {full}]")
     return rank

@@ -27,9 +27,24 @@ forward result picks the back-substitution, which runs in that kernel to
 the end.  `span_rank_log` runs the forward elimination alone: with the
 closure row of each pivot p^e, e > 0, its rows are a weak Howell form
 (Storjohann, thesis 2000), whose pivots give the log-cardinality of the
-span exactly as `rank_log` reads it off the Howell form.  `in_span` tests a batch of vectors for membership in the span of
-a Howell basis under the same rule: each vector is reduced by following
-its non-zeros through the loop the sparse back-substitution uses, or,
+span exactly as `rank_log` reads it off the Howell form.
+
+`projection_rank_log` ranks the projection of a Howell form onto a column
+set S.  Its precondition is that the form is reduced, as `howell` returns
+it: then a unit pivot is the only non-zero of its column, since entries
+below it are zero by echelon and those above are reduced modulo 1.  If S
+keeps the column c of such a pivot, x -> x_c maps the projected span onto
+Z/p^N with the projected span of the other rows as its kernel, so
+
+    log_p |pi_S(span)| = N * #(unit pivots in S) + log_p |pi_S(span of the rest)|,
+
+the column-singleton step of structured Gaussian elimination (LaMacchia
+and Odlyzko, CRYPTO 1990).  Only the rest, the non-unit pivots and closure
+rows among them, goes through the forward elimination.
+
+`in_span` tests a batch of vectors for membership in the span of a Howell
+basis under the same fill rule: each vector is reduced by following its
+non-zeros through the loop the sparse back-substitution uses, or,
 against a filled basis, with one vectorised step per pivot.  The batch is
 reduced in blocks of at most `_BLOCK_BYTES` as an array, and only one
 block of remainders is held at a time.
@@ -190,6 +205,23 @@ def span_rank_log(mat: Union[np.ndarray, Rows], p: int, N: int) -> int:
     elimination alone, a weak Howell form whose closure rows make the sum
     of N - e over its pivots p^e exact, as `rank_log` of `howell` reads it."""
     return sum(N - e for _, e, _ in _forward(mat, p, N)[0])
+
+
+def projection_rank_log(rows: Rows, keep: np.ndarray, p: int, N: int) -> int:
+    """log_p of the cardinality of the span of the reduced Howell ``rows``
+    projected onto the columns where the boolean ``keep`` holds.
+
+    A unit pivot of a reduced Howell form is the only non-zero of its
+    column, so each one that ``keep`` holds adds N and drops out; the rest
+    is `span_rank_log` of the other rows' projection.
+    """
+    peel = unit_pivots(rows, p) & keep[rows.indices[rows.indptr[:-1]]]
+    peeled = int(np.count_nonzero(peel))
+    if peeled:
+        rows = rows.take(~peel)
+    new = np.cumsum(keep) - 1
+    new[~keep] = -1
+    return N * peeled + span_rank_log(rows.relabel(new, int(np.count_nonzero(keep))), p, N)
 
 
 def _forward(mat: Union[np.ndarray, Rows], p: int, N: int) -> Tuple[list, int, int]:
@@ -455,6 +487,11 @@ def _reduce(row: dict, todo: List[int], at: Dict[int, Tuple[int, int]], rows: Li
                 row[cc] = x
             elif cc in row:
                 del row[cc]
+
+
+def unit_pivots(rows: Rows, p: int) -> np.ndarray:
+    """Whether each Howell row's pivot, its first entry, is a unit."""
+    return rows.data[rows.indptr[:-1]] % p != 0
 
 
 def pivots(rows: Rows, p: int, N: int) -> List[Tuple[int, int]]:

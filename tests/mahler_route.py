@@ -5,7 +5,7 @@ These are the implementations `mahler` used before every group product in
 it became an index-array pass or a batched chart solve:
 
 - `coeffs_by_dicts` is the dict-grid differencing `mahler_coeffs` used
-  before it became triples: f is evaluated on the whole (D+1)^d grid,
+  before it became triples: f is evaluated on the simplex |beta| <= D,
   scalar or algebra-valued, and differenced one axis line at a time; its
   decay log takes the least valuation entry by entry (`_decay_log`);
 - `table_by_dicts` evaluates beta -> phi(g^beta) g^{-beta} one point at a
@@ -86,11 +86,14 @@ def _decay_log(entries: Dict, degree: int, p: int, N: int) -> List[Optional[int]
 
 
 def coeffs_by_dicts(f, dim: int, degree: int, p: int, N: int) -> MahlerTable:
-    """Mahler coefficients of f on integer points of [0, degree]^dim.
+    """Mahler coefficients m_alpha of f for |alpha| <= degree.
 
     Computed by axis-wise forward differencing, which evaluates the
     alternating sum m_alpha = sum_{beta<=alpha} (-1)^{|alpha-beta|}
-    binom(alpha,beta) f(beta) for every alpha at once.
+    binom(alpha,beta) f(beta) for every alpha at once.  m_alpha reads f
+    only at beta <= alpha, and differencing along an axis line keeps to
+    the simplex |beta| <= degree, so f is evaluated and differenced there
+    alone.
     """
     if degree < 0:
         raise ValidationError("degree must be >= 0")
@@ -100,7 +103,7 @@ def coeffs_by_dicts(f, dim: int, degree: int, p: int, N: int) -> MahlerTable:
         if len(prefix) == dim:
             grid[prefix] = f(prefix if dim > 1 else prefix[0])
             return
-        for b in range(degree + 1):
+        for b in range(degree + 1 - sum(prefix)):
             fill(prefix + (b,))
 
     fill(())
@@ -112,7 +115,7 @@ def coeffs_by_dicts(f, dim: int, degree: int, p: int, N: int) -> MahlerTable:
         lines: Dict[Tuple[int, ...], List[object]] = {}
         for point, val in grid.items():
             key = point[:axis] + point[axis + 1:]
-            lines.setdefault(key, [None] * (degree + 1))[point[axis]] = val
+            lines.setdefault(key, [None] * (degree + 1 - sum(key)))[point[axis]] = val
         for key, line in lines.items():
             vals = list(line)
             out = [vals[0]]
@@ -127,8 +130,6 @@ def coeffs_by_dicts(f, dim: int, degree: int, p: int, N: int) -> MahlerTable:
 
     entries = {}
     for alpha, v in grid.items():
-        if sum(alpha) > degree:
-            continue
         if isinstance(v, AlgebraElement):
             if not v.is_zero():
                 entries[alpha] = v

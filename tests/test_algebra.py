@@ -14,6 +14,7 @@ from control_route import rho
 from iwasawa_kernel.algebra import (
     AlgebraElement,
     FiltValue,
+    SubmoduleBasis,
     b_element,
     b_monomial,
     build_quotient,
@@ -25,7 +26,7 @@ from iwasawa_kernel.charts import (
     cyclic_chart,
     heisenberg_chart,
 )
-from iwasawa_kernel.errors import BudgetError
+from iwasawa_kernel.errors import BudgetError, InvariantViolation
 from iwasawa_kernel import linalg
 
 P = 3
@@ -208,6 +209,17 @@ class TestIdealsAndAction:
         two = ideal_closure([gen], side="two-sided", quotient=Q)
         assert two.rank_log >= right.rank_log
         assert linalg.in_span(two.rows, right.rows, Q.p, Q.N).all()
+
+    def test_unreduced_rows_are_not_a_basis(self):
+        # e0 + e1 and e1 are echelon, but the unit pivot of e1 is not the
+        # only non-zero of column 1
+        Q = heis_quotient()
+        rows = np.zeros((2, Q.size), dtype=np.int64)
+        rows[0, :2] = rows[1, 1] = 1
+        with pytest.raises(InvariantViolation, match="unit pivot in column 1 is not the only"):
+            SubmoduleBasis(Q, linalg.Rows.from_array(rows))
+        rows[0, 1] = 0
+        assert SubmoduleBasis(Q, linalg.Rows.from_array(rows)).rank_log == 2 * Q.N
 
     def test_rho_scales_coefficients(self):
         Q = heis_quotient()

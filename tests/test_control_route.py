@@ -12,7 +12,10 @@ re-echelon route (the sequence 0 -> I ∩ KU -> I -> π_{Q∖U}(I) -> 0 is
 exact), and the rank of the projection onto KU that of its Howell form.
 The subgroup images read from the power columns and the array-compared
 centre must equal the scalar-product search on every stage with
-|Q| <= 729.
+|Q| <= 729.  On those stages `linalg.projection_rank_log`, which peels
+the unit pivots a projection keeps, must equal `span_rank_log` of the
+projected rows for every lattice mask and the mask off the centre, and a
+lattice hands the forward elimination only the rows it does not peel.
 
 The sweep evaluates only the lattice points that the down-set and join
 closure of the controlling set leave open; on seeded ideals its lattice
@@ -283,7 +286,7 @@ def test_intersection_above_projection_raises(monkeypatch):
     # more than its projection onto KU holds
     Q = build_quotient(heisenberg_chart(P), 1, 2)
     I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
-    monkeypatch.setattr(linalg, "span_rank_log", lambda mat, p, N: 0)
+    monkeypatch.setattr(linalg, "projection_rank_log", lambda rows, keep, p, N: 0)
     with pytest.raises(InvariantViolation, match=r"rank_log\(I ∩ KU\) = 36 at \(1, 1, 0\)"):
         is_controlled(I, OpenSubgroupSpec(Q, (1, 1, 0)))
     with pytest.raises(InvariantViolation, match="the projection onto KU"):
@@ -296,12 +299,52 @@ def test_j_ideal_rank_above_centre_raises(monkeypatch):
     Q = build_quotient(heisenberg_chart(P), 1, 2)
     I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
     assert j_ideal_rank(I) == 2
-    monkeypatch.setattr(linalg, "span_rank_log", lambda mat, p, N: I.rank_log + 1)
+    monkeypatch.setattr(linalg, "projection_rank_log", lambda rows, keep, p, N: I.rank_log + 1)
     with pytest.raises(InvariantViolation, match=r"j_ideal_rank 7 lies outside \[0, N·\|Z\|\] = \[0, 6\]"):
         j_ideal_rank(I)
 
 
 STAGES = stages_up_to_729()
+
+
+@pytest.mark.parametrize("Q", [s[1] for s in STAGES], ids=[s[0] for s in STAGES])
+def test_projection_ranks_match_span_rank_of_projection(Q):
+    # every lattice mask, inside and off U, and the mask off the centre, on
+    # an ideal whose Howell form has unit and non-unit pivots
+    gens = [b_monomial(Q, (0,) * (Q.dim - 1) + (2,)), b_element(Q, 0).scale(P)]
+    I = ideal_closure(gens, side="right", quotient=Q)
+    units = linalg.unit_pivots(I.rows, P)
+    assert units.any() and not units.all()
+    dense = I.rows.toarray()
+    masks = []
+    for e in product(range(Q.n + 1), repeat=Q.dim):
+        inside = np.zeros(Q.size, dtype=bool)
+        inside[OpenSubgroupSpec(Q, e)._grid] = True
+        masks += [inside, ~inside]
+    off = np.ones(Q.size, dtype=bool)
+    off[centre_indices(Q)] = False
+    for keep in masks + [off]:
+        want = linalg.span_rank_log(dense[:, keep], P, Q.N)
+        assert linalg.projection_rank_log(I.rows, keep, P, Q.N) == want
+
+
+def test_lattice_eliminates_only_the_rows_without_a_kept_unit_pivot(monkeypatch):
+    # heis_central_ideal at level 2: the 16 projections of the 8 evaluated
+    # points hand 16 x 648 rows to the forward elimination when no unit
+    # pivot is peeled, and 162 when every kept one is
+    Q = stage("heisenberg", 2, 2)
+    I = ideal_closure([b_monomial(Q, (0, 0, 1))], side="right", quotient=Q)
+    assert I.rows.shape[0] == 648
+    seen = []
+    span_rank_log = linalg.span_rank_log
+
+    def spy(mat, p, N):
+        seen.append(int(np.count_nonzero(np.diff(mat.indptr))))
+        return span_rank_log(mat, p, N)
+
+    monkeypatch.setattr(linalg, "span_rank_log", spy)
+    assert controller_estimate(I, control_lattice(I)) == (2, 2, 0)
+    assert len(seen) == 16 and sum(seen) == 162
 
 
 @pytest.mark.parametrize("Q", [s[1] for s in STAGES], ids=[s[0] for s in STAGES])

@@ -9,7 +9,9 @@ permutation at a time.  The new routes must agree array for array on
 random matrices and verdict for verdict on every small stage, the closures
 must hand `howell` the same matrices, and the Howell tests also check which
 of `linalg.howell`'s kernels ran.  `span_rank_log` must equal `rank_log` of
-the Howell form on the same inputs, from a forward elimination alone.
+the Howell form on the same inputs, from a forward elimination alone, and
+`projection_rank_log`, which peels the unit pivots a projection keeps,
+must equal `span_rank_log` of the projected Howell rows.
 """
 
 import random
@@ -250,6 +252,27 @@ def test_span_rank_of_empty_matrices(shape):
     # no rows, no columns (the projection off the centre on an abelian
     # chart) or only zeros
     assert span_rank_checked(np.zeros(shape, dtype=np.int64), 3, 2) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_projection_rank_matches_span_rank_of_projection(p, N):
+    # Howell forms of random matrices, some rows multiplied by powers of p
+    # so that non-unit pivots and closure rows occur, against the span rank
+    # of the projection onto a random column set
+    rng = np.random.default_rng(100 * p + N)
+    units = others = 0
+    for _ in range(60):
+        k, m = rng.integers(1, 30, size=2)
+        A = random_matrix(rng, p, N, k, m, rng.choice(["dense", "sparse", "p-power"]))
+        A = A * p ** rng.integers(0, N + 1, size=(k, 1)) % p**N
+        H = linalg.howell(A, p, N)
+        unit = linalg.unit_pivots(H, p)
+        units, others = units + int(unit.sum()), others + int((~unit).sum())
+        keep = rng.random(m) < rng.random()
+        want = linalg.span_rank_log(H.toarray()[:, keep], p, N)
+        assert linalg.projection_rank_log(H, keep, p, N) == want
+    assert units > 0 and (others > 0) == (N > 1)
 
 
 @given(matrices, st.integers(0, 2**32 - 1))

@@ -259,7 +259,7 @@ def test_degree_70_residues_match_dict_routes():
     # is 3-periodic at level 1, and on such functions (T - 1)^3 = -3T(T - 1),
     # so (T - 1)^6 = 9T^2(T - 1)^2 vanishes mod 9 along every axis: no
     # coefficient has an alpha_i >= 6, and the dict route at degree 15 holds
-    # the whole table (at degree 70 it would take minutes)
+    # the whole table (at degree 70 it takes over ten seconds)
     Q = build_quotient(CHART, 1, 2)
     phi = input_spec("heis_conj")
     want = ref.table_by_dicts(phi, Q, 15)
