@@ -1,12 +1,17 @@
 """Nilpotent Z_p-Lie algebras given by structure constants.
 
 Structure constants arrive as exact integers or rationals; rescaled
-sublattices and the input format both allow rationals, and `validate`
-reads them in Z_(p).  Every bracket is a combination of table rows, and
-one kernel, `_annihilator`, gives both the upper central series (which
-also decides nilpotency) and centralizers.  It works over Q and returns
-primitive integer bases, so the results are saturated, which sidesteps the
-junk vectors that plain mod-p^N kernels accumulate near the precision floor.
+sublattices and the input format both allow rationals.  A presentation
+derives one integer table once, when it is built: D·[x_i, x_j], where D is
+the lcm of the bracket denominators.  Everything below runs on that table
+in Python ints.  `validate` reads the constants in Z_(p) through fixed
+offsets of v_p(D).  Every bracket is a combination of table rows, and one
+kernel, `_annihilator`, gives both the upper central series (which also
+decides nilpotency) and centralizers.  It runs fraction-free row reduction
+over Z (Bareiss, Math. Comp. 22, 1968), dividing each row by its content in
+place of Bareiss's exact divisions, and returns primitive integer bases, so
+the results are saturated, which sidesteps the junk vectors that plain
+mod-p^N kernels accumulate near the precision floor.
 """
 
 from __future__ import annotations
@@ -16,87 +21,71 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .algebra import require_bytes
 from .errors import ValidationError
 from .padic import vp
 
 Vector = Tuple[Fraction, ...]
+IntRow = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra (tiny dimensions)
+# fraction-free linear algebra over Z (tiny dimensions)
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _eliminate(row: List[int], piv: List[int], c: int) -> List[int]:
+    """The primitive part of piv[c]·row − row[c]·piv, where piv[c] > 0: zero
+    in column c, with the signs of row's other pivots kept."""
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    out = [a * x - b * y for x, y in zip(row, piv)]
+    content = gcd(*out)
+    return [x // content for x in out] if content > 1 else out
+
+
+def _echelon(rows: Iterable[Sequence[int]], ncols: int) -> Tuple[Tuple[IntRow, ...], List[int]]:
+    """Reduced echelon basis of the rational span of ``rows``, and its pivot
+    columns: primitive integer rows in pivot order, each with a positive
+    pivot and zeros in every other row's pivot column.  Each row is a
+    positive multiple of a row of the reduced row echelon form, so the basis
+    depends only on the span."""
+    mat = [list(r) for r in rows if any(r)]
+    done: List[List[int]] = []
     pivcols: List[int] = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
+        k = next((i for i, r in enumerate(mat) if r[c]), None)
+        if k is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1, 1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        piv = mat.pop(k)
+        content = gcd(*piv)
+        piv = [x // content for x in piv] if piv[c] > 0 else [-x // content for x in piv]
+        mat = [_eliminate(r, piv, c) if r[c] else r for r in mat]
+        mat = [r for r in mat if any(r)]
+        done = [_eliminate(r, piv, c) if r[c] else r for r in done]
+        done.append(piv)
         pivcols.append(c)
-        r += 1
-        if r == len(mat):
+        if not mat:
             break
-    return [row for row in mat[:r]], pivcols
+    return tuple(tuple(r) for r in done), pivcols
 
 
-def _nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Basis of {x : x_1..x_ncols with M x = 0} for M given by ``rows``."""
-    red, pivcols = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivcols]
+def _nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[IntRow, ...]:
+    """Reduced echelon basis of {x : M x = 0} for M given by ``rows``."""
+    red, pivcols = _echelon(rows, ncols)
+    pivots = set(pivcols)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        # x_f = m and x_c = −row[f]·m/row[c] on each pivot column c
+        m = lcm(*(r[c] for r, c in zip(red, pivcols) if r[f]))
+        v = [0] * ncols
+        v[f] = m
         for r, c in zip(red, pivcols):
-            v[c] = -r[f]
+            if r[f]:
+                v[c] = -r[f] * (m // r[c])
         basis.append(v)
-    return basis
-
-
-def _primitive(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    den = lcm(*[x.denominator for x in vec]) if vec else 1
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
-def _canonical_rows(vectors: Iterable[Sequence[Fraction]]) -> Tuple[Tuple[int, ...], ...]:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return ()
-    red, _ = _rref(rows)
-    return tuple(_primitive(r) for r in red)
-
-
-def _combine(coeffs: Sequence, rows: Sequence[Sequence], dim: int) -> List[Fraction]:
-    """sum_t coeffs[t] * rows[t]; rows with a zero coefficient are not read."""
-    out = [Fraction(0)] * dim
-    for c, row in zip(coeffs, rows):
-        if c:
-            for m, r in enumerate(row):
-                if r:
-                    out[m] += c * r
-    return out
+    return _echelon(basis, ncols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +131,26 @@ class LiePresentation:
     """Lie lattice on basis x_1..x_d with exact structure constants.
 
     bracket[i][j] is the coefficient vector of [x_i, x_j]; entries may be
-    Fractions for rescaled sublattices, plain ints otherwise.
+    Fractions for rescaled sublattices, plain ints otherwise.  The
+    presentation derives, once, ``_den``, the lcm D of the constants'
+    denominators, and ``_table``, the integer table D·bracket.
     """
 
     p: int
     dim: int
     prec: int
     bracket: Tuple[Tuple[Vector, ...], ...]
+    _den: int = field(init=False, repr=False, compare=False)
+    _table: Tuple[Tuple[IntRow, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den = lcm(*{c.denominator for row in self.bracket for v in row for c in v})
+        table = tuple(
+            tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in row)
+            for row in self.bracket
+        )
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_table", table)
 
     @staticmethod
     def from_triples(
@@ -157,7 +159,10 @@ class LiePresentation:
         """Build from 1-based triples (i, j, k, c) meaning [x_i,x_j] ∋ c·x_k.
 
         The antisymmetric completion is automatic; unlisted pairs are zero.
+        The dim³ table, and the annihilator's dim² conditions of length dim,
+        are asked of the byte budget before anything is allocated.
         """
+        require_bytes(8 * dim**3, f"the Lie bracket table at dim = {dim}")
         table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for i, j, k, c in triples:
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
@@ -173,6 +178,8 @@ class LiePresentation:
         """Presentation of the sublattice with basis u_i = p^{e_i} x_i."""
         if len(exponents) != self.dim:
             raise ValidationError("exponent vector length mismatch")
+        if any(e < 0 for e in exponents):
+            raise ValidationError(f"a sublattice needs exponents >= 0, got {tuple(exponents)}")
         pw = [self.p ** e for e in exponents]
         table = []
         for i in range(self.dim):
@@ -202,42 +209,58 @@ class ValidationReport:
         return "invalid:\n" + "\n".join("  - " + v for v in self.violations)
 
 
+def _support(vec: Sequence[int]) -> List[Tuple[int, int]]:
+    return [(t, c) for t, c in enumerate(vec) if c]
+
+
 def validate(L: LiePresentation) -> ValidationReport:
     """Check antisymmetry, Jacobi (mod p^prec), that every constant lies in
-    p·Z_(p), and nilpotency, which the upper central series decides."""
+    p·Z_(p), and nilpotency, which the upper central series decides.
+
+    The table holds D·[x_i, x_j], so a Jacobi sum read off it is D² times
+    the true one, and a constant D times the true one.  Only pairs with a
+    nonzero bracket are visited: a Jacobi triple none of whose three pairs
+    brackets to nonzero has sum zero.
+    """
+    dim, T = L.dim, L._table
+    v_den = vp(L._den, L.p)
+    nonzero = {
+        (i, j): _support(T[i][j]) for i in range(dim) for j in range(dim) if any(T[i][j])
+    }
     bad: List[str] = []
-    for i in range(L.dim):
-        for j in range(L.dim):
-            for k in range(L.dim):
-                if L.bracket[i][j][k] != -L.bracket[j][i][k]:
+    for i in range(dim):
+        for j in range(dim):
+            if (i, j) not in nonzero and (j, i) not in nonzero:
+                continue
+            for k in range(dim):
+                if T[i][j][k] != -T[j][i][k]:
                     bad.append(f"antisymmetry fails at [x{i+1},x{j+1}] vs [x{j+1},x{i+1}]")
-                if i == j and L.bracket[i][j][k] != 0:
+                if i == j and T[i][j][k] != 0:
                     bad.append(f"[x{i+1},x{i+1}] nonzero")
-    # [u, x_k] = sum_t u_t bracket[t][k]: column k of the table
-    cols = [[row[k] for row in L.bracket] for k in range(L.dim)]
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            for k in range(j + 1, L.dim):
-                acc = [
-                    a + b + c
-                    for a, b, c in zip(
-                        _combine(L.bracket[i][j], cols[k], L.dim),
-                        _combine(L.bracket[j][k], cols[i], L.dim),
-                        _combine(L.bracket[k][i], cols[j], L.dim),
-                    )
-                ]
-                for t, val in enumerate(acc):
-                    if val and vp(val, L.p) < L.prec:
-                        bad.append(
-                            f"Jacobi fails on (x{i+1},x{j+1},x{k+1}) in x{t+1}-coordinate"
-                        )
-                        break
-    for i in range(L.dim):
-        for j in range(L.dim):
-            for k in range(L.dim):
-                c = L.bracket[i][j][k]
-                if c != 0 and vp(c, L.p) < 1:
-                    bad.append(f"bracket [x{i+1},x{j+1}] not in p·lattice (x{k+1}-part {c})")
+
+    def term(i, j, k):
+        # D²·[[x_i, x_j], x_k] = sum_s D·c_ij^s · D·[x_s, x_k]
+        acc = [0] * dim
+        for s, c in nonzero.get((i, j), ()):
+            for t, w in enumerate(T[s][k]):
+                if w:
+                    acc[t] += c * w
+        return acc
+
+    triples = {
+        tuple(sorted((i, j, k))) for i, j in nonzero if i != j for k in range(dim) if k not in (i, j)
+    }
+    for i, j, k in sorted(triples):
+        for t, val in enumerate(map(sum, zip(term(i, j, k), term(j, k, i), term(k, i, j)))):
+            if val and vp(val, L.p) - 2 * v_den < L.prec:
+                bad.append(f"Jacobi fails on (x{i+1},x{j+1},x{k+1}) in x{t+1}-coordinate")
+                break
+    for (i, j), support in sorted(nonzero.items()):
+        for k, c in support:
+            if vp(c, L.p) - v_den < 1:
+                bad.append(
+                    f"bracket [x{i+1},x{j+1}] not in p·lattice (x{k+1}-part {L.bracket[i][j][k]})"
+                )
     series: List[Submodule] = []
     if not any(v.startswith("antisymmetry") or v.startswith("Jacobi") for v in bad):
         try:
@@ -252,24 +275,46 @@ def _annihilator(
 ) -> Submodule:
     """Saturated {x : [x, s] in span(P) for every s in S}.
 
-    [x, s] = sum_i x_i [x_i, s], and [x_i, s] = sum_k s_k bracket[i][k] is a
+    [x, s] = sum_i x_i [x_i, s], and [x_i, s] = sum_k s_k table[i][k] is a
     combination of table rows.  Reduced modulo span(P), its coordinates off
-    P's pivots must vanish: each is one linear condition on x.
+    P's pivots must vanish: each is one linear condition on x.  P's reduced
+    echelon rows have pivots a_r; every image is scaled by m = lcm(a_r), so
+    that reducing it subtracts the integer multiples image[c_r]·(m/a_r)·row_r
+    and every condition keeps the same scale.
     """
-    red, pivcols = _rref([[Fraction(v) for v in r] for r in P])
-    free = [t for t in range(L.dim) if t not in pivcols]
-    conditions: List[List[Fraction]] = []
+    dim, T = L.dim, L._table
+    red, pivcols = _echelon(P, dim)
+    m = lcm(*(r[c] for r, c in zip(red, pivcols)))
+    reducers = [(c, [(m // r[c]) * x for x in r]) for r, c in zip(red, pivcols)]
+    pivots = set(pivcols)
+    free = [t for t in range(dim) if t not in pivots]
+    conditions: List[List[int]] = []
     for s in S:
+        support = _support(s)
         images = []
-        for i in range(L.dim):
-            vec = _combine(s, L.bracket[i], L.dim)
-            for r, c in zip(red, pivcols):
-                f = vec[c]
-                if f != 0:
-                    vec = [a - f * b for a, b in zip(vec, r)]
+        for i in range(dim):
+            vec = None
+            for k, sk in support:
+                row = T[i][k]
+                if any(row):
+                    vec = [sk * w for w in row] if vec is None else [
+                        a + sk * w for a, w in zip(vec, row)
+                    ]
+            if vec is not None:
+                # the other reducers are zero in column c, so vec[c] is the
+                # coefficient of row_r throughout
+                out = [m * a for a in vec]
+                for c, r in reducers:
+                    if vec[c]:
+                        out = [a - vec[c] * b for a, b in zip(out, r)]
+                vec = out
             images.append(vec)
-        conditions.extend([img[t] for img in images] for t in free)
-    return Submodule(L.dim, _canonical_rows(_nullspace(conditions, L.dim)))
+        if any(img is not None for img in images):
+            for t in free:
+                cond = [0 if img is None else img[t] for img in images]
+                if any(cond):
+                    conditions.append(cond)
+    return Submodule(dim, _nullspace(conditions, dim))
 
 
 def upper_central_series(L: LiePresentation) -> List[Submodule]:
@@ -312,9 +357,9 @@ def centraliser_compat(L: LiePresentation, exponents: Sequence[int]) -> bool:
     U = L.rescaled(exponents)
     inner = second_centre_centralizer(U)
     # transform u-coordinates back to ambient x-coordinates
-    pw = [Fraction(L.p) ** e for e in exponents]
-    inner_ambient = _canonical_rows(
-        [[Fraction(r[i]) * pw[i] for i in range(L.dim)] for r in inner.rows]
+    pw = [L.p ** e for e in exponents]
+    inner_ambient, _ = _echelon(
+        [[r[i] * pw[i] for i in range(L.dim)] for r in inner.rows], L.dim
     )
     outer = second_centre_centralizer(L)
     return inner_ambient == outer.rows

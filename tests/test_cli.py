@@ -363,6 +363,11 @@ aut 3 0 0 1
 FUZZ = [
     ("valid", CENTRAL_IDEAL, ["control"], 0, ""),
     ("negative-dim", "p 3\ndim -2\nprec 4\n", ["ucs"], 1, "dim must be >= 1"),
+    # the dim³ bracket table needs 7.45 GiB at 8 bytes a slot, and the
+    # annihilator's dim² conditions of length dim as much: refused before
+    # the table is allocated
+    ("ucs-dim-1000", "p 3\ndim 1000\nprec 4\nbracket 1 2 3 3\n", ["ucs"], 2,
+     "the Lie bracket table at dim = 1000 needs 7.45 GiB, above the dense byte budget"),
     ("zero-dim", "p 3\ndim 0\nprec 4\n", ["ucs"], 1, "dim must be >= 1"),
     ("zero-prec", "p 3\ndim 2\nprec 0\n", ["ucs"], 1, "prec must be >= 1"),
     ("non-prime-p", "p 0\ndim 2\nprec 3\n", ["ucs"], 1, "p must be a prime"),

@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 
 from lie_route import bracket_vec
+from iwasawa_kernel import nilpotent
 from iwasawa_kernel.errors import ValidationError
 from iwasawa_kernel.nilpotent import (
     LiePresentation,
@@ -191,7 +192,42 @@ class TestRescaledCompat:
     def test_heisenberg_compat(self):
         assert centraliser_compat(heisenberg(), (1, 1, 0))
 
+    def test_negative_exponent_rejected(self):
+        # p^-1 x1 spans no sublattice; the power would be a float
+        with pytest.raises(ValidationError, match="exponents >= 0"):
+            heisenberg().rescaled((-1, 0, 0))
+        with pytest.raises(ValidationError, match="exponents >= 0"):
+            centraliser_compat(heisenberg(), (0, -2, 0))
+
     def test_rescaled_brackets(self):
         L = heisenberg().rescaled((1, 0, 0))
         # u1 = p x1, so [u1, u2] = p * (p x3) = p^2 x3 = p^2 u3
         assert L.bracket[0][1][2] == Fraction(P * P)
+
+
+class TestIntegerHotPath:
+    def test_validate_and_c_z2_need_no_fraction(self, monkeypatch):
+        # the bracket holds Fractions, but the derived table is Python ints
+        # and nothing after the build makes a Fraction
+        L = upper5()
+        series = upper_central_series(L)
+        c_z2 = second_centre_centralizer(L, series)
+        assert all(type(x) is int for row in L._table for vec in row for x in vec)
+
+        def no_fraction(*args):
+            raise AssertionError("a Fraction on the Lie layer's hot path")
+
+        monkeypatch.setattr(nilpotent, "Fraction", no_fraction)
+        report = validate(L)
+        assert report.ok and report.series == series
+        assert second_centre_centralizer(L, report.series) == c_z2
+        assert second_centre_centralizer(L) == c_z2
+        assert c_z2.describe() == "span{x2, x3, x4, x5, x6, x7, x8, x9}"
+
+    def test_table_scales_by_the_denominator_lcm(self):
+        L = LiePresentation.from_triples(
+            P, 4, 4, [(1, 2, 3, Fraction(3, 2)), (1, 3, 4, Fraction(2, 9))]
+        )
+        assert L._den == 18
+        assert L._table[0][1] == (0, 0, 27, 0)
+        assert L._table[2][0] == (0, 0, 0, -4)
