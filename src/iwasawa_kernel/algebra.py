@@ -15,6 +15,12 @@ generator digit at a time from the same powers.  Larger stages solve each
 batch through the chart matrices, a chunk of matrices at a time in
 `index_of_matrices`.
 
+A right ideal generated inside KH, for a lattice subgroup H, is the direct
+sum of its translates over the right cosets of H, and `ideal_closure`
+builds it that way: one echelon pass on the translates of the generators
+by H, the least compatible lattice subgroup holding them, whose rows are
+then laid onto the cosets.
+
 The filtration weight of an element is the infimum of v_p(coefficient) +
 weighted degree over its expansion in the ordered monomials b^alpha,
 b_i = g_i - 1, computed from the closed form
@@ -28,14 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import product
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .charts import GroupChart
 from .errors import BudgetError, InvariantViolation, ValidationError
-from .padic import vp_int
+from .padic import vp_array, vp_int
 
 DEFAULT_SIZE_BUDGET = 50_000
 # largest array (generator columns, multiplication table, translates of an
@@ -256,6 +263,22 @@ class QuotientGroup:
         beta[i] = power
         return self.index(beta)
 
+    def lattice_grid(self, exponents: Sequence[int]) -> Tuple[np.ndarray, Optional[int]]:
+        """The grid {g^beta : p^(e_i) | beta_i} of U_e = <g_i^(p^(e_i))>, as
+        sorted read-only indices (higher digits vary slowest), and the first
+        i whose g_i^(p^(e_i)) moves it under right multiplication, found with
+        one lookup in the columns per generator.  That is None exactly when e
+        is compatible, and then the grid is U_e (dense stages)."""
+        r, steps = self.radix, self.p ** np.array(exponents, dtype=np.int64)
+        grid = _digit_grid(r, [r] * self.dim, steps.tolist())
+        gens = np.flatnonzero(steps < r)
+        inside = np.zeros(self.size, dtype=bool)
+        inside[grid] = True
+        grid.flags.writeable = False
+        moved = self.columns()[gens[:, None], steps[gens, None], grid]
+        leaves = np.flatnonzero(~inside[moved].all(axis=1))
+        return grid, int(gens[leaves[0]]) if leaves.size else None
+
     def mult_table(self) -> np.ndarray:
         """Dense table t[a, b] = a*b (budgeted), written in place one
         generator digit at a time.
@@ -288,6 +311,15 @@ class QuotientGroup:
                 f"|Q| = {self.size} exceeds the fixed dense-stage limit of "
                 f"{DEFAULT_SIZE_BUDGET} elements, which is separate from --size-budget"
             )
+
+
+def _digit_grid(r: int, stops: Sequence[int], steps: Sequence[int]) -> np.ndarray:
+    """The indices sum_i beta_i r^i over beta_i in range(0, stops[i],
+    steps[i]), higher digits varying slowest."""
+    out = np.arange(0, stops[0], steps[0])
+    for i in range(1, len(stops)):
+        out = (np.arange(0, stops[i] * r**i, steps[i] * r**i)[:, None] + out).ravel()
+    return out
 
 
 def build_quotient(
@@ -536,13 +568,81 @@ class SubmoduleBasis:
         object.__setattr__(self, "rank_log", linalg.rank_log(rows, Q.p, Q.N))
 
 
-def _translates(rows: linalg.Rows, perms: np.ndarray) -> linalg.Rows:
-    """Every row moved by every permutation, permutation-major: row t·k + r
-    is rows[r] with its entry at h moved to perms[t, h]."""
-    t, (k, size) = len(perms), rows.shape
+def _translates(rows: linalg.Rows, perms: np.ndarray, m: int) -> linalg.Rows:
+    """Every row moved by every permutation, permutation-major, as an
+    m-column matrix: row t·k + r is rows[r] with its entry at column c
+    moved to perms[t, c]."""
+    t, k = len(perms), rows.shape[0]
     at = (np.arange(t)[:, None] * k + rows.row_ids()).ravel()
     cols = perms[:, rows.indices].ravel()
-    return linalg.Rows.from_entries(at, cols, np.tile(rows.data, t), (t * k, size))
+    return linalg.Rows.from_entries(at, cols, np.tile(rows.data, t), (t * k, m))
+
+
+def _right_transversal(Q: QuotientGroup, exponents: Sequence[int]) -> np.ndarray:
+    """T = {g^beta : 0 <= beta_i < p^(e_i)}, sorted, with the identity first:
+    a right transversal of U_e in Q, which `_inducing_cosets` checks."""
+    return _digit_grid(Q.radix, [Q.p**e for e in exponents], [1] * Q.dim)
+
+
+def _inducing_cosets(Q: QuotientGroup, tab: np.ndarray, supp: np.ndarray):
+    """The right cosets of the subgroup H that the right closure of
+    generators on ``supp`` is induced from, as the columns of
+    ``cosets[k, t] = h_k·t`` over the sorted grid h of H and the transversal
+    t (column 0 is H itself), with ``order``, each column's argsort, and
+    ``label``, the class of each coset under equality of orders.
+
+    H = U_f' for the compatible f' <= f of largest |f'|, f_i the least
+    v_p(beta_i) over supp (0 counting as n), so that KH holds the
+    generators; H = Q when the order classes would cover Q anyway.
+    `InvariantViolation` is raised when the cosets do not partition Q."""
+    f = vp_array(Q.coords_array(supp), Q.p, Q.n).min(axis=0).tolist()
+    # the last candidate is 0, whose grid is Q
+    for below in sorted(product(*(range(x + 1) for x in f)), key=sum, reverse=True)[:-1]:
+        grid, leaving = Q.lattice_grid(below)
+        if leaving is not None:
+            continue
+        cosets = tab[grid[:, None], _right_transversal(Q, below)]
+        if (np.bincount(cosets.ravel(), minlength=Q.size) != 1).any():
+            raise InvariantViolation(
+                f"the right cosets of the lattice subgroup {below} "
+                f"do not partition Q (|Q| = {Q.size})"
+            )
+        order = np.argsort(cosets, axis=0)
+        classes: Dict[bytes, int] = {}
+        label = np.array([classes.setdefault(o.tobytes(), len(classes)) for o in order.T])
+        if len(classes) * grid.size < Q.size:
+            return cosets, order, label
+        break
+    # H = Q: Q is its one coset, ranked as it is
+    whole = np.arange(Q.size)[:, None]
+    return whole, whole, np.zeros(1, dtype=np.int64)
+
+
+def _lay_out(blocks: linalg.Rows, cosets: np.ndarray, order: np.ndarray,
+             label: np.ndarray) -> linalg.Rows:
+    """The Howell rows of the direct sum over the cosets from the Howell
+    ``blocks`` of the order classes: the rows of class c go onto each coset
+    of class c, the r-th ranked column onto the coset's r-th smallest
+    index, and the rows are sorted by pivot.  A single coset is Q, ranked
+    as it is, and keeps the rows."""
+    if label.size == 1:
+        return blocks
+    size = cosets.shape[0]
+    # the rows of class c are contiguous, since the pivots are sorted
+    pivots = blocks.indices[blocks.indptr[:-1]]
+    start = np.searchsorted(pivots, size * np.arange(int(label.max()) + 2))
+    count = (start[1:] - start[:-1])[label]
+    coset = np.repeat(np.arange(label.size), count)
+    src = np.arange(coset.size) + np.repeat(start[label] - np.cumsum(count) + count, count)
+    placed = cosets[order, np.arange(label.size)]
+    by = np.argsort(placed[pivots[src] % size, coset])
+    coset, src = coset[by], src[by]
+    lengths = blocks.indptr[src + 1] - blocks.indptr[src]
+    indptr = np.zeros(src.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    at = np.repeat(blocks.indptr[src] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    cols = placed[blocks.indices[at] % size, np.repeat(coset, lengths)]
+    return linalg.Rows(indptr, cols, blocks.data[at], cosets.size)
 
 
 def ideal_closure(
@@ -551,10 +651,22 @@ def ideal_closure(
     """Smallest right (``side="right"``) or two-sided ideal of ``quotient``
     containing ``gens``.
 
-    The right closure is the span of the full right translate family, so a
-    single echelon pass suffices; the two-sided case finishes with a
-    fixed-point iteration on the left.  Translates are built as sparse rows
-    from the generators' supports, never as a dense |Q|·k x |Q| stack.
+    The right closure is induced from the least lattice subgroup that holds
+    the generators.  With f_i the least v_p(beta_i) over their supports (0
+    counting as n), H = U_f' for the compatible f' <= f of largest |f'|, so
+    J = sum_j x_j·KH lies in KH and the closure is the direct sum of the J·t
+    over the right cosets Ht.  Right multiplication by t maps H onto Ht, and
+    the Howell form of J·t is that of J with H's columns ranked by the
+    order of their images in Ht, so one form serves every coset whose
+    images come in the same order.  One `linalg.howell` call echelons the
+    block-diagonal stack of the translates of the generators by H, one
+    block per such order class, and `_lay_out` lays each block's rows onto
+    the cosets of its class.  H = Q, taken when the classes would cover Q
+    anyway, hands `howell` the full stack of |Q|·k right translates.
+    Translates are built as sparse rows from the generators' supports, and
+    only |Q| + |supp|·|H| entries of the multiplication table are read.
+
+    The two-sided case finishes with a fixed-point iteration on the left.
     """
     Q = quotient
     if side not in ("right", "two-sided"):
@@ -566,11 +678,24 @@ def ideal_closure(
     mat = linalg.Rows.from_dicts([g.coeffs for g in gens if not g.is_zero()], Q.size)
     if not mat.shape[0]:
         return SubmoduleBasis(Q, mat)
-    # row, column, residue and sort order of each translated entry
+    # row, column, residue and sort order of each translated entry: the
+    # induced stack has at most |Q| translates of each generator, as H = Q has
     require_bytes(32 * Q.size * mat.nnz, f"the translates at |Q| = {Q.size}")
     tab = Q.mult_table()
-    # column g of the table is h -> h*g, row g is h -> g*h
-    rows = linalg.howell(_translates(mat, tab.T), p, N)
+    supp = np.flatnonzero(np.bincount(mat.indices, minlength=Q.size))
+    cosets, order, label = _inducing_cosets(Q, tab, supp)
+    grid, (size, _), classes = cosets[:, 0], cosets.shape, int(label.max()) + 1
+    # rank[c, k]: the place of h_k·t in Ht, the same for every coset of class c
+    rank = np.empty((classes, size), dtype=np.int64)
+    rank[label, order] = np.arange(size)[:, None]
+    # perms[c·|H| + j, s]: the block column of supp[s]·h_j in class c
+    local = np.empty(Q.size, dtype=np.int64)
+    local[grid] = np.arange(size)
+    local = local[tab[supp[None, :], grid[:, None]]]
+    perms = (rank[:, local] + size * np.arange(classes)[:, None, None]).reshape(-1, supp.size)
+    at_supp = linalg.Rows(mat.indptr, np.searchsorted(supp, mat.indices), mat.data, supp.size)
+    blocks = linalg.howell(_translates(at_supp, perms, classes * size), p, N)
+    rows = _lay_out(blocks, cosets, order, label)
     if side == "two-sided":
         # the identity first, so that each step keeps the rows it had
         lperms = np.array(
@@ -578,7 +703,7 @@ def ideal_closure(
             + [tab[Q.generator(i)] for i in range(Q.dim)]
         )
         while True:
-            nxt = linalg.howell(_translates(rows, lperms), p, N)
+            nxt = linalg.howell(_translates(rows, lperms, Q.size), p, N)
             if linalg.span_equal(nxt, rows):
                 break
             rows = nxt

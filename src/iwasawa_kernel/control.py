@@ -43,9 +43,9 @@ class OpenSubgroupSpec:
     set that holds 1 and is closed under right multiplication by U's
     generators contains U, so S is the image of U exactly when it is so
     closed, which is when e is compatible with the ordered basis.  Both are
-    derived once, when the spec is built: the sorted grid (higher digits
-    vary slowest) and the first generator that leaves it, found with one
-    lookup in the columns of Q per generator.
+    derived once, when the spec is built, by `QuotientGroup.lattice_grid`,
+    which `algebra.ideal_closure` also reads: the sorted grid (higher digits
+    vary slowest) and the first generator that leaves it.
     """
 
     quotient: QuotientGroup
@@ -61,19 +61,10 @@ class OpenSubgroupSpec:
             raise ValidationError("exponent vector length mismatch")
         if any(e < 0 or e > Q.n for e in exponents):
             raise ValidationError("exponents must lie in [0, n]")
-        r, steps = Q.radix, Q.p ** np.array(exponents)
-        grid = np.zeros(1, dtype=np.int64)
-        for i, step in enumerate(steps.tolist()):
-            grid = (np.arange(0, r, step)[:, None] * r**i + grid).ravel()
-        gens = np.flatnonzero(steps < r)
-        inside = np.zeros(Q.size, dtype=bool)
-        inside[grid] = True
-        grid.flags.writeable = False
-        moved = Q.columns()[gens[:, None], steps[gens, None], grid]
-        leaves = np.flatnonzero(~inside[moved].all(axis=1))
+        grid, leaving = Q.lattice_grid(exponents)
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_leaving", int(gens[leaves[0]]) if leaves.size else None)
+        object.__setattr__(self, "_leaving", leaving)
 
     @property
     def expected_order(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import require_bytes
 from .errors import ValidationError
@@ -145,8 +145,10 @@ class LiePresentation:
 
     def __post_init__(self):
         den = lcm(*{c.denominator for row in self.bracket for v in row for c in v})
+        zero = (0,) * self.dim
         table = tuple(
-            tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in row)
+            tuple(tuple(c.numerator * (den // c.denominator) for c in v) if any(v) else zero
+                  for v in row)
             for row in self.bracket
         )
         object.__setattr__(self, "_den", den)
@@ -160,18 +162,25 @@ class LiePresentation:
 
         The antisymmetric completion is automatic; unlisted pairs are zero.
         The dim³ table, and the annihilator's dim² conditions of length dim,
-        are asked of the byte budget before anything is allocated.
+        are asked of the byte budget before anything is allocated.  Only
+        the listed pairs get vectors of their own, and every other pair, in
+        the bracket and in the derived integer table alike, shares one zero
+        vector, so building the presentation stays within the bytes asked.
         """
         require_bytes(8 * dim**3, f"the Lie bracket table at dim = {dim}")
-        table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        listed: Dict[Tuple[int, int], List[Fraction]] = {}
         for i, j, k, c in triples:
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise ValidationError(f"bracket index out of range: {(i, j, k)}")
             if i == j and c != 0:
                 raise ValidationError(f"nonzero bracket [x{i},x{i}]")
-            table[i - 1][j - 1][k - 1] += Fraction(c)
-            table[j - 1][i - 1][k - 1] -= Fraction(c)
-        rows = tuple(tuple(tuple(v) for v in row) for row in table)
+            listed.setdefault((i - 1, j - 1), [Fraction(0)] * dim)[k - 1] += Fraction(c)
+            listed.setdefault((j - 1, i - 1), [Fraction(0)] * dim)[k - 1] -= Fraction(c)
+        zero = (Fraction(0),) * dim
+        rows = tuple(
+            tuple(tuple(listed[i, j]) if (i, j) in listed else zero for j in range(dim))
+            for i in range(dim)
+        )
         return LiePresentation(p, dim, prec, rows)
 
     def rescaled(self, exponents: Sequence[int]) -> "LiePresentation":

@@ -474,3 +474,31 @@ def test_malformed_and_oversized_inputs(tmp_path, capsys, text, args, code, mess
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_control_and_mahler_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma takes 10-14 ms and ~1.4 MB of RSS to import in a fresh
+    # process, and on numpy 2.4 `np.unique` without flags imports it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    bmono = write(tmp_path, "ab.txt", "p 3\nchart abelian2\nideal bmono 0 2\n")
+    code = f"""
+import contextlib, io, sys
+from iwasawa_kernel.cli import main
+runs = [
+    ["control", {str(root / "inputs" / "heis_central_ideal.txt")!r}, "--level", "2"],
+    ["control", {bmono!r}, "--level", "3"],
+    ["mahler", {str(root / "inputs" / "heis_conj.txt")!r}, "--level", "2", "--degree", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(run + ["--format", "structured"]) for run in runs]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[0, 0, 0] False"

@@ -6,9 +6,12 @@ Howell form that rewrites the whole remaining matrix at every pivot, the
 one-vector reduction, the per-element faithfulness loop, the
 reduce-then-stack centre rank and the closure that stacks translates one
 permutation at a time.  The new routes must agree array for array on
-random matrices and verdict for verdict on every small stage, the closures
-must hand `howell` the same matrices, and the Howell tests also check which
-of `linalg.howell`'s kernels ran.  `span_rank_log` must equal `rank_log` of
+random matrices and verdict for verdict on every small stage.  The right
+closure, induced from the least lattice subgroup H holding the
+generators, must give the rows of the full stack of translates, and hand
+`howell` that same stack when H = Q and one block per order class of the
+cosets otherwise; the Howell tests also check which of `linalg.howell`'s
+kernels ran.  `span_rank_log` must equal `rank_log` of
 the Howell form on the same inputs, from a forward elimination alone, and
 `projection_rank_log`, which peels the unit pivots a projection keeps,
 must equal `span_rank_log` of the projected Howell rows.
@@ -16,6 +19,7 @@ must equal `span_rank_log` of the projected Howell rows.
 
 import random
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 
 import howell_route as ref
 from stages import small_stage_ideals, to_vector
-from iwasawa_kernel import linalg
+from iwasawa_kernel import algebra, linalg
 from iwasawa_kernel.algebra import (
     AlgebraElement,
     b_element,
@@ -33,7 +37,9 @@ from iwasawa_kernel.algebra import (
     ideal_closure,
 )
 from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
-from iwasawa_kernel.control import is_faithful, j_ideal_rank
+from iwasawa_kernel.control import OpenSubgroupSpec, is_faithful, j_ideal_rank
+from iwasawa_kernel.errors import InvariantViolation
+from iwasawa_kernel.padic import vp_int
 
 # The kernels `howell` can run, recorded at each kernel's call: a forward
 # elimination, and a back-substitution chosen by the fill of its result.
@@ -375,6 +381,25 @@ def howell_inputs():
         linalg.howell = real
 
 
+def induced_blocks(Q, gens):
+    """(|H|, order classes, cosets) of the right closure of ``gens`` induced
+    from H, from the definitions: f_i is the least v_p(beta_i) over the
+    supports, H = U_f' for the compatible f' <= f of largest |f'|, the
+    cosets are H·t over t = g^beta, beta_i < p^(f'_i), as `mult_array`
+    gives them, and two cosets are of one class when the argsorts of their
+    indices agree.  (|Q|, 1, 1) when the classes would cover Q."""
+    beta = Q.coords_array(sorted({h for g in gens for h in g.coeffs}))
+    f = [min(vp_int(int(b), Q.p, Q.n) for b in beta[:, i]) for i in range(Q.dim)]
+    below = sorted(product(*(range(e + 1) for e in f)), key=sum, reverse=True)
+    e = next(e for e in below if OpenSubgroupSpec(Q, e).is_compatible())
+    H = OpenSubgroupSpec(Q, e).members()
+    ts = Q.index_array(list(product(*(range(Q.p**x) for x in e))))
+    orders = {tuple(np.argsort(Q.mult_array(H, t)).tolist()) for t in ts}
+    if len(orders) * H.size >= Q.size:
+        return Q.size, 1, 1
+    return H.size, len(orders), ts.size
+
+
 CLOSURE_STAGES = [("cyclic", 2, 2), ("abelian2", 1, 3), ("abelian3", 1, 2),
                   ("heisenberg", 1, 2), ("heisenberg", 1, 3), ("abelian2", 2, 2)]
 
@@ -383,6 +408,9 @@ CLOSURE_STAGES = [("cyclic", 2, 2), ("abelian2", 1, 3), ("abelian3", 1, 2),
 @pytest.mark.parametrize("name, n, N", CLOSURE_STAGES,
                          ids=[f"{c[0]}-n{c[1]}-N{c[2]}" for c in CLOSURE_STAGES])
 def test_closure_stacks_translates_as_before(name, n, N, side):
+    # the right closure hands `howell` the full stack of translates when
+    # H = Q and the induced block-diagonal stack otherwise; the left steps
+    # of the two-sided loop stack as before
     Q = build_quotient(builtin_chart(name, 3), n, N)
     rng = random.Random(f"{name}{n}{N}{side}")
     steps = []
@@ -395,11 +423,121 @@ def test_closure_stacks_translates_as_before(name, n, N, side):
         with howell_inputs() as got:
             new = ideal_closure(gens, side=side, quotient=Q)
         assert len(got) == len(want)
-        assert got[0].shape == (Q.size * k, Q.size)
-        for a, b in zip(got, want):
+        size, classes, _ = induced_blocks(Q, gens)
+        assert got[0].shape == (classes * size * k, classes * size)
+        if size == Q.size:
+            assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+        for a, b in zip(got[1:], want[1:]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert np.array_equal(new.rows.toarray(), old.rows.toarray())
         steps.append(len(got))
     if side == "two-sided" and name == "heisenberg":
         # the left translates add rows: the fixed-point loop runs twice
         assert max(steps) >= 3
+
+
+# stages on which every b-monomial with 0 < |alpha| <= 3 is closed both ways
+B_MONOMIAL_STAGES = [("heisenberg", 1, 2), ("heisenberg", 1, 3), ("heisenberg", 2, 2),
+                     ("heisenberg", 2, 3), ("abelian2", 3, 2), ("unipotent4", 1, 2),
+                     ("abelian5", 1, 2), ("cyclic", 3, 2)]
+
+
+@pytest.mark.parametrize("name, n, N", B_MONOMIAL_STAGES,
+                         ids=[f"{c[0]}-n{c[1]}-N{c[2]}" for c in B_MONOMIAL_STAGES])
+def test_induced_closure_matches_full_stack_on_b_monomials(name, n, N):
+    Q = build_quotient(builtin_chart(name, 3), n, N)
+    induced = 0
+    for alpha in product(range(4), repeat=Q.dim):
+        if not 0 < sum(alpha) <= 3:
+            continue
+        gens = [b_monomial(Q, alpha)]
+        with howell_inputs() as got:
+            new = ideal_closure(gens, side="right", quotient=Q)
+        old = ref.ideal_closure(gens, "right", Q)
+        assert np.array_equal(new.rows.toarray(), old.rows.toarray()), alpha
+        induced += got[0].shape[1] < Q.size
+    # the cyclic stage's b-monomials all hold g, so H = Q throughout
+    assert induced if name != "cyclic" else not induced
+
+
+def _scaled_and_multi(Q):
+    b = lambda *alpha: b_monomial(Q, alpha + (0,) * (Q.dim - len(alpha)))
+    one = AlgebraElement.one(Q)
+    top = (0,) * (Q.dim - 1)
+    return {
+        "scaled": [b(*top, 1).scale(Q.p)],
+        "scaled-square": [b(*top, 2).scale(2)],
+        "two-axis": [b(*top, 1), b(*top, 2).scale(Q.p)],
+        "mixed": [b(1).scale(Q.p), b(*top, 1)],
+        "scalar-p": [one.scale(Q.p)],
+        "scalar-unit": [one.scale(2)],
+        "character": [AlgebraElement(Q, {Q.generator(Q.dim - 1): 1, 0: -4})],
+    }
+
+
+@pytest.mark.parametrize("side", ["right", "two-sided"])
+@pytest.mark.parametrize("name, n, N", [("heisenberg", 1, 2), ("heisenberg", 1, 3),
+                                        ("abelian2", 2, 2), ("abelian3", 1, 3)])
+def test_induced_closure_on_scaled_multi_and_scalar_ideals(name, n, N, side):
+    Q = build_quotient(builtin_chart(name, 3), n, N)
+    for case, gens in _scaled_and_multi(Q).items():
+        new = ideal_closure(gens, side=side, quotient=Q)
+        old = ref.ideal_closure(gens, side, Q)
+        assert np.array_equal(new.rows.toarray(), old.rows.toarray()), case
+
+
+def test_central_ideal_echelons_one_block_of_its_subgroup(heis2):
+    # x = g3 - 1 lies in K<g3>, |<g3>| = 9, and all 81 cosets share one
+    # order: one 9 x 9 block instead of the 729 x 729 stack
+    with howell_inputs() as got:
+        new = ideal_closure([b_element(heis2, 2)], side="right", quotient=heis2)
+    assert [a.shape for a in got] == [(9, 9)]
+    assert induced_blocks(heis2, [b_element(heis2, 2)]) == (9, 1, 81)
+    old = ref.ideal_closure([b_element(heis2, 2)], "right", heis2)
+    assert np.array_equal(new.rows.toarray(), old.rows.toarray())
+
+
+@pytest.mark.parametrize("alpha, blocks", [((0, 1, 0), (9, 60, 81)), ((0, 1, 1), (729, 1, 1))])
+def test_cosets_in_many_orders(heis2, alpha, blocks):
+    # H = <g2> for b(0,1,0) and <g2, g3> for b(0,1,1): right multiplication
+    # by g1^a shears g2^b into g3, so the cosets rank their images in many
+    # orders, 60 for the 81 cosets of <g2>; each of the 9 cosets of <g2, g3>
+    # has its own, which leaves nothing to share, and H = Q
+    gens = [b_monomial(heis2, alpha)]
+    H = OpenSubgroupSpec(heis2, (2, 0, 0))
+    ts = heis2.index_array(list(product(range(9), [0], [0])))
+    assert len({tuple(np.argsort(heis2.mult_array(H.members(), t))) for t in ts}) == 9
+    assert induced_blocks(heis2, gens) == blocks
+    size, classes, _ = blocks
+    with howell_inputs() as got:
+        new = ideal_closure(gens, side="right", quotient=heis2)
+    assert got[0].shape == (size * classes, size * classes)
+    old = ref.ideal_closure(gens, "right", heis2)
+    assert np.array_equal(new.rows.toarray(), old.rows.toarray())
+
+
+def test_incompatible_least_grid_takes_the_full_stack(heis2):
+    # g1 g2 - 1: the least grid holding it is (0, 0, 2), which right
+    # multiplication by g1 leaves, as it does (0, 0, 1); so H = Q
+    x = AlgebraElement(heis2, {heis2.index((1, 1, 0)): 1, 0: -1})
+    assert not OpenSubgroupSpec(heis2, (0, 0, 2)).is_compatible()
+    assert not OpenSubgroupSpec(heis2, (0, 0, 1)).is_compatible()
+    with howell_inputs() as got:
+        new = ideal_closure([x], side="right", quotient=heis2)
+    with howell_inputs() as want:
+        old = ref.ideal_closure([x], "right", heis2)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(new.rows.toarray(), old.rows.toarray())
+
+
+def test_a_transversal_that_misses_a_coset_raises(monkeypatch, heis2):
+    real = algebra._right_transversal
+
+    def twice_the_first(Q, exponents):
+        out = real(Q, exponents).copy()
+        out[-1] = out[0]
+        return out
+
+    monkeypatch.setattr(algebra, "_right_transversal", twice_the_first)
+    with pytest.raises(InvariantViolation, match="do not partition Q"):
+        ideal_closure([b_element(heis2, 2)], side="right", quotient=heis2)

@@ -231,3 +231,24 @@ class TestIntegerHotPath:
         assert L._den == 18
         assert L._table[0][1] == (0, 0, 27, 0)
         assert L._table[2][0] == (0, 0, 0, -4)
+
+
+@pytest.mark.parametrize("dim", [40, 80])
+def test_bracket_table_build_stays_within_the_bytes_asked(monkeypatch, dim):
+    # a one-bracket presentation: the parent held three dense dim³ tables
+    # at its peak, 3.3-3.7 times the 8·dim³ bytes it asked the budget for
+    import tracemalloc
+
+    asked = []
+    real = nilpotent.require_bytes
+    monkeypatch.setattr(nilpotent, "require_bytes", lambda n, what: (asked.append(n), real(n, what)))
+    tracemalloc.start()
+    try:
+        L = LiePresentation.from_triples(P, dim, 4, [(1, 2, 3, P)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asked == [8 * dim**3]
+    assert peak <= asked[0]
+    assert L.bracket[1][0][2] == -P and L._table[0][1][2] == P
+    assert not any(L.bracket[2][3]) and not any(L._table[dim - 1][0])
