@@ -30,7 +30,6 @@ from .charts import (
     unipotent_chart,
 )
 from .control import (
-    OpenSubgroupSpec,
     control_lattice,
     controller_estimate,
     is_controlled,

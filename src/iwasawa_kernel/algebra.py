@@ -263,12 +263,16 @@ class QuotientGroup:
         beta[i] = power
         return self.index(beta)
 
-    def lattice_grid(self, exponents: Sequence[int]) -> Tuple[np.ndarray, Optional[int]]:
+    def lattice_grid(self, exponents: Sequence[int]) -> Tuple[np.ndarray, bool]:
         """The grid {g^beta : p^(e_i) | beta_i} of U_e = <g_i^(p^(e_i))>, as
-        sorted read-only indices (higher digits vary slowest), and the first
-        i whose g_i^(p^(e_i)) moves it under right multiplication, found with
-        one lookup in the columns per generator.  That is None exactly when e
-        is compatible, and then the grid is U_e (dense stages)."""
+        sorted read-only indices (higher digits vary slowest), and whether e
+        is compatible.
+
+        The grid holds 1 and lies in U_e, and a finite set that holds 1 and
+        is closed under right multiplication by U_e's generators contains
+        U_e; so the grid is U_e exactly when no g_i^(p^(e_i)) moves it, which
+        is read with one lookup in the columns per generator (dense stages).
+        """
         r, steps = self.radix, self.p ** np.array(exponents, dtype=np.int64)
         grid = _digit_grid(r, [r] * self.dim, steps.tolist())
         gens = np.flatnonzero(steps < r)
@@ -276,8 +280,7 @@ class QuotientGroup:
         inside[grid] = True
         grid.flags.writeable = False
         moved = self.columns()[gens[:, None], steps[gens, None], grid]
-        leaves = np.flatnonzero(~inside[moved].all(axis=1))
-        return grid, int(gens[leaves[0]]) if leaves.size else None
+        return grid, bool(inside[moved].all())
 
     def mult_table(self) -> np.ndarray:
         """Dense table t[a, b] = a*b (budgeted), written in place one
@@ -598,8 +601,8 @@ def _inducing_cosets(Q: QuotientGroup, tab: np.ndarray, supp: np.ndarray):
     f = vp_array(Q.coords_array(supp), Q.p, Q.n).min(axis=0).tolist()
     # the last candidate is 0, whose grid is Q
     for below in sorted(product(*(range(x + 1) for x in f)), key=sum, reverse=True)[:-1]:
-        grid, leaving = Q.lattice_grid(below)
-        if leaving is not None:
+        grid, compatible = Q.lattice_grid(below)
+        if not compatible:
             continue
         cosets = tab[grid[:, None], _right_transversal(Q, below)]
         if (np.bincount(cosets.ravel(), minlength=Q.size) != 1).any():

@@ -7,9 +7,9 @@ intersections: `_subalgebra_restriction` re-echelons all of I with the
 non-U columns first and then echelons the result again,
 `_local_closure_rank` spins I ∩ KU under the generators of U to a fixed
 point, and `is_controlled` sums a Howell rank over every U-coset, which
-`coset_partition` lists with one scalar product per member and coset.
-The subgroup image and the centre are found with scalar products, as
-`OpenSubgroupSpec` and `centre_indices` found them before they read the
+`coset_partition` lists with one scalar product per member and coset, for
+any subgroup given by its members.  The subgroup image and the centre are
+found with scalar products, as the package found them before it read the
 power columns of Q.  `rho` is the canonical action of a function on Q.
 `_restrict` is the Howell form of I ∩ KU from one echelon pass with the
 columns outside U first, as `control` built it before it read both
@@ -28,24 +28,33 @@ import numpy as np
 
 from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import AlgebraElement
-from iwasawa_kernel.control import OpenSubgroupSpec
 from iwasawa_kernel.errors import ValidationError
 from iwasawa_kernel.linalg import Rows
 
 
-def coset_partition(U):
-    """Map from the index of each representative g_1^{b_1}...g_d^{b_d},
-    0 <= b_i < p^{e_i}, to the members of its coset U·rep."""
-    Q = U.quotient
-    members = U.members().tolist()
+def grid(Q, e):
+    """The image of U_e, for a compatible e, from `lattice_grid`, whose
+    members `subgroup_elements` checks by search."""
+    members, compatible = Q.lattice_grid(e)
+    return members if compatible else None
+
+
+def coset_partition(Q, members):
+    """Map from the least element of each right coset U·g of the subgroup
+    U with the given members to the members of U·g, one scalar product per
+    element of Q; ValidationError when two cosets overlap without being
+    equal."""
+    members = [int(u) for u in members]
     out = {}
     covered = set()
-    for b in product(*[range(Q.p**e) for e in U.exponents]):
-        rep = Q.index(b)
-        out[rep] = [int(Q.mult_array(u, rep)) for u in members]
-        covered.update(out[rep])
-    if len(covered) != Q.size:
-        raise ValidationError("coset representatives do not partition Q")
+    for g in range(Q.size):
+        if g in covered:
+            continue
+        coset = [int(Q.mult_array(u, g)) for u in members]
+        if covered.intersection(coset) or len(set(coset)) != len(coset):
+            raise ValidationError("the right cosets do not partition Q")
+        out[g] = coset
+        covered.update(coset)
     return out
 
 
@@ -82,16 +91,15 @@ def _rank_log(rows, p, N):
     return linalg.rank_log(linalg.Rows.from_array(rows), p, N)
 
 
-def _local_closure_rank(U, inner):
-    Q = U.quotient
+def _local_closure_rank(Q, e, inner):
     p, N = Q.p, Q.N
-    members = U.members().tolist()
+    members = grid(Q, e).tolist()
     pos = {m: i for i, m in enumerate(members)}
     rows = inner[:, members]
     perms = []
-    for i, e in enumerate(U.exponents):
-        if e < Q.n:
-            g = Q.generator(i, Q.p**e)
+    for i, x in enumerate(e):
+        if x < Q.n:
+            g = Q.generator(i, Q.p**x)
             perms.append(
                 np.array([pos[int(Q.mult_array(h, g))] for h in members], dtype=np.int64)
             )
@@ -107,7 +115,7 @@ def _local_closure_rank(U, inner):
         rows = nxt
 
 
-def is_controlled(I, U):
+def is_controlled(I, e):
     Q = I.quotient
     p, N = Q.p, Q.N
     rows = I.rows.toarray()
@@ -115,21 +123,22 @@ def is_controlled(I, U):
     if total_rank in (0, N * Q.size):
         return True, True
 
-    inner = _subalgebra_restriction(I, set(U.members().tolist()))
+    members = grid(Q, e)
+    inner = _subalgebra_restriction(I, set(members.tolist()))
     if inner.shape[0] == 0:
         definitional = rows.shape[0] == 0
     else:
-        index = Q.size // U.members().size
+        index = Q.size // members.size
         definitional = (
-            total_rank == index * _local_closure_rank(U, inner)
+            total_rank == index * _local_closure_rank(Q, e, inner)
         )
 
     if rows.shape[0] == 0:
         by_action = True
     else:
         total = 0
-        for members in coset_partition(U).values():
-            cols = np.array(sorted(members), dtype=np.int64)
+        for coset in coset_partition(Q, members).values():
+            cols = np.array(sorted(coset), dtype=np.int64)
             sub = rows[:, cols]
             sub = sub[np.any(sub, axis=1)]
             if sub.shape[0]:
@@ -142,10 +151,8 @@ def control_lattice(I):
     Q = I.quotient
     out = {}
     for e in product(range(Q.n + 1), repeat=Q.dim):
-        U = OpenSubgroupSpec(Q, e)
-        if not U.is_compatible():
-            continue
-        out[e] = is_controlled(I, U)
+        if grid(Q, e) is not None:
+            out[e] = is_controlled(I, e)
     return out
 
 
@@ -190,10 +197,9 @@ def nested_lattice(I):
     known = {}
     out = {}
     for e in product(range(Q.n + 1), repeat=Q.dim):
-        U = OpenSubgroupSpec(Q, e)
-        if not U.is_compatible():
+        members = grid(Q, e)
+        if members is None:
             continue
-        members = U.members()
         below = [f for f in known if all(a <= b for a, b in zip(f, e))]
         if below:
             cols, rows, outer = known[min(below, key=lambda f: known[f][0].size)]
@@ -227,12 +233,12 @@ def project_dense(rows, members, p, N):
     return linalg.howell(rows[:, members], p, N).toarray()
 
 
-def subgroup_elements(U):
-    """The image of U in Q by search: close {1} under left and right
+def subgroup_elements(Q, e):
+    """The image of U_e in Q by search: close {1} under left and right
     multiplication by the generators g_i^{p^{e_i}}, two scalar products per
-    member and generator; ValidationError unless it has the expected order."""
-    Q = U.quotient
-    gens = [Q.generator(i, Q.p**e) for i, e in enumerate(U.exponents) if e < Q.n]
+    member and generator; ValidationError unless it has the order
+    p^(sum of n - e_i) of the grid."""
+    gens = [Q.generator(i, Q.p**x) for i, x in enumerate(e) if x < Q.n]
     seen = {0}
     frontier = [0]
     while frontier:
@@ -242,24 +248,22 @@ def subgroup_elements(U):
                 if x not in seen:
                     seen.add(x)
                     frontier.append(x)
-    if len(seen) != U.expected_order:
-        raise ValidationError(
-            f"subgroup image has order {len(seen)}, expected {U.expected_order}"
-        )
+    expected = Q.p ** sum(Q.n - x for x in e)
+    if len(seen) != expected:
+        raise ValidationError(f"subgroup image has order {len(seen)}, expected {expected}")
     return frozenset(seen)
 
 
-def grid_leaving_generator(U):
+def grid_leaving_generator(Q, e):
     """The first i with e_i < n such that h·g_i^{p^{e_i}} leaves the grid
     {beta : p^{e_j} | beta_j for every j} for some h in it, one scalar product
     per grid element and generator; None when the grid is closed."""
-    Q = U.quotient
-    steps = [Q.p**e for e in U.exponents]
-    grid = [Q.index(beta) for beta in product(*(range(0, Q.radix, s) for s in steps))]
+    steps = [Q.p**x for x in e]
+    points = [Q.index(beta) for beta in product(*(range(0, Q.radix, s) for s in steps))]
     for i, step in enumerate(steps):
         if step < Q.radix and any(
             (Q.coords_array([Q.mult_array(h, Q.generator(i, step))]) % steps).any()
-            for h in grid
+            for h in points
         ):
             return i
     return None

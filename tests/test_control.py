@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from control_route import coset_partition, rho
+from control_route import coset_partition, grid, rho
 from stages import from_vector
 from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import (
@@ -19,7 +19,6 @@ from iwasawa_kernel.algebra import (
 )
 from iwasawa_kernel.charts import abelian_chart, cyclic_chart, heisenberg_chart
 from iwasawa_kernel.control import (
-    OpenSubgroupSpec,
     centre_indices,
     control_lattice,
     controller_estimate,
@@ -40,40 +39,65 @@ def central_ideal(Q):
     return ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
 
 
-class TestOpenSubgroupSpec:
+def mask(Q, members):
+    inside = np.zeros(Q.size, dtype=bool)
+    inside[list(members)] = True
+    return inside
+
+
+def cyclic_subgroup(Q, g):
+    """The powers of g, by repeated scalar products."""
+    members, h = [0], int(Q.mult_array(0, g))
+    while h != 0:
+        members.append(h)
+        h = int(Q.mult_array(h, g))
+    return members
+
+
+class TestLatticeGrid:
     def test_elements_and_order(self):
         Q = heis_quotient()
-        U = OpenSubgroupSpec(Q, (1, 1, 0))
-        assert U.expected_order == P
-        assert U.members().size == P
-        assert Q.generator(2) in U.members()
+        members, compatible = Q.lattice_grid((1, 1, 0))
+        assert compatible
+        assert members.size == P
+        assert Q.generator(2) in members
 
     def test_incompatible_exponents_detected(self):
         # e = (0,0,1) regenerates g3 through the commutator (g1,g2)
         Q = heis_quotient()
-        U = OpenSubgroupSpec(Q, (0, 0, 1))
-        assert not U.is_compatible()
-        with pytest.raises(ValidationError):
-            U.members()
+        members, compatible = Q.lattice_grid((0, 0, 1))
+        assert not compatible
+        assert members.size == P**2
 
     def test_coset_partition(self):
         Q = heis_quotient()
-        U = OpenSubgroupSpec(Q, (1, 0, 0))
-        part = coset_partition(U)
+        part = coset_partition(Q, grid(Q, (1, 0, 0)))
         seen = sorted(k for members in part.values() for k in members)
         assert seen == list(range(Q.size))
 
-    def test_exponent_bounds(self):
+
+class TestMaskChecks:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda Q: np.ones(Q.size - 1, dtype=bool), "boolean mask of length"),
+            (lambda Q: ~mask(Q, [0]), "identity"),
+            (lambda Q: mask(Q, [0, 1]), "does not divide"),
+        ],
+        ids=["length", "identity", "order"],
+    )
+    def test_bad_mask_raises(self, make, message):
         Q = heis_quotient()
-        with pytest.raises(ValidationError):
-            OpenSubgroupSpec(Q, (2, 0, 0))
+        with pytest.raises(ValidationError, match=message):
+            is_controlled(central_ideal(Q), make(Q))
 
 
-def brute_force_by_action(I, U):
-    """rho(indicator of each U-coset) must map I into I."""
+def brute_force_by_action(I, members):
+    """rho(indicator of each right coset of the subgroup U with the given
+    members) must map I into I."""
     Q = I.quotient
-    for members in coset_partition(U).values():
-        member_set = set(members)
+    for coset in coset_partition(Q, members).values():
+        member_set = set(coset)
         for row in I.rows.toarray():
             x = from_vector(Q, row)
             proj = rho(lambda k, s=member_set: 1 if k in s else 0, x)
@@ -95,12 +119,34 @@ class TestIsControlled:
                 )
                 I = ideal_closure([gen], side="right", quotient=Q)
                 for e in itertools.product(range(2), repeat=Q.dim):
-                    U = OpenSubgroupSpec(Q, e)
-                    if not U.is_compatible():
+                    members = grid(Q, e)
+                    if members is None:
                         continue
-                    definitional, by_action = is_controlled(I, U)
+                    definitional, by_action = is_controlled(I, mask(Q, members))
                     assert definitional == by_action
-                    assert by_action == brute_force_by_action(I, U)
+                    assert by_action == brute_force_by_action(I, members)
+
+    def test_subgroups_off_the_grid_agree_with_brute_force(self):
+        # <g1 g2> is no coordinate grid: its square has a g3 digit
+        Q = heis_quotient()
+        diagonal = cyclic_subgroup(Q, Q.index((1, 1, 0)))
+        assert len(diagonal) == P and Q.index((2, 2, 2)) in diagonal
+        rng = random.Random(26)
+        verdicts = set()
+        for members in (diagonal, centre_indices(Q)):
+            # u - 1 for a generator u of U lies in KU, so U controls its ideal
+            gens = [AlgebraElement(Q, {members[1]: 1, 0: -1})]
+            for _ in range(4):
+                x = AlgebraElement(
+                    Q, {rng.randrange(Q.size): rng.randrange(1, 9) for _ in range(2)}
+                )
+                gens.append(x - AlgebraElement.one(Q).scale(sum(x.coeffs.values())))
+            for x in gens:
+                I = ideal_closure([x], side="right", quotient=Q)
+                definitional, by_action = is_controlled(I, mask(Q, members))
+                assert definitional == by_action == brute_force_by_action(I, members)
+                verdicts.add(by_action)
+        assert verdicts == {True, False}
 
     def test_central_ideal_controller(self):
         Q = heis_quotient()

@@ -26,7 +26,6 @@ a patched rank breaks 0 <= rank(I ∩ KU) <= rank(π_U(I)) or
 """
 
 import random
-import re
 from functools import lru_cache
 from itertools import product
 
@@ -51,7 +50,6 @@ from iwasawa_kernel.charts import (
     heisenberg_chart,
 )
 from iwasawa_kernel.control import (
-    OpenSubgroupSpec,
     centre_indices,
     control_lattice,
     controller_estimate,
@@ -116,13 +114,26 @@ CASES = cases()
 LARGE = criterion_8_large_ideals()
 
 
+def mask(Q, members):
+    inside = np.zeros(Q.size, dtype=bool)
+    inside[members] = True
+    return inside
+
+
 def recorded_lattice(I, monkeypatch):
-    """control_lattice(I), plus the (I, U) of each is_controlled it calls."""
+    """control_lattice(I), plus the (I, mask) of each is_controlled it
+    calls, keyed by the lattice point whose grid the mask holds."""
+    Q = I.quotient
+    points = {}
+    for e in product(range(Q.n + 1), repeat=Q.dim):
+        members = ref.grid(Q, e)
+        if members is not None:
+            points[mask(Q, members).tobytes()] = e
     seen = {}
 
-    def record(I, U):
-        seen[U.exponents] = I, U
-        return is_controlled(I, U)
+    def record(I, inside):
+        seen[points[inside.tobytes()]] = I, inside
+        return is_controlled(I, inside)
 
     monkeypatch.setattr(control, "is_controlled", record)
     return control_lattice(I), seen
@@ -139,9 +150,9 @@ def test_lattice_matches_per_coset_route(Q, gens, side, monkeypatch):
     assert set(seen) <= set(got)
     p, N = Q.p, Q.N
     dense = I.rows.toarray()
-    for e, (J, U) in seen.items():
-        assert J is I and U.exponents == e
-        members = U.members()
+    for e, (J, inside) in seen.items():
+        assert J is I
+        members = np.flatnonzero(inside)
         outside = np.setdiff1d(np.arange(Q.size), members)
         # exactness of 0 -> I ∩ KU -> I -> π_{Q∖U}(I) -> 0, against I ∩ KU
         # from the re-echelon route
@@ -162,7 +173,7 @@ def test_single_point_matches_lattice():
     I = ideal_closure([random_gen(random.Random(3), Q)], side="right", quotient=Q)
     lattice = control_lattice(I)
     for e, verdicts in lattice.items():
-        assert is_controlled(I, OpenSubgroupSpec(Q, e)) == verdicts
+        assert is_controlled(I, mask(Q, ref.grid(Q, e))) == verdicts
 
 
 def test_left_ideal_rejected():
@@ -176,7 +187,7 @@ def test_origin_must_control(monkeypatch):
     # U = Q controls every ideal; a lattice saying otherwise is a fault
     Q = build_quotient(heisenberg_chart(P), 1, 2)
     I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
-    monkeypatch.setattr(control, "is_controlled", lambda I, U: (False, False))
+    monkeypatch.setattr(control, "is_controlled", lambda I, inside: (False, False))
     with pytest.raises(InvariantViolation):
         control_lattice(I)
 
@@ -246,8 +257,9 @@ def test_sweep_evaluates_few_points(name, n, gens, most, size, monkeypatch):
 
 
 def test_lattice_reads_the_columns_once_per_exponent_vector(monkeypatch):
-    # each spec finds its grid and compatibility when it is built; the
-    # evaluated points and the final join (2, 2, 0) reuse the stored grid
+    # each exponent vector's grid and compatibility are read once; the
+    # evaluated points and the final join (2, 2, 0) build their masks from
+    # the stored grid
     Q = stage("heisenberg", 2, 2)
     I = ideal_closure([b_monomial(Q, (0, 0, 1))], side="right", quotient=Q)
     lookups = []
@@ -260,7 +272,7 @@ def test_lattice_reads_the_columns_once_per_exponent_vector(monkeypatch):
 def test_disagreeing_verdicts_raise(monkeypatch):
     Q = build_quotient(heisenberg_chart(P), 1, 2)
     I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
-    monkeypatch.setattr(control, "is_controlled", lambda I, U: (True, False))
+    monkeypatch.setattr(control, "is_controlled", lambda I, inside: (True, False))
     with pytest.raises(InvariantViolation, match="verdicts disagree at lattice point"):
         control_lattice(I)
 
@@ -272,8 +284,9 @@ def test_join_that_does_not_control_raises(monkeypatch):
     Q = build_quotient(abelian_chart(P, 2), 1, 2)
     I = ideal_closure([b_element(Q, 0)], side="right", quotient=Q)
 
-    def patched(I, U):
-        controls = sum(U.exponents) <= 1
+    def patched(I, inside):
+        # |U_e| = 9 / 3^|e|, so |e| <= 1 holds at |U| >= 3
+        controls = np.count_nonzero(inside) >= 3
         return controls, controls
 
     monkeypatch.setattr(control, "is_controlled", patched)
@@ -287,8 +300,8 @@ def test_intersection_above_projection_raises(monkeypatch):
     Q = build_quotient(heisenberg_chart(P), 1, 2)
     I = ideal_closure([b_element(Q, 2)], side="right", quotient=Q)
     monkeypatch.setattr(linalg, "projection_rank_log", lambda rows, keep, p, N: 0)
-    with pytest.raises(InvariantViolation, match=r"rank_log\(I ∩ KU\) = 36 at \(1, 1, 0\)"):
-        is_controlled(I, OpenSubgroupSpec(Q, (1, 1, 0)))
+    with pytest.raises(InvariantViolation, match=r"rank_log\(I ∩ KU\) = 36 with \|U\| = 3 "):
+        is_controlled(I, mask(Q, ref.grid(Q, (1, 1, 0))))
     with pytest.raises(InvariantViolation, match="the projection onto KU"):
         control_lattice(I)
 
@@ -318,8 +331,7 @@ def test_projection_ranks_match_span_rank_of_projection(Q):
     dense = I.rows.toarray()
     masks = []
     for e in product(range(Q.n + 1), repeat=Q.dim):
-        inside = np.zeros(Q.size, dtype=bool)
-        inside[OpenSubgroupSpec(Q, e)._grid] = True
+        inside = mask(Q, Q.lattice_grid(e)[0])
         masks += [inside, ~inside]
     off = np.ones(Q.size, dtype=bool)
     off[centre_indices(Q)] = False
@@ -352,22 +364,18 @@ def test_subgroup_members_match_search(Q):
     # every exponent vector, the incompatible ones included
     incompatible = 0
     for e in product(range(Q.n + 1), repeat=Q.dim):
-        U = OpenSubgroupSpec(Q, e)
+        members, compatible = Q.lattice_grid(e)
+        assert members.dtype == np.int64
         try:
-            want = ref.subgroup_elements(U)
+            want = ref.subgroup_elements(Q, e)
         except ValidationError:
             incompatible += 1
-            i = ref.grid_leaving_generator(U)
-            step = Q.p ** e[i]
-            with pytest.raises(ValidationError, match=re.escape(f"{e} is incompatible: right "
-                                                                f"multiplication by g_{i + 1}^{step} ")):
-                U.members()
-            assert not U.is_compatible()
+            assert ref.grid_leaving_generator(Q, e) is not None
+            assert not compatible
             continue
-        members = U.members()
-        assert members.dtype == np.int64
+        assert ref.grid_leaving_generator(Q, e) is None
         assert members.tolist() == sorted(want)
-        assert U.is_compatible()
+        assert compatible
     if Q.chart.name == "heisenberg" and Q.n == 2:
         assert incompatible > 0
 

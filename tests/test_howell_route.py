@@ -37,7 +37,7 @@ from iwasawa_kernel.algebra import (
     ideal_closure,
 )
 from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
-from iwasawa_kernel.control import OpenSubgroupSpec, is_faithful, j_ideal_rank
+from iwasawa_kernel.control import is_faithful, j_ideal_rank
 from iwasawa_kernel.errors import InvariantViolation
 from iwasawa_kernel.padic import vp_int
 
@@ -391,8 +391,8 @@ def induced_blocks(Q, gens):
     beta = Q.coords_array(sorted({h for g in gens for h in g.coeffs}))
     f = [min(vp_int(int(b), Q.p, Q.n) for b in beta[:, i]) for i in range(Q.dim)]
     below = sorted(product(*(range(e + 1) for e in f)), key=sum, reverse=True)
-    e = next(e for e in below if OpenSubgroupSpec(Q, e).is_compatible())
-    H = OpenSubgroupSpec(Q, e).members()
+    e = next(e for e in below if Q.lattice_grid(e)[1])
+    H = Q.lattice_grid(e)[0]
     ts = Q.index_array(list(product(*(range(Q.p**x) for x in e))))
     orders = {tuple(np.argsort(Q.mult_array(H, t)).tolist()) for t in ts}
     if len(orders) * H.size >= Q.size:
@@ -504,9 +504,9 @@ def test_cosets_in_many_orders(heis2, alpha, blocks):
     # orders, 60 for the 81 cosets of <g2>; each of the 9 cosets of <g2, g3>
     # has its own, which leaves nothing to share, and H = Q
     gens = [b_monomial(heis2, alpha)]
-    H = OpenSubgroupSpec(heis2, (2, 0, 0))
+    H, _ = heis2.lattice_grid((2, 0, 0))
     ts = heis2.index_array(list(product(range(9), [0], [0])))
-    assert len({tuple(np.argsort(heis2.mult_array(H.members(), t))) for t in ts}) == 9
+    assert len({tuple(np.argsort(heis2.mult_array(H, t))) for t in ts}) == 9
     assert induced_blocks(heis2, gens) == blocks
     size, classes, _ = blocks
     with howell_inputs() as got:
@@ -520,8 +520,8 @@ def test_incompatible_least_grid_takes_the_full_stack(heis2):
     # g1 g2 - 1: the least grid holding it is (0, 0, 2), which right
     # multiplication by g1 leaves, as it does (0, 0, 1); so H = Q
     x = AlgebraElement(heis2, {heis2.index((1, 1, 0)): 1, 0: -1})
-    assert not OpenSubgroupSpec(heis2, (0, 0, 2)).is_compatible()
-    assert not OpenSubgroupSpec(heis2, (0, 0, 1)).is_compatible()
+    assert not heis2.lattice_grid((0, 0, 2))[1]
+    assert not heis2.lattice_grid((0, 0, 1))[1]
     with howell_inputs() as got:
         new = ideal_closure([x], side="right", quotient=heis2)
     with howell_inputs() as want:

@@ -79,6 +79,17 @@ class TestHowell:
         assert H.shape == (0, 4)
         assert linalg.rank_log(H, 3, 2) == 0
 
+    @pytest.mark.parametrize("p, N", [(2, 5), (3, 2), (3, 4), (5, 3), (41, 5)])
+    def test_rank_log_is_the_sum_over_pivots(self, p, N):
+        # rows scaled by powers of p give pivots of every valuation
+        rng = np.random.default_rng(p * 100 + N)
+        for k, m in [(1, 1), (4, 6), (9, 9), (20, 12)]:
+            mat = rng.integers(0, p**N, size=(k, m)) * p ** rng.integers(0, N + 1, size=(k, 1))
+            H = linalg.howell(mat % p**N, p, N)
+            got = linalg.rank_log(H, p, N)
+            assert type(got) is int
+            assert got == sum(N - e for _, e in linalg.pivots(H, p, N))
+
 
 class TestModulusGuard:
     """int64 arithmetic is exact up to p^N <= isqrt(2^63 - 1); above that

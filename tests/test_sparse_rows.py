@@ -21,7 +21,7 @@ from stages import stages_up_to_729
 from test_howell_route import random_matrix, sparse_matrices
 from iwasawa_kernel import linalg
 from iwasawa_kernel.algebra import b_monomial, ideal_closure
-from iwasawa_kernel.control import OpenSubgroupSpec, is_faithful, j_ideal_rank
+from iwasawa_kernel.control import is_faithful, j_ideal_rank
 from iwasawa_kernel.linalg import Rows
 
 
@@ -65,10 +65,9 @@ def test_sparse_routes_match_dense_routes(Q, gens):
 
     whole = np.arange(Q.size)
     for e in np.ndindex(*[Q.n + 1] * Q.dim):
-        U = OpenSubgroupSpec(Q, e)
-        if not U.is_compatible():
+        members, compatible = Q.lattice_grid(e)
+        if not compatible:
             continue
-        members = U.members()
         inner = cref._restrict(I.rows, whole, members, p, N)
         assert inner.shape == (inner.shape[0], members.size)
         assert np.array_equal(inner.toarray(), cref.restrict_dense(dense, whole, members, p, N)), e
