@@ -38,8 +38,8 @@ def main():
 
     x = AlgebraElement.group_element(Q, Q.index((0, 1, 0)))  # the g2 axis
     print("residual weight of the truncation at x = g2:")
-    # one call expands x at every degree 0 .. 8
-    steps = expand_aut(phi, x, 8)
+    # one pass expands every element of the list at every degree 0 .. 8
+    (steps,) = expand_aut(phi, [x], 8)
     for degree in range(0, 10, 2):
         _, res = steps[degree]
         print(f"  D={degree}: w(residual) {res}")

@@ -14,7 +14,8 @@ Matrices are arrays inside this module: every kernel (divided powers, exp,
 log, the Neumann-series inverse, roots, the lattice solve) runs on a
 (B, size, size) batch, and the scalar methods (`exp`, `log`, `inverse`,
 `root`, `word`, ...) are batches of one whose result becomes the tuple
-`Matrix` once, at the boundary.  Coordinates of a group element in the
+`Matrix` once, at the boundary (`inverse_batch` and `root_batch` are the
+batch forms other modules call).  Coordinates of a group element in the
 ordered-product normal form g = g_1^{b_1} ... g_d^{b_d} are recovered by
 successive elimination on the logarithm, and every check applies to every
 element of the batch; `coordinates` takes one matrix as a batch of one.
@@ -231,7 +232,7 @@ class GroupChart:
             out = (out + t if k % 2 == 1 else out - t) % q
         return out
 
-    def _neumann_batch(self, g: np.ndarray) -> np.ndarray:
+    def inverse_batch(self, g: np.ndarray) -> np.ndarray:
         """g^-1 = sum_k (1 - g)^k over k < mat_size for each g of the batch,
         a Neumann series that ends because g - 1 is nilpotent."""
         q = self.modulus
@@ -243,7 +244,7 @@ class GroupChart:
             out = (out + term) % q
         return out
 
-    def _root_batch(self, g: np.ndarray, m: int) -> np.ndarray:
+    def root_batch(self, g: np.ndarray, m: int) -> np.ndarray:
         """The p^m-th root of each g of the batch, when every log g is
         divisible by p^m.  The logs are residues below p^work_prec, so the
         divisor is p^min(m, work_prec), which fits the batch dtype."""
@@ -314,11 +315,11 @@ class GroupChart:
         return _ordered_product(terms, np.array(betas, dtype=object) % q, q)
 
     def inverse(self, g: Matrix) -> Matrix:
-        return _as_matrix(self._neumann_batch(self.batch([g]))[0])
+        return _as_matrix(self.inverse_batch(self.batch([g]))[0])
 
     def root(self, g: Matrix, m: int) -> Matrix:
         """The p^m-th root of g, when log g is divisible by p^m."""
-        return _as_matrix(self._root_batch(self.batch([g]), m)[0])
+        return _as_matrix(self.root_batch(self.batch([g]), m)[0])
 
     # -- coordinate recovery -------------------------------------------
 

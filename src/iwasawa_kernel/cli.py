@@ -113,12 +113,12 @@ def cmd_mahler(config) -> int:
         )
     rng = random.Random(config.seed)
     sample = sorted(rng.randrange(Q.size) for _ in range(min(4, Q.size)))
-    # one expansion per sampled element serves every degree 1 .. D; only
-    # the residual weights are kept
+    # one expansion pass serves every sampled element at every degree
+    # 1 .. D; only the residual weights are kept
     weights = [
-        [res for _, res in mahler_mod.expand_aut(
-            phi, AlgebraElement.group_element(Q, g), degree, table)]
-        for g in sample
+        [res for _, res in steps]
+        for steps in mahler_mod.expand_aut(
+            phi, [AlgebraElement.group_element(Q, g) for g in sample], degree, table)
     ] if degree else []
     # the first least residual weight, None counting as infinite
     residuals = {

@@ -20,7 +20,9 @@ itself forks, as lookups in the permutation `perm` on a dense stage and one
 batched chart solve of the images above it (`apply_array`).  A
 group-valued function is an index array over the multi-indices
 |beta| <= D, one triple per point.  One `expand_aut` call returns the
-truncated expansion of an element at every degree 0 .. D.
+truncated expansions of every element of a list at every degree 0 .. D,
+and the z-map takes every axis in one batch, so that above the dense limit
+each stage of `growth` is one chart solve.
 """
 
 from __future__ import annotations
@@ -243,15 +245,21 @@ class AutomorphismSpec:
         return tuple(_as_matrix(m) for m in self.image_words(betas))
 
     def power(self, k: int) -> "AutomorphismSpec":
-        """self^k by repeated squaring, named ``name^k``."""
-        images, base = self.chart.generators, self
+        """self^k for k >= 0 by repeated squaring, named ``name^k``.  The
+        product starts as the images of the square at the lowest set bit of
+        k, so each squaring and each later bit takes one coordinate solve."""
+        if k < 0:
+            raise ValidationError(f"automorphism powers need k >= 0, got {k}")
+        images, base = None, self
         e = k
         while e:
             if e & 1:
-                images = base._after(images)
+                images = base.images if images is None else base._after(images)
             e >>= 1
             if e:
                 base = AutomorphismSpec(self.chart, base._after(base.images), name=self.name)
+        if images is None:
+            images = self.chart.generators
         return AutomorphismSpec(self.chart, images, name=f"{self.name}^{k}")
 
     # -- verification ---------------------------------------------------
@@ -263,7 +271,9 @@ class AutomorphismSpec:
         phi(h g_i) = phi(h) phi(g_i) for every h and every generator g_i.
         Above the dense limit, phi(ab) = phi(a) phi(b) is checked on
         `_HOMOMORPHISM_SAMPLES` random pairs (a, b), drawn from a fixed
-        seed; the pairs go through five batched chart solves.
+        seed, in two batched chart solves: one for the products ab, and one
+        for the stacked matrices phi(ab) and phi(a) phi(b), which are equal
+        in Q exactly when their indices are.
         """
         if Q.dense:
             perm, h = self.perm(Q), np.arange(Q.size)
@@ -278,8 +288,10 @@ class AutomorphismSpec:
         pairs = [(rng.randrange(Q.size), rng.randrange(Q.size))
                  for _ in range(_HOMOMORPHISM_SAMPLES)]
         a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        lhs = self.apply_array(Q, Q.mult_array(a, b))
-        rhs = Q.mult_array(self.apply_array(Q, a), self.apply_array(Q, b))
+        ab, pa, pb = np.split(self.image_words(Q.coords_array(
+            np.concatenate([Q.mult_array(a, b), a, b]))), 3)
+        idx = Q.index_of_matrices(np.concatenate([ab, pa @ pb % self.chart.modulus]))
+        lhs, rhs = np.split(idx, 2)
         return bool(np.array_equal(lhs, rhs))
 
 
@@ -489,21 +501,27 @@ def is_mahler_aut(
 
 def expand_aut(
     phi: AutomorphismSpec,
-    x: AlgebraElement,
+    xs: Sequence[AlgebraElement],
     degree: int,
     table: Optional[MahlerTable] = None,
-) -> List[Tuple[AlgebraElement, FiltValue]]:
-    """The truncated expansions phi(x) ~= sum_{|alpha|<=d} m_alpha ∂^{(alpha)} x
-    for d = 0 .. degree, each with the filtration weight of its residual.
+) -> List[List[Tuple[AlgebraElement, FiltValue]]]:
+    """For each element x of xs, the truncated expansions
+    phi(x) ~= sum_{|alpha|<=d} m_alpha ∂^{(alpha)} x for d = 0 .. degree,
+    each with the filtration weight of its residual.
 
     The table is computed here unless one of at least that degree is given.
     It is flattened once into (alpha, label h, coefficient c) triples.  For
-    each term s_k g_k of x the triple contributes c s_k binom(beta_k, alpha)
-    to h g_k, so every product is in one `Q.mult_array` call (one batched
-    chart solve above the dense limit).  The truncation at d merges the
-    contributions of shell d into the one at d - 1.
+    each term s_k g_k of an element the triple contributes
+    c s_k binom(beta_k, alpha) to h g_k, so every product of every element
+    is in one `Q.mult_array` call over labels x supports, and every image
+    phi(g_k) in one `apply_array` call (one batched chart solve each above
+    the dense limit).  A contribution is keyed by (element, index) as one
+    integer, and the truncation at d merges the contributions of shell d
+    into the one at d - 1 for all the elements at once.
     """
-    Q = x.quotient
+    if not xs:
+        return []
+    Q = xs[0].quotient
     if table is None or table.degree < degree:
         table = aut_mahler_coeffs(phi, Q, degree)
     q = Q.coeff_mod
@@ -515,7 +533,10 @@ def expand_aut(
     ]
     alphas = np.array([t[0] for t in flat], dtype=np.int64).reshape(-1, Q.dim)
     labels = np.array([t[1] for t in flat], dtype=np.int64)
-    support = np.array(list(x.coeffs), dtype=np.int64)
+    # the terms s_k g_k of every element; owner holds each term's key offset
+    owner = Q.size * np.repeat(np.arange(len(xs)), [len(x.coeffs) for x in xs])
+    support = np.array([k for x in xs for k in x.coeffs], dtype=np.int64)
+    scalars = np.array([s for x in xs for s in x.coeffs.values()], dtype=dtype)
     # binom[k, i, a] = binom(beta_k[i], a) mod q for the support's exponents beta_k
     top = int(alphas.max(initial=0))
     binom = np.array(
@@ -523,25 +544,36 @@ def expand_aut(
          for beta in Q.coords_array(support).tolist()],
         dtype=dtype,
     ).reshape(len(support), Q.dim, top + 1)
-    w = np.array([t[2] for t in flat], dtype=dtype)[:, None] * np.array(
-        list(x.coeffs.values()), dtype=dtype
-    ) % q
+    w = np.array([t[2] for t in flat], dtype=dtype)[:, None] * scalars % q
     for i in range(Q.dim):
         w = w * binom[:, i, alphas[:, i]].T % q
-    prods = Q.mult_array(labels[:, None], support[None, :])
+    keys = Q.mult_array(labels[:, None], support[None, :]) + owner
     shell = alphas.sum(axis=1)
-    target = phi.apply_element(x)
-    keys, sums = np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=dtype)
-    out = []
+    images = owner + phi.apply_array(Q, support)
+    targets = _split(Q, *_merge(images[:, None], scalars, q), len(xs))
+    merged, sums = np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=dtype)
+    out = [[] for _ in xs]
     for d in range(degree + 1):
-        keys, sums = _merge(
-            np.concatenate([keys, prods[shell == d].reshape(-1, 1)]),
+        merged, sums = _merge(
+            np.concatenate([merged, keys[shell == d].reshape(-1, 1)]),
             np.concatenate([sums, w[shell == d].ravel()]),
             q,
         )
-        approx = AlgebraElement(Q, dict(zip(keys[:, 0].tolist(), sums.tolist())))
-        out.append((approx, lazard_value(target - approx)))
+        for steps, target, approx in zip(out, targets, _split(Q, merged, sums, len(xs))):
+            steps.append((approx, lazard_value(target - approx)))
     return out
+
+
+def _split(
+    Q: QuotientGroup, keys: np.ndarray, w: np.ndarray, count: int
+) -> List[AlgebraElement]:
+    """The ``count`` elements held by merged (key, weight) rows, where key =
+    element position * |Q| + index: the keys are sorted, so each element's
+    terms are one slice."""
+    edges = np.searchsorted(keys[:, 0], Q.size * np.arange(count + 1)).tolist()
+    idx, coeffs = (keys[:, 0] % Q.size).tolist(), w.tolist()
+    return [AlgebraElement(Q, dict(zip(idx[lo:hi], coeffs[lo:hi])))
+            for lo, hi in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -558,35 +590,41 @@ def p_power_chain(phi: AutomorphismSpec, m_max: int) -> List[AutomorphismSpec]:
 
 
 def z_approximants(
-    chain: List[AutomorphismSpec], g: Matrix, m_range: Sequence[int]
-) -> List[Matrix]:
-    """(phi^{p^m}(g) g^{-1})^{p^{-m}} for m in m_range, where ``chain`` is
-    p_power_chain(phi, m) for an m >= max(m_range)."""
+    chain: List[AutomorphismSpec], gs, m_range: Sequence[int]
+) -> List[List[Matrix]]:
+    """(phi^{p^m}(g) g^{-1})^{p^{-m}} for each g of the matrices gs (one
+    matrix counts as a batch of one) and m in m_range, one list over the
+    m-range per g, where ``chain`` is p_power_chain(phi, m) for an
+    m >= max(m_range).  The coordinates of every g take one chart solve,
+    and each m one batched root."""
     chart = chain[0].chart
-    q = chart.modulus
-    beta = chart.coordinates(g)
-    ginv = chart.batch([chart.inverse(g)])
+    q, size = chart.modulus, chart.mat_size
+    gs = chart.batch(np.reshape(np.array(gs, dtype=object), (-1, size, size)))
+    betas = chart.coordinates(gs)
+    ginv = chart.inverse_batch(gs)
     approx = {
-        m: chart.root(_as_matrix((chain[m].image_words([beta]) @ ginv % q)[0]), m)
+        m: chart.root_batch(chain[m].image_words(betas) @ ginv % q, m)
         for m in sorted(set(m_range))
     }
-    return [approx[m] for m in m_range]
+    return [[_as_matrix(approx[m][k]) for m in m_range] for k in range(len(gs))]
 
 
 def z_stable(
-    chain: List[AutomorphismSpec], g: Matrix, m_max: int, Q: QuotientGroup
-) -> Tuple[Matrix, bool]:
-    """The approximant at m_max, plus whether it agrees in Q with the one at
-    m_max - 1; ``chain`` is p_power_chain(phi, m_max).  Every m is computed
-    only when one of those fails, so that the error is that of the first m
-    that fails."""
+    chain: List[AutomorphismSpec], gs, m_max: int, Q: QuotientGroup
+) -> Tuple[List[Matrix], List[bool]]:
+    """For each g of the matrices gs, the approximant at m_max, plus
+    whether it agrees in Q with the one at m_max - 1; ``chain`` is
+    p_power_chain(phi, m_max).  Every m is computed only when one of those
+    fails, so that the error is that of the first m that fails.  The
+    compared approximants of every g are indexed in one chart solve."""
     try:
-        approx = z_approximants(chain, g, range(max(m_max - 1, 0), m_max + 1))
+        approx = z_approximants(chain, gs, range(max(m_max - 1, 0), m_max + 1))
     except PrecisionError:
-        approx = z_approximants(chain, g, range(m_max + 1))
-    idxs = Q.index_of_matrices(chain[0].chart.batch(approx))
-    stable = len(idxs) < 2 or idxs[-1] == idxs[-2]
-    return approx[-1], bool(stable)
+        approx = z_approximants(chain, gs, range(m_max + 1))
+    compared = [a for row in approx for a in row[-2:]]
+    idxs = Q.index_of_matrices(Q.chart.batch(compared)).reshape(len(approx), -1)
+    stable = (idxs[:, -1] == idxs[:, 0]).tolist()
+    return [row[-1] for row in approx], stable
 
 
 def q_growth(
@@ -596,21 +634,22 @@ def q_growth(
     axis i in order, with coefficients in the stage's Z/p^N: N = 1 is the
     charp regime and N > 1 char0.  The caller fits the affine / p-power
     growth law.  The z-map reads phi^(p^m) up to m = max(2, m_range), a
-    chain built once for every axis.  Each z(g_i)^{p^m} is exp(p^m log
-    z(g_i)), and an axis's powers are indexed in one batched chart solve.
+    chain built once for every axis, and `z_stable` takes every axis in one
+    batch.  Each z(g_i)^{p^m} is exp(p^m log z(g_i)), and the powers of
+    every axis are indexed in one batched chart solve.
     """
     m_range = list(m_range)
     m_max = max([2, *m_range])
     chain = p_power_chain(phi, m_max)
     chart = phi.chart
+    zs, stable = z_stable(chain, chart.generators, m_max, Q)
+    if not all(stable):
+        raise PrecisionError("z-map approximants did not stabilize")
     exps = np.array([[Q.p**m] for m in m_range], dtype=object).reshape(-1, 1)
+    terms = chart.log_powers(zs)
+    powers = Q.index_of_matrices(np.concatenate(
+        [chart.power_words(terms[i:i + 1], exps) for i in range(len(zs))]
+    )).reshape(len(zs), len(m_range))
     one = AlgebraElement.one(Q)
-    table = []
-    for g in chart.generators:
-        z, stable = z_stable(chain, g, m_max, Q)
-        if not stable:
-            raise PrecisionError("z-map approximants did not stabilize")
-        powers = Q.index_of_matrices(chart.power_words(chart.log_powers([z]), exps))
-        table.append([lazard_value(AlgebraElement.group_element(Q, k) - one)
-                      for k in powers.tolist()])
-    return table
+    return [[lazard_value(AlgebraElement.group_element(Q, k) - one) for k in row]
+            for row in powers.tolist()]

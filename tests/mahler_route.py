@@ -19,7 +19,9 @@ it became an index-array pass or a batched chart solve:
   pairs of a stage above the dense limit, one scalar chart solve per
   product and per image;
 - `q_growth_by_powers` raises z(g_i) to p^m in the stage algebra by
-  repeated squaring, and rebuilds the chain phi^(p^m) for each axis.
+  repeated squaring, and rebuilds the chain phi^(p^m) for each axis;
+- `z_approximants_by_roots` is the z-map of one element, with one scalar
+  coordinate solve and one scalar root per m.
 
 `apply_index` is phi on one index: a lookup in `perm` on a dense stage
 (`test_group_law` checks it against the matrix route) and the matrix route
@@ -37,7 +39,6 @@ from iwasawa_kernel.mahler import (
     _multi_indices,
     divided_power,
     p_power_chain,
-    z_approximants,
 )
 from iwasawa_kernel.padic import vp_int
 
@@ -209,6 +210,16 @@ def verify_by_pairs(phi, Q, samples=20):
     return True
 
 
+def z_approximants_by_roots(chain, g, m_range):
+    """(phi^{p^m}(g) g^{-1})^{p^{-m}} for m in m_range, one element at a time."""
+    chart = chain[0].chart
+    beta, ginv = chart.coordinates(g), chart.inverse(g)
+    return [
+        chart.root(matrix_route._mul(chain[m].image_words([beta])[0], ginv, chart.modulus), m)
+        for m in m_range
+    ]
+
+
 def q_growth_by_powers(phi, i, m_range, regime, Q):
     if regime not in ("char0", "charp"):
         raise ValidationError(f"unknown regime {regime!r}")
@@ -217,7 +228,9 @@ def q_growth_by_powers(phi, i, m_range, regime, Q):
     if regime == "char0" and Q.N == 1:
         raise ValidationError("char0 regime needs coefficient precision N > 1")
     m_max = max(2, *m_range) if m_range else 2
-    approx = z_approximants(p_power_chain(phi, m_max), phi.chart.generators[i], range(m_max + 1))
+    approx = z_approximants_by_roots(
+        p_power_chain(phi, m_max), phi.chart.generators[i], range(m_max + 1)
+    )
     idxs = [matrix_route.index_of_matrix(Q, a) for a in approx]
     z, stable = approx[-1], idxs[-1] == idxs[-2]
     if not stable:

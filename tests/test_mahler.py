@@ -3,7 +3,11 @@ coefficient tables, the factorization criterion and the z-map growth."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,25 @@ class TestAutomorphismSpec:
             assert phi.power(k).images == step.images
             step = phi.compose(step)
 
+    def test_negative_power_raises(self):
+        # e >>= 1 stays at -1 for a negative exponent, so the squaring loop
+        # never ended; a subprocess bounds the test's time if it hangs again
+        root = Path(__file__).resolve().parents[1]
+        code = f"""
+from iwasawa_kernel.errors import ValidationError
+from iwasawa_kernel.presentation import load_presentation
+doc = load_presentation({str(root / "inputs" / "heis_conj.txt")!r})
+phi = doc.automorphism(doc.chart())
+try:
+    phi.power(-1)
+except ValidationError as exc:
+    print(exc)
+"""
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.strip() == "automorphism powers need k >= 0, got -1"
+
 
 class TestMahlerFactorization:
     def test_identity_table_is_trivial(self):
@@ -210,8 +233,8 @@ class TestMahlerFactorization:
         Q = build_quotient(chart, 2, 4)  # floor 3
         phi = conj_by_g1(chart)
         x = AlgebraElement.group_element(Q, Q.index((0, 1, 0)))
-        _, res0 = expand_aut(phi, x, 0)[0]
-        _, res_hi = expand_aut(phi, x, 8)[8]
+        _, res0 = expand_aut(phi, [x], 0)[0][0]
+        _, res_hi = expand_aut(phi, [x], 8)[0][8]
         assert res0.exact and res0.value == 2
         assert res_hi.value is None or res_hi.value > res0.value
 
@@ -228,15 +251,15 @@ class TestZMapGrowth:
         ]
         chain = p_power_chain(phi, 3)
         assert chain[0] is phi
-        assert z_approximants(chain, g, range(4)) == want
-        assert z_approximants(chain, g, [3, 1]) == [want[3], want[1]]
+        assert z_approximants(chain, [g], range(4)) == [want]
+        assert z_approximants(chain, [g], [3, 1]) == [[want[3], want[1]]]
 
     def test_z_of_conjugation_is_commutator(self):
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 2)
         phi = conj_by_g1(chart)
-        z, stable = z_stable(p_power_chain(phi, 2), chart.generators[1], 2, Q)
-        assert stable
+        (z,), stable = z_stable(p_power_chain(phi, 2), [chart.generators[1]], 2, Q)
+        assert stable == [True]
         # (g1, g2) = g3
         assert ref.index_of_matrix(Q, z) == Q.generator(2)
 
@@ -245,12 +268,13 @@ class TestZMapGrowth:
         Q = build_quotient(chart, 2, 2)
         phi, g = conj_by_g1(chart), chart.generators[1]
         roots = []
-        real = GroupChart.root
-        monkeypatch.setattr(GroupChart, "root", lambda c, h, m: roots.append(m) or real(c, h, m))
+        real = GroupChart.root_batch
+        monkeypatch.setattr(GroupChart, "root_batch",
+                            lambda c, h, m: roots.append(m) or real(c, h, m))
         chain = p_power_chain(phi, 4)
-        z, stable = z_stable(chain, g, 4, Q)
+        zs, stable = z_stable(chain, [g], 4, Q)
         assert roots == [3, 4]
-        assert (z, stable) == (z_approximants(chain, g, [4])[0], True)
+        assert (zs, stable) == ([z_approximants(chain, [g], [4])[0][0]], [True])
 
     def test_z_stable_reports_the_first_m_that_fails(self):
         # for the swap on g1 the root fails at m = 1 (outside the lattice) and

@@ -20,7 +20,8 @@ import pytest
 
 import mahler_route as ref
 from iwasawa_kernel.algebra import AlgebraElement, build_quotient
-from iwasawa_kernel.charts import cyclic_chart, heisenberg_chart
+from iwasawa_kernel.charts import GroupChart, cyclic_chart, heisenberg_chart
+from iwasawa_kernel.cli import main
 from iwasawa_kernel.errors import PrecisionError
 from iwasawa_kernel.mahler import (
     AutomorphismSpec,
@@ -95,7 +96,7 @@ def test_tables_criterion_and_expansions_match_scalar_routes(stages, make):
             assert got[0] == got[1]
         x = AlgebraElement(Q, {rng.randrange(Q.size): 1 + rng.randrange(8) for _ in range(3)})
         for degree in (0, 1, 3, DEGREE):
-            assert expand_aut(phi, x, degree, want)[degree] == ref.expand_by_divided_powers(
+            assert expand_aut(phi, [x], degree, want)[0][degree] == ref.expand_by_divided_powers(
                 phi, x, degree, want
             )
 
@@ -106,11 +107,11 @@ def test_expansion_builds_its_own_table(stages):
     x = AlgebraElement.group_element(Q, Q.index((4, 7, 2)))
     for degree in range(4):
         want = ref.table_by_dicts(phi, Q, degree)
-        assert expand_aut(phi, x, degree)[degree] == ref.expand_by_divided_powers(
+        assert expand_aut(phi, [x], degree)[0][degree] == ref.expand_by_divided_powers(
             phi, x, degree, want
         )
     zero = AlgebraElement.zero(Q)
-    assert expand_aut(phi, zero, 2)[2] == ref.expand_by_divided_powers(
+    assert expand_aut(phi, [zero], 2)[0][2] == ref.expand_by_divided_powers(
         phi, zero, 2, ref.table_by_dicts(phi, Q, 2)
     )
 
@@ -131,7 +132,7 @@ def test_python_int_paths():
     table = aut_mahler_coeffs(phi, Q, 4)
     assert (table.entries, table.decay_log) == (want.entries, want.decay_log)
     x = AlgebraElement(Q, {5: 3**24 + 7, 11: 2})
-    assert expand_aut(phi, x, 4, table)[4] == ref.expand_by_divided_powers(phi, x, 4, want)
+    assert expand_aut(phi, [x], 4, table)[0][4] == ref.expand_by_divided_powers(phi, x, 4, want)
     # q = 3^40 >= 2^63 does not fit in int64 itself (3^39 does), so the
     # differencing weights are Python ints even at degree 2
     Q = build_quotient(CHART, 1, 40)
@@ -150,7 +151,7 @@ def test_every_truncation_matches_divided_powers(stages):
             phi = input_spec(stem)
             want = ref.table_by_dicts(phi, Q, DEGREE)
             x = AlgebraElement(Q, {rng.randrange(Q.size): 1 + rng.randrange(8) for _ in range(3)})
-            steps = expand_aut(phi, x, DEGREE, want)
+            steps = expand_aut(phi, [x], DEGREE, want)[0]
             assert len(steps) == DEGREE + 1
             for d, step in enumerate(steps):
                 assert step == ref.expand_by_divided_powers(phi, x, d, want)
@@ -164,8 +165,8 @@ def test_lower_degree_table_is_recomputed(stages):
     want = ref.expand_by_divided_powers(phi, x, DEGREE, ref.table_by_dicts(phi, Q, DEGREE))
     low = aut_mahler_coeffs(phi, Q, 2)
     assert ref.expand_by_divided_powers(phi, x, DEGREE, low)[0] != want[0]
-    assert expand_aut(phi, x, DEGREE, low)[DEGREE] == want
-    assert expand_aut(phi, x, DEGREE, low) == expand_aut(phi, x, DEGREE)
+    assert expand_aut(phi, [x], DEGREE, low)[0][DEGREE] == want
+    assert expand_aut(phi, [x], DEGREE, low) == expand_aut(phi, [x], DEGREE)
 
 
 def polynomial(rng, dim, q):
@@ -327,7 +328,64 @@ def test_sparse_table_criterion_and_expansion(sparse_stage):
             witness is None, ref.by_commutation(phi, Q), witness
         )
         x = AlgebraElement(Q, {Q.index((40, 2, 77)): 5, Q.index((3, 80, 9)): 1})
-        assert expand_aut(phi, x, 2, table)[2] == ref.expand_by_divided_powers(phi, x, 2, want)
+        assert expand_aut(phi, [x], 2, table)[0][2] == ref.expand_by_divided_powers(
+            phi, x, 2, want
+        )
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("stem", ["heis_conj", "heis_swap"])
+def test_one_pass_expands_every_element(stages, sparse_stage, dense, stem):
+    # two group elements, a multi-term element, the zero element and a
+    # duplicate, expanded together: each as the divided powers alone give it
+    Q, degree = (stages[2], DEGREE) if dense else (sparse_stage, 2)
+    phi = input_spec(stem)
+    want = ref.table_by_dicts(phi, Q, degree)
+    g, h = Q.index((4, 7, 2)), Q.index((1, 2, 5))
+    multi = AlgebraElement(Q, {g: 5, h: 1, Q.index((3, 0, 8)): Q.coeff_mod - 2})
+    xs = [AlgebraElement.group_element(Q, g), multi, AlgebraElement.zero(Q),
+          AlgebraElement.group_element(Q, h), multi]
+    got = expand_aut(phi, xs, degree, want)
+    assert got == [
+        [ref.expand_by_divided_powers(phi, x, d, want) for d in range(degree + 1)] for x in xs
+    ]
+    assert expand_aut(phi, [], degree, want) == []
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The batch size of every chart coordinate solve."""
+    calls = []
+    real = GroupChart._coordinates
+    monkeypatch.setattr(GroupChart, "_coordinates",
+                        lambda chart, gs, prec: calls.append(len(gs)) or real(chart, gs, prec))
+    return calls
+
+
+def test_sparse_homomorphism_check_takes_two_solves(sparse_stage, solves):
+    # the products ab, then phi(ab) stacked on phi(a) phi(b)
+    assert input_spec("heis_conj").verify_homomorphism(sparse_stage)
+    assert solves == [20, 40]
+
+
+def test_a_power_starts_from_the_images(solves):
+    # phi^3: the images at the lowest bit cost nothing, then one squaring
+    # and one product
+    phi = input_spec("heis_conj")
+    cube = phi.power(3)
+    assert len(solves) == 2
+    assert cube.images == phi.compose(phi.compose(phi)).images
+
+
+def test_growth_takes_nine_solves_above_the_dense_limit(solves, capsys):
+    # verification 2, the chain phi^3, phi^9 2 + 2, then for all three axes at
+    # once the generators' coordinates, the compared approximants and the powers
+    argv = ["growth", str(ROOT / "inputs" / "heis_conj.txt"), "--level", "4",
+            "--coeff-prec", "6", "--m-max", "2", "--regime", "char0",
+            "--size-budget", "10000000"]
+    assert main(argv) == 0
+    assert "axis g2: m=0:2 m=1:3 m=2:4" in capsys.readouterr().out
+    assert solves == [20, 40, 3, 3, 3, 3, 3, 6, 9]
 
 
 GROWTH = [
