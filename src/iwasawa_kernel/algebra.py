@@ -10,10 +10,9 @@ one batched chart solve of the products t g_i on the |Q|/p^n elements t
 with beta_1 = 0 (left multiplication by g_1 only shifts beta_1), and
 products and inverses of a batch are composed from their powers, d lookups
 per element.  The stage
-keeps only the columns and the table, which is written in place one
-generator digit at a time from the same powers.  Larger stages solve each
-batch through the chart matrices, a chunk of matrices at a time in
-`index_of_matrices`.
+keeps only the columns; no |Q|^2 array is built on any command's path.
+Larger stages solve each batch through the chart matrices, a chunk of
+matrices at a time in `index_of_matrices`.
 
 A right ideal generated inside KH, for a lattice subgroup H, is the direct
 sum of its translates over the right cosets of H, and `ideal_closure`
@@ -41,29 +40,16 @@ import numpy as np
 
 from . import linalg
 from .charts import GroupChart
-from .errors import BudgetError, InvariantViolation, ValidationError
+from .errors import BudgetError, InvariantViolation, ValidationError, require_bytes
 from .padic import vp_array, vp_int
 
 DEFAULT_SIZE_BUDGET = 50_000
-# largest array (generator columns, multiplication table, translates of an
-# ideal closure, keys of a Mahler differencing pass) allocated, in bytes; the
-# table is built in its own buffer, so its 8|Q|^2 bytes are the build's peak
-DENSE_BYTE_BUDGET = 1 << 30
 # elements per batched chart solve, which bounds its temporary arrays
 _SOLVE_CHUNK = 1024
 # largest |alpha| a b-monomial may have
 B_MONOMIAL_DEGREE_BUDGET = 512
 # most multi-indices `lazard_value` may visit
 LAZARD_DEGREE_CAP = 4096
-
-
-def require_bytes(nbytes: int, what: str):
-    """BudgetError before allocating more than DENSE_BYTE_BUDGET bytes."""
-    if nbytes > DENSE_BYTE_BUDGET:
-        raise BudgetError(
-            f"{what} needs {nbytes / 2**30:.2f} GiB, "
-            f"above the dense byte budget of {DENSE_BYTE_BUDGET / 2**30:.2f} GiB"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +93,10 @@ class QuotientGroup:
     h -> h g_i^k; a product a*b is d lookups in them, following the
     coordinates of b.  Above the budget `mult_array` and `inverse_array`
     solve their batch through the chart matrices, and no |Q|-length array
-    is built.  The cached columns and table are read-only, so that no stray
-    write can corrupt a later product.
+    is built.  Every layer reads products through `mult_array` on the index
+    arrays it holds; the |Q|^2 table of `mult_table` is built only for the
+    tests' oracles.  The cached columns and table are read-only, so that no
+    stray write can corrupt a later product.
     """
 
     chart: GroupChart
@@ -286,12 +274,17 @@ class QuotientGroup:
         """Dense table t[a, b] = a*b (budgeted), written in place one
         generator digit at a time.
 
-        The buffer holds the transpose, row b being a -> a*b, which is what
-        right closures read.  After i digits its first r^i rows are
-        a -> a*g_1^{b_1}...g_i^{b_i}; the next digit sets row k*r^i + j to
-        columns[i, k] applied to row j, and k = 0 leaves row j as it is, so
-        each step only writes rows past the ones it reads.  The buffer is the
-        only |Q|^2 array allocated.
+        No command builds it: the closures read their products through
+        `mult_array`.  It stays for two readers: ``tests/howell_route.py``,
+        whose closure oracle takes its translates from the table, and
+        ``perfbench/spans.py``, which wraps this method and reads
+        `_mult_table` to count builds.
+
+        The buffer holds the transpose, row b being a -> a*b.  After i
+        digits its first r^i rows are a -> a*g_1^{b_1}...g_i^{b_i}; the next
+        digit sets row k*r^i + j to columns[i, k] applied to row j, and k = 0
+        leaves row j as it is, so each step only writes rows past the ones it
+        reads.  The buffer is the only |Q|^2 array allocated.
         """
         if self._mult_table is None:
             self._require_dense()
@@ -587,7 +580,7 @@ def _right_transversal(Q: QuotientGroup, exponents: Sequence[int]) -> np.ndarray
     return _digit_grid(Q.radix, [Q.p**e for e in exponents], [1] * Q.dim)
 
 
-def _inducing_cosets(Q: QuotientGroup, tab: np.ndarray, supp: np.ndarray):
+def _inducing_cosets(Q: QuotientGroup, supp: np.ndarray):
     """The right cosets of the subgroup H that the right closure of
     generators on ``supp`` is induced from, as the columns of
     ``cosets[k, t] = h_k·t`` over the sorted grid h of H and the transversal
@@ -604,7 +597,7 @@ def _inducing_cosets(Q: QuotientGroup, tab: np.ndarray, supp: np.ndarray):
         grid, compatible = Q.lattice_grid(below)
         if not compatible:
             continue
-        cosets = tab[grid[:, None], _right_transversal(Q, below)]
+        cosets = Q.mult_array(grid[:, None], _right_transversal(Q, below))
         if (np.bincount(cosets.ravel(), minlength=Q.size) != 1).any():
             raise InvariantViolation(
                 f"the right cosets of the lattice subgroup {below} "
@@ -667,7 +660,8 @@ def ideal_closure(
     the cosets of its class.  H = Q, taken when the classes would cover Q
     anyway, hands `howell` the full stack of |Q|·k right translates.
     Translates are built as sparse rows from the generators' supports, and
-    only |Q| + |supp|·|H| entries of the multiplication table are read.
+    every product is one `mult_array` batch on index arrays: |Q| for the
+    cosets and |supp|·|H| for the translates, with no |Q|^2 table.
 
     The two-sided case finishes with a fixed-point iteration on the left.
     """
@@ -681,12 +675,12 @@ def ideal_closure(
     mat = linalg.Rows.from_dicts([g.coeffs for g in gens if not g.is_zero()], Q.size)
     if not mat.shape[0]:
         return SubmoduleBasis(Q, mat)
-    # row, column, residue and sort order of each translated entry: the
-    # induced stack has at most |Q| translates of each generator, as H = Q has
+    # row, column, residue and sort order of each translated entry, the
+    # largest arrays the closure holds: the induced stack has at most |Q|
+    # translates of each generator, as H = Q has
     require_bytes(32 * Q.size * mat.nnz, f"the translates at |Q| = {Q.size}")
-    tab = Q.mult_table()
     supp = np.flatnonzero(np.bincount(mat.indices, minlength=Q.size))
-    cosets, order, label = _inducing_cosets(Q, tab, supp)
+    cosets, order, label = _inducing_cosets(Q, supp)
     grid, (size, _), classes = cosets[:, 0], cosets.shape, int(label.max()) + 1
     # rank[c, k]: the place of h_k·t in Ht, the same for every coset of class c
     rank = np.empty((classes, size), dtype=np.int64)
@@ -694,17 +688,15 @@ def ideal_closure(
     # perms[c·|H| + j, s]: the block column of supp[s]·h_j in class c
     local = np.empty(Q.size, dtype=np.int64)
     local[grid] = np.arange(size)
-    local = local[tab[supp[None, :], grid[:, None]]]
+    local = local[Q.mult_array(supp[None, :], grid[:, None])]
     perms = (rank[:, local] + size * np.arange(classes)[:, None, None]).reshape(-1, supp.size)
     at_supp = linalg.Rows(mat.indptr, np.searchsorted(supp, mat.indices), mat.data, supp.size)
     blocks = linalg.howell(_translates(at_supp, perms, classes * size), p, N)
     rows = _lay_out(blocks, cosets, order, label)
     if side == "two-sided":
         # the identity first, so that each step keeps the rows it had
-        lperms = np.array(
-            [np.arange(Q.size)]
-            + [tab[Q.generator(i)] for i in range(Q.dim)]
-        )
+        h = np.arange(Q.size)
+        lperms = np.array([h] + [Q.mult_array(Q.generator(i), h) for i in range(Q.dim)])
         while True:
             nxt = linalg.howell(_translates(rows, lperms, Q.size), p, N)
             if linalg.span_equal(nxt, rows):

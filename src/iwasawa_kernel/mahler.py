@@ -39,10 +39,9 @@ from .algebra import (
     FiltValue,
     QuotientGroup,
     lazard_value,
-    require_bytes,
 )
 from .charts import GroupChart, Matrix, _as_matrix
-from .errors import PrecisionError, ValidationError
+from .errors import PrecisionError, ValidationError, require_bytes
 from .padic import vp_int
 
 # random pairs (a, b) on which `verify_homomorphism` checks phi(ab) =

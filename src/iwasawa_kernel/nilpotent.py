@@ -21,8 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import require_bytes
-from .errors import ValidationError
+from .errors import ValidationError, require_bytes
 from .padic import vp
 
 Vector = Tuple[Fraction, ...]

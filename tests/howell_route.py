@@ -9,7 +9,10 @@ and `j_ideal_rank` reduces each centre vector before stacking it on I.
 Passing ``dtype=object`` runs `howell` on Python ints, which is the
 oracle above the package's int64 modulus bound.  `ideal_closure` builds
 its stacks of translates with one `_apply_perm` call per permutation and
-`np.vstack`, as the package did before it indexed them in one step.
+`np.vstack`, as the package did before it indexed them in one step, and
+reads its right translates from the |Q|^2 table of
+`QuotientGroup.mult_table`, which the package's closures no longer build:
+they take every product from `mult_array`.
 
 The dense array routes the package used before its bases became sparse
 rows are kept too: `reduce_rows_dense` reduces a whole (k, m) batch with

@@ -79,18 +79,18 @@ class TestQuotientGroup:
         # the table and the translates are refused before allocation; the
         # translates cost 32 bytes per entry, |Q| entries per non-zero of
         # the generators, so a generator on all of Q overflows the budget
-        from iwasawa_kernel import algebra
+        from iwasawa_kernel import errors
 
         Q = heis_quotient()
         gen = b_element(Q, 0)
         full = AlgebraElement(Q, {h: 1 for h in range(Q.size)})
-        monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 8 * Q.size**2 - 1)
+        monkeypatch.setattr(errors, "DENSE_BYTE_BUDGET", 8 * Q.size**2 - 1)
         with pytest.raises(BudgetError, match="multiplication table"):
             Q.mult_table()
         assert Q._mult_table is None
         with pytest.raises(BudgetError, match="translates"):
             ideal_closure([full], side="right", quotient=Q)
-        monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 8 * Q.size**2)
+        monkeypatch.setattr(errors, "DENSE_BYTE_BUDGET", 8 * Q.size**2)
         assert ideal_closure([gen], side="right", quotient=Q).rank_log > 0
 
     def test_cyclic_quotient_is_cyclic(self):

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +264,33 @@ class TestControl:
         assert json.loads(capsys.readouterr().out)["rank_log"] == 1296
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("stem, report", [
+        ("heis_zero_ideal", (0, [3, 3, 3], True, 54, 54)),
+        ("heis_central_ideal", (37908, [3, 3, 0], False, 2, 54)),
+        ("heis_augmentation", (39364, [0, 0, 0], False, 2, 54)),
+    ], ids=["heis_zero_ideal", "heis_central_ideal", "heis_augmentation"])
+    def test_level_3_reports(self, capsys, stem, report):
+        # |Q| = 19683: the translates are sparse rows of a few MB, and the
+        # closure reads its products through `mult_array`, so the 2.89 GiB
+        # multiplication table is never built
+        path = Path(__file__).resolve().parents[1] / "inputs" / f"{stem}.txt"
+        assert main(["control", str(path), "--level", "3", "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = (doc["rank_log"], doc["controller_estimate"], doc["faithful"],
+               doc["j_ideal_rank"], len(doc["lattice"]))
+        assert got == report
+
+    def test_large_prime_heisenberg(self, tmp_path, capsys):
+        # |Q| = 23^3: the generator columns take 6.7 MB, and the table no
+        # command builds would take 1.10 GiB; b3 = g3 - 1 lies in K<g3>, so
+        # exactly the subgroups holding g3 control it
+        path = write(tmp_path, "heis23.txt", HEIS_P23)
+        assert main(["control", path, "--level", "1", "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = (doc["rank_log"], doc["controller_estimate"], doc["faithful"],
+               doc["j_ideal_rank"], len(doc["lattice"]))
+        assert got == (23276, [1, 1, 0], False, 2, 7)
+
     def test_budget_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "c.txt", CENTRAL_IDEAL)
         assert main(["control", path, "--level", "4"]) == 2
@@ -417,10 +445,6 @@ FUZZ = [
     # 3^40 > 2^63: the generators' coefficients would not fit in int64
     ("coeff-prec-40", CENTRAL_IDEAL, ["control", "--coeff-prec", "40"], 2,
      "coefficient modulus 3^40"),
-    # |Q| = 19683: the translates are sparse rows of a few MB, but the
-    # multiplication table would take 2.9 GiB, and the stage refuses
-    # before allocating it
-    ("control-level-3", CENTRAL_IDEAL, ["control", "--level", "3"], 2, "dense byte budget"),
     ("control-level-4", CENTRAL_IDEAL, ["control", "--level", "4"], 2, "exceeds budget"),
     # the flag admits |Q| = 3^12, but control needs a dense stage, whose
     # limit the flag does not move
@@ -451,9 +475,6 @@ FUZZ = [
     ("one-dim-level-9-growth", ONE_DIM, ["growth", "--level", "9"], 2, "the generator columns"),
     ("one-dim-level-9-control", ONE_DIM, ["control", "--level", "9"], 2,
      "the generator columns"),
-    # |Q| = 23^3: the generator columns take 6.7 MB, the table 1.10 GiB
-    ("heis-p23-control", HEIS_P23, ["control", "--level", "1"], 2,
-     "the multiplication table at |Q| = 12167"),
     # |Q| = 729 is one above the budget the flag sets
     ("control-size-budget-728", CENTRAL_IDEAL, ["control", "--level", "2", "--size-budget", "728"],
      2, "exceeds budget 728"),

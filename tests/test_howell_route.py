@@ -17,6 +17,7 @@ the Howell form on the same inputs, from a forward elimination alone, and
 must equal `span_rank_log` of the projected Howell rows.
 """
 
+import json
 import random
 from contextlib import contextmanager
 from itertools import product
@@ -31,12 +32,14 @@ from stages import small_stage_ideals, to_vector
 from iwasawa_kernel import algebra, linalg
 from iwasawa_kernel.algebra import (
     AlgebraElement,
+    QuotientGroup,
     b_element,
     b_monomial,
     build_quotient,
     ideal_closure,
 )
 from iwasawa_kernel.charts import builtin_chart, heisenberg_chart
+from iwasawa_kernel.cli import main
 from iwasawa_kernel.control import is_faithful, j_ideal_rank
 from iwasawa_kernel.errors import InvariantViolation
 from iwasawa_kernel.padic import vp_int
@@ -541,3 +544,54 @@ def test_a_transversal_that_misses_a_coset_raises(monkeypatch, heis2):
     monkeypatch.setattr(algebra, "_right_transversal", twice_the_first)
     with pytest.raises(InvariantViolation, match="do not partition Q"):
         ideal_closure([b_element(heis2, 2)], side="right", quotient=heis2)
+
+
+def _closure_cases(Q):
+    """The b-monomials with 0 < |alpha| <= 3 and the scaled, multi-generator
+    and scalar ideals of the tests above, by name."""
+    cases = {alpha: [b_monomial(Q, alpha)] for alpha in product(range(4), repeat=Q.dim)
+             if 0 < sum(alpha) <= 3}
+    cases.update(_scaled_and_multi(Q))
+    return cases
+
+
+def _no_table(Q):
+    raise AssertionError("the |Q|^2 multiplication table was built")
+
+
+# every b-monomial stage on the right; two-sided, those whose oracle loop
+# (dense left translates at each step) takes under a second
+GUARD_CASES = [(*stage, "right") for stage in B_MONOMIAL_STAGES] + [
+    (*stage, "two-sided") for stage in B_MONOMIAL_STAGES
+    if stage[0] != "unipotent4" and stage[:2] != ("heisenberg", 2)]
+
+
+@pytest.mark.parametrize("name, n, N, side", GUARD_CASES,
+                         ids=[f"{c[0]}-n{c[1]}-N{c[2]}-{c[3]}" for c in GUARD_CASES])
+def test_closures_build_no_multiplication_table(monkeypatch, name, n, N, side):
+    # every product of the closure is a `mult_array` batch: with the table
+    # route refused, the rows equal the table oracle's, built on a quotient
+    # of its own before the refusal
+    chart = builtin_chart(name, 3)
+    oracle = build_quotient(chart, n, N)
+    want = {case: ref.ideal_closure(gens, side, oracle).rows.toarray()
+            for case, gens in _closure_cases(oracle).items()}
+    monkeypatch.setattr(QuotientGroup, "mult_table", _no_table)
+    Q = build_quotient(chart, n, N)
+    for case, gens in _closure_cases(Q).items():
+        got = ideal_closure(gens, side=side, quotient=Q).rows.toarray()
+        assert np.array_equal(got, want[case]), case
+
+
+def test_control_builds_no_multiplication_table(monkeypatch, tmp_path, capsys):
+    # a whole `control` command, closure, lattice and centre, with the
+    # table route refused; the report is the one recorded for level 2
+    monkeypatch.setattr(QuotientGroup, "mult_table", _no_table)
+    path = tmp_path / "augmentation.txt"
+    path.write_text("p 3\nchart heisenberg\nideal bmono 1 0 0\nideal bmono 0 1 0\n"
+                    "ideal bmono 0 0 1\n")
+    assert main(["control", str(path), "--level", "2", "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    got = (doc["rank_log"], doc["controller_estimate"], doc["faithful"],
+           doc["j_ideal_rank"], len(doc["lattice"]))
+    assert got == (1456, [0, 0, 0], False, 2, 23)

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import howell_route
-from iwasawa_kernel import linalg
+from iwasawa_kernel import errors, linalg
+from iwasawa_kernel.algebra import AlgebraElement, build_quotient, ideal_closure
+from iwasawa_kernel.charts import heisenberg_chart
+from iwasawa_kernel.cli import main
 from iwasawa_kernel.errors import BudgetError
 from iwasawa_kernel.linalg import Rows
 
@@ -119,3 +122,44 @@ class TestModulusGuard:
             linalg.howell(mat, p, N)
         with pytest.raises(BudgetError):
             howell_route.remainders(Rows.from_array(np.zeros((0, m))), Rows.from_array(mat), p, N)
+
+
+def test_tied_unit_rows_pivot_on_the_one_reaching_furthest_right():
+    # one bucket, led by column 0: a shorter row whose pivot is no unit, two
+    # unit rows of length 2 ending at columns 3 and 5, and a longer unit row
+    # ending at 9; units come first, then length, then the largest last
+    # column (Markowitz's least fill, as in structured Gaussian elimination)
+    p, N, m = 3, 2, 64
+    bucket = [{0: 3}, {0: 1, 3: 1}, {0: 2, 5: 1}, {0: 1, 2: 1, 9: 1}]
+    mat = Rows.from_dicts(bucket, m)
+    result, rest, _ = linalg._sparse_forward(mat.row_ids(), mat.indices, mat.data, m, p, N)
+    assert rest is None
+    # 2 is a unit mod 9 with inverse 5: the pivot row is normalised to 1
+    assert result[0] == (0, 0, {0: 1, 5: 5})
+
+
+# heisenberg n = 2, N = 2: the sparse forward elimination of this element's
+# right closure fills in and hands 209 live rows of 729 columns to the
+# dense loop
+DENSE_CLOSURE = {137: 2, 261: 2, 483: 7, 507: 8}
+
+
+def test_dense_elimination_asks_the_byte_budget(monkeypatch, tmp_path, capsys):
+    Q = build_quotient(heisenberg_chart(3), 2, 2)
+    x = AlgebraElement(Q, DENSE_CLOSURE)
+    asked, real = [], linalg.require_bytes
+    monkeypatch.setattr(linalg, "require_bytes",
+                        lambda nbytes, what: (asked.append((nbytes, what)), real(nbytes, what)))
+    assert ideal_closure([x], quotient=Q).rank_log == 1458
+    what = "the dense elimination of 209 rows x 729 columns"
+    assert asked == [(linalg._DENSE_HOLD * 8 * 209 * 729, what)]
+    # 4.9 MB asked: a 4 MB budget refuses before the block is allocated
+    monkeypatch.setattr(errors, "DENSE_BYTE_BUDGET", 4 * 10**6)
+    with pytest.raises(BudgetError, match=what):
+        ideal_closure([x], quotient=Q)
+    coeffs = " ".join(str(DENSE_CLOSURE.get(h, 0)) for h in range(max(DENSE_CLOSURE) + 1))
+    path = tmp_path / "dense.txt"
+    path.write_text(f"p 3\nchart heisenberg\nideal coeffs {coeffs}\n")
+    assert main(["control", str(path), "--level", "2"]) == 2
+    err = capsys.readouterr().err
+    assert what in err and "Traceback" not in err

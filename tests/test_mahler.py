@@ -13,7 +13,7 @@ import pytest
 
 import matrix_route as ref
 from matrix_route import _mul
-from iwasawa_kernel import algebra
+from iwasawa_kernel import errors
 from iwasawa_kernel.algebra import AlgebraElement, b_element, build_quotient
 from iwasawa_kernel.charts import GroupChart, heisenberg_chart, unipotent_chart
 from iwasawa_kernel.errors import BudgetError, PrecisionError
@@ -211,7 +211,7 @@ class TestMahlerFactorization:
         chart = heisenberg_chart(P)
         Q = build_quotient(chart, 2, 2)
         phi = AutomorphismSpec.from_words(chart, SWAP_WORDS)
-        monkeypatch.setattr(algebra, "DENSE_BYTE_BUDGET", 2 * 10**6)
+        monkeypatch.setattr(errors, "DENSE_BYTE_BUDGET", 2 * 10**6)
         with pytest.raises(BudgetError, match="--degree 20: a Mahler differencing pass"):
             aut_mahler_coeffs(phi, Q, 20)
 
