@@ -2,31 +2,18 @@
 
 A quotient stage enumerates Q = G/G^{p^n} through ordered-product
 coordinates beta in [0, p^n)^d from a matrix chart; algebra elements are
-sparse coefficient dictionaries over Z/p^N.  The group law has one entry
-point per operation, for every stage size: `mult_array` for products and
-`inverse_array` for inverses of index arrays.  Within the dense budget both
-are lookups in index arrays: the d generator columns h -> h g_i come from
-one batched chart solve of the products t g_i on the |Q|/p^n elements t
-with beta_1 = 0 (left multiplication by g_1 only shifts beta_1), and
-products and inverses of a batch are composed from their powers, d lookups
-per element.  The stage
-keeps only the columns; no |Q|^2 array is built on any command's path.
-Larger stages solve each batch through the chart matrices, a chunk of
-matrices at a time in `index_of_matrices`.
-
-A right ideal generated inside KH, for a lattice subgroup H, is the direct
-sum of its translates over the right cosets of H, and `ideal_closure`
-builds it that way: one echelon pass on the translates of the generators
-by H, the least compatible lattice subgroup holding them, whose rows are
-then laid onto the cosets.
-
-The filtration weight of an element is the infimum of v_p(coefficient) +
-weighted degree over its expansion in the ordered monomials b^alpha,
-b_i = g_i - 1, computed from the closed form
-g^beta = sum_alpha binom(beta, alpha) b^alpha.
-
-Weights at or above the stage's precision floor are reported as ">= floor",
-never as exact numbers: the finite stage cannot distinguish them.
+sparse coefficient dictionaries over Z/p^N.  In these coordinates the
+product is a polynomial map, which the stage fits once from chart products
+(`fit_product_law`); no other product is solved through the chart.
+`mult_array` and `inverse_array` are the group law's entry points for every
+stage size: a dense stage evaluates the law once, for its generator
+columns, and looks products up in them; a larger stage evaluates it per
+batch.  `ideal_closure` builds a right ideal as the direct sum of the
+translates, over the right cosets of a lattice subgroup H, of the ideal
+the generators span in KH.  The filtration weight of an element is read
+off its expansion in the ordered monomials b^alpha, b_i = g_i - 1; weights
+at or above the stage's precision floor are reported as ">= floor", never
+as exact numbers: the finite stage cannot distinguish them.
 """
 
 from __future__ import annotations
@@ -44,8 +31,6 @@ from .errors import BudgetError, InvariantViolation, ValidationError, require_by
 from .padic import vp_array, vp_int
 
 DEFAULT_SIZE_BUDGET = 50_000
-# elements per batched chart solve, which bounds its temporary arrays
-_SOLVE_CHUNK = 1024
 # largest |alpha| a b-monomial may have
 B_MONOMIAL_DEGREE_BUDGET = 512
 # most multi-indices `lazard_value` may visit
@@ -83,18 +68,63 @@ class FiltValue:
 # the quotient group
 
 
+def fit_product_law(chart: GroupChart, n: int):
+    """The product of G/G^{p^n} in coordinates, fitted from chart products:
+    (beta gamma)_j = beta_j + gamma_j + the sum of c prod binom(x_v, k)
+    over the terms (j, c, ((v, k), ...)), x = (beta, gamma) the lifted
+    digits, returned with binom[k - 1, x] = binom(x, k) mod p^n, x < p^n.
+
+    For a nilpotent group of class c these are integer-valued polynomials of
+    degree <= c (P. Hall's collection polynomials), differenced, every
+    coordinate in one labelled call, from the products g^beta g^gamma with
+    beta, gamma != 0 and |beta| + |gamma| <= c + 1 (the terms vanish where
+    beta or gamma is 0).  A term of degree c + 1 raises InvariantViolation,
+    and (p^n)^2 >= 2^63 BudgetError before any solve.
+    """
+    # both import this module
+    from .mahler import _difference, _multi_index_array
+    from .nilpotent import upper_central_series
+
+    d, q = chart.dim, chart.p**n
+    if q * q >= 2**63:
+        raise BudgetError(f"p^n = {chart.p}^{n}: products mod p^n would overflow int64")
+    c = len(upper_central_series(chart.structure_presentation(n))) - 1
+    # the pairs (beta, gamma) of nonzero points with |beta| + |gamma| <= c + 1
+    simplex = _multi_index_array(d, c, q)[1:]
+    shell = simplex.sum(axis=1)
+    left, right = np.nonzero(shell[:, None] + shell <= c + 1)
+    words = chart.words(simplex)
+    solved = chart.coordinates(np.matmul(words[left], words[right]) % chart.modulus, prec=n)
+    values = (np.asarray(solved, dtype=np.int64) - simplex[left] - simplex[right]) % q
+    at, coord = np.nonzero(values)
+    points = np.concatenate([simplex[left[at]], simplex[right[at]]], axis=1)
+    keys, w = _difference(points, coord, values[at, coord], c + 1, q)
+    exps = keys[:, :2 * d]
+    if (exps.sum(axis=1) > c).any():
+        raise InvariantViolation(f"the product law of the {chart.name} chart at level {n} "
+                                 f"has a term of degree {c + 1}, above the nilpotency class {c}")
+    terms = tuple(
+        (j, coeff, tuple((v, k) for v, k in enumerate(e) if k))
+        for e, j, coeff in zip(exps.tolist(), keys[:, 2 * d].tolist(), w.tolist())
+    )
+    top = int(exps.max(initial=0))
+    require_bytes(8 * top * q, f"the binomial table at p^n = {q}")
+    binom = np.empty((top, q), dtype=np.int64)
+    binom[:1] = np.arange(q)
+    # binom(x, k) = sum of binom(y, k - 1) over y < x
+    for k in range(1, top):
+        binom[k] = np.concatenate([[0], np.cumsum(binom[k - 1, :-1])]) % q
+    return terms, binom
+
+
 @dataclass
 class QuotientGroup:
     """The group Q = G/G^{p^n} with coefficient ring Z/p^N.
 
-    Within the dense budget the group law is index arithmetic: the d
-    generator columns h -> h g_i are solved once, in one batched chart solve
-    on the beta_1 = 0 slice of Q, and their powers give the columns
-    h -> h g_i^k; a product a*b is d lookups in them, following the
-    coordinates of b.  Above the budget `mult_array` and `inverse_array`
-    solve their batch through the chart matrices, and no |Q|-length array
-    is built.  Every layer reads products through `mult_array` on the index
-    arrays it holds; the |Q|^2 table of `mult_table` is built only for the
+    Within the dense budget a product a*b is d lookups in the generator
+    columns h -> h g_i^k, following the coordinates of b; above it
+    `mult_array` evaluates the product law on its batch, and no |Q|-length
+    array is built.  The |Q|^2 table of `mult_table` is built only for the
     tests' oracles.  The cached columns and table are read-only, so that no
     stray write can corrupt a later product.
     """
@@ -106,6 +136,12 @@ class QuotientGroup:
     # columns[i, k, h] = index of h * g_i^k (dense stages only)
     _columns: Optional["np.ndarray"] = field(default=None, repr=False)
     _mult_table: Optional["np.ndarray"] = field(default=None, repr=False)
+    # the product law's terms and binomial table, fitted when the stage is built
+    _terms: tuple = field(init=False, repr=False)
+    _binom: "np.ndarray" = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._terms, self._binom = fit_product_law(self.chart, self.n)
 
     @property
     def p(self) -> int:
@@ -160,49 +196,25 @@ class QuotientGroup:
             idx = np.arange(self.size)
         return np.asarray(idx, dtype=np.int64)[:, None] // (r ** np.arange(self.dim)) % r
 
-    def index_of_matrices(self, mats: np.ndarray) -> np.ndarray:
-        """Indices of a (B, size, size) array of chart matrices, solved in
-        batches of at most _SOLVE_CHUNK."""
-        out = np.empty(len(mats), dtype=np.int64)
-        for lo in range(0, len(mats), _SOLVE_CHUNK):
-            solved = self.chart.coordinates(mats[lo:lo + _SOLVE_CHUNK], prec=self.n)
-            out[lo:lo + _SOLVE_CHUNK] = self.index_array(solved)
-        return out
-
     # -- group law ------------------------------------------------------
 
     def columns(self) -> np.ndarray:
         """columns[i, k, h] = index of h * g_i^k (dense; budgeted).
 
-        Left multiplication by g_1^a adds a to the first coordinate in any
-        chart, so with h = g_1^{beta_1} t, where t has beta_1 = 0, h g_i =
-        g_1^{beta_1} (t g_i): only the products t g_i on the |Q|/p^n
-        elements t go through the chart, in one batched solve, and each
-        generator column is their indices with the first digit shifted.  The
-        powers are compositions of those permutations; g_i^{p^n} must act
-        as the identity on Q (InvariantViolation otherwise).
+        The products h g_i over Q are one evaluation of the product law per
+        generator, and the powers compositions of those permutations;
+        g_i^{p^n} must act as the identity on Q (InvariantViolation otherwise).
         """
         if self._columns is None:
             self._require_dense()
-            chart, d, r, size = self.chart, self.dim, self.radix, self.size
+            d, r, size = self.dim, self.radix, self.size
             require_bytes(8 * d * r * size, f"the generator columns at |Q| = {size}")
-            gens = chart.words(np.eye(d, dtype=np.int64))
-            # allocated before the solve's temporaries, so that where the block
+            # allocated before the law's temporaries, so that where the block
             # lands, and with it the peak RSS, does not hang on the gaps they leave
             cols = np.empty((d, r, size), dtype=np.int64)
             cols[:, 0] = np.arange(size)
-            t_idx = np.arange(0, size, r)  # the elements t with beta_1 = 0
-            shift = np.arange(r)
-            # elements t per solve: d products each, at most _SOLVE_CHUNK in all
-            step = max(1, _SOLVE_CHUNK // d)
-            for lo in range(0, len(t_idx), step):
-                ts = chart.words(self.coords_array(t_idx[lo:lo + step]))
-                prods = np.matmul(ts, gens[:, None]) % chart.modulus
-                y = self.index_of_matrices(prods.reshape(-1, *ts.shape[1:])).reshape(d, -1, 1)
-                # (g_1^a t) g_i = g_1^a (t g_i): shift the first digit by a
-                first = y % r
-                block = y - first + (first + shift) % r
-                cols[:, 1, lo * r:(lo + step) * r] = block.reshape(d, -1)
+            for i in range(d):
+                cols[i, 1] = self._law_array(cols[i, 0], r**i)
             for k in range(2, r):
                 cols[:, k] = np.take_along_axis(cols[:, 1], cols[:, k - 1], axis=1)
             cycled = np.take_along_axis(cols[:, 1], cols[:, r - 1], axis=1)
@@ -218,13 +230,9 @@ class QuotientGroup:
     def mult_array(self, a, b) -> np.ndarray:
         """Elementwise products a*b of two broadcastable index arrays: d
         lookups in the generator columns on a dense stage, following the
-        coordinates of b; one batched chart solve above it."""
+        coordinates of b, and one evaluation of the product law above it."""
         if not self.dense:
-            chart = self.chart
-            a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-            left = chart.words(self.coords_array(a.ravel()))
-            right = chart.words(self.coords_array(b.ravel()))
-            return self.index_of_matrices(np.matmul(left, right) % chart.modulus).reshape(a.shape)
+            return self._law_array(a, b)
         cols = self.columns()
         a, b = np.asarray(a), np.asarray(b)
         for i in range(self.dim):
@@ -233,18 +241,28 @@ class QuotientGroup:
         return a
 
     def inverse_array(self, idx) -> np.ndarray:
-        """Indices of the inverses of the index array idx: d lookups in the
-        generator columns on a dense stage, one batched chart solve above it."""
+        """Indices of the inverses of the index array idx, as the products
+        (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1} through `mult_array`."""
         idx = np.asarray(idx, dtype=np.int64)
-        if self.dense:
-            # (g^beta)^{-1} = g_d^{-beta_d} ... g_1^{-beta_1}
-            cols, beta = self.columns(), self.coords_array(idx.ravel())
-            out = np.zeros(idx.size, dtype=np.int64)
-            for i in reversed(range(self.dim)):
-                out = cols[i, -beta[:, i] % self.radix, out]
-            return out.reshape(idx.shape)
-        words = self.chart.inverse_words(self.coords_array(idx.ravel()))
-        return self.index_of_matrices(words).reshape(idx.shape)
+        r, beta = self.radix, self.coords_array(idx.ravel())
+        out = np.zeros(idx.size, dtype=np.int64)
+        for i in reversed(range(self.dim)):
+            out = self.mult_array(out, -beta[:, i] % r * r**i)
+        return out.reshape(idx.shape)
+
+    def _law_array(self, a, b) -> np.ndarray:
+        """Elementwise products a*b of two broadcastable index arrays by the
+        product law: beta + gamma plus its mixed terms, each a coefficient
+        times binomials of the lifted digits, reduced after every factor."""
+        d, r = self.dim, self.radix
+        # x[v] is the digit beta_v of a for v < d, and gamma_{v-d} of b after
+        x = [np.asarray(ab, dtype=np.int64) // r**i % r for ab in (a, b) for i in range(d)]
+        y = [x[j] + x[d + j] for j in range(d)]
+        for j, c, factors in self._terms:
+            for var, k in factors:
+                c = c * self._binom[k - 1][x[var]] % r
+            y[j] = y[j] + c
+        return sum(y[j] % r * r**j for j in range(d))
 
     def generator(self, i: int, power: int = 1) -> int:
         beta = [0] * self.dim
@@ -256,10 +274,9 @@ class QuotientGroup:
         sorted read-only indices (higher digits vary slowest), and whether e
         is compatible.
 
-        The grid holds 1 and lies in U_e, and a finite set that holds 1 and
-        is closed under right multiplication by U_e's generators contains
-        U_e; so the grid is U_e exactly when no g_i^(p^(e_i)) moves it, which
-        is read with one lookup in the columns per generator (dense stages).
+        The grid holds 1 and lies in U_e, and a finite set that holds 1 and is
+        closed under right multiplication by U_e's generators contains U_e; so
+        it is U_e exactly when no g_i^(p^(e_i)) moves it (one lookup each).
         """
         r, steps = self.radix, self.p ** np.array(exponents, dtype=np.int64)
         grid = _digit_grid(r, [r] * self.dim, steps.tolist())
@@ -272,13 +289,9 @@ class QuotientGroup:
 
     def mult_table(self) -> np.ndarray:
         """Dense table t[a, b] = a*b (budgeted), written in place one
-        generator digit at a time.
-
-        No command builds it: the closures read their products through
-        `mult_array`.  It stays for two readers: ``tests/howell_route.py``,
-        whose closure oracle takes its translates from the table, and
-        ``perfbench/spans.py``, which wraps this method and reads
-        `_mult_table` to count builds.
+        generator digit at a time.  No command builds it; it stays for the
+        closure oracle of ``tests/howell_route.py`` and for
+        ``perfbench/spans.py``, which wraps it and reads `_mult_table`.
 
         The buffer holds the transpose, row b being a -> a*b.  After i
         digits its first r^i rows are a -> a*g_1^{b_1}...g_i^{b_i}; the next
@@ -657,11 +670,9 @@ def ideal_closure(
     images come in the same order.  One `linalg.howell` call echelons the
     block-diagonal stack of the translates of the generators by H, one
     block per such order class, and `_lay_out` lays each block's rows onto
-    the cosets of its class.  H = Q, taken when the classes would cover Q
-    anyway, hands `howell` the full stack of |Q|·k right translates.
-    Translates are built as sparse rows from the generators' supports, and
-    every product is one `mult_array` batch on index arrays: |Q| for the
-    cosets and |supp|·|H| for the translates, with no |Q|^2 table.
+    the cosets of its class (H = Q when the classes would cover Q anyway).
+    Every product is one `mult_array` batch on index arrays: |Q| for the
+    cosets and |supp|·|H| for the sparse translates.
 
     The two-sided case finishes with a fixed-point iteration on the left.
     """

@@ -197,7 +197,8 @@ def is_faithful(I: SubmoduleBasis) -> bool:
 
 def centre_indices(Q: QuotientGroup) -> List[int]:
     """Elements of Q commuting with all generators: h·g_i = g_i·h for every
-    i, compared over all of Q at once (dense stages)."""
+    i, compared over all of Q at once, two `mult_array` batches per
+    generator."""
     h = np.arange(Q.size)
     central = np.ones(Q.size, dtype=bool)
     for i in range(Q.dim):

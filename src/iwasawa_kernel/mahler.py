@@ -3,31 +3,24 @@
 Scalar side: the coefficients m_alpha(f) of a function on (Z/p^n)^d in the
 binomial basis, by exact finite differencing, with a per-shell decay log
 and partial-sum reconstruction.  Scalar, algebra-valued and group-valued
-functions share one differencing kernel, `_mahler_table`, on (point,
-label, weight) triples.
+functions, and the product law a stage fits, share one differencing
+kernel, `_difference`, on (point, label, weight) triples.
 
 Automorphism side: an automorphism given by generator images acts on a
 quotient stage; the function beta -> phi(g^beta) g^{-beta} has algebra-
 valued Mahler coefficients.  For Mahler automorphisms these factor as
 ordered products of (psi(g_i) - 1)^{alpha_i} terms with psi(g) = phi(g)g^{-1};
 both the factorization and the commutation criterion are checked
-independently and must agree.
-
-The automorphism layer sees the stage only through index arrays.  Every
-group product and inverse is one `QuotientGroup.mult_array` or
-`inverse_array` call, which serves dense and larger stages alike; only phi
-itself forks, as lookups in the permutation `perm` on a dense stage and one
-batched chart solve of the images above it (`apply_array`).  A
-group-valued function is an index array over the multi-indices
-|beta| <= D, one triple per point.  One `expand_aut` call returns the
-truncated expansions of every element of a list at every degree 0 .. D,
-and the z-map takes every axis in one batch, so that above the dense limit
-each stage of `growth` is one chart solve.
+independently and must agree.  The layer sees the stage only through index
+arrays: every product and inverse is a `mult_array` or `inverse_array`
+call, and phi is `apply_array` on every stage, so nothing is solved through
+the chart but phi's d images and, in the z-map, the roots it indexes.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -44,8 +37,7 @@ from .charts import GroupChart, Matrix, _as_matrix
 from .errors import PrecisionError, ValidationError, require_bytes
 from .padic import vp_int
 
-# random pairs (a, b) on which `verify_homomorphism` checks phi(ab) =
-# phi(a) phi(b) above the dense limit
+# the seeded pairs (a, b) `verify_homomorphism` checks above the dense limit
 _HOMOMORPHISM_SAMPLES = 20
 
 
@@ -154,9 +146,8 @@ class AutomorphismSpec:
 
     phi(g^beta) is the ordered product of the powers exp(b_i log phi(g_i));
     the divided powers of the logarithms are computed on first use and kept,
-    since the images never change.  On a dense stage Q the automorphism is
-    the index array `perm(Q)`; above the dense limit the images of a batch
-    of indices take one batched chart solve.
+    since the images never change.  On a stage Q, phi acts on index arrays
+    through the power table of the images' indices (`apply_array`).
     """
 
     chart: GroupChart
@@ -166,8 +157,8 @@ class AutomorphismSpec:
     _log_terms: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # (Q, perm) for the last dense stage perm() was asked about
-    _perm: Optional[Tuple[QuotientGroup, np.ndarray]] = field(
+    # (Q, pw), pw[k, i] the index of phi(g_i)^k, for the last stage asked about
+    _powers: Optional[Tuple[QuotientGroup, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -201,28 +192,15 @@ class AutomorphismSpec:
             self._log_terms = self.chart.log_powers(self.images)
         return self.chart.power_words(self._log_terms, betas)
 
-    def perm(self, Q: QuotientGroup) -> np.ndarray:
-        """phi on a dense stage as an index array: perm[idx(g^beta)] is the
-        index of phi(g_1)^{b_1} ... phi(g_d)^{b_d}.
-
-        The d images take one batched chart solve; their powers and the
-        ordered products are index arithmetic.  The array is kept for the
-        last stage asked about.
-        """
-        if self._perm is None or self._perm[0] is not Q:
-            Q._require_dense()
-            imgs = Q.index_of_matrices(self.chart.batch(self.images))
-            pw = _power_table(Q, imgs, Q.radix - 1)
-            self._perm = (Q, _ordered(Q, pw, Q.coords_array()))
-        return self._perm[1]
-
     def apply_array(self, Q: QuotientGroup, idx) -> np.ndarray:
-        """phi on an array of indices of Q: lookups in perm(Q) on a dense
-        stage, one batched chart solve of the images above it."""
+        """phi on an array of indices of Q: the ordered products
+        phi(g_1)^{b_1} ... phi(g_d)^{b_d} from the power table of the images,
+        whose indices take one chart solve per stage."""
         idx = np.asarray(idx, dtype=np.int64)
-        if Q.dense:
-            return self.perm(Q)[idx]
-        return Q.index_of_matrices(self.image_words(Q.coords_array(idx)))
+        if self._powers is None or self._powers[0] is not Q:
+            imgs = self.chart.coordinates(self.chart.batch(self.images), prec=Q.n)
+            self._powers = (Q, _power_table(Q, Q.index_array(imgs), Q.radix - 1))
+        return _ordered(Q, self._powers[1], Q.coords_array(idx.ravel())).reshape(idx.shape)
 
     def apply_element(self, x: AlgebraElement) -> AlgebraElement:
         Q = x.quotient
@@ -264,33 +242,28 @@ class AutomorphismSpec:
     # -- verification ---------------------------------------------------
 
     def verify_homomorphism(self, Q: QuotientGroup) -> bool:
-        """Whether phi acts on Q as an automorphism.
+        """Whether phi acts on Q as an automorphism: phi(ab) = phi(a) phi(b)
+        through `apply_array` and `mult_array`.
 
-        Dense stages are checked exactly: perm(Q) must be a permutation with
-        phi(h g_i) = phi(h) phi(g_i) for every h and every generator g_i.
-        Above the dense limit, phi(ab) = phi(a) phi(b) is checked on
-        `_HOMOMORPHISM_SAMPLES` random pairs (a, b), drawn from a fixed
-        seed, in two batched chart solves: one for the products ab, and one
-        for the stacked matrices phi(ab) and phi(a) phi(b), which are equal
-        in Q exactly when their indices are.
+        On a dense stage the check is exact: phi must permute Q, and the
+        pairs (a, b) are every (h, g_i).  Above the dense limit they are
+        `_HOMOMORPHISM_SAMPLES` random pairs, drawn from a fixed seed.
         """
         if Q.dense:
-            perm, h = self.perm(Q), np.arange(Q.size)
-            if not np.array_equal(np.sort(perm), h):
+            a = np.arange(Q.size)
+            image = self.apply_array(Q, a)
+            if not np.array_equal(np.sort(image), a):
                 return False
-            gens = Q.index_array(np.eye(Q.dim, dtype=np.int64))[:, None]
-            lhs, rhs = perm[Q.mult_array(h, gens)], Q.mult_array(perm, perm[gens])
-            return bool(np.array_equal(lhs, rhs))
-        import random
-
-        rng = random.Random(23)
-        pairs = [(rng.randrange(Q.size), rng.randrange(Q.size))
-                 for _ in range(_HOMOMORPHISM_SAMPLES)]
-        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        ab, pa, pb = np.split(self.image_words(Q.coords_array(
-            np.concatenate([Q.mult_array(a, b), a, b]))), 3)
-        idx = Q.index_of_matrices(np.concatenate([ab, pa @ pb % self.chart.modulus]))
-        lhs, rhs = np.split(idx, 2)
+            b = Q.index_array(np.eye(Q.dim, dtype=np.int64))[:, None]
+            # phi of all of Q is at hand, and phi of a product a lookup in it
+            lhs = image[Q.mult_array(a, b)]
+        else:
+            rng = random.Random(23)
+            a, b = np.array([[rng.randrange(Q.size) for _ in range(2)]
+                             for _ in range(_HOMOMORPHISM_SAMPLES)], dtype=np.int64).T
+            image = self.apply_array(Q, a)
+            lhs = self.apply_array(Q, Q.mult_array(a, b))
+        rhs = Q.mult_array(image, self.apply_array(Q, b))
         return bool(np.array_equal(lhs, rhs))
 
 
@@ -299,10 +272,15 @@ class AutomorphismSpec:
 
 
 def _power_table(Q: QuotientGroup, bases: np.ndarray, top: int) -> np.ndarray:
-    """pw[k, i] = bases[i]^k in Q for 0 <= k <= top."""
+    """pw[k, i] = bases[i]^k in Q for 0 <= k <= top; with rows 0 .. m - 1
+    filled, one `mult_array` call fills m - 1 more as b^(m - 1) b^j."""
     pw = np.zeros((top + 1, len(bases)), dtype=np.int64)
-    for k in range(1, top + 1):
-        pw[k] = Q.mult_array(pw[k - 1], bases)
+    pw[1:2] = bases
+    m = 2
+    while m <= top:
+        step = min(m - 1, top + 1 - m)
+        pw[m:m + step] = Q.mult_array(pw[m - 1], pw[1:step + 1])
+        m += step
     return pw
 
 
@@ -379,28 +357,17 @@ def _merge(keys: np.ndarray, w: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndar
     return keys[keep], w[keep]
 
 
-def _mahler_table(
-    points: np.ndarray,
-    labels: Sequence[int],
-    weights: Sequence[int],
-    degree: int,
-    p: int,
-    N: int,
-    Q: Optional[QuotientGroup] = None,
-) -> MahlerTable:
-    """Mahler table of a function given on points |beta| <= degree as
-    (point, label, weight) triples: its value at beta is the sum of
-    weight * g_label over the triples at beta, with values in the algebra
-    of Q, or the sum of the weights when Q is None (the labels are then a
-    constant).
+def _difference(points: np.ndarray, labels, weights, degree: int, q: int):
+    """The Mahler coefficients mod q of (point, label, weight) triples on
+    |beta| <= degree, as sorted (point, label) key rows and their nonzero
+    coefficients.
 
     Differencing along an axis sends a triple at coordinate j to every
     k >= j that stays within shell ``degree``, with weight
     (-1)^(k-j) binom(k, j), and merges the triples with equal point and
-    label.  Every weight is a residue mod q = p^N, so int64 holds the
-    product of two while (q - 1)^2 < 2^63, and Python ints do beyond.
+    label.  Every weight is a residue mod q, so int64 holds the product of
+    two while (q - 1)^2 < 2^63, and Python ints do beyond.
     """
-    q = p**N
     dim = points.shape[1]
     dtype = _residue_dtype(q)
     signed = np.array(
@@ -422,6 +389,26 @@ def _mahler_table(
         keys[:, axis] = k
         del src, j, k  # not held through the merge
         keys, w = _merge(keys, w, q)
+    return keys, w
+
+
+def _mahler_table(
+    points: np.ndarray,
+    labels: Sequence[int],
+    weights: Sequence[int],
+    degree: int,
+    p: int,
+    N: int,
+    Q: Optional[QuotientGroup] = None,
+) -> MahlerTable:
+    """Mahler table, by `_difference` mod p^N, of a function given on points
+    |beta| <= degree as (point, label, weight) triples: its value at beta is
+    the sum of weight * g_label over the triples at beta, with values in
+    the algebra of Q, or the sum of the weights when Q is None (the labels
+    are then a constant).
+    """
+    dim = points.shape[1]
+    keys, w = _difference(points, labels, weights, degree, p**N)
     points, labels, coeffs = keys[:, :dim], keys[:, dim].tolist(), w.tolist()
     bounds = np.append(_run_starts(points), len(w)).tolist()
     entries = {
@@ -506,17 +493,15 @@ def expand_aut(
 ) -> List[List[Tuple[AlgebraElement, FiltValue]]]:
     """For each element x of xs, the truncated expansions
     phi(x) ~= sum_{|alpha|<=d} m_alpha ∂^{(alpha)} x for d = 0 .. degree,
-    each with the filtration weight of its residual.
+    each with the filtration weight of its residual; the table is computed
+    here unless one of at least that degree is given.
 
-    The table is computed here unless one of at least that degree is given.
-    It is flattened once into (alpha, label h, coefficient c) triples.  For
-    each term s_k g_k of an element the triple contributes
-    c s_k binom(beta_k, alpha) to h g_k, so every product of every element
-    is in one `Q.mult_array` call over labels x supports, and every image
-    phi(g_k) in one `apply_array` call (one batched chart solve each above
-    the dense limit).  A contribution is keyed by (element, index) as one
-    integer, and the truncation at d merges the contributions of shell d
-    into the one at d - 1 for all the elements at once.
+    Each (alpha, label h, coefficient c) triple of the table contributes
+    c s_k binom(beta_k, alpha) to h g_k for each term s_k g_k of an element:
+    every product is in one `Q.mult_array` call over labels x supports,
+    keyed by (element, index) as one integer.  The triples are ordered by
+    shell, so the truncation at d merges the contiguous slice of shell d
+    into the one at d - 1, for all the elements at once.
     """
     if not xs:
         return []
@@ -525,11 +510,12 @@ def expand_aut(
         table = aut_mahler_coeffs(phi, Q, degree)
     q = Q.coeff_mod
     dtype = _residue_dtype(q)
-    flat = [
-        (alpha, h, c)
-        for alpha, m in table.entries.items() if sum(alpha) <= degree
-        for h, c in m.coeffs.items()
-    ]
+    flat = sorted(
+        ((alpha, h, c)
+         for alpha, m in table.entries.items() if sum(alpha) <= degree
+         for h, c in m.coeffs.items()),
+        key=lambda t: sum(t[0]),
+    )
     alphas = np.array([t[0] for t in flat], dtype=np.int64).reshape(-1, Q.dim)
     labels = np.array([t[1] for t in flat], dtype=np.int64)
     # the terms s_k g_k of every element; owner holds each term's key offset
@@ -547,15 +533,16 @@ def expand_aut(
     for i in range(Q.dim):
         w = w * binom[:, i, alphas[:, i]].T % q
     keys = Q.mult_array(labels[:, None], support[None, :]) + owner
-    shell = alphas.sum(axis=1)
+    # shell d is the rows edges[d]:edges[d + 1]
+    edges = np.searchsorted(alphas.sum(axis=1), np.arange(degree + 2)).tolist()
     images = owner + phi.apply_array(Q, support)
     targets = _split(Q, *_merge(images[:, None], scalars, q), len(xs))
     merged, sums = np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=dtype)
     out = [[] for _ in xs]
-    for d in range(degree + 1):
+    for lo, hi in zip(edges, edges[1:]):
         merged, sums = _merge(
-            np.concatenate([merged, keys[shell == d].reshape(-1, 1)]),
-            np.concatenate([sums, w[shell == d].ravel()]),
+            np.concatenate([merged, keys[lo:hi].reshape(-1, 1)]),
+            np.concatenate([sums, w[lo:hi].ravel()]),
             q,
         )
         for steps, target, approx in zip(out, targets, _split(Q, merged, sums, len(xs))):
@@ -620,8 +607,8 @@ def z_stable(
         approx = z_approximants(chain, gs, range(max(m_max - 1, 0), m_max + 1))
     except PrecisionError:
         approx = z_approximants(chain, gs, range(m_max + 1))
-    compared = [a for row in approx for a in row[-2:]]
-    idxs = Q.index_of_matrices(Q.chart.batch(compared)).reshape(len(approx), -1)
+    compared = Q.chart.batch([a for row in approx for a in row[-2:]])
+    idxs = Q.index_array(Q.chart.coordinates(compared, prec=Q.n)).reshape(len(approx), -1)
     stable = (idxs[:, -1] == idxs[:, 0]).tolist()
     return [row[-1] for row in approx], stable
 
@@ -646,9 +633,9 @@ def q_growth(
         raise PrecisionError("z-map approximants did not stabilize")
     exps = np.array([[Q.p**m] for m in m_range], dtype=object).reshape(-1, 1)
     terms = chart.log_powers(zs)
-    powers = Q.index_of_matrices(np.concatenate(
+    powers = Q.index_array(chart.coordinates(np.concatenate(
         [chart.power_words(terms[i:i + 1], exps) for i in range(len(zs))]
-    )).reshape(len(zs), len(m_range))
+    ), prec=Q.n)).reshape(len(zs), len(m_range))
     one = AlgebraElement.one(Q)
     return [[lazard_value(AlgebraElement.group_element(Q, k) - one) for k in row]
             for row in powers.tolist()]

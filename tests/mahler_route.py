@@ -23,9 +23,9 @@ it became an index-array pass or a batched chart solve:
 - `z_approximants_by_roots` is the z-map of one element, with one scalar
   coordinate solve and one scalar root per m.
 
-`apply_index` is phi on one index: a lookup in `perm` on a dense stage
-(`test_group_law` checks it against the matrix route) and the matrix route
-above it.
+`apply_index` is phi on one index: on a dense stage the chart solve of
+its image word phi(g^beta) (`test_group_law` checks it against the matrix
+route), and the matrix route above it.
 """
 
 import random
@@ -45,7 +45,8 @@ from iwasawa_kernel.padic import vp_int
 
 def apply_index(phi, Q, idx):
     if Q.dense:
-        return int(phi.perm(Q)[idx])
+        word = phi.image_words(Q.coords_array([idx]))
+        return int(Q.index_array(Q.chart.coordinates(word, prec=Q.n))[0])
     return matrix_route.apply_index(phi, Q, idx)
 
 

@@ -70,7 +70,7 @@ def columns_by_full_solve(Q):
     cols = np.empty((Q.dim, Q.radix, size), dtype=np.int64)
     cols[:, 0] = np.arange(size)
     for i, g in enumerate(gens):
-        cols[i, 1] = Q.index_of_matrices(np.matmul(hs, g) % chart.modulus)
+        cols[i, 1] = Q.index_array(chart.coordinates(np.matmul(hs, g) % chart.modulus, prec=Q.n))
     for k in range(2, Q.radix):
         cols[:, k] = np.take_along_axis(cols[:, 1], cols[:, k - 1], axis=1)
     return cols

@@ -1,12 +1,13 @@
 """The index-array group law against the matrix route.
 
-A dense stage's generator columns come from one batched chart solve on the
-|Q|/p^n elements with beta_1 = 0: left multiplication by g_1^a only shifts
-the first coordinate, so the rest of each column is index arithmetic, as is
-everything else.  ``columns_by_full_solve`` (in ``stages``) is the solve
-over all of Q that this replaced, compared on every |Q| <= 729 test stage,
-on a skew chart and on one stage solved in several chunks, and a wrapped
-``chart.coordinates`` counts the matrices solved.  ``matrix_route`` is the
+Every product goes through the product law that a stage fits once from the
+chart's products on a small simplex: a dense stage's generator columns are
+one evaluation of it over Q, and larger stages evaluate it per batch.  It
+is compared with chart products on 2000 seeded pairs per stage, and
+``columns_by_full_solve`` (in ``stages``) is the chart solve over all of Q
+that the columns replaced, compared on every |Q| <= 729 test stage, on a
+skew chart and at |Q| = 19683; a wrapped ``chart.coordinates`` counts the
+matrices the fit solves.  ``matrix_route`` is the
 scalar route before both (tuple-matrix exp/log, one-element iterative
 solves, phi(g^beta) through exp(b log phi(g_i))).  Small stages are
 compared with it on all of Q, |Q| = 729 stages on sampled pairs and random
@@ -27,8 +28,10 @@ from matrix_route import _mul
 from mahler_route import coeffs_by_dicts, mahler_product_coeff
 from stages import columns_by_full_solve, skew_heisenberg, stages_up_to_729
 from iwasawa_kernel.algebra import AlgebraElement, build_quotient
-from iwasawa_kernel.charts import GroupChart, builtin_chart, heisenberg_chart
+from iwasawa_kernel.charts import GroupChart, builtin_chart, chart_from_matrices, heisenberg_chart
+from iwasawa_kernel.cli import main
 from iwasawa_kernel.errors import InvariantViolation
+from iwasawa_kernel.nilpotent import LiePresentation
 from iwasawa_kernel.mahler import (
     AutomorphismSpec,
     aut_mahler_coeffs,
@@ -101,22 +104,23 @@ def test_small_stage_matches_matrix_route_on_all_of_Q(name, p, n):
     idx = np.arange(Q.size).reshape(-1, Q.p)
     assert Q.inverse_array(idx).tolist() == np.array(inverses)[idx].tolist()
     for phi in automorphisms(chart):
-        assert list(phi.perm(Q)) == [ref.apply_index(phi, Q, h) for h in range(Q.size)]
+        assert list(phi.apply_array(Q, np.arange(Q.size))) == [
+            ref.apply_index(phi, Q, h) for h in range(Q.size)
+        ]
 
 
 def test_columns_match_full_solve():
     stages = stages_up_to_729()
     stages += [(f"skew-n{n}", build_quotient(skew_heisenberg(P), n, 2)) for n in (1, 2)]
-    # 3 * 729 products: more than one solve chunk
     stages.append(("heisenberg-n3", build_quotient(heisenberg_chart(P), 3, 2)))
     for name, Q in stages:
         assert (Q.columns() == columns_by_full_solve(Q)).all(), name
 
 
-@pytest.mark.parametrize("name, n, solved", [("heisenberg", 2, 243), ("unipotent4", 1, 1458)])
-def test_columns_solve_only_the_first_coordinate_slice(monkeypatch, name, n, solved):
-    Q = build_quotient(builtin_chart(name, P), n, 2, verify=False)
-    assert solved == Q.dim * Q.size // Q.radix
+@pytest.mark.parametrize("name, n, solved", [("heisenberg", 2, 45), ("unipotent4", 1, 1401)])
+def test_the_fit_solves_only_the_mixed_products(monkeypatch, name, n, solved):
+    # the products g^beta g^gamma with beta, gamma != 0 and |beta| + |gamma|
+    # <= c + 1: class 2 on six variables, and class 3 on twelve
     sizes = []
     coordinates = GroupChart.coordinates
 
@@ -125,20 +129,70 @@ def test_columns_solve_only_the_first_coordinate_slice(monkeypatch, name, n, sol
         return coordinates(chart, g, prec)
 
     monkeypatch.setattr(GroupChart, "coordinates", counted)
+    Q = build_quotient(builtin_chart(name, P), n, 2, verify=False)
+    assert sizes == [solved]
     Q.columns()
-    assert sum(sizes) == solved
+    assert sizes == [solved]
+
+
+def chart_products(Q, a, b):
+    """The indices of a*b, each product solved through the chart."""
+    chart = Q.chart
+    prods = np.matmul(chart.words(Q.coords_array(a)), chart.words(Q.coords_array(b)))
+    return Q.index_array(chart.coordinates(prods % chart.modulus, prec=Q.n))
+
+
+def filiform(p):
+    """The class-3 chart x1 = p(E12 + E23 + E34), x2 = p E34, x3 = p^2 E24,
+    x4 = p^3 E14, with [x1, x2] = x3 and [x1, x3] = x4, whose law has the
+    term beta_2 binom(gamma_1, 2); p > 3 keeps the logarithms in the
+    lattice."""
+    def unit(i, j, v):
+        return tuple(tuple(v if (a, b) == (i, j) else 0 for b in range(4)) for a in range(4))
+
+    shift = np.add(np.add(unit(0, 1, p), unit(1, 2, p)), unit(2, 3, p)).tolist()
+    return chart_from_matrices(p, [shift, unit(2, 3, p), unit(1, 3, p**2), unit(0, 3, p**3)])
+
+
+@pytest.mark.parametrize("name, n", [
+    ("heisenberg", 3), ("heisenberg", 4), ("unipotent4", 2), ("skew", 2), ("skew", 3),
+    ("filiform", 2),
+])
+def test_law_matches_chart_products(name, n):
+    charts = {"skew": lambda: skew_heisenberg(P), "filiform": lambda: filiform(5)}
+    chart = charts.get(name, lambda: builtin_chart(name, P))()
+    Q = build_quotient(chart, n, 2, size_budget=10**7, verify=False)
+    rng = np.random.default_rng(2000 + n)
+    a, b = rng.integers(0, Q.size, size=(2, 2000))
+    want = chart_products(Q, a, b)
+    assert np.array_equal(Q._law_array(a, b), want)
+    assert np.array_equal(Q.mult_array(a, b), want)
+    if name == "filiform":
+        assert (3, 1, ((1, 1), (4, 2))) in Q._terms
+
+
+def test_a_class_forced_too_low_raises(monkeypatch):
+    # read as abelian, the Heisenberg law keeps its term of degree 2
+    def abelian(chart, prec):
+        return LiePresentation.from_triples(chart.p, chart.dim, prec, [])
+
+    monkeypatch.setattr(GroupChart, "structure_presentation", abelian)
+    with pytest.raises(InvariantViolation, match="degree 2, above the nilpotency class 1"):
+        build_quotient(heisenberg_chart(P), 2, 2)
+
+
+def test_a_modulus_beyond_int64_products_exits_2(tmp_path, capsys):
+    # 41^6 squared is above 2^63, so the law's products of residues would wrap
+    path = tmp_path / "wide.txt"
+    path.write_text("p 41\nchartmat 0 41 0 0\naut 1 1\n")
+    assert main(["growth", str(path), "--level", "6", "--size-budget", str(10**10)]) == 2
+    assert "would overflow int64" in capsys.readouterr().err
 
 
 def test_columns_raise_when_a_power_is_not_the_identity():
     Q = build_quotient(heisenberg_chart(P), 2, 2, verify=False)
-    solve = Q.index_of_matrices
-
-    def corrupted(mats):
-        out = solve(mats)
-        out[0] = (out[0] + Q.radix) % Q.size
-        return out
-
-    Q.index_of_matrices = corrupted
+    # beta_1 gamma_1 added to the first coordinate: h g_1 doubles beta_1 + 1
+    Q._terms += ((0, 1, ((0, 1), (Q.dim, 1))),)
     with pytest.raises(InvariantViolation):
         Q.columns()
     assert Q._columns is None
@@ -187,7 +241,7 @@ def test_729_stage_matches_matrix_route_on_samples(name, n):
         a, b = rng.randrange(Q.size), rng.randrange(Q.size)
         assert Q.mult_array(a, b) == ref.mult(Q, a, b)
     phi = automorphisms(chart)[0]
-    perm = phi.perm(Q)
+    perm = phi.apply_array(Q, np.arange(Q.size))
     for h in rng.sample(range(Q.size), 20):
         assert Q.inverse_array(h) == ref.inv(Q, h)
         assert perm[h] == ref.apply_index(phi, Q, h)
@@ -247,12 +301,12 @@ def test_sparse_stage_builds_no_index_arrays():
     assert phi.verify_homomorphism(Q)
     assert [v.value for v in q_growth(phi, range(2), Q)[1]] == [2, 3]
     assert Q._columns is None and Q._mult_table is None
-    assert phi._perm is None
+    assert phi._powers[1].shape == (Q.radix, Q.dim)
 
 
 def test_sparse_group_law_matches_matrix_route():
-    # |Q| = 3^12 is above the dense limit: mult_array and inverse_array solve
-    # through the chart, for arrays and single indices alike
+    # |Q| = 3^12 is above the dense limit: mult_array and inverse_array
+    # evaluate the product law, for arrays and single indices alike
     Q = build_quotient(heisenberg_chart(P), 4, 6, size_budget=10**7)
     assert Q.size == 531441 and not Q.dense
     rng = random.Random(11)
@@ -272,4 +326,4 @@ def test_exact_check_rejects_non_bijective_spec(heis729):
     chart = Q.chart
     trivial = AutomorphismSpec.from_words(chart, [(0, 0, 0)] * 3, name="trivial")
     assert not trivial.verify_homomorphism(Q)
-    assert np.count_nonzero(trivial.perm(Q)) == 0
+    assert np.count_nonzero(trivial.apply_array(Q, np.arange(Q.size))) == 0

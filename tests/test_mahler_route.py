@@ -362,10 +362,24 @@ def solves(monkeypatch):
     return calls
 
 
-def test_sparse_homomorphism_check_takes_two_solves(sparse_stage, solves):
-    # the products ab, then phi(ab) stacked on phi(a) phi(b)
+def test_sparse_homomorphism_check_solves_only_the_images(sparse_stage, solves):
+    # the products are evaluations of the stage's law, and phi is the ordered
+    # products of the powers of its images, whose indices take one solve
     assert input_spec("heis_conj").verify_homomorphism(sparse_stage)
-    assert solves == [20, 40]
+    assert solves == [3]
+
+
+def test_level_4_mahler_solves_only_the_fit_and_the_images(monkeypatch, capsys):
+    calls = []
+    real = GroupChart.coordinates
+    monkeypatch.setattr(GroupChart, "coordinates",
+                        lambda chart, g, prec=None: calls.append(len(g)) or real(chart, g, prec))
+    argv = ["mahler", str(ROOT / "inputs" / "heis_conj.txt"), "--level", "4", "--degree", "10",
+            "--size-budget", "10000000", "--format", "structured"]
+    assert main(argv) == 0
+    assert '"by_formula": true' in capsys.readouterr().out
+    # the fit's 45 mixed products, then the 3 images of phi
+    assert calls == [45, 3]
 
 
 def test_a_power_starts_from_the_images(solves):
@@ -378,14 +392,15 @@ def test_a_power_starts_from_the_images(solves):
 
 
 def test_growth_takes_nine_solves_above_the_dense_limit(solves, capsys):
-    # verification 2, the chain phi^3, phi^9 2 + 2, then for all three axes at
-    # once the generators' coordinates, the compared approximants and the powers
+    # the fit, verification 1 (the images), the chain phi^3, phi^9 2 + 2, then
+    # for all three axes at once the generators' coordinates, the compared
+    # approximants and the powers
     argv = ["growth", str(ROOT / "inputs" / "heis_conj.txt"), "--level", "4",
             "--coeff-prec", "6", "--m-max", "2", "--regime", "char0",
             "--size-budget", "10000000"]
     assert main(argv) == 0
     assert "axis g2: m=0:2 m=1:3 m=2:4" in capsys.readouterr().out
-    assert solves == [20, 40, 3, 3, 3, 3, 3, 6, 9]
+    assert solves == [45, 3, 3, 3, 3, 3, 3, 6, 9]
 
 
 GROWTH = [
