@@ -8,12 +8,13 @@ product is a polynomial map, which the stage fits once from chart products
 `mult_array` and `inverse_array` are the group law's entry points for every
 stage size: a dense stage evaluates the law once, for its generator
 columns, and looks products up in them; a larger stage evaluates it per
-batch.  `ideal_closure` builds a right ideal as the direct sum of the
-translates, over the right cosets of a lattice subgroup H, of the ideal
-the generators span in KH.  The filtration weight of an element is read
-off its expansion in the ordered monomials b^alpha, b_i = g_i - 1; weights
-at or above the stage's precision floor are reported as ">= floor", never
-as exact numbers: the finite stage cannot distinguish them.
+batch.  Only the size and byte budgets limit a stage, for every command.
+`ideal_closure` builds a right ideal as the direct sum of the translates,
+over the right cosets of a lattice subgroup H, of the ideal the generators
+span in KH.  The filtration weight of an element is read off its expansion
+in the ordered monomials b^alpha, b_i = g_i - 1; weights at or above the
+stage's precision floor are reported as ">= floor", never as exact
+numbers: the finite stage cannot distinguish them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ DEFAULT_SIZE_BUDGET = 50_000
 B_MONOMIAL_DEGREE_BUDGET = 512
 # most multi-indices `lazard_value` may visit
 LAZARD_DEGREE_CAP = 4096
+# `QuotientGroup._law_array` holds its digits, sums and temporaries, 3d + 1 to
+# 3d + 3 int64 arrays of the batch's length (tracemalloc, batches of 2e5 pairs
+# on the built-in charts and a class-3 chart; one more below the 256 KiB at
+# which numpy elides temporaries), and asks for _LAW_HOLD·(d + 1) of them
+_LAW_HOLD = 3
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +127,10 @@ def fit_product_law(chart: GroupChart, n: int):
 class QuotientGroup:
     """The group Q = G/G^{p^n} with coefficient ring Z/p^N.
 
-    Within the dense budget a product a*b is d lookups in the generator
-    columns h -> h g_i^k, following the coordinates of b; above it
-    `mult_array` evaluates the product law on its batch, and no |Q|-length
-    array is built.  The |Q|^2 table of `mult_table` is built only for the
+    On a dense stage, |Q| <= DEFAULT_SIZE_BUDGET, a product a*b is d lookups
+    in the generator columns h -> h g_i^k, following the coordinates of b;
+    above it `mult_array` evaluates the product law on its batch, and no
+    columns are built.  The |Q|^2 table of `mult_table` is built only for the
     tests' oracles.  The cached columns and table are read-only, so that no
     stray write can corrupt a later product.
     """
@@ -206,7 +212,6 @@ class QuotientGroup:
         g_i^{p^n} must act as the identity on Q (InvariantViolation otherwise).
         """
         if self._columns is None:
-            self._require_dense()
             d, r, size = self.dim, self.radix, self.size
             require_bytes(8 * d * r * size, f"the generator columns at |Q| = {size}")
             # allocated before the law's temporaries, so that where the block
@@ -255,6 +260,8 @@ class QuotientGroup:
         product law: beta + gamma plus its mixed terms, each a coefficient
         times binomials of the lifted digits, reduced after every factor."""
         d, r = self.dim, self.radix
+        size = np.broadcast(a, b).size
+        require_bytes(8 * _LAW_HOLD * (d + 1) * size, f"the product law on {size} elements")
         # x[v] is the digit beta_v of a for v < d, and gamma_{v-d} of b after
         x = [np.asarray(ab, dtype=np.int64) // r**i % r for ab in (a, b) for i in range(d)]
         y = [x[j] + x[d + j] for j in range(d)]
@@ -276,15 +283,16 @@ class QuotientGroup:
 
         The grid holds 1 and lies in U_e, and a finite set that holds 1 and is
         closed under right multiplication by U_e's generators contains U_e; so
-        it is U_e exactly when no g_i^(p^(e_i)) moves it (one lookup each).
+        it is U_e exactly when no g_i^(p^(e_i)) moves it (one `mult_array` batch).
         """
         r, steps = self.radix, self.p ** np.array(exponents, dtype=np.int64)
+        require_bytes(9 * self.size, f"a lattice grid and its mask at |Q| = {self.size}")
         grid = _digit_grid(r, [r] * self.dim, steps.tolist())
         gens = np.flatnonzero(steps < r)
         inside = np.zeros(self.size, dtype=bool)
         inside[grid] = True
         grid.flags.writeable = False
-        moved = self.columns()[gens[:, None], steps[gens, None], grid]
+        moved = self.mult_array(grid, (steps[gens] * r**gens)[:, None])
         return grid, bool(inside[moved].all())
 
     def mult_table(self) -> np.ndarray:
@@ -300,7 +308,6 @@ class QuotientGroup:
         reads.  The buffer is the only |Q|^2 array allocated.
         """
         if self._mult_table is None:
-            self._require_dense()
             require_bytes(8 * self.size**2, f"the multiplication table at |Q| = {self.size}")
             cols, r, size = self.columns(), self.radix, self.size
             out = np.empty((size, size), dtype=np.int64)
@@ -313,13 +320,6 @@ class QuotientGroup:
             out.flags.writeable = False
             self._mult_table = out.T
         return self._mult_table
-
-    def _require_dense(self):
-        if not self.dense:
-            raise BudgetError(
-                f"|Q| = {self.size} exceeds the fixed dense-stage limit of "
-                f"{DEFAULT_SIZE_BUDGET} elements, which is separate from --size-budget"
-            )
 
 
 def _digit_grid(r: int, stops: Sequence[int], steps: Sequence[int]) -> np.ndarray:
@@ -568,7 +568,7 @@ class SubmoduleBasis:
     def __post_init__(self):
         Q, rows = self.quotient, self.rows
         units = rows.indices[rows.indptr[:-1]][linalg.unit_pivots(rows, Q.p)]
-        shared = units[np.bincount(rows.indices, minlength=rows.m)[units] != 1]
+        shared = units[np.bincount(rows.indices)[units] != 1]
         if shared.size:
             raise InvariantViolation(
                 f"the unit pivot in column {shared[0]} is not the only non-zero "
@@ -672,14 +672,13 @@ def ideal_closure(
     block per such order class, and `_lay_out` lays each block's rows onto
     the cosets of its class (H = Q when the classes would cover Q anyway).
     Every product is one `mult_array` batch on index arrays: |Q| for the
-    cosets and |supp|·|H| for the sparse translates.
+    cosets and |supp|·|H| for the sparse translates, on any stage size.
 
     The two-sided case finishes with a fixed-point iteration on the left.
     """
     Q = quotient
     if side not in ("right", "two-sided"):
         raise ValidationError(f"unknown side {side!r}")
-    Q._require_dense()
     p, N = Q.p, Q.N
     # coefficients are held as int64 residues from here on
     linalg._check_modulus(p, N)

@@ -4,10 +4,11 @@ Exit-code mapping used by the CLI: ValidationError -> 1,
 BudgetError / PrecisionError -> 2, InvariantViolation -> 3.
 """
 
-# bytes that one step may hold at once (the generator columns or the
-# multiplication table of a stage, the translates of an ideal closure, a dense
-# elimination, a Mahler differencing pass, a Lie bracket table), asked through
-# `require_bytes` before the step allocates
+# bytes that one step may hold at once (the generator columns, the
+# multiplication table or a lattice grid of a stage, a batch of the product
+# law, the translates of an ideal closure, a dense elimination, a Mahler
+# differencing pass, a Lie bracket table), asked through `require_bytes`
+# before the step allocates; with --size-budget the only limit on a stage
 DENSE_BYTE_BUDGET = 1 << 30
 
 

@@ -19,7 +19,10 @@ and the projection onto KU as they were on dense arrays, before bases
 became sparse rows.  `nested_lattice` is the lattice sweep as it was
 before it skipped the points that the down-set and join closure of the
 controlling set decide: every compatible point evaluated, each from the
-smallest already computed larger subgroup.
+smallest already computed larger subgroup.  `lattice_grid_by_columns` is
+`QuotientGroup.lattice_grid` as it was before it moved the grid through
+`mult_array`, one lookup per generator in the generator columns, and
+`product_closure` closes a set under products by search.
 """
 
 from itertools import product
@@ -276,3 +279,27 @@ def centre_indices(Q):
     return [
         h for h in range(Q.size) if all(Q.mult_array(h, g) == Q.mult_array(g, h) for g in gens)
     ]
+
+
+def lattice_grid_by_columns(Q, e):
+    """The sorted grid {g^beta : p^(e_i) | beta_i}, listed coordinate by
+    coordinate, and whether the lookups of h·g_i^(p^(e_i)) in the generator
+    columns keep every grid point h inside it."""
+    r, steps = Q.radix, Q.p ** np.array(e, dtype=np.int64)
+    grid = np.array(sorted(Q.index(beta) for beta in product(*(range(0, r, s) for s in steps))))
+    gens = np.flatnonzero(steps < r)
+    inside = np.zeros(Q.size, dtype=bool)
+    inside[grid] = True
+    moved = Q.columns()[gens[:, None], steps[gens, None], grid]
+    return grid, bool(inside[moved].all())
+
+
+def product_closure(Q, members, by):
+    """The sorted closure of ``members`` under right multiplication by the
+    elements ``by``, by search: each round multiplies the elements the last
+    round added by all of ``by``."""
+    seen = frontier = np.unique(members)
+    while frontier.size:
+        frontier = np.setdiff1d(Q.mult_array(frontier[:, None], by[None, :]), seen)
+        seen = np.union1d(seen, frontier)
+    return seen

@@ -1,6 +1,6 @@
 """Small stages and ideals shared by the differential tests, the dense
-coefficient vectors of stage elements, and the all-of-Q route to a stage's
-generator columns."""
+coefficient vectors of stage elements, a skew Heisenberg and a class-3
+chart, and the all-of-Q route to a stage's generator columns."""
 
 import numpy as np
 
@@ -59,6 +59,18 @@ def skew_heisenberg(p):
         ((0, p, 0), (0, 0, -p), (0, 0, 0)),
         ((0, 0, p * p), (0, 0, 0), (0, 0, 0)),
     ])
+
+
+def filiform(p):
+    """The class-3 chart x1 = p(E12 + E23 + E34), x2 = p E34, x3 = p^2 E24,
+    x4 = p^3 E14, with [x1, x2] = x3 and [x1, x3] = x4, whose law has the
+    term beta_2 binom(gamma_1, 2); p > 3 keeps the logarithms in the
+    lattice."""
+    def unit(i, j, v):
+        return tuple(tuple(v if (a, b) == (i, j) else 0 for b in range(4)) for a in range(4))
+
+    shift = np.add(np.add(unit(0, 1, p), unit(1, 2, p)), unit(2, 3, p)).tolist()
+    return chart_from_matrices(p, [shift, unit(2, 3, p), unit(1, 3, p**2), unit(0, 3, p**3)])
 
 
 def columns_by_full_solve(Q):

@@ -280,6 +280,21 @@ class TestControl:
                doc["j_ideal_rank"], len(doc["lattice"]))
         assert got == report
 
+    @pytest.mark.parametrize("stem, report", [
+        ("heis_zero_ideal", (0, [4, 4, 4], True, 162, 105)),
+        ("heis_central_ideal", (1049760, [4, 4, 0], False, 2, 105)),
+    ], ids=["heis_zero_ideal", "heis_central_ideal"])
+    def test_level_4_reports(self, capsys, stem, report):
+        # |Q| = 3^12 is above the dense limit, which --size-budget alone
+        # lifts: every product is one batch of the product law
+        path = Path(__file__).resolve().parents[1] / "inputs" / f"{stem}.txt"
+        assert main(["control", str(path), "--level", "4", "--size-budget", "10000000",
+                     "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = (doc["rank_log"], doc["controller_estimate"], doc["faithful"],
+               doc["j_ideal_rank"], len(doc["lattice"]))
+        assert got == report
+
     def test_large_prime_heisenberg(self, tmp_path, capsys):
         # |Q| = 23^3: the generator columns take 6.7 MB, and the table no
         # command builds would take 1.10 GiB; b3 = g3 - 1 lies in K<g3>, so
@@ -446,11 +461,16 @@ FUZZ = [
     ("coeff-prec-40", CENTRAL_IDEAL, ["control", "--coeff-prec", "40"], 2,
      "coefficient modulus 3^40"),
     ("control-level-4", CENTRAL_IDEAL, ["control", "--level", "4"], 2, "exceeds budget"),
-    # the flag admits |Q| = 3^12, but control needs a dense stage, whose
-    # limit the flag does not move
-    ("control-level-4-size-budget", CENTRAL_IDEAL,
-     ["control", "--level", "4", "--size-budget", "10000000"], 2,
-     "exceeds the fixed dense-stage limit of 50000 elements, which is separate from --size-budget"),
+    # the flag admits |Q| = 3^15, but the cosets of the closure, one batch of
+    # the product law, would hold 1.28 GiB: refused before it allocates
+    ("control-level-5-size-budget", CENTRAL_IDEAL,
+     ["control", "--level", "5", "--size-budget", "10000000000"], 2,
+     "the product law on 14348907 elements needs 1.28 GiB"),
+    # the zero ideal takes no translates, and its first lattice grid, all of
+    # |Q| = 3^18, would take 3.25 GiB with its mask
+    ("control-zero-ideal-level-6-size-budget", "p 3\nchart heisenberg\n",
+     ["control", "--level", "6", "--size-budget", "10000000000"], 2,
+     "a lattice grid and its mask at |Q| = 387420489 needs 3.25 GiB"),
     ("dependent-chart-control", DEPENDENT_CHART, ["control"], 1, "linearly dependent"),
     ("dependent-chart-mahler", DEPENDENT_CHART, ["mahler"], 1, "linearly dependent"),
     ("dependent-chart-growth", DEPENDENT_CHART, ["growth", "--level", "1"], 1,

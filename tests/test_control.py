@@ -209,3 +209,17 @@ class TestIdealPredicates:
             P,
             Q.N,
         )
+
+
+def test_large_control_builds_no_columns():
+    # |Q| = 3^12 is above the dense limit: the closure, the lattice grids,
+    # is_faithful and j_ideal_rank take every product from the product law,
+    # and the generator columns, which would take 1.03 GB, are never built
+    Q = build_quotient(heisenberg_chart(P), 4, 2, size_budget=10**7)
+    assert not Q.dense
+    I = central_ideal(Q)
+    lattice = control_lattice(I)
+    got = (I.rank_log, controller_estimate(I, lattice), is_faithful(I), j_ideal_rank(I),
+           len(lattice))
+    assert got == (1049760, (4, 4, 0), False, 2, 105)
+    assert Q._columns is None and Q._mult_table is None

@@ -12,7 +12,9 @@ re-echelon route (the sequence 0 -> I ∩ KU -> I -> π_{Q∖U}(I) -> 0 is
 exact), and the rank of the projection onto KU that of its Howell form.
 The subgroup images read from the power columns and the array-compared
 centre must equal the scalar-product search on every stage with
-|Q| <= 729.  On those stages `linalg.projection_rank_log`, which peels
+|Q| <= 729, and each grid and compatibility verdict, now one `mult_array`
+batch, the column lookups that gave them before and a closure of the grid
+under products.  On those stages `linalg.projection_rank_log`, which peels
 the unit pivots a projection keeps, must equal `span_rank_log` of the
 projected rows for every lattice mask and the mask off the centre, and a
 lattice hands the forward elimination only the rows it does not peel.
@@ -33,7 +35,7 @@ import numpy as np
 import pytest
 
 import control_route as ref
-from stages import small_stage_ideals, stages_up_to_729
+from stages import filiform, small_stage_ideals, stages_up_to_729
 from iwasawa_kernel import control, linalg
 from iwasawa_kernel.algebra import (
     AlgebraElement,
@@ -378,6 +380,31 @@ def test_subgroup_members_match_search(Q):
         assert compatible
     if Q.chart.name == "heisenberg" and Q.n == 2:
         assert incompatible > 0
+
+
+@pytest.mark.parametrize("name, n", [
+    ("heisenberg", 1), ("heisenberg", 2), ("heisenberg", 3), ("abelian2", 3),
+    ("unipotent4", 1), ("cyclic", 3), ("filiform", 1),
+])
+def test_lattice_grid_matches_the_column_route(name, n):
+    # the grid and verdict of every exponent vector against one column lookup
+    # per generator, and the verdict against the closure of the grid under
+    # products: by all of it up to 729 points, and above that by its points
+    # on one axis, which generate the same subgroup
+    chart = filiform(5) if name == "filiform" else builtin_chart(name, P)
+    Q = build_quotient(chart, n, 2)
+    assert Q.dense
+    verdicts = []
+    for e in product(range(n + 1), repeat=Q.dim):
+        grid, compatible = Q.lattice_grid(e)
+        want_grid, want = ref.lattice_grid_by_columns(Q, e)
+        assert grid.tolist() == want_grid.tolist() and compatible == want, e
+        by = grid if grid.size <= 729 else grid[np.count_nonzero(Q.coords_array(grid), axis=1) <= 1]
+        closed = ref.product_closure(Q, grid, by)
+        assert compatible == (closed.tolist() == grid.tolist()), e
+        verdicts.append(compatible)
+    # only the heisenberg and filiform stages have grids that are no subgroup
+    assert all(verdicts) == (name not in ("heisenberg", "filiform"))
 
 
 @pytest.mark.parametrize("Q", [s[1] for s in STAGES], ids=[s[0] for s in STAGES])

@@ -12,7 +12,8 @@ scalar route before both (tuple-matrix exp/log, one-element iterative
 solves, phi(g^beta) through exp(b log phi(g_i))).  Small stages are
 compared with it on all of Q, |Q| = 729 stages on sampled pairs and random
 products.  The multiplication table, written one generator digit at a time,
-is compared with the pairwise `mult_array` route it replaced.
+is compared with the pairwise `mult_array` route it replaced.  The byte
+budget the law asks for each batch must cover what tracemalloc sees it hold.
 """
 
 import random
@@ -26,11 +27,12 @@ from hypothesis import strategies as st
 import matrix_route as ref
 from matrix_route import _mul
 from mahler_route import coeffs_by_dicts, mahler_product_coeff
-from stages import columns_by_full_solve, skew_heisenberg, stages_up_to_729
-from iwasawa_kernel.algebra import AlgebraElement, build_quotient
-from iwasawa_kernel.charts import GroupChart, builtin_chart, chart_from_matrices, heisenberg_chart
+from stages import columns_by_full_solve, filiform, skew_heisenberg, stages_up_to_729
+from iwasawa_kernel import errors
+from iwasawa_kernel.algebra import _LAW_HOLD, AlgebraElement, build_quotient
+from iwasawa_kernel.charts import GroupChart, builtin_chart, heisenberg_chart
 from iwasawa_kernel.cli import main
-from iwasawa_kernel.errors import InvariantViolation
+from iwasawa_kernel.errors import BudgetError, InvariantViolation
 from iwasawa_kernel.nilpotent import LiePresentation
 from iwasawa_kernel.mahler import (
     AutomorphismSpec,
@@ -142,18 +144,6 @@ def chart_products(Q, a, b):
     return Q.index_array(chart.coordinates(prods % chart.modulus, prec=Q.n))
 
 
-def filiform(p):
-    """The class-3 chart x1 = p(E12 + E23 + E34), x2 = p E34, x3 = p^2 E24,
-    x4 = p^3 E14, with [x1, x2] = x3 and [x1, x3] = x4, whose law has the
-    term beta_2 binom(gamma_1, 2); p > 3 keeps the logarithms in the
-    lattice."""
-    def unit(i, j, v):
-        return tuple(tuple(v if (a, b) == (i, j) else 0 for b in range(4)) for a in range(4))
-
-    shift = np.add(np.add(unit(0, 1, p), unit(1, 2, p)), unit(2, 3, p)).tolist()
-    return chart_from_matrices(p, [shift, unit(2, 3, p), unit(1, 3, p**2), unit(0, 3, p**3)])
-
-
 @pytest.mark.parametrize("name, n", [
     ("heisenberg", 3), ("heisenberg", 4), ("unipotent4", 2), ("skew", 2), ("skew", 3),
     ("filiform", 2),
@@ -169,6 +159,38 @@ def test_law_matches_chart_products(name, n):
     assert np.array_equal(Q.mult_array(a, b), want)
     if name == "filiform":
         assert (3, 1, ((1, 1), (4, 2))) in Q._terms
+
+
+@pytest.mark.parametrize("name, n", [("heisenberg", 4), ("unipotent4", 2), ("filiform", 2)])
+def test_the_law_holds_no_more_than_it_asks_for(name, n):
+    # both factors of batch length, the largest hold; numpy elides the
+    # temporaries of arrays of 256 KiB and up, and below that a batch holds
+    # one more array, a few MB at most
+    chart = filiform(5) if name == "filiform" else builtin_chart(name, P)
+    Q = build_quotient(chart, n, 2, size_budget=10**7, verify=False)
+    a, b = np.random.default_rng(n).integers(0, Q.size, size=(2, 100000))
+    tracemalloc.start()
+    try:
+        Q._law_array(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # and a few KB of Python objects
+    assert peak <= 8 * _LAW_HOLD * (Q.dim + 1) * a.size + 64 * 1024
+
+
+def test_the_law_asks_the_byte_budget_before_a_batch(monkeypatch):
+    # |Q| = 3^12 is above the dense limit, so every product is the law's;
+    # a batch of 1000 products asks for 3(d + 1) = 12 arrays of 1000 int64s
+    Q = build_quotient(heisenberg_chart(P), 4, 2, size_budget=10**7, verify=False)
+    a = np.arange(1000)
+    monkeypatch.setattr(errors, "DENSE_BYTE_BUDGET", 8 * 12 * 1000 - 1)
+    for x, y in ((a, 5), (a[:10, None], a[None, :100])):
+        with pytest.raises(BudgetError, match="the product law on 1000 elements"):
+            Q.mult_array(x, y)
+    monkeypatch.setattr(errors, "DENSE_BYTE_BUDGET", 8 * 12 * 1000)
+    assert Q.mult_array(a, 0).tolist() == a.tolist()
+    assert Q._columns is None
 
 
 def test_a_class_forced_too_low_raises(monkeypatch):
