@@ -13,10 +13,11 @@ together with the echelon solver of the chart lattice.
 Matrices are arrays inside this module: every kernel (divided powers, exp,
 log, the Neumann-series inverse, roots, the lattice solve) runs on a
 (B, size, size) batch, and the scalar methods (`exp`, `log`, `inverse`,
-`root`, `word`, ...) are batches of one whose result becomes the tuple
-`Matrix` once, at the boundary (`inverse_batch` and `root_batch` are the
-batch forms other modules call).  Coordinates of a group element in the
-ordered-product normal form g = g_1^{b_1} ... g_d^{b_d} are recovered by
+`word`, ...) are batches of one whose result becomes the tuple `Matrix`
+once, at the boundary (`inverse_batch` and `root_batch` are the batch
+forms other modules call; roots have no scalar form).  Coordinates of a
+group element in the ordered-product normal form
+g = g_1^{b_1} ... g_d^{b_d} are recovered by
 successive elimination on the logarithm, and every check applies to every
 element of the batch; `coordinates` takes one matrix as a batch of one.
 Batches are numpy arrays of int64 when
@@ -316,10 +317,6 @@ class GroupChart:
 
     def inverse(self, g: Matrix) -> Matrix:
         return _as_matrix(self.inverse_batch(self.batch([g]))[0])
-
-    def root(self, g: Matrix, m: int) -> Matrix:
-        """The p^m-th root of g, when log g is divisible by p^m."""
-        return _as_matrix(self.root_batch(self.batch([g]), m)[0])
 
     # -- coordinate recovery -------------------------------------------
 

@@ -4,18 +4,29 @@ One process, one command per run.  Text output is for reading; structured
 output is a single self-describing JSON document (config echo included)
 that is byte-identical across runs with the same input, flags and seed.
 
-Exit codes: 0 success, 1 validation failure, 2 budget/precision failure,
-3 internal invariant violation (an equivalence that must hold by theorem
-came out unequal — that falsifies the build, not the input).
+The command line is `COMMAND INPUT` plus flags, read with one table
+(`FLAGS`: flag -> config field, `int` or a tuple of choices, default).  A
+flag goes before, between or after the two positionals; it takes its value
+as the next argument or after "=" (`--level 2`, `--level=2`), a unique
+prefix names it (`--lev`), a negative integer is a value (`--m-max -1`),
+the last of a repeated flag wins, and "--" ends the flags.  `-h`/`--help`
+prints `USAGE` and exits 0.
+
+Exit codes: 0 success, 1 validation failure (a malformed command line
+among them: an unknown or ambiguous flag, a missing value, a non-integer,
+a bad choice, a wrong count of positionals or an unknown command),
+2 budget/precision failure, 3 internal invariant violation (an
+equivalence that must hold by theorem came out unequal — that falsifies
+the build, not the input).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
 import sys
+from types import SimpleNamespace
 from typing import Dict, List
 
 from . import control as control_mod
@@ -254,29 +265,6 @@ def cmd_growth(config) -> int:
 # driver
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="iwasawa-kernel",
-        description="finite-stage computations in Iwasawa algebras of uniform pro-p groups",
-    )
-    parser.add_argument("command", choices=["ucs", "mahler", "control", "growth"])
-    parser.add_argument("input", help="presentation file")
-    parser.add_argument("--p", type=int, default=None, help="override the prime")
-    parser.add_argument("--level", type=int, default=1, help="quotient level n")
-    parser.add_argument("--coeff-prec", dest="coeff_prec", type=int, default=2,
-                        help="coefficient precision N")
-    parser.add_argument("--degree", type=int, default=6, help="Mahler degree cap D")
-    parser.add_argument("--m-max", dest="m_max", type=int, default=2,
-                        help="largest m in growth tables")
-    parser.add_argument("--regime", choices=["char0", "charp"], default="char0")
-    parser.add_argument("--format", choices=["text", "structured"], default="text")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--size-budget", dest="size_budget", type=int,
-                        default=DEFAULT_SIZE_BUDGET,
-                        help="largest |Q| that mahler, control and growth accept")
-    return parser
-
-
 _COMMANDS = {
     "ucs": cmd_ucs,
     "mahler": cmd_mahler,
@@ -285,12 +273,121 @@ _COMMANDS = {
 }
 
 
+# flag -> (config field, int or the tuple of its choices, default)
+FLAGS = {
+    "--p": ("p", int, None),
+    "--level": ("level", int, 1),
+    "--coeff-prec": ("coeff_prec", int, 2),
+    "--degree": ("degree", int, 6),
+    "--m-max": ("m_max", int, 2),
+    "--regime": ("regime", ("char0", "charp"), "char0"),
+    "--format": ("format", ("text", "structured"), "text"),
+    "--seed": ("seed", int, 0),
+    "--size-budget": ("size_budget", int, DEFAULT_SIZE_BUDGET),
+}
+
+USAGE = f"""\
+usage: iwasawa-kernel {{ucs,mahler,control,growth}} INPUT [flags]
+
+finite-stage computations in Iwasawa algebras of uniform pro-p groups
+
+Flags go before, between or after the command and the presentation file
+INPUT.  A flag takes its value as the next argument or after "=", a unique
+prefix names it, and the last of a repeated flag wins.
+
+  -h, --help            print this text
+  --p P                 override the prime
+  --level n             quotient level n (1)
+  --coeff-prec N        coefficient precision N (2)
+  --degree D            Mahler degree cap D (6)
+  --m-max M             largest m in growth tables (2)
+  --regime {{char0,charp}}
+  --format {{text,structured}}
+  --seed S              sampling seed (0)
+  --size-budget B       largest |Q| that mahler, control and growth accept
+                        ({DEFAULT_SIZE_BUDGET})
+"""
+
+
+def _flag(arg: str):
+    """The flag an argument names, "" for an unknown flag, and None for a
+    value.  This is argparse's reading: "-", a negative number and an
+    argument with a space that names no flag are values."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name = arg.partition("=")[0]
+    if name == "-h":
+        return "--help"
+    if name.startswith("--"):
+        hits = [f for f in (*FLAGS, "--help") if f.startswith(name)]
+        if name in hits:
+            return name
+        if len(hits) > 1:
+            raise ValidationError(f"ambiguous flag {name}: could be {', '.join(hits)}")
+        if hits:
+            return hits[0]
+    # the negative numbers -\d+ and -\d*\.\d+
+    whole, dot, frac = arg[1:].partition(".")
+    if (whole.isdecimal() and not dot) or ((not whole or whole.isdecimal()) and frac.isdecimal()):
+        return None
+    return None if " " in arg else ""
+
+
+def parse_args(argv: List[str]):
+    """The config of one command line, or None for -h/--help."""
+    config = {field: default for field, _, default in FLAGS.values()}
+    positionals: List[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--":
+            positionals += argv[i:]
+            break
+        flag = _flag(arg)
+        if flag is None:
+            positionals.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if not flag:
+            raise ValidationError(f"unknown flag {name}")
+        if flag == "--help":
+            if eq:
+                raise ValidationError(f"{name} takes no value")
+            return None
+        if not eq:
+            if i == len(argv) or argv[i] == "--" or _flag(argv[i]) is not None:
+                raise ValidationError(f"{flag} needs a value")
+            value = argv[i]
+            i += 1
+        field, kind, _ = FLAGS[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValidationError(f"{flag} needs an integer, got {value!r}") from None
+        elif value not in kind:
+            raise ValidationError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        config[field] = value
+    if len(positionals) != 2:
+        raise ValidationError(
+            f"expected a command and an input file, got {positionals!r}; see --help")
+    config["command"], config["input"] = positionals
+    if config["command"] not in _COMMANDS:
+        raise ValidationError(
+            f"unknown command {config['command']!r}: choose from {', '.join(_COMMANDS)}")
+    return SimpleNamespace(**config)
+
+
 def main(argv=None) -> int:
-    config = build_parser().parse_args(argv)
-    if config.p is not None and config.p < 2:
-        print("p must be a prime", file=sys.stderr)
-        return 1
     try:
+        config = parse_args(sys.argv[1:] if argv is None else argv)
+        if config is None:
+            print(USAGE, end="")
+            return 0
+        if config.p is not None and config.p < 2:
+            print("p must be a prime", file=sys.stderr)
+            return 1
         if config.size_budget < 1:
             raise ValidationError(f"--size-budget must be >= 1, got {config.size_budget}")
         return _COMMANDS[config.command](config)

@@ -21,7 +21,7 @@ it became an index-array pass or a batched chart solve:
 - `q_growth_by_powers` raises z(g_i) to p^m in the stage algebra by
   repeated squaring, and rebuilds the chain phi^(p^m) for each axis;
 - `z_approximants_by_roots` is the z-map of one element, with one scalar
-  coordinate solve and one scalar root per m.
+  coordinate solve and one matrix-route root (`matrix_route.root`) per m.
 
 `apply_index` is phi on one index: on a dense stage the chart solve of
 its image word phi(g^beta) (`test_group_law` checks it against the matrix
@@ -216,7 +216,8 @@ def z_approximants_by_roots(chain, g, m_range):
     chart = chain[0].chart
     beta, ginv = chart.coordinates(g), chart.inverse(g)
     return [
-        chart.root(matrix_route._mul(chain[m].image_words([beta])[0], ginv, chart.modulus), m)
+        matrix_route.root(
+            chart, matrix_route._mul(chain[m].image_words([beta])[0], ginv, chart.modulus), m)
         for m in m_range
     ]
 

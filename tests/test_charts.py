@@ -13,6 +13,7 @@ from matrix_route import _identity, _mul
 from stages import skew_heisenberg
 from iwasawa_kernel.charts import (
     GroupChart,
+    _as_matrix,
     abelian_chart,
     builtin_chart,
     chart_from_matrices,
@@ -114,19 +115,18 @@ class TestCoordinates:
 
     def test_root_inverts_p_th_power(self):
         chart = heisenberg_chart(P)
-        q = chart.modulus
-        for beta in [(1, 2, 0), (0, 1, 1), (2, 2, 2)]:
-            g = chart.word(beta)
-            gp = g
-            for _ in range(P - 1):
-                gp = _mul(gp, g, q)
-            h = chart.root(gp, 1)
-            assert chart.coordinates(h, prec=2) == chart.coordinates(g, prec=2)
+        betas = np.array([(1, 2, 0), (0, 1, 1), (2, 2, 2)])
+        g = chart.words(betas)
+        gp = g
+        for _ in range(P - 1):
+            gp = gp @ g % chart.modulus
+        h = chart.root_batch(gp, 1)
+        assert (chart.coordinates(h, prec=2) == betas).all()
 
     def test_root_of_non_power_raises(self):
         chart = heisenberg_chart(P)
         with pytest.raises(PrecisionError):
-            chart.root(chart.generators[0], 1)
+            chart.root_batch(chart.batch([chart.generators[0]]), 1)
 
 
 class TestStructure:
@@ -245,15 +245,20 @@ class TestAgainstMatrixRoute:
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_root(self, route_chart, m):
+        # the roots of every power in one batch, as the z-map takes them
         chart, q = route_chart, route_chart.modulus
-        for g in route_elements(chart, count=3, bound=10):
+        gs = route_elements(chart, count=3, bound=10)
+        powers = []
+        for g in gs:
             power = _identity(chart.mat_size)
             for _ in range(chart.p**m):
                 power = _mul(power, g, q)
-            root = chart.root(power, m)
+            powers.append(power)
+        roots = [_as_matrix(r) for r in chart.root_batch(chart.batch(powers), m)]
+        # the top m digits of a root are junk
+        cut = chart.p ** (chart.work_prec - m)
+        for g, power, root in zip(gs, powers, roots):
             assert agree(root, ref.root(chart, power, m), chart, slack=m)
-            # the top m digits of the root are junk
-            cut = chart.p ** (chart.work_prec - m)
             assert all((x - y) % cut == 0 for ra, rb in zip(root, g) for x, y in zip(ra, rb))
 
     def test_root_of_non_power_raises_on_both_routes(self, route_chart):
@@ -262,7 +267,7 @@ class TestAgainstMatrixRoute:
         with pytest.raises(PrecisionError):
             ref.root(chart, g, 1)
         with pytest.raises(PrecisionError):
-            chart.root(g, 1)
+            chart.root_batch(chart.batch([_identity(chart.mat_size), g]), 1)
 
     def test_structure_presentation(self, route_chart):
         from iwasawa_kernel.nilpotent import LiePresentation
@@ -291,8 +296,8 @@ def test_root_far_above_working_precision_raises_precision_error(work):
     chart = builtin_chart("heisenberg", P, work_prec=work)
     g = chart.generator_power(0, P**2)
     with pytest.raises(PrecisionError, match="not divisible by p\\^40"):
-        chart.root(g, 40)
-    assert chart.root(_identity(3), 40) == _identity(3)
+        chart.root_batch(chart.batch([g]), 40)
+    assert _as_matrix(chart.root_batch(chart.batch([_identity(3)]), 40)[0]) == _identity(3)
 
 
 def test_derivations_built_with_the_chart():

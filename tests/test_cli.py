@@ -498,6 +498,22 @@ FUZZ = [
     # |Q| = 729 is one above the budget the flag sets
     ("control-size-budget-728", CENTRAL_IDEAL, ["control", "--level", "2", "--size-budget", "728"],
      2, "exceeds budget 728"),
+    # malformed command lines: the flag table refuses them before any input
+    # is read, with exit 1 and a line that names the flag
+    ("level-not-an-integer", CENTRAL_IDEAL, ["control", "--level", "x"], 1,
+     "validation failure: --level needs an integer, got 'x'"),
+    ("unknown-flag", CENTRAL_IDEAL, ["control", "--bogus", "1"], 1,
+     "validation failure: unknown flag --bogus"),
+    ("format-xml", CENTRAL_IDEAL, ["control", "--format", "xml"], 1,
+     "validation failure: --format must be one of text, structured, got 'xml'"),
+    ("level-without-value", CENTRAL_IDEAL, ["control", "--level"], 1,
+     "validation failure: --level needs a value"),
+    ("ambiguous-prefix", CENTRAL_IDEAL, ["control", "--s", "1"], 1,
+     "validation failure: ambiguous flag --s: could be --seed, --size-budget"),
+    ("unknown-command", CENTRAL_IDEAL, ["frobnicate"], 1,
+     "validation failure: unknown command 'frobnicate'"),
+    ("extra-positional", CENTRAL_IDEAL, ["control", "extra.txt"], 1,
+     "validation failure: expected a command and an input file"),
 ]
 
 
@@ -517,9 +533,11 @@ def test_malformed_and_oversized_inputs(tmp_path, capsys, text, args, code, mess
     assert "Traceback" not in err
 
 
-def test_control_and_mahler_leave_numpy_ma_unimported(tmp_path):
+def test_control_and_mahler_leave_numpy_ma_and_argparse_unimported(tmp_path):
     # numpy.ma takes 10-14 ms and ~1.4 MB of RSS to import in a fresh
-    # process, and on numpy 2.4 `np.unique` without flags imports it
+    # process, and on numpy 2.4 `np.unique` without flags imports it; the
+    # command line is read without argparse, and so without the gettext
+    # and locale it pulls in
     import os
     import subprocess
     import sys
@@ -537,9 +555,9 @@ runs = [
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(run + ["--format", "structured"]) for run in runs]
-print(codes, "numpy.ma" in sys.modules)
+print(codes, "numpy.ma" in sys.modules, sorted({{"argparse", "gettext", "locale"}} & set(sys.modules)))
 """
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[0, 0, 0] False"
+    assert out.strip() == "[0, 0, 0] False []"
